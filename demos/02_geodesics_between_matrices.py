@@ -18,7 +18,7 @@ I2 = np.eye(2)
 print("== Geodesics and the exponential ==")
 geo = tg.Geodesic(I2, np.diag([1.0, -1.0]))
 print("P(1) for C=diag(1,-1):\n", geo.point(1.0))
-print("residual of the geodesic equation at t=0.5:", tg.geodesic_residual(geo, 0.5))
+print("residual of the geodesic equation at t=0.5:", tg.curve_residual(geo.point, 0.5))
 line = lambda t: I2 + t * np.array([[0.3, 0.8], [-0.2, 0.5]])  # noqa: E731
 print("residual of a straight line (not a geodesic):", tg.curve_residual(line, 0.5))
 

@@ -13,7 +13,6 @@ from .curvature import (
     OrthonormalFrame,
     christoffel_closed,
     christoffel_fd,
-    christoffel_fd_oracle,
     orthonormal_frame,
     ricci,
     ricci_trace_oracle,
@@ -37,7 +36,6 @@ from .errors import (
     NotTangentError,
     NotUnimodularError,
     NotUniqueError,
-    OracleMismatchError,
     SingularMatrixError,
     SpectrumNotPositiveError,
     SpectrumOnCutError,
@@ -51,9 +49,7 @@ from .geodesy import (
     broken_arc,
     classify_arc,
     curve_residual,
-    geodesic_eval,
     geodesic_from_velocity,
-    geodesic_residual,
     nabla,
     spd_geodesic,
     unique_arc,

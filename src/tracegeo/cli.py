@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 classification found no arc, 1 anything else.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,50 +17,23 @@ import numpy as np
 
 from . import curvature as curvature_mod
 from . import geodesy, metricspace, verify
-from .errors import (
-    DegenerateMetricError,
-    DegenerateSectionError,
-    DifferentComponentsError,
-    DimensionMismatchError,
-    IllConditionedError,
-    LinearlyDependentError,
-    NonPositiveDeterminantError,
-    NotSPDError,
-    NotSpecialOrthogonalError,
-    NotSymmetricError,
-    NotTangentError,
-    NotUnimodularError,
-    NotUniqueError,
-    OracleMismatchError,
-    SingularMatrixError,
-    SpectrumNotPositiveError,
-    SpectrumOnCutError,
-    TraceGeoError,
-)
-
-_ERROR_CODES = [
-    (SingularMatrixError, "singular"),
-    (DimensionMismatchError, "dimension-mismatch"),
-    (SpectrumOnCutError, "spectrum-on-cut"),
-    (SpectrumNotPositiveError, "spectrum-not-positive"),
-    (NotSpecialOrthogonalError, "not-special-orthogonal"),
-    (DegenerateMetricError, "degenerate-metric"),
-    (NotUnimodularError, "not-unimodular"),
-    (NonPositiveDeterminantError, "non-positive-determinant"),
-    (NotSPDError, "not-spd"),
-    (NotSymmetricError, "not-symmetric"),
-    (NotUniqueError, "not-unique"),
-    (DifferentComponentsError, "different-components"),
-    (IllConditionedError, "ill-conditioned"),
-    (DegenerateSectionError, "degenerate-section"),
-    (LinearlyDependentError, "linearly-dependent"),
-    (NotTangentError, "not-tangent"),
-    (OracleMismatchError, "oracle-mismatch"),
-]
+from .errors import TraceGeoError
+from .verify import matrix_document
 
 
 class _ParseError(Exception):
     pass
+
+
+# argparse destinations of the options that must be positive finite numbers
+_TOLERANCE_OPTIONS = ("tol", "tol_cluster", "tol_assert", "fd_step")
+
+
+def _check_tolerance(name, value):
+    """Return ``value`` when it is a positive finite number; else a parse error."""
+    if not (math.isfinite(value) and value > 0):
+        raise _ParseError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 def _default_assert_tol():
@@ -67,9 +41,10 @@ def _default_assert_tol():
     if raw is None:
         return 1e-8
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise _ParseError(f"TRACEGEO_TOL is not a number: {raw!r}") from exc
+    return _check_tolerance("TRACEGEO_TOL", value)
 
 
 def load_matrix(arg):
@@ -85,30 +60,23 @@ def load_matrix(arg):
         text = path.read_text()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "data" not in doc:
         raise _ParseError("matrix document needs keys 'n' and 'data'")
     n = doc["n"]
     data = doc["data"]
-    if not isinstance(n, int) or n <= 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise _ParseError("'n' must be a positive integer")
     try:
         M = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _ParseError(f"'data' is not a numeric array: {exc}") from exc
     if M.shape != (n, n):
         raise _ParseError(f"'data' must be {n}x{n}, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise _ParseError("'data' has non-finite entries")
     return M
-
-
-def matrix_document(M, label=None):
-    doc = {"n": int(M.shape[0]), "data": np.asarray(M, dtype=float).tolist()}
-    if label is not None:
-        doc["label"] = label
-    return doc
 
 
 def _profile_document(profile):
@@ -289,25 +257,22 @@ def build_parser():
     return parser
 
 
-def _error_code(exc):
-    for klass, code in _ERROR_CODES:
-        if isinstance(exc, klass):
-            return code
-    return "error"
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "func", None) is _cmd_verify and args.tol_assert is None:
             args.tol_assert = _default_assert_tol()
+        for dest in _TOLERANCE_OPTIONS:
+            value = getattr(args, dest, None)
+            if value is not None:
+                _check_tolerance("--" + dest.replace("_", "-"), value)
         payload, code = args.func(args)
     except _ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
         return 1
     except TraceGeoError as exc:
-        print(json.dumps({"error": _error_code(exc), "message": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)

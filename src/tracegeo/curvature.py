@@ -9,13 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSectionError,
-    LinearlyDependentError,
-    NotTangentError,
-    OracleMismatchError,
-)
-from .matcore import as_square, cartan_killing, require_invertible, require_same_order
+from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
+from .matcore import as_point_and_tangents, as_square, require_invertible, require_same_order
 from .metricspace import gram_matrix, standard_basis, trace_metric
 
 __all__ = [
@@ -27,11 +22,9 @@ __all__ = [
     "ricci_trace_oracle",
     "christoffel_closed",
     "christoffel_fd",
-    "christoffel_fd_oracle",
     "OrthonormalFrame",
     "orthonormal_frame",
     "sl_einstein_check",
-    "cartan_killing",
 ]
 
 
@@ -41,10 +34,7 @@ def _commutator(a, b):
 
 def riemann_13(K, X, Y, Z):
     """(1,3) curvature: -( Z [K^{-1}X, K^{-1}Y] - [XK^{-1}, YK^{-1}] Z ) / 4."""
-    K = as_square(K, "K")
-    X, Y, Z = (as_square(m, nm) for m, nm in ((X, "X"), (Y, "Y"), (Z, "Z")))
-    require_same_order(K, X, Y, Z)
-    require_invertible(K, "K")
+    K, X, Y, Z = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
     B = np.linalg.inv(K)
     left = _commutator(B @ X, B @ Y)
     right = _commutator(X @ B, Y @ B)
@@ -53,10 +43,7 @@ def riemann_13(K, X, Y, Z):
 
 def riemann_04(K, X, Y, Z, W):
     """(0,4) curvature: tr([K^{-1}X, K^{-1}Y] [K^{-1}Z, K^{-1}W]) / 4."""
-    K = as_square(K, "K")
-    X, Y, Z, W = (as_square(m, nm) for m, nm in ((X, "X"), (Y, "Y"), (Z, "Z"), (W, "W")))
-    require_same_order(K, X, Y, Z, W)
-    require_invertible(K, "K")
+    K, X, Y, Z, W = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
     B = np.linalg.inv(K)
     return float(0.25 * np.trace(_commutator(B @ X, B @ Y) @ _commutator(B @ Z, B @ W)))
 
@@ -67,11 +54,7 @@ def sectional(K, X, Y):
     The value tr([K^{-1}X, K^{-1}Y]^2) / 4 over the Gram determinant of the
     plane; only defined on nondegenerate sections.
     """
-    K = as_square(K, "K")
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    require_same_order(K, X, Y)
-    require_invertible(K, "K")
+    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
     pair = np.column_stack([X.ravel(), Y.ravel()])
     s = np.linalg.svd(pair, compute_uv=False)
     if s[1] <= 1e-12 * max(1.0, s[0]):
@@ -91,11 +74,7 @@ def sectional(K, X, Y):
 
 def ricci(K, X, Y):
     """Ricci curvature tr(K^{-1}X) tr(K^{-1}Y) / 2 - n g_K(X, Y) / 2."""
-    K = as_square(K, "K")
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    require_same_order(K, X, Y)
-    require_invertible(K, "K")
+    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
     n = K.shape[0]
     BX = np.linalg.solve(K, X)
     BY = np.linalg.solve(K, Y)
@@ -223,32 +202,13 @@ def christoffel_fd(P, h=1e-4):
     return 0.5 * np.einsum("cd,abd->abc", Ginv, bracket)
 
 
-def christoffel_fd_oracle(P, h=1e-4, tol=1e-5):
-    """Christoffel symbols two ways, asserting their agreement.
-
-    Computes the closed trace formula and the generic coordinate formula
-    with finite-difference metric derivatives, raises OracleMismatchError if
-    they differ by more than ``tol``, and returns the closed-form array.
-    """
-    closed = christoffel_closed(P)
-    fd = christoffel_fd(P, h)
-    gap = float(np.abs(closed - fd).max())
-    if gap > tol:
-        raise OracleMismatchError(f"Christoffel formulas disagree by {gap:g} (tol {tol:g})")
-    return closed
-
-
 def sl_einstein_check(K, X, Y, tol=1e-10):
     """Einstein identity on a determinant leaf: (Ric(X,Y), -(n/2) g(X,Y)).
 
     Requires X and Y tangent to the leaf through K, i.e. tr(K^{-1}X) and
     tr(K^{-1}Y) vanish; project with sl_tangent_project first if needed.
     """
-    K = as_square(K, "K")
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    require_same_order(K, X, Y)
-    require_invertible(K, "K")
+    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
     n = K.shape[0]
     BX = np.linalg.solve(K, X)
     BY = np.linalg.solve(K, Y)

@@ -24,6 +24,7 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    as_point_and_tangents,
     as_square,
     polar_decompose,
     real_log_principal,
@@ -42,22 +43,13 @@ class Geodesic:
     direction: np.ndarray
 
     def __post_init__(self):
-        K = as_square(self.base_point, "base_point")
-        C = as_square(self.direction, "direction")
-        require_same_order(K, C)
-        require_invertible(K, "base_point")
+        K, C = as_point_and_tangents(self.base_point, "base_point", direction=self.direction)
         object.__setattr__(self, "base_point", K)
         object.__setattr__(self, "direction", C)
 
     def point(self, t):
+        """Point of the geodesic at parameter ``t`` (defined for every real t)."""
         return self.base_point @ sla.expm(float(t) * self.direction)
-
-    __call__ = point
-
-
-def geodesic_eval(geo, t):
-    """Point of ``geo`` at parameter ``t`` (defined for every real t)."""
-    return geo.point(t)
 
 
 def geodesic_from_velocity(K, S):
@@ -65,10 +57,7 @@ def geodesic_from_velocity(K, S):
 
     The curve is K exp(t K^{-1} S).
     """
-    K = as_square(K, "K")
-    S = as_square(S, "S")
-    require_same_order(K, S)
-    require_invertible(K, "K")
+    K, S = as_point_and_tangents(K, "K", S=S)
     return Geodesic(K, np.linalg.solve(K, S))
 
 
@@ -100,12 +89,7 @@ def nabla(P, Xp, Yp, euc_deriv):
     ``euc_deriv`` is the caller-supplied Euclidean derivative of the field Y
     along X at P (zero for constant-coefficient fields).
     """
-    P = as_square(P, "P")
-    Xp = as_square(Xp, "Xp")
-    Yp = as_square(Yp, "Yp")
-    D = as_square(euc_deriv, "euc_deriv")
-    require_same_order(P, Xp, Yp, D)
-    require_invertible(P, "P")
+    P, Xp, Yp, D = as_point_and_tangents(P, "P", Xp=Xp, Yp=Yp, euc_deriv=euc_deriv)
     PiY = np.linalg.solve(P, Yp)
     PiX = np.linalg.solve(P, Xp)
     return D - 0.5 * (Xp @ PiY + Yp @ PiX)
@@ -125,11 +109,6 @@ def curve_residual(curve, t, h=1e-4):
     vel = (Pp - Pm) / (2.0 * h)
     acc = (Pp - 2.0 * P0 + Pm) / (h * h)
     return float(np.linalg.norm(acc - vel @ np.linalg.solve(P0, vel)))
-
-
-def geodesic_residual(geo, t, h=1e-4):
-    """Geodesic-equation residual of a Geodesic value (sanity oracle)."""
-    return curve_residual(geo.point, t, h)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +293,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     t = 1.  Classification is re-run at tol/10 and 10 tol; a disagreement
     raises IllConditionedError instead of guessing.
     """
-    K0 = as_square(K0, "K0")
-    K1 = as_square(K1, "K1")
-    require_same_order(K0, K1)
-    require_invertible(K0, "K0")
+    K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
     require_invertible(K1, "K1")
     M = np.linalg.solve(K0, K1)
 
@@ -357,7 +333,7 @@ def unique_arc(K0, K1, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True, eq=False)
 class BrokenArc:
-    """Two geodesic arcs sharing the joint: first(1) = second(0) = joint."""
+    """Two geodesic arcs sharing the joint: first.point(1) = second.point(0) = joint."""
 
     first: Geodesic
     second: Geodesic
@@ -372,10 +348,7 @@ def broken_arc(K1, K2, tol=DEFAULT_TOL):
     principal-log arc; Z^{-1} K2 = O1^T O2 is special orthogonal, so the
     second leg is a rotation arc through the skew logarithm.
     """
-    K1 = as_square(K1, "K1")
-    K2 = as_square(K2, "K2")
-    require_same_order(K1, K2)
-    require_invertible(K1, "K1")
+    K1, K2 = as_point_and_tangents(K1, "K1", K2=K2)
     require_invertible(K2, "K2")
     if np.linalg.det(K1) * np.linalg.det(K2) <= 0:
         raise DifferentComponentsError("endpoints lie in different determinant components")

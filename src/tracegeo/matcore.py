@@ -45,6 +45,20 @@ def require_invertible(a, name="matrix", rtol=1e-13):
         raise SingularMatrixError(f"{name} is numerically singular")
 
 
+def as_point_and_tangents(base, name, **tangents):
+    """Validate an invertible base point and matrices of the same order.
+
+    Each operand goes through :func:`as_square` under its own name (the
+    keyword names the tangents), then the orders must agree, and last the
+    base must be invertible.  Returns the base followed by the tangents.
+    """
+    mats = [as_square(base, name)]
+    mats.extend(as_square(m, key) for key, m in tangents.items())
+    require_same_order(*mats)
+    require_invertible(mats[0], name)
+    return mats
+
+
 def is_negative_real(lam, tol=DEFAULT_TOL):
     """Decide whether the complex scalar ``lam`` counts as a negative real."""
     lam = complex(lam)

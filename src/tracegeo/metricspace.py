@@ -19,16 +19,12 @@ from .errors import (
     NotUnimodularError,
     SingularMatrixError,
 )
-from .matcore import as_square, require_invertible, require_same_order
+from .matcore import as_point_and_tangents, as_square, require_invertible, require_same_order
 
 
 def trace_metric(A, V, W):
     """Metric value tr(A^{-1} V A^{-1} W); symmetric and bilinear in (V, W)."""
-    A = as_square(A, "A")
-    V = as_square(V, "V")
-    W = as_square(W, "W")
-    require_same_order(A, V, W)
-    require_invertible(A, "A")
+    A, V, W = as_point_and_tangents(A, "A", V=V, W=W)
     return float(np.trace(np.linalg.solve(A, V) @ np.linalg.solve(A, W)))
 
 
@@ -83,9 +79,29 @@ def signature_at(A, zero_tol=1e-10):
 # Isometries
 # ---------------------------------------------------------------------------
 
-_PARAMETRIC_KINDS = ("left-translate", "right-translate", "conjugate", "congruence", "point-symmetry")
-_PLAIN_KINDS = ("inversion", "transposition", "negation")
-ISOMETRY_KINDS = _PARAMETRIC_KINDS + _PLAIN_KINDS
+def _inversion_differential(G, A, V):
+    Ainv = np.linalg.inv(A)
+    return -Ainv @ V @ Ainv
+
+
+# kind -> (takes a parameter G, map (G, X) -> f(X), differential (G, A, V) -> df_A(V)).
+# A differential of None marks a linear map, which is its own differential
+# and applies to any matrix; the other maps need an invertible point.
+_ISOMETRY_TABLE = {
+    "left-translate": (True, lambda G, X: G @ X, None),
+    "right-translate": (True, lambda G, X: X @ G, None),
+    "conjugate": (True, lambda G, X: np.linalg.solve(G, X @ G), None),
+    "congruence": (True, lambda G, X: G.T @ X @ G, None),
+    "point-symmetry": (
+        True,
+        lambda G, X: G @ np.linalg.inv(X) @ G,
+        lambda G, A, V: G @ _inversion_differential(G, A, V) @ G,
+    ),
+    "inversion": (False, lambda G, X: np.linalg.inv(X), _inversion_differential),
+    "transposition": (False, lambda G, X: X.T, None),
+    "negation": (False, lambda G, X: -X, None),
+}
+ISOMETRY_KINDS = tuple(_ISOMETRY_TABLE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +118,10 @@ class Isometry:
     parameter: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ISOMETRY_KINDS:
+        if self.kind not in _ISOMETRY_TABLE:
             raise ValueError(f"unknown isometry kind {self.kind!r}")
-        if self.kind in _PARAMETRIC_KINDS:
+        parametric, _, _ = _ISOMETRY_TABLE[self.kind]
+        if parametric:
             if self.parameter is None:
                 raise ValueError(f"{self.kind} requires a parameter matrix")
             G = as_square(self.parameter, "parameter")
@@ -147,61 +164,28 @@ def point_symmetry(A):
 
 
 def apply_isometry(iso, X):
-    """Apply ``iso`` to the invertible matrix ``X``."""
+    """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds."""
     X = as_square(X, "X")
-    G = iso.parameter
-    if iso.kind == "left-translate":
-        return G @ X
-    if iso.kind == "right-translate":
-        return X @ G
-    if iso.kind == "conjugate":
-        return np.linalg.solve(G, X @ G)
-    if iso.kind == "congruence":
-        return G.T @ X @ G
-    if iso.kind == "transposition":
-        return X.T
-    if iso.kind == "negation":
-        return -X
-    require_invertible(X, "X")
-    if iso.kind == "inversion":
-        return np.linalg.inv(X)
-    # point symmetry about G: the composition R_G . L_G . inversion
-    Y = apply_isometry(inversion(), X)
-    Y = apply_isometry(left_translate(G), Y)
-    return apply_isometry(right_translate(G), Y)
+    _, forward, differential = _ISOMETRY_TABLE[iso.kind]
+    if differential is not None:
+        require_invertible(X, "X")
+    return forward(iso.parameter, X)
 
 
 def pushforward(iso, A, V):
     """Differential of ``iso`` at the point ``A`` applied to the tangent ``V``.
 
     Linear isometries are their own differential; inversion has differential
-    -A^{-1} V A^{-1}; the point symmetry composes the chain of the maps it is
-    built from.
+    -A^{-1} V A^{-1}, and the point symmetry about G has -G A^{-1} V A^{-1} G.
     """
     A = as_square(A, "A")
     V = as_square(V, "V")
     require_same_order(A, V)
-    G = iso.parameter
-    if iso.kind == "left-translate":
-        return G @ V
-    if iso.kind == "right-translate":
-        return V @ G
-    if iso.kind == "conjugate":
-        return np.linalg.solve(G, V @ G)
-    if iso.kind == "congruence":
-        return G.T @ V @ G
-    if iso.kind == "transposition":
-        return V.T
-    if iso.kind == "negation":
-        return -V
+    _, forward, differential = _ISOMETRY_TABLE[iso.kind]
+    if differential is None:
+        return forward(iso.parameter, V)
     require_invertible(A, "A")
-    if iso.kind == "inversion":
-        Ainv = np.linalg.inv(A)
-        return -Ainv @ V @ Ainv
-    B = apply_isometry(inversion(), A)
-    W = pushforward(inversion(), A, V)
-    W = pushforward(left_translate(G), B, W)
-    return pushforward(right_translate(G), apply_isometry(left_translate(G), B), W)
+    return differential(iso.parameter, A, V)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +199,7 @@ def sl_tangent_project(K, W):
     Returns W - (tr(K^{-1} W) / n) K; idempotent, and the output satisfies
     the trace condition up to roundoff.
     """
-    K = as_square(K, "K")
-    W = as_square(W, "W")
-    require_same_order(K, W)
-    require_invertible(K, "K")
+    K, W = as_point_and_tangents(K, "K", W=W)
     n = K.shape[0]
     return W - (float(np.trace(np.linalg.solve(K, W))) / n) * K
 

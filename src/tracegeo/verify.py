@@ -43,7 +43,8 @@ def random_spd(rng, n, low=0.5, high=3.0, min_gap=1e-3):
     return 0.5 * (P + P.T)
 
 
-def _doc(M, label=None):
+def matrix_document(M, label=None):
+    """JSON form ``{"n", "data"[, "label"]}`` of a matrix, as the CLI reads and writes it."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     doc = {"n": int(M.shape[0]), "data": M.tolist()}
     if label:
@@ -66,7 +67,7 @@ class _Recorder:
             self.failures.append(
                 {
                     "check": name,
-                    "inputs": [_doc(m, lab) for lab, m in inputs],
+                    "inputs": [matrix_document(m, lab) for lab, m in inputs],
                     "expected": expected if isinstance(expected, (int, float, str)) else str(expected),
                     "got": got if isinstance(got, (int, float, str)) else str(got),
                 }
@@ -150,7 +151,7 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
         C /= max(1.0, float(np.linalg.norm(C, 2)))
         geo = geodesy.Geodesic(K, C)
         for t in (-1.0, 0.37, 2.0):
-            rec.check("ode-residual", geodesy.geodesic_residual(geo, t, fd_step), 0.0,
+            rec.check("ode-residual", geodesy.curve_residual(geo.point, t, fd_step), 0.0,
                       RESIDUAL_TOL, [("K", K), ("C", C)])
         s, t = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
         direct = geo.point(s + t)
@@ -333,24 +334,14 @@ def run_suite(suite, n, seed, cases, tol_assert=1e-8, tol_cluster=1e-8, fd_step=
 
 def run_all(n, seed, cases, tol_assert=1e-8, tol_cluster=1e-8, fd_step=1e-4):
     """Run every suite; one combined report with suite-prefixed check names."""
-    total_cases = 0
-    failures = []
-    for suite in SUITES:
-        report = run_suite(suite, n, seed, cases, tol_assert, tol_cluster, fd_step)
-        total_cases += report["cases"]
-        for failure in report["failures"]:
-            failure = dict(failure, check=f"{suite}:{failure['check']}")
-            failures.append(failure)
+    reports = [run_suite(suite, n, seed, cases, tol_assert, tol_cluster, fd_step)
+               for suite in SUITES]
     return {
         "suite": "all",
         "suites": list(SUITES),
-        "cases": total_cases,
-        "failures": failures,
+        "cases": sum(report["cases"] for report in reports),
+        "failures": [dict(failure, check=f"{report['suite']}:{failure['check']}")
+                     for report in reports for failure in report["failures"]],
         "seed": int(seed),
-        "tolerances": {
-            "assert": tol_assert,
-            "cluster": tol_cluster,
-            "fd-step": fd_step,
-            "residual": RESIDUAL_TOL,
-        },
+        "tolerances": reports[0]["tolerances"],  # the same in every suite
     }

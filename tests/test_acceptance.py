@@ -75,7 +75,7 @@ def test_03_geodesic_equation_residual():
             C /= max(1.0, np.linalg.norm(C, 2))
             geo = tg.Geodesic(random_invertible(rng, n), C)
             for t in (-1.0, -0.4, 0.37, 1.2, 2.0):
-                worst = max(worst, tg.geodesic_residual(geo, t, 1e-4))
+                worst = max(worst, tg.curve_residual(geo.point, t, 1e-4))
     _report("03 geodesic-ode", worst <= 1e-5)
 
 

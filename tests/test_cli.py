@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracegeo import errors
 from tracegeo.cli import main
 
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
@@ -61,6 +66,76 @@ class TestMetricCommand:
         code, out, _ = run_cli(capsys, "metric", "--at", "-", "--x", I2_DOC, "--y", I2_DOC)
         assert code == 0
         assert json.loads(out)["value"] == 2.0
+
+
+    def test_bool_order_rejected(self, capsys):
+        doc = '{"n": true, "data": [[2]]}'
+        code, out, err = run_cli(capsys, "metric", "--at", doc, "--x", doc, "--y", doc)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse"
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        depth = 100000
+        doc = '{"n": 1, "data": ' + "[" * depth + "]" * depth + "}"
+        code, out, err = run_cli(capsys, "metric", "--at", doc, "--x", I2_DOC, "--y", I2_DOC)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse"
+
+
+# JSON values a hostile matrix document may carry; "@BIG@" is spliced in as
+# the raw token 1e999, which JSON parsers read as an overflowing float
+_hostile_scalars = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(["1+2j", "nan", "1e3", "@BIG@"]),
+)
+_hostile_data = st.recursive(
+    _hostile_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=9,
+)
+_entries = st.floats(allow_nan=False, allow_infinity=False) | _hostile_scalars
+_square_data = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_hostile_order = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=10**30),
+    st.sampled_from(["2", "@BIG@", None]),
+)
+
+
+@st.composite
+def _hostile_documents(draw):
+    data = draw(_square_data | _hostile_data)
+    n = draw(_hostile_order | st.just(len(data) if isinstance(data, list) else 1))
+    return json.dumps({"n": n, "data": data}).replace('"@BIG@"', "1e999")
+
+
+# well-formed documents with finite entries of any magnitude, so that some
+# examples get past parsing into the computation
+_finite_documents = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4
+).map(lambda v: json.dumps({"n": 2, "data": [v[:2], v[2:]]}))
+_documents = _hostile_documents() | _finite_documents
+
+
+class TestHostileInput:
+    @settings(max_examples=60, deadline=None)
+    @given(at=_documents, x=_documents, y=_documents)
+    def test_metric_answers_in_json(self, at, x, y):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["metric", "--at", at, "--x", x, "--y", y])
+        if code == 0:
+            assert isinstance(json.loads(out.getvalue())["value"], float)
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert isinstance(json.loads(err.getvalue())["error"], str)
 
 
 class TestSignatureCommand:
@@ -229,6 +304,68 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["tolerances"]["assert"] == 1e-9
+
+
+class TestToleranceFlags:
+    """Non-finite or non-positive tolerances are parse errors, never a verdict."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--tol", ("classify", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "-1")),
+            ("--tol", ("classify", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "nan")),
+            ("--tol", ("arc", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "0")),
+            ("--tol", ("broken-arc", "--k1", I2_DOC, "--k2", I2_DOC, "--tol", "inf")),
+            ("--tol-cluster", ("verify", "--suite", "geodesic", "--cases", "1", "--tol-cluster=-1e-8")),
+            ("--tol-assert", ("verify", "--suite", "metric", "--cases", "1", "--tol-assert", "nan")),
+            ("--fd-step", ("verify", "--suite", "geodesic", "--cases", "1", "--fd-step", "nan")),
+        ],
+        ids=["classify-negative", "classify-nan", "arc-zero", "broken-arc-inf",
+             "tol-cluster-negative", "tol-assert-nan", "fd-step-nan"],
+    )
+    def test_rejected(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "parse"
+        assert flag in doc["message"]
+
+    def test_environment_tolerance_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRACEGEO_TOL", "-1")
+        code, out, err = run_cli(capsys, "verify", "--suite", "metric", "--cases", "1")
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "parse"
+        assert "TRACEGEO_TOL" in doc["message"]
+
+
+class TestErrorCodes:
+    WIRE = {
+        errors.SingularMatrixError: "singular",
+        errors.DimensionMismatchError: "dimension-mismatch",
+        errors.SpectrumOnCutError: "spectrum-on-cut",
+        errors.SpectrumNotPositiveError: "spectrum-not-positive",
+        errors.NotSpecialOrthogonalError: "not-special-orthogonal",
+        errors.DegenerateMetricError: "degenerate-metric",
+        errors.NotUnimodularError: "not-unimodular",
+        errors.NonPositiveDeterminantError: "non-positive-determinant",
+        errors.NotSPDError: "not-spd",
+        errors.NotSymmetricError: "not-symmetric",
+        errors.NotUniqueError: "not-unique",
+        errors.DifferentComponentsError: "different-components",
+        errors.IllConditionedError: "ill-conditioned",
+        errors.DegenerateSectionError: "degenerate-section",
+        errors.LinearlyDependentError: "linearly-dependent",
+        errors.NotTangentError: "not-tangent",
+    }
+
+    def test_every_subclass_keeps_its_wire_code(self):
+        assert errors.TraceGeoError.code == "error"
+        assert {cls: cls.code for cls in errors.TraceGeoError.__subclasses__()} == self.WIRE
+
+    def test_codes_are_distinct(self):
+        codes = [errors.TraceGeoError.code, *self.WIRE.values()]
+        assert len(set(codes)) == len(codes)
 
 
 class TestInstalledEntryPoint:

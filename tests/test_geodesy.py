@@ -14,9 +14,7 @@ from tracegeo import (
     broken_arc,
     classify_arc,
     curve_residual,
-    geodesic_eval,
     geodesic_from_velocity,
-    geodesic_residual,
     nabla,
     spd_geodesic,
     unique_arc,
@@ -34,7 +32,7 @@ class TestGeodesicEvaluation:
     def test_constant_curve(self):
         geo = Geodesic(I2, np.zeros((2, 2)))
         for t in (-3.0, 0.0, 1.7):
-            assert_allclose(geodesic_eval(geo, t), I2)
+            assert_allclose(geo.point(t), I2)
 
     def test_diagonal(self):
         geo = Geodesic(I2, np.diag([1.0, -1.0]))
@@ -151,11 +149,11 @@ class TestNabla:
 class TestResidual:
     def test_constant_geodesic(self):
         geo = Geodesic(I2, np.zeros((2, 2)))
-        assert geodesic_residual(geo, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert curve_residual(geo.point, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_direction(self, basis2):
         geo = Geodesic(I2, basis2["A12"])
-        assert geodesic_residual(geo, 0.3, 1e-4) <= 1e-6
+        assert curve_residual(geo.point, 0.3, 1e-4) <= 1e-6
 
     def test_random_geodesics_satisfy_equation(self, rng):
         # unit-norm directions keep the h^2 signal above the roundoff floor
@@ -165,7 +163,7 @@ class TestResidual:
                 C /= max(1.0, np.linalg.norm(C, 2))
                 geo = Geodesic(random_invertible(rng, n), C)
                 for t in (-1.0, 0.37, 2.0):
-                    assert geodesic_residual(geo, t, 1e-4) <= 1e-5
+                    assert curve_residual(geo.point, t, 1e-4) <= 1e-5
 
     def test_straight_line_is_not_a_geodesic(self, rng):
         K = np.eye(2)

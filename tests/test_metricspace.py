@@ -33,6 +33,7 @@ from tracegeo import (
     trace_metric,
     transposition,
 )
+from tracegeo.metricspace import ISOMETRY_KINDS
 from tracegeo.verify import random_invertible, random_unimodular
 
 I2 = np.eye(2)
@@ -42,6 +43,14 @@ entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 def square(n):
     return arrays(np.float64, (n, n), elements=entries)
+
+
+def catalog(G, A0):
+    """One isometry of each kind, with parameter G (A0 for the point symmetry)."""
+    return [
+        left_translate(G), right_translate(G), conjugate_by(G), congruence_by(G),
+        inversion(), transposition(), negation(), point_symmetry(A0),
+    ]
 
 
 class TestTraceMetric:
@@ -126,16 +135,26 @@ class TestIsometries:
                 W = rng.uniform(-1, 1, (n, n))
                 G = random_invertible(rng, n)
                 A0 = random_invertible(rng, n)
-                isometries = [
-                    left_translate(G), right_translate(G), conjugate_by(G),
-                    congruence_by(G), inversion(), transposition(), negation(),
-                    point_symmetry(A0),
-                ]
                 base = trace_metric(A, V, W)
-                for iso in isometries:
+                for iso in catalog(G, A0):
                     fA = apply_isometry(iso, A)
                     got = trace_metric(fA, pushforward(iso, A, V), pushforward(iso, A, W))
                     assert got == pytest.approx(base, abs=1e-9 * max(1.0, abs(base)))
+
+    def test_pushforward_is_derivative_of_map(self, rng):
+        # central difference (f(A + hV) - f(A - hV)) / 2h of apply_isometry
+        h = 1e-5
+        for n in (2, 3):
+            for _ in range(5):
+                A = random_invertible(rng, n)
+                V = rng.uniform(-1, 1, (n, n))
+                G = random_invertible(rng, n)
+                isometries = catalog(G, G)
+                assert {iso.kind for iso in isometries} == set(ISOMETRY_KINDS)
+                for iso in isometries:
+                    fd = (apply_isometry(iso, A + h * V) - apply_isometry(iso, A - h * V)) / (2 * h)
+                    got = pushforward(iso, A, V)
+                    assert np.linalg.norm(got - fd) <= 1e-6 * max(1.0, np.linalg.norm(got)), iso.kind
 
     def test_parameter_validation(self):
         with pytest.raises(SingularMatrixError):
