@@ -17,7 +17,7 @@ import numpy as np
 
 from . import curvature as curvature_mod
 from . import geodesy, metricspace, verify
-from .errors import TraceGeoError
+from .errors import IllConditionedError, TraceGeoError
 from .verify import matrix_document
 
 
@@ -76,6 +76,8 @@ def load_matrix(arg):
         raise _ParseError(f"'data' must be {n}x{n}, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise _ParseError("'data' has non-finite entries")
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for row in data for x in row):
+        raise _ParseError("'data' entries must be JSON numbers")
     return M
 
 
@@ -189,6 +191,14 @@ def _cmd_verify(args):
     return report, (0 if not report["failures"] else 1)
 
 
+def _dumps(payload):
+    """Strict JSON: a non-finite number is an error, never a NaN/Infinity token."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise IllConditionedError(f"result is not a finite number: {exc}") from exc
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tracegeo",
@@ -268,6 +278,7 @@ def main(argv=None):
             if value is not None:
                 _check_tolerance("--" + dest.replace("_", "-"), value)
         payload, code = args.func(args)
+        text = _dumps(payload)
     except _ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
         return 1
@@ -277,7 +288,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
         return 1
-    print(json.dumps(payload))
+    print(text)
     return code
 
 

@@ -27,6 +27,7 @@ from .matcore import (
     as_point_and_tangents,
     as_square,
     polar_decompose,
+    profile_from_spectrum,
     real_log_principal,
     require_invertible,
     require_same_order,
@@ -297,10 +298,12 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     require_invertible(K1, "K1")
     M = np.linalg.solve(K0, K1)
 
-    profile = spectral_profile(M, tol)
+    eigs = np.linalg.eigvals(M)
+    norm2 = float(np.linalg.norm(M, 2))
+    profile = profile_from_spectrum(M, eigs, norm2, tol)
     verdict = _verdict(profile)
     for factor in (0.1, 10.0):
-        if _verdict(spectral_profile(M, tol * factor)) is not verdict:
+        if _verdict(profile_from_spectrum(M, eigs, norm2, tol * factor)) is not verdict:
             raise IllConditionedError(
                 f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})"
             )

@@ -75,12 +75,24 @@ def mat_exp(A):
     return sla.expm(as_square(A, "A"))
 
 
+# Largest 1-norm condition number of the eigenvector matrix for which the
+# logarithm is taken through the eigendecomposition: cond(V) u <~ 1e-12, far
+# inside the 1e-8 endpoint gates.  The bound is scale-free, so A and cA take
+# the same route.
+_EIGENBASIS_COND_MAX = 1e4
+
+
 def real_log_principal(A, tol=DEFAULT_TOL):
     """Principal real logarithm of ``A``.
 
     Valid when ``A`` is invertible with no eigenvalue on the closed negative
     real axis; the result is the unique real ``L`` with ``expm(L) = A`` whose
     spectrum lies in the strip ``|Im| < pi``.
+
+    One eigendecomposition ``A = V diag(lam) V^{-1}`` gives both the cut test
+    and, when the eigenbasis is well conditioned, ``L = V diag(log lam) V^{-1}``
+    (error about ``cond(V) u``, Higham 2008, section 4.5).  Defective and
+    near-defective inputs fall back to ``scipy.linalg.logm``.
 
     Raises
     ------
@@ -91,10 +103,15 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     """
     A = as_square(A, "A")
     require_invertible(A, "A")
-    eigs = np.linalg.eigvals(A)
+    eigs, V = np.linalg.eig(A)
     if any(is_negative_real(lam, tol) for lam in eigs):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    L = sla.logm(A)
+    try:
+        Vinv = np.linalg.inv(V)
+        diagonal = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) <= _EIGENBASIS_COND_MAX
+    except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
+        diagonal = False
+    L = (V * np.log(eigs)) @ Vinv if diagonal else sla.logm(A)
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
         if dirt > tol * max(1.0, float(np.abs(L.real).max())):
@@ -192,6 +209,8 @@ def _block_sizes(A, lam, mult, tol):
     rank((A - lam I)^k); ranks are decided by a singular-value cutoff scaled
     to the k-th power of the shifted matrix norm.
     """
+    if mult == 1:  # the staircase can only find one block of size 1
+        return (1,)
     n = A.shape[0]
     shift = lam.real if lam.imag == 0.0 else lam
     E = A - shift * np.eye(n)
@@ -227,9 +246,17 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     structure.
     """
     A = as_square(A, "A")
-    n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    thresh = tol * max(1.0, float(np.linalg.norm(A, 2)))
+    return profile_from_spectrum(A, np.linalg.eigvals(A), float(np.linalg.norm(A, 2)), tol)
+
+
+def profile_from_spectrum(A, eigs, norm2, tol):
+    """:func:`spectral_profile` of the square float matrix ``A`` at ``tol``.
+
+    ``eigs`` are the eigenvalues of ``A`` and ``norm2`` its spectral norm,
+    computed once by a caller that profiles the same matrix at several
+    tolerances.
+    """
+    thresh = tol * max(1.0, norm2)
     groups = _cluster_indices(eigs, thresh)
 
     reps = []

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
+    IllConditionedError,
     NonPositiveDeterminantError,
     NotUnimodularError,
     SingularMatrixError,
@@ -25,7 +26,11 @@ from .matcore import as_point_and_tangents, as_square, require_invertible, requi
 def trace_metric(A, V, W):
     """Metric value tr(A^{-1} V A^{-1} W); symmetric and bilinear in (V, W)."""
     A, V, W = as_point_and_tangents(A, "A", V=V, W=W)
-    return float(np.trace(np.linalg.solve(A, V) @ np.linalg.solve(A, W)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.trace(np.linalg.solve(A, V) @ np.linalg.solve(A, W)))
+    if not math.isfinite(value):
+        raise IllConditionedError("metric value overflows the float range")
+    return value
 
 
 def standard_basis(n):

@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracegeo import errors
+from tracegeo import errors, verify
 from tracegeo.cli import main
 
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
@@ -74,6 +76,23 @@ class TestMetricCommand:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "parse"
 
+    @pytest.mark.parametrize("leaf", ['"1e3"', "true"], ids=["numeric-string", "bool"])
+    def test_non_number_entry_is_a_parse_error(self, capsys, leaf):
+        doc = '{"n": 1, "data": [[%s]]}' % leaf
+        code, out, err = run_cli(capsys, "metric", "--at", doc, "--x", doc, "--y", doc)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse"
+
+    def test_overflow_is_an_error_not_infinity(self, capsys):
+        big = '{"n":2,"data":[[1e308,0],[0,1e308]]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "metric", "--at", I2_DOC, "--x", big, "--y", big)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "ill-conditioned"
+        assert "overflow" in doc["message"]
+
     def test_deep_nesting_is_a_parse_error(self, capsys):
         depth = 100000
         doc = '{"n": 1, "data": ' + "[" * depth + "]" * depth + "}"
@@ -116,6 +135,19 @@ def _hostile_documents(draw):
     return json.dumps({"n": n, "data": data}).replace('"@BIG@"', "1e999")
 
 
+# square documents of finite numbers with one entry a numeric string or a bool
+_numberlike_leaves = st.booleans() | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _numberlike_documents(draw):
+    n = draw(st.integers(1, 3))
+    data = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    data[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_numberlike_leaves)
+    return json.dumps({"n": n, "data": data})
+
+
 # well-formed documents with finite entries of any magnitude, so that some
 # examples get past parsing into the computation
 _finite_documents = st.lists(
@@ -132,10 +164,19 @@ class TestHostileInput:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["metric", "--at", at, "--x", x, "--y", y])
         if code == 0:
-            assert isinstance(json.loads(out.getvalue())["value"], float)
+            assert math.isfinite(json.loads(out.getvalue())["value"])
         else:
             assert code == 1 and out.getvalue() == ""
             assert isinstance(json.loads(err.getvalue())["error"], str)
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=_numberlike_documents())
+    def test_numberlike_entries_are_parse_errors(self, doc):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["metric", "--at", doc, "--x", doc, "--y", doc])
+        assert (code, out.getvalue()) == (1, "")
+        assert json.loads(err.getvalue())["error"] == "parse"
 
 
 class TestSignatureCommand:
@@ -209,6 +250,13 @@ class TestGeodesicCommand:
         assert np.allclose(last, np.diag([np.e, 1.0 / np.e]))
         for d in docs:
             assert d["det"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sample_is_an_error_not_a_nan_token(self, capsys):
+        code, out, err = run_cli(capsys, "geodesic", "--k", I2_DOC,
+                                 "--c", '{"n":2,"data":[[800,0],[0,1]]}', "--samples", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ill-conditioned"
 
     def test_velocity_input(self, capsys):
         code, out, _ = run_cli(
@@ -304,6 +352,14 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["tolerances"]["assert"] == 1e-9
+
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_assert_tolerance_reaches_every_suite(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "3", "--seed", "0",
+                               "--cases", "2", "--tol-assert", "1e-30")
+        assert code == 1
+        assert json.loads(out)["failures"]
 
 
 class TestToleranceFlags:

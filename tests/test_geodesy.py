@@ -17,6 +17,7 @@ from tracegeo import (
     geodesic_from_velocity,
     nabla,
     spd_geodesic,
+    spectral_profile,
     unique_arc,
 )
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
@@ -248,6 +249,25 @@ class TestClassification:
             K1 = random_spd(rng, n)
             G = random_invertible(rng, n)
             assert classify_arc(K0, K1).verdict is classify_arc(G @ K0, G @ K1).verdict
+
+    def test_profile_is_the_spectral_profile_of_the_quotient(self, rng):
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        cores = [
+            np.diag([0.5, 1.5, 2.5]),  # positive distinct: unique
+            sla.block_diag(rot, [[2.0]]),  # complex pair: countable
+            np.diag([2.0, 2.0, 3.0]),  # repeated positive: continuum
+            np.diag([-1.0, -1.0, 2.0]),  # paired negative: continuum
+            np.diag([-1.0, 2.0, 3.0]),  # unpaired negative: no arc
+            sla.block_diag(jordan_block(2.0, 2), [[3.0]]),  # Jordan block: unique
+            sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2)),  # defective pairs
+        ]
+        for core in cores:
+            n = core.shape[0]
+            S = np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n))
+            K0 = random_invertible(rng, n)
+            K1 = K0 @ S @ core @ np.linalg.inv(S)
+            out = classify_arc(K0, K1, 1e-6)
+            assert out.profile == spectral_profile(np.linalg.solve(K0, K1), 1e-6)
 
     def test_singular_endpoint_rejected(self):
         from tracegeo import SingularMatrixError

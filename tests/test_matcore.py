@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from tracegeo import (
@@ -15,7 +16,7 @@ from tracegeo import (
     so_log,
     spectral_profile,
 )
-from tracegeo.verify import random_invertible, random_special_orthogonal
+from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
 
@@ -60,6 +61,26 @@ class TestMatExp:
         assert_allclose(dd, A @ mat_exp(A), atol=1e-8)
 
 
+DIAGONALISABLE_KINDS = ("positive-distinct", "complex-pair", "repeated-semisimple", "spd-product")
+
+
+def diagonalisable(rng, kind, n):
+    """A diagonalisable matrix with spectrum off the cut, of the named kind."""
+    if kind == "spd-product":  # P1^{-1} S, the first leg of a broken arc
+        return np.linalg.solve(random_spd(rng, n), random_spd(rng, n))
+    if kind == "positive-distinct":
+        core = np.diag(np.sort(rng.uniform(0.5, 3.0, n)))
+    elif kind == "complex-pair":
+        r, theta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.8)
+        rot = r * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        core = sla.block_diag(rot, np.diag(rng.uniform(0.5, 3.0, n - 2)))
+    else:
+        lam = rng.uniform(0.5, 3.0)
+        core = np.diag([lam, lam, *rng.uniform(0.5, 3.0, n - 2)])
+    G = random_invertible(rng, n)
+    return G @ core @ np.linalg.inv(G)
+
+
 class TestRealLogPrincipal:
     def test_identity(self):
         assert_allclose(real_log_principal(I2), np.zeros((2, 2)))
@@ -69,6 +90,39 @@ class TestRealLogPrincipal:
         for lam, k in [(1.0, 2), (2.0, 3), (0.5, 4)]:
             J = jordan_block(lam, k)
             assert_allclose(real_log_principal(J), jordan_block_log(lam, k), atol=1e-12)
+
+    def test_near_defective_matches_divided_difference(self):
+        # [[a, 1], [0, d]] has log [[log a, (log d - log a) / (d - a)], [0, log d]]
+        d = 1.0 + 1e-9
+        want = [[0.0, np.log1p(1e-9) / 1e-9], [0.0, np.log1p(1e-9)]]
+        assert_allclose(real_log_principal([[1.0, 1.0], [0.0, d]]), want, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:logm result may be inaccurate")
+    @pytest.mark.parametrize("kind", DIAGONALISABLE_KINDS)
+    def test_diagonalisable_agrees_with_logm_at_every_scale(self, kind):
+        rng = np.random.default_rng([11, DIAGONALISABLE_KINDS.index(kind)])
+        for n in range(2, 7):
+            for _ in range(6):
+                A = diagonalisable(rng, kind, n) * 10.0 ** rng.uniform(-6.0, 6.0)
+                L = real_log_principal(A)
+                ref = sla.logm(A).real
+                assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
+                # expm's own error grows with ||L||: expm(logm(A)) misses a flat
+                # 1e-12 at scale 1e6 as well
+                scale = max(1.0, np.linalg.norm(L, 2)) * np.linalg.norm(A)
+                assert np.linalg.norm(sla.expm(L) - A) <= 1e-12 * scale
+
+    # distinct eigenvalues fix the eigenbasis up to column scaling, so its
+    # condition number stays near cond(G) <= 100; a repeated one does not
+    @pytest.mark.parametrize("kind", ["positive-distinct", "complex-pair", "spd-product"])
+    def test_well_conditioned_eigenbasis_skips_logm(self, kind, monkeypatch):
+        def forbidden(A):
+            raise AssertionError("logm called on a well-conditioned diagonalisable input")
+
+        A = diagonalisable(np.random.default_rng([12, DIAGONALISABLE_KINDS.index(kind)]), kind, 4)
+        want = sla.logm(A).real
+        monkeypatch.setattr(sla, "logm", forbidden)
+        assert_allclose(real_log_principal(A), want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(SpectrumOnCutError):

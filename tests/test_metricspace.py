@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from tracegeo import (
     DegenerateMetricError,
+    IllConditionedError,
     Isometry,
     NonPositiveDeterminantError,
     NotUnimodularError,
@@ -62,6 +65,14 @@ class TestTraceMetric:
     def test_singular_base_rejected(self):
         with pytest.raises(SingularMatrixError):
             trace_metric(np.diag([1.0, 0.0]), I2, I2)
+
+    # +inf, and inf - inf = nan
+    @pytest.mark.parametrize("W", [1e308 * I2, np.diag([1e308, -1e308])], ids=["inf", "nan"])
+    def test_overflow_is_a_typed_error_without_warnings(self, W):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflow"):
+                trace_metric(I2, 1e308 * I2, W)
 
     @settings(max_examples=50, deadline=None)
     @given(V=square(3), W=square(3))
