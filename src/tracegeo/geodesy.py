@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DifferentComponentsError,
@@ -24,6 +23,8 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    _expm,
+    _scipy_linalg,
     as_point_and_tangents,
     as_square,
     polar_decompose,
@@ -50,7 +51,7 @@ class Geodesic:
 
     def point(self, t):
         """Point of the geodesic at parameter ``t`` (defined for every real t)."""
-        return self.base_point @ sla.expm(float(t) * self.direction)
+        return self.base_point @ _expm(float(t) * self.direction)
 
 
 def geodesic_from_velocity(K, S):
@@ -81,7 +82,7 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    return half @ sla.expm(float(t) * inv_half @ S @ inv_half) @ half
+    return half @ _expm(float(t) * inv_half @ S @ inv_half) @ half
 
 
 def nabla(P, Xp, Yp, euc_deriv):
@@ -245,7 +246,7 @@ def _negative_spectrum_log(B, tol):
                 blk = np.block([[base, -np.pi * np.eye(k)], [np.pi * np.eye(k), base]])
                 blocks.append(blk)
     V = np.column_stack(columns)
-    L_local = sla.block_diag(*blocks)
+    L_local = _scipy_linalg().block_diag(*blocks)
     return V @ L_local @ np.linalg.inv(V)
 
 
@@ -259,6 +260,7 @@ def _real_log_witness(M, profile, tol):
         mod = np.hypot(re, im)
         return (re < 0) & (np.abs(im) <= tol * np.maximum(1.0, mod))
 
+    sla = _scipy_linalg()
     T, Z, k = sla.schur(M, output="real", sort=select)
     if k == 0:
         raise IllConditionedError("spectral split lost the negative eigenvalues")

@@ -4,15 +4,19 @@ Exponential, real principal logarithm, fractional powers, eigenvalue/Jordan
 structure estimation, polar decomposition, the canonical skew logarithm of a
 special orthogonal matrix, and the Cartan-Killing form of n x n matrices.
 All functions are pure and operate on plain ``numpy`` arrays.
+
+``scipy.linalg`` is imported on first use, through :func:`_scipy_linalg`: the
+metric, curvature and most arc work never need it, and its import dominates
+the start of a short process.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
+    IllConditionedError,
     NotSpecialOrthogonalError,
     SingularMatrixError,
     SpectrumNotPositiveError,
@@ -70,9 +74,33 @@ def is_positive_real(lam, tol=DEFAULT_TOL):
     return lam.real > 0 and abs(lam.imag) <= tol * max(1.0, abs(lam))
 
 
+def _scipy_linalg():
+    """The ``scipy.linalg`` module, imported on the first call.
+
+    Callers look each function up on the module at the call, so a wrapper
+    installed on the module attribute sees every call.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a `with`
+def _expm(A):
+    """``scipy.linalg.expm`` of the float matrix ``A``.
+
+    An overflow raises IllConditionedError where it happens, with no
+    floating-point warning on the way.
+    """
+    E = _scipy_linalg().expm(A)
+    if not np.isfinite(E).all():
+        raise IllConditionedError("matrix exponential overflows the float range")
+    return E
+
+
 def mat_exp(A):
     """Matrix exponential e^A (scaling-and-squaring Pade)."""
-    return sla.expm(as_square(A, "A"))
+    return _expm(as_square(A, "A"))
 
 
 # Largest 1-norm condition number of the eigenvector matrix for which the
@@ -103,7 +131,11 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     """
     A = as_square(A, "A")
     require_invertible(A, "A")
-    eigs, V = np.linalg.eig(A)
+    return _log_from_eig(A, *np.linalg.eig(A), tol)
+
+
+def _log_from_eig(A, eigs, V, tol):
+    """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``."""
     if any(is_negative_real(lam, tol) for lam in eigs):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     try:
@@ -111,7 +143,7 @@ def real_log_principal(A, tol=DEFAULT_TOL):
         diagonal = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) <= _EIGENBASIS_COND_MAX
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         diagonal = False
-    L = (V * np.log(eigs)) @ Vinv if diagonal else sla.logm(A)
+    L = (V * np.log(eigs)) @ Vinv if diagonal else _scipy_linalg().logm(A)
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
         if dirt > tol * max(1.0, float(np.abs(L.real).max())):
@@ -127,10 +159,11 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     real within ``tol``.
     """
     A = as_square(A, "A")
-    eigs = np.linalg.eigvals(A)
+    eigs, V = np.linalg.eig(A)
     if not all(is_positive_real(lam, tol) for lam in eigs):
         raise SpectrumNotPositiveError("spectrum is not positive real")
-    return mat_exp(float(t) * real_log_principal(A, tol))
+    require_invertible(A, "A")
+    return mat_exp(float(t) * _log_from_eig(A, eigs, V, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +382,29 @@ def polar_decompose(A, side="left"):
 def so_log(O, tol=DEFAULT_TOL):
     """Canonical real skew-symmetric logarithm of a special orthogonal matrix.
 
-    The matrix is block-diagonalised by a real Schur similarity into planar
-    rotation blocks and +1/-1 entries; rotation angles are taken in
-    (-pi, pi] and -1 eigenvalue pairs are mapped to angle pi.  The output L
-    is exactly skew-symmetric and satisfies expm(L) ~= O.
+    Rotation angles are taken in (-pi, pi] and -1 eigenvalue pairs are mapped
+    to angle pi.  With no eigenvalue at -1 within ``tol`` this is the skew
+    part of :func:`real_log_principal`.  Otherwise the matrix is
+    block-diagonalised by a real Schur similarity into planar rotation blocks
+    and +1/-1 entries.  The output L is exactly skew-symmetric and satisfies
+    expm(L) ~= O.
     """
     O = as_square(O, "O")
     n = O.shape[0]
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
     if ortho_defect > max(tol, 1e-10) * n or np.linalg.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
-    T, Z = sla.schur(O, output="real")
+    try:  # real_log_principal without its singular test: O is orthogonal
+        L = _log_from_eig(O, *np.linalg.eig(O), tol)
+    except SpectrumOnCutError:
+        L = _schur_so_log(O)
+    return 0.5 * (L - L.T)
+
+
+def _schur_so_log(O):
+    """Skew logarithm of the special orthogonal ``O`` from its real Schur form."""
+    n = O.shape[0]
+    T, Z = _scipy_linalg().schur(O, output="real")
     S = np.zeros((n, n))
     minus_ones = []
     i = 0
@@ -379,8 +424,7 @@ def so_log(O, tol=DEFAULT_TOL):
     for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
         S[a, b] = -np.pi
         S[b, a] = np.pi
-    L = Z @ S @ Z.T
-    return 0.5 * (L - L.T)
+    return Z @ S @ Z.T
 
 
 def cartan_killing(X, Y):

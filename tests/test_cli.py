@@ -251,11 +251,12 @@ class TestGeodesicCommand:
         for d in docs:
             assert d["det"] == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_sample_is_an_error_not_a_nan_token(self, capsys):
-        code, out, err = run_cli(capsys, "geodesic", "--k", I2_DOC,
-                                 "--c", '{"n":2,"data":[[800,0],[0,1]]}', "--samples", "2")
-        assert (code, out) == (1, "")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "geodesic", "--k", I2_DOC,
+                                     "--c", '{"n":2,"data":[[800,0],[0,1]]}', "--samples", "2")
+        assert (code, out, caught) == (1, "", [])
         assert json.loads(err)["error"] == "ill-conditioned"
 
     def test_velocity_input(self, capsys):
@@ -422,6 +423,41 @@ class TestErrorCodes:
     def test_codes_are_distinct(self):
         codes = [errors.TraceGeoError.code, *self.WIRE.values()]
         assert len(set(codes)) == len(codes)
+
+
+# Commands whose every path is pure numpy: one fresh process runs them all.
+_NUMPY_ONLY_COMMANDS = """
+import contextlib, io, json, sys
+import tracegeo, tracegeo.cli
+from tracegeo.cli import main
+I2 = '{"n":2,"data":[[1,0],[0,1]]}'
+runs = [
+    ["metric", "--at", I2, "--x", I2, "--y", I2],
+    ["signature", "--at", I2],
+    ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[-1,0],[0,2]]}'],
+    ["broken-arc", "--k1", I2, "--k2", '{"n":2,"data":[[2,1],[-1,3]]}'],
+    ["curvature", "--at", I2, "--kind", "sectional",
+     "--x", '{"n":2,"data":[[1,0],[0,0]]}', "--y", '{"n":2,"data":[[0,0],[0,1]]}'],
+    ["curvature", "--at", I2, "--kind", "scalar"],
+    ["verify", "--suite", "metric", "--n", "3", "--cases", "5"],
+    ["verify", "--suite", "curvature", "--n", "3", "--cases", "5"],
+    ["verify", "--suite", "product", "--n", "3", "--cases", "5"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestColdStart:
+    def test_numpy_only_commands_never_import_scipy_linalg(self):
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0],
+                                           "scipy_linalg": False}
 
 
 class TestInstalledEntryPoint:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -64,6 +66,16 @@ class TestGeodesicEvaluation:
         for t in (-2.0, 0.4, 2.0):
             want = np.linalg.det(K) * np.exp(t * np.trace(C))
             assert np.linalg.det(geo.point(t)) == pytest.approx(want, abs=1e-8 * max(1.0, abs(want)))
+
+    def test_overflow_raises_without_a_warning(self):
+        geo = Geodesic(I2, np.diag([800.0, 1.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IllConditionedError, match="overflows"):
+                geo.point(1.0)
+            with pytest.raises(IllConditionedError, match="overflows"):
+                spd_geodesic(I2, np.diag([800.0, 1.0]), 1.0)
+        assert caught == []
 
 
 class TestFromVelocity:

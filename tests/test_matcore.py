@@ -172,6 +172,14 @@ class TestFractionalPower:
         with pytest.raises(SpectrumNotPositiveError):
             fractional_power(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.5)
 
+    def test_one_eigensolve(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda A: calls.append(1) or eig(A))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: pytest.fail("second eigensolve"))
+        assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
+        assert len(calls) == 1
+
 
 class TestSpectralProfile:
     def test_identity(self):
@@ -259,6 +267,36 @@ class TestPolar:
             polar_decompose(np.zeros((2, 2)), "left")
 
 
+def schur_so_log(O):
+    """Reference skew log: angles read off the real Schur form, -1 pairs mapped to pi."""
+    n = O.shape[0]
+    T, Z = sla.schur(O, output="real")
+    S = np.zeros((n, n))
+    minus_ones = []
+    i = 0
+    while i < n:
+        if i + 1 < n and abs(T[i + 1, i]) > 1e-12:
+            theta = np.arctan2(T[i + 1, i], T[i, i])
+            S[i, i + 1], S[i + 1, i] = -theta, theta
+            i += 2
+        else:
+            if T[i, i] < 0:
+                minus_ones.append(i)
+            i += 1
+    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
+        S[a, b], S[b, a] = -np.pi, np.pi
+    return Z @ S @ Z.T
+
+
+def planar_rotation(Q, angles):
+    """Q diag(R(angle_1), ..., R(angle_k), 1, ...) Q^T for orthogonal Q."""
+    B = np.eye(Q.shape[0])
+    for k, theta in enumerate(angles):
+        c, s = np.cos(theta), np.sin(theta)
+        B[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    return Q @ B @ Q.T
+
+
 class TestSoLog:
     def test_identity(self):
         assert_allclose(so_log(np.eye(3)), np.zeros((3, 3)))
@@ -282,6 +320,44 @@ class TestSoLog:
     def test_minus_identity_even_dimension(self):
         L = so_log(-np.eye(4))
         assert np.linalg.norm(mat_exp(L) + np.eye(4)) <= 1e-10
+
+    def assert_matches_schur(self, O):
+        L = so_log(O)
+        want = schur_so_log(O)
+        assert np.array_equal(L, -L.T)
+        assert np.linalg.norm(L - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(mat_exp(L) - O) <= 1e-12 * np.linalg.norm(O)
+
+    def count_schur_calls(self, monkeypatch):
+        calls = []
+        schur = sla.schur
+        monkeypatch.setattr(sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+        return calls
+
+    def test_agrees_with_schur_route(self, rng, monkeypatch):
+        calls = self.count_schur_calls(monkeypatch)
+        for n in range(2, 7):
+            for _ in range(20):
+                self.assert_matches_schur(random_special_orthogonal(rng, n))
+        assert len(calls) == 100  # the references' own calls only
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_near_half_turn(self, rng, n, monkeypatch):
+        calls = self.count_schur_calls(monkeypatch)
+        others = list(rng.uniform(-3.0, 3.0, n // 2 - 1))
+        Q = random_special_orthogonal(rng, n)
+        # an angle 1e-6 short of pi sits outside tol of the cut: eigendecomposition route
+        self.assert_matches_schur(planar_rotation(Q, [np.pi - 1e-6, *others]))
+        assert len(calls) == 1
+        # 1e-9 short of pi is on the cut within tol: the Schur route
+        self.assert_matches_schur(planar_rotation(Q, [np.pi - 1e-9, *others]))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_minus_one_pairs(self, rng, n):
+        Q = random_special_orthogonal(rng, n)
+        self.assert_matches_schur(planar_rotation(Q, [np.pi] * (n // 2)))
+        self.assert_matches_schur(planar_rotation(Q, [np.pi, *rng.uniform(-3.0, 3.0, n // 2 - 1)]))
 
     def test_not_special_orthogonal(self):
         with pytest.raises(NotSpecialOrthogonalError):
