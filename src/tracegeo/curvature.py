@@ -72,13 +72,16 @@ def sectional(K, X, Y):
     return numer / denom
 
 
+def _ricci_form(n, BX, BY):
+    """tr(BX) tr(BY) / 2 - n tr(BX BY) / 2 for BX = K^{-1}X, BY = K^{-1}Y, or stacks of them."""
+    trX, trY, trXY = (np.trace(M, axis1=-2, axis2=-1) for M in (BX, BY, BX @ BY))
+    return 0.5 * trX * trY - 0.5 * n * trXY
+
+
 def ricci(K, X, Y):
     """Ricci curvature tr(K^{-1}X) tr(K^{-1}Y) / 2 - n g_K(X, Y) / 2."""
     K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
-    n = K.shape[0]
-    BX = np.linalg.solve(K, X)
-    BY = np.linalg.solve(K, Y)
-    return float(0.5 * np.trace(BX) * np.trace(BY) - 0.5 * n * np.trace(BX @ BY))
+    return float(_ricci_form(K.shape[0], np.linalg.solve(K, X), np.linalg.solve(K, Y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +142,9 @@ def scalar_curvature(K):
     hard-coded, so the formula chain stays honest.
     """
     frame = orthonormal_frame(K)
-    total = 0.0
-    for sign, vec in zip(frame.signs, frame.vectors):
-        total += sign * ricci(frame.base_point, vec, vec)
-    return float(total)
+    K = frame.base_point
+    BV = np.linalg.solve(K, frame.vectors)  # K^{-1} X_a for the whole frame at once
+    return float(frame.signs @ _ricci_form(K.shape[0], BV, BV))
 
 
 def ricci_trace_oracle(K, X, Y):

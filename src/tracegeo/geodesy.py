@@ -23,17 +23,20 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    _cluster_means,
     _expm,
+    _jordan_partition,
+    _kernel_staircase,
     _scipy_linalg,
     as_point_and_tangents,
     as_square,
+    is_negative_real,
     polar_decompose,
     profile_from_spectrum,
     real_log_principal,
     require_invertible,
     require_same_order,
     so_log,
-    spectral_profile,
 )
 
 
@@ -51,7 +54,7 @@ class Geodesic:
 
     def point(self, t):
         """Point of the geodesic at parameter ``t`` (defined for every real t)."""
-        return self.base_point @ _expm(float(t) * self.direction)
+        return _expm(float(t) * self.direction, left=self.base_point)
 
 
 def geodesic_from_velocity(K, S):
@@ -82,7 +85,7 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    return half @ _expm(float(t) * inv_half @ S @ inv_half) @ half
+    return _expm(float(t) * inv_half @ S @ inv_half, left=half, right=half)
 
 
 def nabla(P, Xp, Yp, euc_deriv):
@@ -151,12 +154,6 @@ def _verdict(profile):
     return ArcKind.CONTINUUM
 
 
-def _nullspace(M, cutoff):
-    _, s, Vh = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s > cutoff))
-    return Vh[rank:].conj().T
-
-
 def _pick_complement(candidates, excluded, need):
     """``need`` columns inside span(candidates) independent of span(excluded)."""
     if candidates.shape[1] < need:
@@ -172,24 +169,18 @@ def _pick_complement(candidates, excluded, need):
     return candidates @ Vh[:need].T
 
 
-def _jordan_chains(B, lam, sizes, tol):
-    """Jordan chains of B for the real eigenvalue lam with known block sizes.
+def _jordan_chains(B, lam, mult, tol):
+    """Jordan chains of B for the real eigenvalue lam, from one kernel staircase.
 
     Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
     and (B - lam) x_j = x_{j-1}.
     """
+    E, null_bases = _kernel_staircase(B, lam, mult, tol)
+    sizes = _jordan_partition(null_bases)
     n = B.shape[0]
-    E = B - lam * np.eye(n)
-    kmax = max(sizes)
-    s1 = max(1.0, float(np.linalg.svd(E, compute_uv=False)[0]))
-    null_bases = {0: np.zeros((n, 0))}
-    Ek = np.eye(n)
-    for k in range(1, kmax + 1):
-        Ek = Ek @ E
-        null_bases[k] = _nullspace(Ek, tol * s1**k)
     chains = []
     carry = np.zeros((n, 0))  # height-k vectors inherited from longer chains
-    for k in range(kmax, 0, -1):
+    for k in range(sizes[0], 0, -1):  # sizes come largest first
         need = sizes.count(k)
         tops = np.zeros((n, 0))
         if need:
@@ -224,14 +215,13 @@ def _negative_spectrum_log(B, tol):
     with S the nilpotent log series, the realification of the angle-pi branch
     of the complex logarithm.
     """
-    profile = spectral_profile(B, tol)
-    columns = []
-    blocks = []
-    for cluster in profile.clusters:
-        lam = cluster.eigenvalue.real
-        if cluster.eigenvalue.imag != 0.0 or lam >= 0:
+    _, clusters = _cluster_means(np.linalg.eigvals(B), float(np.linalg.norm(B, 2)), tol)
+    columns, blocks = [], []
+    for mean, mult in sorted(clusters, key=lambda c: (c[0].real, c[0].imag)):
+        lam = mean.real
+        if mean.imag != 0.0 or lam >= 0:
             raise IllConditionedError("negative-spectrum block contains non-negative eigenvalues")
-        chains = _jordan_chains(B, lam, sorted(cluster.block_sizes, reverse=True), tol)
+        chains = _jordan_chains(B, lam, mult, tol)
         by_len = {}
         for chain in chains:
             by_len.setdefault(len(chain), []).append(chain)
@@ -255,13 +245,8 @@ def _real_log_witness(M, profile, tol):
     if not profile.negative_real():
         return real_log_principal(M, tol)
     n = M.shape[0]
-
-    def select(re, im):
-        mod = np.hypot(re, im)
-        return (re < 0) & (np.abs(im) <= tol * np.maximum(1.0, mod))
-
     sla = _scipy_linalg()
-    T, Z, k = sla.schur(M, output="real", sort=select)
+    T, Z, k = sla.schur(M, output="real", sort=lambda re, im: is_negative_real(complex(re, im), tol))
     if k == 0:
         raise IllConditionedError("spectral split lost the negative eigenvalues")
     if k == n:

@@ -42,10 +42,16 @@ def require_same_order(*mats):
         raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
 
 
-def require_invertible(a, name="matrix", rtol=1e-13):
+_SINGULAR_RTOL = 1e-13  # the singular cut, relative to max(1, sigma_max)
+
+
+def _is_singular(s):  # s: singular values, largest first
+    return s[-1] <= _SINGULAR_RTOL * max(1.0, s[0])
+
+
+def require_invertible(a, name="matrix"):
     """Raise SingularMatrixError when the smallest singular value is negligible."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= rtol * max(1.0, s[0]):
+    if _is_singular(np.linalg.svd(a, compute_uv=False)):
         raise SingularMatrixError(f"{name} is numerically singular")
 
 
@@ -63,15 +69,20 @@ def as_point_and_tangents(base, name, **tangents):
     return mats
 
 
+def _on_real_axis(lam, tol):
+    """The real-axis test: ``|Im lam| <= tol * max(1, |lam|)`` for a complex ``lam``."""
+    return abs(lam.imag) <= tol * max(1.0, abs(lam))
+
+
 def is_negative_real(lam, tol=DEFAULT_TOL):
     """Decide whether the complex scalar ``lam`` counts as a negative real."""
     lam = complex(lam)
-    return lam.real < 0 and abs(lam.imag) <= tol * max(1.0, abs(lam))
+    return lam.real < 0 and _on_real_axis(lam, tol)
 
 
 def is_positive_real(lam, tol=DEFAULT_TOL):
     lam = complex(lam)
-    return lam.real > 0 and abs(lam.imag) <= tol * max(1.0, abs(lam))
+    return lam.real > 0 and _on_real_axis(lam, tol)
 
 
 def _scipy_linalg():
@@ -86,13 +97,17 @@ def _scipy_linalg():
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a `with`
-def _expm(A):
-    """``scipy.linalg.expm`` of the float matrix ``A``.
+def _expm(A, left=None, right=None):
+    """``left @ scipy.linalg.expm(A) @ right`` of float matrices; either factor may be omitted.
 
-    An overflow raises IllConditionedError where it happens, with no
-    floating-point warning on the way.
+    An overflow, in the exponential or a product, raises IllConditionedError
+    where it happens, with no floating-point warning on the way.
     """
     E = _scipy_linalg().expm(A)
+    if left is not None:
+        E = left @ E
+    if right is not None:
+        E = E @ right
     if not np.isfinite(E).all():
         raise IllConditionedError("matrix exponential overflows the float range")
     return E
@@ -230,44 +245,45 @@ def _cluster_indices(eigs, thresh):
     return list(groups.values())
 
 
-def _rank(M, cutoff):
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > cutoff))
+def _kernel_staircase(A, lam, mult, tol):
+    """``E = A - lam I`` and kernel bases of E^0, E^1, ..., from one full SVD per power.
 
-
-def _block_sizes(A, lam, mult, tol):
-    """Jordan block sizes for eigenvalue ``lam`` from the rank staircase.
-
-    The number of blocks of size >= k is rank((A - lam I)^{k-1}) minus
-    rank((A - lam I)^k); ranks are decided by a singular-value cutoff scaled
-    to the k-th power of the shifted matrix norm.
+    Rank E^k counts singular values above ``tol * max(1, ||E||_2)^k``, clamped to
+    [n - mult, rank E^(k-1)]; if ``mult`` powers stay above n - mult, one forced step ends there.
     """
-    if mult == 1:  # the staircase can only find one block of size 1
-        return (1,)
     n = A.shape[0]
     shift = lam.real if lam.imag == 0.0 else lam
     E = A - shift * np.eye(n)
-    s1 = float(np.linalg.svd(E, compute_uv=False)[0]) if n else 0.0
-    floor = n - mult
-    ranks = [n]
-    Ek = np.eye(n, dtype=E.dtype)
+    floor, rank = n - mult, n
+    bases = [np.zeros((n, 0), dtype=E.dtype)]
+    Ek = E
     for k in range(1, mult + 1):
+        _, s, Vh = np.linalg.svd(Ek)
+        if k == 1:
+            scale = max(1.0, float(s[0]))
+        rank = min(max(int(np.count_nonzero(s > tol * scale**k)), floor), rank)
+        bases.append(Vh[rank:].conj().T)
+        if rank == floor:
+            return E, bases
         Ek = Ek @ E
-        r = _rank(Ek, tol * max(1.0, s1) ** k)
-        r = min(max(r, floor), ranks[-1])
-        ranks.append(r)
-        if r == floor:
-            break
-    if ranks[-1] != floor:
-        ranks.append(floor)
-    weyr = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    weyr.sort(reverse=True)  # defensive: keep a valid partition of mult
-    sizes = []
-    for k, w in enumerate(weyr, start=1):
-        w_next = weyr[k] if k < len(weyr) else 0
-        sizes.extend([k] * (w - w_next))
-    sizes.sort(reverse=True)
-    return tuple(sizes)
+    bases.append(Vh[floor:].conj().T)  # the forced step
+    return E, bases
+
+
+def _jordan_partition(bases):
+    """Jordan block sizes, largest first: dim ker E^k - dim ker E^(k-1) blocks have size >= k."""
+    dims = [b.shape[1] for b in bases]
+    # w_k = dim ker E^k - dim ker E^(k-1), sorted defensively to keep a valid partition of mult
+    weyr = sorted((hi - lo for lo, hi in zip(dims, dims[1:])), reverse=True) + [0]
+    # w_k - w_(k+1) blocks of size exactly k
+    return tuple(k for k in range(len(weyr) - 1, 0, -1) for _ in range(weyr[k - 1] - weyr[k]))
+
+
+def _block_sizes(A, lam, mult, tol):
+    """Jordan block sizes for eigenvalue ``lam`` from the kernel staircase."""
+    if mult == 1:  # the staircase can only find one block of size 1
+        return (1,)
+    return _jordan_partition(_kernel_staircase(A, lam, mult, tol)[1])
 
 
 def spectral_profile(A, tol=DEFAULT_TOL):
@@ -282,6 +298,17 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     return profile_from_spectrum(A, np.linalg.eigvals(A), float(np.linalg.norm(A, 2)), tol)
 
 
+def _cluster_means(eigs, norm2, tol):
+    """The cut ``tol * max(1, norm2)`` and a (mean, multiplicity) pair per
+    eigenvalue cluster at that cut, near-real means snapped onto the real axis."""
+    thresh = tol * max(1.0, norm2)
+    reps = []
+    for idx in _cluster_indices(eigs, thresh):
+        lam = complex(np.mean(eigs[idx]))
+        reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(idx)))
+    return thresh, reps
+
+
 def profile_from_spectrum(A, eigs, norm2, tol):
     """:func:`spectral_profile` of the square float matrix ``A`` at ``tol``.
 
@@ -289,16 +316,7 @@ def profile_from_spectrum(A, eigs, norm2, tol):
     computed once by a caller that profiles the same matrix at several
     tolerances.
     """
-    thresh = tol * max(1.0, norm2)
-    groups = _cluster_indices(eigs, thresh)
-
-    reps = []
-    for idx in groups:
-        lam = complex(np.mean(eigs[idx]))
-        if abs(lam.imag) <= tol * max(1.0, abs(lam)):
-            lam = complex(lam.real, 0.0)
-        reps.append((lam, len(idx)))
-
+    thresh, reps = _cluster_means(eigs, norm2, tol)
     clusters = []
     done = [False] * len(reps)
     for i, (lam, mult) in enumerate(reps):
@@ -363,7 +381,7 @@ def polar_decompose(A, side="left"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     A = as_square(A, "A")
     U, s, Vt = np.linalg.svd(A)
-    if s[-1] <= 1e-13 * max(1.0, s[0]):
+    if _is_singular(s):
         raise SingularMatrixError("polar decomposition requires an invertible matrix")
     O = U @ Vt
     if side == "left":

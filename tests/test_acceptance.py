@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as sla
 
 import tracegeo as tg
-from tracegeo.verify import random_invertible, random_spd, random_unimodular
+from tracegeo.verify import _metric_scale, random_invertible, random_spd, random_unimodular
 
 SEED = 1105
 
@@ -16,10 +16,6 @@ SEED = 1105
 def _report(name, ok):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, name
-
-
-def _metric_scale(A, V, W):
-    return float(np.linalg.norm(np.linalg.solve(A, V)) * np.linalg.norm(np.linalg.solve(A, W)))
 
 
 def test_01_signature_constant():

@@ -21,6 +21,7 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
+from tracegeo import curvature
 from tracegeo.verify import random_invertible
 
 I2 = np.eye(2)
@@ -162,6 +163,19 @@ class TestScalarCurvature:
             for _ in range(10):
                 K = random_invertible(rng, n)
                 assert scalar_curvature(K) == pytest.approx(want, abs=1e-8)
+
+    def test_one_contraction_matches_the_per_vector_ricci_sum(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ricci called")
+
+        for n in (2, 3, 4):
+            K = random_invertible(rng, n)
+            frame = orthonormal_frame(K)
+            loop = sum(s * ricci(K, v, v) for s, v in zip(frame.signs, frame.vectors))
+            with monkeypatch.context() as patch:
+                patch.setattr(curvature, "ricci", refuse)
+                got = scalar_curvature(K)
+            assert got == pytest.approx(loop, rel=1e-12)
 
     def test_frame_is_orthonormal_with_expected_characters(self, rng):
         n = 3

@@ -22,6 +22,7 @@ from tracegeo import (
     spectral_profile,
     unique_arc,
 )
+from tracegeo import geodesy, matcore
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
@@ -76,6 +77,22 @@ class TestGeodesicEvaluation:
             with pytest.raises(IllConditionedError, match="overflows"):
                 spd_geodesic(I2, np.diag([800.0, 1.0]), 1.0)
         assert caught == []
+
+    def test_overflow_of_the_product_with_the_base_raises_without_a_warning(self):
+        # expm(C) ~ 1e304 is finite; only K @ expm(C) leaves the float range
+        geo = Geodesic(1e300 * I2, np.diag([700.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflows"):
+                geo.point(1.0)
+
+    def test_spd_overflow_of_the_outer_product_raises_without_a_warning(self):
+        # the inner exponential is diag(e^700, e); the factors K^{1/2} = 1e50 I push it over
+        K = 1e100 * I2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflows"):
+                spd_geodesic(K, 1e100 * np.diag([700.0, 1.0]), 1.0)
 
 
 class TestFromVelocity:
@@ -280,6 +297,45 @@ class TestClassification:
             K1 = K0 @ S @ core @ np.linalg.inv(S)
             out = classify_arc(K0, K1, 1e-6)
             assert out.profile == spectral_profile(np.linalg.solve(K0, K1), 1e-6)
+
+    @pytest.mark.parametrize("case", ["paired", "defective-pairs", "mixed"])
+    def test_negative_witness_needs_no_second_profile(self, case, rng, monkeypatch):
+        # the negative-spectrum log reads block sizes and chains off one
+        # staircase run per cluster; it never profiles its Schur block again
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_profile called")
+
+        monkeypatch.setattr(matcore, "spectral_profile", refuse)
+        monkeypatch.setattr(geodesy, "spectral_profile", refuse, raising=False)
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        core, tol = {
+            "paired": (np.diag([-1.0, -1.0, 2.0]), 1e-8),
+            "defective-pairs": (sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2)), 1e-8),
+            "mixed": (sla.block_diag(-I2, rot, [[2.0]]), 1e-6),
+        }[case]
+        n = core.shape[0]
+        S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) if case == "mixed" else np.eye(n)
+        M = S @ core @ np.linalg.inv(S)
+        out = classify_arc(np.eye(n), M, tol)
+        assert out.verdict is ArcKind.CONTINUUM
+        assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [(1, 1), (2, 2), (3, 3), (2, 2, 1, 1)],
+        ids=["J1+J1", "J2+J2", "J3+J3", "J2+J2+J1+J1"],
+    )
+    def test_jordan_chains_follow_the_block_sizes(self, blocks):
+        B = sla.block_diag(*(jordan_block(-1.0, k) for k in blocks))
+        (cluster,) = spectral_profile(B).clusters
+        assert cluster.block_sizes == blocks
+        chains = geodesy._jordan_chains(B, -1.0, cluster.multiplicity, 1e-8)
+        assert tuple(sorted((len(c) for c in chains), reverse=True)) == cluster.block_sizes
+        E = B + np.eye(B.shape[0])
+        for chain in chains:
+            assert np.linalg.norm(E @ chain[0]) <= 1e-12
+            for below, above in zip(chain, chain[1:]):
+                assert np.linalg.norm(E @ above - below) <= 1e-12
 
     def test_singular_endpoint_rejected(self):
         from tracegeo import SingularMatrixError

@@ -16,6 +16,7 @@ from tracegeo import (
     so_log,
     spectral_profile,
 )
+from tracegeo.matcore import require_invertible
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
@@ -265,6 +266,17 @@ class TestPolar:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             polar_decompose(np.zeros((2, 2)), "left")
+
+    def test_same_singular_cut_as_require_invertible(self):
+        # the cut sits at sigma_min = 1e-13 max(1, sigma_max)
+        below, above = np.diag([1.0, 0.9e-13]), np.diag([1.0, 1.1e-13])
+        for side in ("left", "right"):
+            with pytest.raises(SingularMatrixError, match="polar decomposition"):
+                polar_decompose(below, side)
+            assert polar_decompose(above, side).positive[1, 1] == pytest.approx(1.1e-13)
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            require_invertible(below)
+        require_invertible(above)
 
 
 def schur_so_log(O):
