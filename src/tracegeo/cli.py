@@ -18,7 +18,10 @@ import numpy as np
 from . import curvature as curvature_mod
 from . import geodesy, metricspace, verify
 from .errors import IllConditionedError, TraceGeoError
+from .matcore import _overflow_guard
 from .verify import matrix_document
+
+_det = _overflow_guard("determinant")(np.linalg.det)
 
 
 class _ParseError(Exception):
@@ -144,7 +147,7 @@ def _cmd_geodesic(args):
         P = geo.point(float(t))
         doc = matrix_document(P)
         doc["t"] = float(t)
-        doc["det"] = float(np.linalg.det(P))
+        doc["det"] = float(_det(P))
         out.append(doc)
     return out, 0
 

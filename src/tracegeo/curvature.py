@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
-from .matcore import as_point_and_tangents, as_square, require_invertible, require_same_order
-from .metricspace import gram_matrix, standard_basis, trace_metric
+from .matcore import _overflow_guard, as_point_and_tangents, as_squares
+from .metricspace import gram_matrix, standard_basis
 
 __all__ = [
     "riemann_13",
@@ -32,43 +32,46 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
+@_overflow_guard("curvature")
 def riemann_13(K, X, Y, Z):
-    """(1,3) curvature: -( Z [K^{-1}X, K^{-1}Y] - [XK^{-1}, YK^{-1}] Z ) / 4."""
-    K, X, Y, Z = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
-    B = np.linalg.inv(K)
-    left = _commutator(B @ X, B @ Y)
-    right = _commutator(X @ B, Y @ B)
-    return -0.25 * (Z @ left - right @ Z)
+    """(1,3) curvature: -K [bZ, [bX, bY]] / 4 for bV = K^{-1} V."""
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
+    bX, bY, bZ = np.linalg.solve(stack[0], stack[1:])
+    return -0.25 * stack[0] @ _commutator(bZ, _commutator(bX, bY))
 
 
+@_overflow_guard("curvature")
 def riemann_04(K, X, Y, Z, W):
-    """(0,4) curvature: tr([K^{-1}X, K^{-1}Y] [K^{-1}Z, K^{-1}W]) / 4."""
-    K, X, Y, Z, W = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
-    B = np.linalg.inv(K)
-    return float(0.25 * np.trace(_commutator(B @ X, B @ Y) @ _commutator(B @ Z, B @ W)))
+    """(0,4) curvature: tr([bX, bY] [bZ, bW]) / 4 for bV = K^{-1} V."""
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
+    bX, bY, bZ, bW = np.linalg.solve(stack[0], stack[1:])
+    return float(0.25 * np.trace(_commutator(bX, bY) @ _commutator(bZ, bW)))
 
 
+@_overflow_guard("curvature")
 def sectional(K, X, Y):
     """Sectional curvature of the 2-plane spanned by X, Y at K.
 
-    The value tr([K^{-1}X, K^{-1}Y]^2) / 4 over the Gram determinant of the
-    plane; only defined on nondegenerate sections.
+    The value tr([bX, bY]^2) / 4 over the Gram determinant of the plane, for
+    bV = K^{-1} V; only defined on nondegenerate sections.
     """
-    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
+    K, X, Y = stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     pair = np.column_stack([X.ravel(), Y.ravel()])
     s = np.linalg.svd(pair, compute_uv=False)
     if s[1] <= 1e-12 * max(1.0, s[0]):
         raise LinearlyDependentError("X and Y do not span a 2-plane")
-    B = np.linalg.inv(K)
-    BX, BY = B @ X, B @ Y
-    gxx = float(np.trace(BX @ BX))
-    gyy = float(np.trace(BY @ BY))
-    gxy = float(np.trace(BX @ BY))
+    # invariant under X -> aX, Y -> bY: tangents of largest entry 1 keep the Gram entries far
+    # from overflow, as ||K^-1|| < 1e13 past the singular cut
+    tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
+    bX, bY = np.linalg.solve(K, tangents)
+    gxx = float(np.trace(bX @ bX))
+    gyy = float(np.trace(bY @ bY))
+    gxy = float(np.trace(bX @ bY))
     denom = gxx * gyy - gxy * gxy
-    scale = (np.linalg.norm(BX) * np.linalg.norm(BY)) ** 2
+    scale = (np.linalg.norm(bX) * np.linalg.norm(bY)) ** 2
     if abs(denom) <= 1e-10 * max(scale, np.finfo(float).tiny):
         raise DegenerateSectionError("metric is degenerate on the section")
-    numer = 0.25 * float(np.trace(_commutator(BX, BY) @ _commutator(BX, BY)))
+    numer = 0.25 * float(np.trace(_commutator(bX, bY) @ _commutator(bX, bY)))
     return numer / denom
 
 
@@ -78,10 +81,12 @@ def _ricci_form(n, BX, BY):
     return 0.5 * trX * trY - 0.5 * n * trXY
 
 
+@_overflow_guard("curvature")
 def ricci(K, X, Y):
-    """Ricci curvature tr(K^{-1}X) tr(K^{-1}Y) / 2 - n g_K(X, Y) / 2."""
-    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
-    return float(_ricci_form(K.shape[0], np.linalg.solve(K, X), np.linalg.solve(K, Y)))
+    """Ricci curvature tr(bX) tr(bY) / 2 - n tr(bX bY) / 2 for bV = K^{-1} V."""
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
+    bX, bY = np.linalg.solve(stack[0], stack[1:])
+    return float(_ricci_form(stack.shape[1], bX, bY))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,31 +113,15 @@ def orthonormal_frame(K):
     symmetric pair sums (space-like) and the normalised antisymmetric pair
     differences (time-like); left translation by K transports it to K.
     """
-    K = as_square(K, "K")
-    require_invertible(K, "K")
+    K = as_point_and_tangents(K, "K")[0]
     n = K.shape[0]
-    vectors = []
-    signs = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        vectors.append(K @ E)
-        signs.append(1.0)
-    root2 = np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            S = np.zeros((n, n))
-            S[i, j] = S[j, i] = 1.0 / root2
-            vectors.append(K @ S)
-            signs.append(1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = np.zeros((n, n))
-            A[i, j] = 1.0 / root2
-            A[j, i] = -1.0 / root2
-            vectors.append(K @ A)
-            signs.append(-1.0)
-    return OrthonormalFrame(base_point=K, vectors=np.array(vectors), signs=np.array(signs))
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[i, j] = E_ij
+    i, j = np.nonzero(np.less.outer(range(n), range(n)))  # the pairs i < j, row by row
+    sums, differences = units[i, j] + units[j, i], units[i, j] - units[j, i]
+    at_identity = np.concatenate([units[range(n), range(n)], sums / np.sqrt(2.0),
+                                  differences / np.sqrt(2.0)])
+    signs = np.repeat([1.0, -1.0], [n * (n + 1) // 2, n * (n - 1) // 2])
+    return OrthonormalFrame(base_point=K, vectors=K @ at_identity, signs=signs)
 
 
 def scalar_curvature(K):
@@ -154,10 +143,7 @@ def ricci_trace_oracle(K, X, Y):
     V = sum g^{ab} g(V, E_b) E_a, so the oracle shares no code path with the
     closed Ricci formula.
     """
-    K = as_square(K, "K")
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    require_same_order(K, X, Y)
+    K, X, Y = as_squares(K=K, X=X, Y=Y)
     G = gram_matrix(K)
     Ginv = np.linalg.inv(G)
     B = np.linalg.inv(K)
@@ -176,8 +162,7 @@ def christoffel_closed(P):
     Gamma[a, b, c] is the coefficient of E_c in nabla_{E_a} E_b, equal to
     -(1/2) sum_d g^{cd} (tr(P^{-1}E_a P^{-1}E_b P^{-1}E_d) + (a <-> b)).
     """
-    P = as_square(P, "P")
-    require_invertible(P, "P")
+    P = as_point_and_tangents(P, "P")[0]
     n = P.shape[0]
     B = np.linalg.inv(P)
     T = np.einsum("jk,lr,si->jilksr", B, B, B).reshape(n * n, n * n, n * n)
@@ -188,8 +173,7 @@ def christoffel_closed(P):
 
 def christoffel_fd(P, h=1e-4):
     """Christoffel symbols from central differences of the Gram matrix."""
-    P = as_square(P, "P")
-    require_invertible(P, "P")
+    P = as_point_and_tangents(P, "P")[0]
     if h <= 0:
         raise ValueError("step h must be positive")
     n = P.shape[0]
@@ -204,17 +188,17 @@ def christoffel_fd(P, h=1e-4):
     return 0.5 * np.einsum("cd,abd->abc", Ginv, bracket)
 
 
+@_overflow_guard("curvature")
 def sl_einstein_check(K, X, Y, tol=1e-10):
     """Einstein identity on a determinant leaf: (Ric(X,Y), -(n/2) g(X,Y)).
 
     Requires X and Y tangent to the leaf through K, i.e. tr(K^{-1}X) and
     tr(K^{-1}Y) vanish; project with sl_tangent_project first if needed.
     """
-    K, X, Y = as_point_and_tangents(K, "K", X=X, Y=Y)
-    n = K.shape[0]
-    BX = np.linalg.solve(K, X)
-    BY = np.linalg.solve(K, Y)
-    for name, BV in (("X", BX), ("Y", BY)):
-        if abs(float(np.trace(BV))) > tol * max(1.0, float(np.linalg.norm(BV))):
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
+    n = stack.shape[1]
+    bX, bY = np.linalg.solve(stack[0], stack[1:])
+    for name, bV in (("X", bX), ("Y", bY)):
+        if abs(float(np.trace(bV))) > tol * max(1.0, float(np.linalg.norm(bV))):
             raise NotTangentError(f"{name} is not tangent to the determinant leaf")
-    return ricci(K, X, Y), float(-0.5 * n * trace_metric(K, X, Y))
+    return float(_ricci_form(n, bX, bY)), float(-0.5 * n * np.trace(bX @ bY))

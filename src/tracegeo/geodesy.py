@@ -27,15 +27,16 @@ from .matcore import (
     _expm,
     _jordan_partition,
     _kernel_staircase,
+    _overflow_guard,
+    _relative_gap,
     _scipy_linalg,
     as_point_and_tangents,
-    as_square,
+    as_squares,
     is_negative_real,
     polar_decompose,
     profile_from_spectrum,
     real_log_principal,
     require_invertible,
-    require_same_order,
     so_log,
 )
 
@@ -60,10 +61,15 @@ class Geodesic:
 def geodesic_from_velocity(K, S):
     """The unique geodesic through K at t=0 with initial velocity S.
 
-    The curve is K exp(t K^{-1} S).
+    The curve is K exp(t bS) for bS = K^{-1} S.
     """
+    return Geodesic(*_point_and_direction(K, S))
+
+
+@_overflow_guard("geodesic direction")
+def _point_and_direction(K, S):
     K, S = as_point_and_tangents(K, "K", S=S)
-    return Geodesic(K, np.linalg.solve(K, S))
+    return K, np.linalg.solve(K, S)
 
 
 def spd_geodesic(K, S, t):
@@ -73,12 +79,10 @@ def spd_geodesic(K, S, t):
     symmetric positive definite base and a symmetric velocity, where the
     whole curve stays symmetric positive definite.
     """
-    K = as_square(K, "K")
-    S = as_square(S, "S")
-    require_same_order(K, S)
-    if np.linalg.norm(K - K.T) > 1e-10 * max(1.0, np.linalg.norm(K)):
+    K, S = as_squares(K=K, S=S)
+    if _relative_gap(K, K.T) > 1e-10:
         raise NotSPDError("base point must be symmetric")
-    if np.linalg.norm(S - S.T) > 1e-10 * max(1.0, np.linalg.norm(S)):
+    if _relative_gap(S, S.T) > 1e-10:
         raise NotSymmetricError("velocity must be symmetric")
     w, Q = np.linalg.eigh(0.5 * (K + K.T))
     if w.min() <= 0:
@@ -88,16 +92,17 @@ def spd_geodesic(K, S, t):
     return _expm(float(t) * inv_half @ S @ inv_half, left=half, right=half)
 
 
+@_overflow_guard("covariant derivative")
 def nabla(P, Xp, Yp, euc_deriv):
     """Covariant derivative value (X(Y))_P - (Xp P^{-1} Yp + Yp P^{-1} Xp)/2.
 
-    ``euc_deriv`` is the caller-supplied Euclidean derivative of the field Y
-    along X at P (zero for constant-coefficient fields).
+    That is D - (Xp bY + Yp bX) / 2 for bV = P^{-1} V, where ``euc_deriv`` is the
+    caller-supplied Euclidean derivative D of the field Y along X at P (zero
+    for constant-coefficient fields).
     """
-    P, Xp, Yp, D = as_point_and_tangents(P, "P", Xp=Xp, Yp=Yp, euc_deriv=euc_deriv)
-    PiY = np.linalg.solve(P, Yp)
-    PiX = np.linalg.solve(P, Xp)
-    return D - 0.5 * (Xp @ PiY + Yp @ PiX)
+    P, Xp, Yp, D = stack = as_point_and_tangents(P, "P", Xp=Xp, Yp=Yp, euc_deriv=euc_deriv)
+    bX, bY = np.linalg.solve(P, stack[1:3])
+    return D - 0.5 * (Xp @ bY + Yp @ bX)
 
 
 def curve_residual(curve, t, h=1e-4):
@@ -108,9 +113,8 @@ def curve_residual(curve, t, h=1e-4):
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    P0 = as_square(curve(t), "curve(t)")
-    Pp = as_square(curve(t + h), "curve(t+h)")
-    Pm = as_square(curve(t - h), "curve(t-h)")
+    samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
+    P0, Pp, Pm = as_squares(**samples)
     vel = (Pp - Pm) / (2.0 * h)
     acc = (Pp - 2.0 * P0 + Pm) / (h * h)
     return float(np.linalg.norm(acc - vel @ np.linalg.solve(P0, vel)))
@@ -298,9 +302,9 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     if verdict is not ArcKind.NO_ARC:
         C = _real_log_witness(M, profile, tol)
         witness = Geodesic(K0, C)
-        err = np.linalg.norm(witness.point(1.0) - K1)
-        if err > 1e-6 * max(1.0, np.linalg.norm(K1)):
-            raise IllConditionedError(f"witness endpoint check failed (error {err:g})")
+        gap = _relative_gap(witness.point(1.0), K1)
+        if gap > 1e-6:
+            raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
     return ArcClassification(verdict=verdict, witness=witness, profile=profile)
 
 
@@ -340,7 +344,7 @@ def broken_arc(K1, K2, tol=DEFAULT_TOL):
     """
     K1, K2 = as_point_and_tangents(K1, "K1", K2=K2)
     require_invertible(K2, "K2")
-    if np.linalg.det(K1) * np.linalg.det(K2) <= 0:
+    if np.linalg.slogdet(K1)[0] != np.linalg.slogdet(K2)[0]:
         raise DifferentComponentsError("endpoints lie in different determinant components")
     left = polar_decompose(K1, side="left")
     right = polar_decompose(K2, side="right")

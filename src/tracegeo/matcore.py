@@ -10,6 +10,7 @@ metric, curvature and most arc work never need it, and its import dominates
 the start of a short process.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +27,30 @@ from .errors import (
 DEFAULT_TOL = 1e-8
 
 
-def as_square(a, name="matrix"):
-    """Validate and return ``a`` as a finite square float matrix."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
-    return m
+def as_squares(**operands):
+    """The keyword operands as one ``(k, n, n)`` stack of finite square float matrices.
 
-
-def require_same_order(*mats):
-    orders = {m.shape[0] for m in mats}
-    if len(orders) != 1:
-        raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
+    A defect names the first operand that has it (ValueError; TypeError for
+    non-numbers); DimensionMismatchError when the orders differ.
+    """
+    try:
+        stack = np.asarray(list(operands.values()), dtype=float)
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0 and np.isfinite(stack).all():
+            return stack
+    except (TypeError, ValueError):  # ragged or not numbers: the loop below names the operand
+        pass
+    orders = set()
+    for name, value in operands.items():
+        try:
+            m = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{name} is not a numeric matrix: {exc}") from exc
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise ValueError(f"{name} must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} has non-finite entries")
+        orders.add(m.shape[0])
+    raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
 
 
 _SINGULAR_RTOL = 1e-13  # the singular cut, relative to max(1, sigma_max)
@@ -56,17 +67,35 @@ def require_invertible(a, name="matrix"):
 
 
 def as_point_and_tangents(base, name, **tangents):
-    """Validate an invertible base point and matrices of the same order.
+    """:func:`as_squares` of the base (under ``name``) and the tangents, then
+    :func:`require_invertible` of the base.  Returns the stack, base first."""
+    stack = as_squares(**{name: base}, **tangents)
+    require_invertible(stack[0], name)
+    return stack
 
-    Each operand goes through :func:`as_square` under its own name (the
-    keyword names the tangents), then the orders must agree, and last the
-    base must be invertible.  Returns the base followed by the tangents.
-    """
-    mats = [as_square(base, name)]
-    mats.extend(as_square(m, key) for key, m in tangents.items())
-    require_same_order(*mats)
-    require_invertible(mats[0], name)
-    return mats
+
+def _overflow_guard(what):
+    """Decorator: no floating-point warning escapes the function (an ``errstate`` decorator costs
+    half a ``with``), and a non-finite result (numbers or arrays) raises IllConditionedError."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        @np.errstate(over="ignore", invalid="ignore")
+        def guarded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if not np.isfinite(out).all():
+                raise IllConditionedError(f"{what} overflows the float range")
+            return out
+
+        return guarded
+
+    return decorate
+
+
+def _relative_gap(A, B):
+    """``||A - B||_F / max(1, ||B||_F)``, free of overflow: A, B scaled by their largest entry."""
+    s = float(max(np.abs(A).max(), np.abs(B).max())) or 1.0
+    return float(np.linalg.norm(A / s - B / s)) / max(1.0 / s, float(np.linalg.norm(B / s)))
 
 
 def _on_real_axis(lam, tol):
@@ -96,26 +125,20 @@ def _scipy_linalg():
     return scipy.linalg
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a `with`
+@_overflow_guard("matrix exponential")
 def _expm(A, left=None, right=None):
-    """``left @ scipy.linalg.expm(A) @ right`` of float matrices; either factor may be omitted.
-
-    An overflow, in the exponential or a product, raises IllConditionedError
-    where it happens, with no floating-point warning on the way.
-    """
+    """``left @ scipy.linalg.expm(A) @ right`` of float matrices; either factor may be omitted."""
     E = _scipy_linalg().expm(A)
     if left is not None:
         E = left @ E
     if right is not None:
         E = E @ right
-    if not np.isfinite(E).all():
-        raise IllConditionedError("matrix exponential overflows the float range")
     return E
 
 
 def mat_exp(A):
     """Matrix exponential e^A (scaling-and-squaring Pade)."""
-    return _expm(as_square(A, "A"))
+    return _expm(as_squares(A=A)[0])
 
 
 # Largest 1-norm condition number of the eigenvector matrix for which the
@@ -144,8 +167,7 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     SpectrumOnCutError
         Some eigenvalue sits on the closed negative real axis within ``tol``.
     """
-    A = as_square(A, "A")
-    require_invertible(A, "A")
+    A = as_point_and_tangents(A, "A")[0]
     return _log_from_eig(A, *np.linalg.eig(A), tol)
 
 
@@ -173,7 +195,7 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     Raises SpectrumNotPositiveError if any eigenvalue fails to be positive
     real within ``tol``.
     """
-    A = as_square(A, "A")
+    A = as_squares(A=A)[0]
     eigs, V = np.linalg.eig(A)
     if not all(is_positive_real(lam, tol) for lam in eigs):
         raise SpectrumNotPositiveError("spectrum is not positive real")
@@ -294,7 +316,7 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     clusters are emitted in exact conjugate pairs with identical block
     structure.
     """
-    A = as_square(A, "A")
+    A = as_squares(A=A)[0]
     return profile_from_spectrum(A, np.linalg.eigvals(A), float(np.linalg.norm(A, 2)), tol)
 
 
@@ -379,7 +401,7 @@ def polar_decompose(A, side="left"):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    A = as_square(A, "A")
+    A = as_squares(A=A)[0]
     U, s, Vt = np.linalg.svd(A)
     if _is_singular(s):
         raise SingularMatrixError("polar decomposition requires an invertible matrix")
@@ -388,7 +410,7 @@ def polar_decompose(A, side="left"):
         P = Vt.T @ (s[:, None] * Vt)
     else:
         P = U @ (s[:, None] * U.T)
-    P = 0.5 * (P + P.T)
+    P = 0.5 * P + 0.5 * P.T  # halves first: no overflow
     return PolarFactors(orthogonal=O, positive=P, side=side)
 
 
@@ -407,7 +429,7 @@ def so_log(O, tol=DEFAULT_TOL):
     and +1/-1 entries.  The output L is exactly skew-symmetric and satisfies
     expm(L) ~= O.
     """
-    O = as_square(O, "O")
+    O = as_squares(O=O)[0]
     n = O.shape[0]
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
     if ortho_defect > max(tol, 1e-10) * n or np.linalg.det(O) < 0:
@@ -447,8 +469,6 @@ def _schur_so_log(O):
 
 def cartan_killing(X, Y):
     """Cartan-Killing form 2n tr(XY) - 2 tr(X) tr(Y) on n x n matrices."""
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    require_same_order(X, Y)
+    X, Y = as_squares(X=X, Y=Y)
     n = X.shape[0]
     return float(2.0 * n * np.trace(X @ Y) - 2.0 * np.trace(X) * np.trace(Y))

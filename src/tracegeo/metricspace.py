@@ -15,31 +15,24 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
-    IllConditionedError,
     NonPositiveDeterminantError,
     NotUnimodularError,
     SingularMatrixError,
 )
-from .matcore import as_point_and_tangents, as_square, require_invertible, require_same_order
+from .matcore import _overflow_guard, as_point_and_tangents, as_squares, require_invertible
 
 
+@_overflow_guard("metric value")
 def trace_metric(A, V, W):
-    """Metric value tr(A^{-1} V A^{-1} W); symmetric and bilinear in (V, W)."""
-    A, V, W = as_point_and_tangents(A, "A", V=V, W=W)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.trace(np.linalg.solve(A, V) @ np.linalg.solve(A, W)))
-    if not math.isfinite(value):
-        raise IllConditionedError("metric value overflows the float range")
-    return value
+    """Metric value tr(A^{-1} V A^{-1} W) = tr(bV bW), bV = A^{-1} V; symmetric and bilinear."""
+    stack = as_point_and_tangents(A, "A", V=V, W=W)
+    bV, bW = np.linalg.solve(stack[0], stack[1:])
+    return float(np.trace(bV @ bW))
 
 
 def standard_basis(n):
     """The n^2 matrix units E_alpha ordered column by column."""
-    out = np.zeros((n * n, n, n))
-    for alpha in range(n * n):
-        i, j = alpha % n, alpha // n
-        out[alpha, i, j] = 1.0
-    return out
+    return np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)  # alpha = i + n j <-> E_ij
 
 
 def gram_matrix(A):
@@ -49,8 +42,7 @@ def gram_matrix(A):
     matrix units column by column.  For B = A^{-1} the value collapses to
     B[j, k] * B[l, i] with alpha <-> (i, j), beta <-> (k, l).
     """
-    A = as_square(A, "A")
-    require_invertible(A, "A")
+    A = as_point_and_tangents(A, "A")[0]
     n = A.shape[0]
     B = np.linalg.inv(A)
     T = np.einsum("jk,li->jilk", B, B)
@@ -129,8 +121,7 @@ class Isometry:
         if parametric:
             if self.parameter is None:
                 raise ValueError(f"{self.kind} requires a parameter matrix")
-            G = as_square(self.parameter, "parameter")
-            require_invertible(G, "parameter")
+            G = as_point_and_tangents(self.parameter, "parameter")[0]
             object.__setattr__(self, "parameter", G)
         elif self.parameter is not None:
             raise ValueError(f"{self.kind} takes no parameter")
@@ -170,7 +161,7 @@ def point_symmetry(A):
 
 def apply_isometry(iso, X):
     """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds."""
-    X = as_square(X, "X")
+    X = as_squares(X=X)[0]
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
     if differential is not None:
         require_invertible(X, "X")
@@ -183,9 +174,7 @@ def pushforward(iso, A, V):
     Linear isometries are their own differential; inversion has differential
     -A^{-1} V A^{-1}, and the point symmetry about G has -G A^{-1} V A^{-1} G.
     """
-    A = as_square(A, "A")
-    V = as_square(V, "V")
-    require_same_order(A, V)
+    A, V = as_squares(A=A, V=V)
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
     if differential is None:
         return forward(iso.parameter, V)
@@ -198,22 +187,22 @@ def pushforward(iso, A, V):
 # ---------------------------------------------------------------------------
 
 
+@_overflow_guard("projection")
 def sl_tangent_project(K, W):
     """g_K-orthogonal projection of W onto {V : tr(K^{-1} V) = 0}.
 
-    Returns W - (tr(K^{-1} W) / n) K; idempotent, and the output satisfies
-    the trace condition up to roundoff.
+    Returns W - (tr(bW) / n) K for bW = K^{-1} W, the left translate of the
+    trace-free part of bW; idempotent, and the output satisfies the trace
+    condition up to roundoff.
     """
-    K, W = as_point_and_tangents(K, "K", W=W)
-    n = K.shape[0]
-    return W - (float(np.trace(np.linalg.solve(K, W))) / n) * K
+    K, W = stack = as_point_and_tangents(K, "K", W=W)
+    (bW,) = np.linalg.solve(K, stack[1:])
+    return W - (float(np.trace(bW)) / K.shape[0]) * K
 
 
 def leaf_of(Q):
     """Label of the determinant leaf through ``Q``: det(Q)."""
-    Q = as_square(Q, "Q")
-    require_invertible(Q, "Q")
-    return float(np.linalg.det(Q))
+    return float(np.linalg.det(as_point_and_tangents(Q, "Q")[0]))
 
 
 def leaf_base_point(c, n):
@@ -238,7 +227,7 @@ class ProductPoint:
     line_part: float
 
     def __post_init__(self):
-        P = as_square(self.sl_part, "sl_part")
+        P = as_squares(sl_part=self.sl_part)[0]
         if abs(np.linalg.det(P) - 1.0) > 1e-10:
             raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
@@ -257,7 +246,7 @@ def product_inverse(Q):
 
     Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
     """
-    Q = as_square(Q, "Q")
+    Q = as_squares(Q=Q)[0]
     d = float(np.linalg.det(Q))
     if d <= 0.0:
         raise NonPositiveDeterminantError("product chart needs a positive determinant")
@@ -267,9 +256,7 @@ def product_inverse(Q):
 
 def product_pushforward(p, M, a):
     """Differential of :func:`product_forward` at (P, x) on the tangent (M, a)."""
-    P = p.sl_part
-    M = as_square(M, "M")
-    require_same_order(P, M)
+    P, M = as_squares(sl_part=p.sl_part, M=M)
     n = P.shape[0]
     scale = math.exp(p.line_part / math.sqrt(n))
     return scale * M + (scale / math.sqrt(n)) * float(a) * P

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracegeo import errors, verify
@@ -16,6 +16,7 @@ from tracegeo.cli import main
 
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
 E12_DOC = '{"n":2,"data":[[0,1],[0,0]]}'
+E21_DOC = '{"n":2,"data":[[0,0],[1,0]]}'
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,53 @@ _finite_documents = st.lists(
 _documents = _hostile_documents() | _finite_documents
 
 
+def _diag_doc(a, b):
+    return json.dumps({"n": 2, "data": [[a, 0.0], [0.0, b]]})
+
+
+def _scaled_identity_doc(c):
+    return _diag_doc(c, c)
+
+
+# every command that reads matrices: its leading arguments, then its matrix options
+_FUZZED_COMMANDS = [
+    (["signature"], ["--at"]),
+    (["classify"], ["--k0", "--k1"]),
+    (["arc"], ["--k0", "--k1"]),
+    (["geodesic", "--samples", "3"], ["--k", "--c"]),
+    (["geodesic", "--samples", "3"], ["--k", "--velocity"]),
+    (["broken-arc"], ["--k1", "--k2"]),
+    (["curvature", "--kind", "scalar"], ["--at"]),
+    (["curvature", "--kind", "sectional"], ["--at", "--x", "--y"]),
+    (["curvature", "--kind", "ricci"], ["--at", "--x", "--y"]),
+    (["curvature", "--kind", "riemann04"], ["--at", "--x", "--y", "--z", "--w"]),
+]
+
+
+@st.composite
+def _command_lines(draw):
+    head, options = draw(st.sampled_from(_FUZZED_COMMANDS))
+    argv = list(head)
+    for option in options:
+        argv += [option, draw(_documents)]
+    return argv
+
+
+def _assert_answers_in_json(argv):
+    """Exit 0/2 with one JSON document on stdout, or exit 1 with one JSON error on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code in (0, 2):
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert isinstance(json.loads(err.getvalue())["error"], str)
+
+
 class TestHostileInput:
     @settings(max_examples=60, deadline=None)
     @given(at=_documents, x=_documents, y=_documents)
@@ -177,6 +225,27 @@ class TestHostileInput:
             code = main(["metric", "--at", doc, "--x", doc, "--y", doc])
         assert (code, out.getvalue()) == (1, "")
         assert json.loads(err.getvalue())["error"] == "parse"
+
+    # overflow past the float range, each of which once leaked a RuntimeWarning
+    @example(argv=["curvature", "--kind", "ricci", "--at", I2_DOC,
+                   "--x", _diag_doc(0, 1.35e154), "--y", _diag_doc(0, 1.35e154)])
+    @example(argv=["curvature", "--kind", "riemann04", "--at", I2_DOC,
+                   "--x", _diag_doc(0, 1.19e174), "--y", E21_DOC,
+                   "--z", _diag_doc(0, 1.19e174), "--w", E21_DOC])
+    @example(argv=["curvature", "--kind", "sectional", "--at", I2_DOC,
+                   "--x", _diag_doc(1e200, 0), "--y", _diag_doc(0, 1e200)])
+    @example(argv=["classify", "--k0", _scaled_identity_doc(1.34e154),
+                   "--k1", _scaled_identity_doc(1.34e154)])
+    @example(argv=["arc", "--k0", _scaled_identity_doc(1.34e154),
+                   "--k1", _scaled_identity_doc(1.34e154)])
+    @example(argv=["broken-arc", "--k1", _scaled_identity_doc(1e200),
+                   "--k2", _scaled_identity_doc(1e200)])
+    @example(argv=["geodesic", "--k", _scaled_identity_doc(1.35e154), "--c", _diag_doc(0, 0)])
+    @example(argv=["geodesic", "--k", _diag_doc(1e-12, 1), "--velocity", _diag_doc(1e300, 0)])
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_command_lines())
+    def test_every_matrix_command_answers_in_json(self, argv):
+        _assert_answers_in_json(argv)
 
 
 class TestSignatureCommand:
@@ -258,6 +327,16 @@ class TestGeodesicCommand:
                                      "--c", '{"n":2,"data":[[800,0],[0,1]]}', "--samples", "2")
         assert (code, out, caught) == (1, "", [])
         assert json.loads(err)["error"] == "ill-conditioned"
+
+    def test_overflowing_determinant_is_an_error_without_a_warning(self, capsys):
+        # every sample is finite, but det(1.35e154 I) = 1.8e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "geodesic", "--k", _scaled_identity_doc(1.35e154),
+                                     "--c", _diag_doc(0, 0), "--samples", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ill-conditioned",
+                                   "message": "determinant overflows the float range"}
 
     def test_velocity_input(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -103,6 +105,21 @@ class TestSectional:
                 continue
             again = sectional(I2, a * X + b * Y, c * X + d * Y)
             assert again == pytest.approx(base, abs=1e-8 * max(1.0, abs(base)))
+
+    def test_scale_free_in_each_tangent_without_overflow(self, rng):
+        # the value is invariant under X -> aX, Y -> bY, even where the Gram entries of aX, bY
+        # would leave the float range
+        for n in (2, 3, 5):
+            K = random_invertible(rng, n)
+            X, Y = rng.uniform(-1, 1, (2, n, n))
+            base = sectional(K, X, Y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for a, b in ((1e200, 1e200), (1e-6, 3.0), (1e250, 1e255)):
+                    assert sectional(K, a * X, b * Y) == pytest.approx(base, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sectional(I2, np.diag([1e200, 0.0]), np.diag([0.0, 1e200])) == 0.0
 
     def test_linear_dependence_rejected(self, basis2):
         with pytest.raises(LinearlyDependentError):

@@ -154,6 +154,17 @@ class TestSpdGeodesic:
         with pytest.raises(NotSymmetricError):
             spd_geodesic(I2, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
 
+    def test_symmetry_tests_do_not_overflow(self):
+        # ||S|| of entries near 1e300 overflows; the tests scale by the largest entry first
+        lopsided = np.array([[1e300, 1e300], [0.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymmetricError):
+                spd_geodesic(I2, lopsided, 0.0)
+            with pytest.raises(NotSPDError, match="symmetric"):
+                spd_geodesic(lopsided, I2, 0.0)
+            assert_allclose(spd_geodesic(1e300 * I2, np.zeros((2, 2)), 1.0), 1e300 * I2)
+
 
 class TestNabla:
     def test_constant_fields_at_identity(self, rng):
@@ -352,6 +363,16 @@ class TestClassification:
             classify_arc(np.eye(4), M, 1e-8)
 
 
+def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
+    # ||K1|| overflows for entries of 1.34e154; a wrong witness must still be caught
+    K = 1.34e154 * I2
+    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, profile, tol: np.diag([1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
+            classify_arc(K, K)
+
+
 class TestUniqueArc:
     def test_geometric_mean_of_commuting_pair(self):
         geo = unique_arc(I2, np.diag([1.0, 4.0]))
@@ -448,3 +469,12 @@ class TestBrokenArc:
     def test_different_components_rejected(self):
         with pytest.raises(DifferentComponentsError):
             broken_arc(I2, np.diag([-1.0, 1.0]))
+
+    def test_component_test_reads_determinant_signs_without_overflow(self):
+        # det(K1) det(K2) = 1e800 overflows; the signs decide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DifferentComponentsError):
+                broken_arc(1e200 * I2, np.diag([-1e200, 1e200]))
+            arc = broken_arc(1e200 * I2, 1e200 * I2)
+        assert_allclose(arc.joint, 1e200 * I2)
