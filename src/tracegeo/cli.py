@@ -18,10 +18,8 @@ import numpy as np
 from . import curvature as curvature_mod
 from . import geodesy, metricspace, verify
 from .errors import IllConditionedError, TraceGeoError
-from .matcore import _overflow_guard
+from .matcore import _det
 from .verify import matrix_document
-
-_det = _overflow_guard("determinant")(np.linalg.det)
 
 
 class _ParseError(Exception):

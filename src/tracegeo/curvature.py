@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
 from .matcore import _overflow_guard, as_point_and_tangents, as_squares
-from .metricspace import gram_matrix, standard_basis
+from .metricspace import _gram_of_inverse, gram_matrix, standard_basis
 
 __all__ = [
     "riemann_13",
@@ -164,11 +164,12 @@ def christoffel_closed(P):
     """
     P = as_point_and_tangents(P, "P")[0]
     n = P.shape[0]
-    B = np.linalg.inv(P)
+    e = np.frexp(np.abs(P).max())[1]  # Gamma(P) = Gamma(P / 2^e) / 2^e, exactly, with no overflow
+    B = np.linalg.inv(np.ldexp(P, -e))
     T = np.einsum("jk,lr,si->jilksr", B, B, B).reshape(n * n, n * n, n * n)
     sym = T + T.transpose(1, 0, 2)
-    Ginv = np.linalg.inv(gram_matrix(P))
-    return -0.5 * np.einsum("cd,abd->abc", Ginv, sym)
+    Ginv = np.linalg.inv(_gram_of_inverse(B))
+    return np.ldexp(-0.5 * np.einsum("cd,abd->abc", Ginv, sym), -e)
 
 
 def christoffel_fd(P, h=1e-4):

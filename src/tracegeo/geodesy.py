@@ -23,7 +23,6 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
-    _cluster_means,
     _expm,
     _jordan_partition,
     _kernel_staircase,
@@ -211,21 +210,20 @@ def _log_series_nilpotent(lam, k):
     return S
 
 
-def _negative_spectrum_log(B, tol):
+def _negative_spectrum_log(B, clusters, tol):
     """Real logarithm of a matrix whose spectrum is negative with even pairing.
 
-    Equal-size Jordan chains of each eigenvalue are paired; on the span of a
-    pair the logarithm acts as [[log|lam| I + S, -pi I], [pi I, log|lam| I + S]]
-    with S the nilpotent log series, the realification of the angle-pi branch
-    of the complex logarithm.
+    ``clusters`` are B's negative eigenvalue clusters, as profiled on the
+    matrix that B is a Schur block of.  Equal-size Jordan chains of each
+    eigenvalue are paired; on the span of a pair the logarithm acts as
+    [[log|lam| I + S, -pi I], [pi I, log|lam| I + S]] with S the nilpotent
+    log series, the realification of the angle-pi branch of the complex
+    logarithm.
     """
-    _, clusters = _cluster_means(np.linalg.eigvals(B), float(np.linalg.norm(B, 2)), tol)
     columns, blocks = [], []
-    for mean, mult in sorted(clusters, key=lambda c: (c[0].real, c[0].imag)):
-        lam = mean.real
-        if mean.imag != 0.0 or lam >= 0:
-            raise IllConditionedError("negative-spectrum block contains non-negative eigenvalues")
-        chains = _jordan_chains(B, lam, mult, tol)
+    for cluster in clusters:
+        lam = cluster.eigenvalue.real
+        chains = _jordan_chains(B, lam, cluster.multiplicity, tol)
         by_len = {}
         for chain in chains:
             by_len.setdefault(len(chain), []).append(chain)
@@ -246,19 +244,20 @@ def _negative_spectrum_log(B, tol):
 
 def _real_log_witness(M, profile, tol):
     """Some real solution of exp(X) = M, principal wherever possible."""
-    if not profile.negative_real():
+    negative = profile.negative_real()
+    if not negative:
         return real_log_principal(M, tol)
     n = M.shape[0]
     sla = _scipy_linalg()
     T, Z, k = sla.schur(M, output="real", sort=lambda re, im: is_negative_real(complex(re, im), tol))
-    if k == 0:
-        raise IllConditionedError("spectral split lost the negative eigenvalues")
+    if k != sum(c.multiplicity for c in negative):
+        raise IllConditionedError("spectral split disagrees with the negative eigenvalue clusters")
     if k == n:
-        L = _negative_spectrum_log(T, tol)
+        L = _negative_spectrum_log(T, negative, tol)
         return Z @ L @ Z.T
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     X = sla.solve_sylvester(T11, -T22, -T12)
-    L11 = _negative_spectrum_log(T11, tol)
+    L11 = _negative_spectrum_log(T11, negative, tol)
     L22 = real_log_principal(T22, tol)
     L_blk = sla.block_diag(L11, L22)
     R = np.eye(n)
@@ -342,12 +341,11 @@ def broken_arc(K1, K2, tol=DEFAULT_TOL):
     principal-log arc; Z^{-1} K2 = O1^T O2 is special orthogonal, so the
     second leg is a rotation arc through the skew logarithm.
     """
-    K1, K2 = as_point_and_tangents(K1, "K1", K2=K2)
-    require_invertible(K2, "K2")
+    K1, K2 = as_squares(K1=K1, K2=K2)
+    left = polar_decompose(K1, side="left")  # the singular cuts on K1 and K2
+    right = polar_decompose(K2, side="right")
     if np.linalg.slogdet(K1)[0] != np.linalg.slogdet(K2)[0]:
         raise DifferentComponentsError("endpoints lie in different determinant components")
-    left = polar_decompose(K1, side="left")
-    right = polar_decompose(K2, side="right")
     Z = right.positive @ left.orthogonal
     C1 = real_log_principal(np.linalg.solve(K1, Z), tol)
     C2 = so_log(left.orthogonal.T @ right.orthogonal, tol)

@@ -92,6 +92,9 @@ def _overflow_guard(what):
     return decorate
 
 
+_det = _overflow_guard("determinant")(np.linalg.det)
+
+
 def _relative_gap(A, B):
     """``||A - B||_F / max(1, ||B||_F)``, free of overflow: A, B scaled by their largest entry."""
     s = float(max(np.abs(A).max(), np.abs(B).max())) or 1.0
@@ -270,7 +273,8 @@ def _cluster_indices(eigs, thresh):
 def _kernel_staircase(A, lam, mult, tol):
     """``E = A - lam I`` and kernel bases of E^0, E^1, ..., from one full SVD per power.
 
-    Rank E^k counts singular values above ``tol * max(1, ||E||_2)^k``, clamped to
+    Rank E^k counts singular values above ``tol * s^k`` for ``s = max(1, ||E||_2)``, read as
+    those of ``E (E/s)^(k-1)`` above ``tol * s`` so that no power overflows; clamped to
     [n - mult, rank E^(k-1)]; if ``mult`` powers stay above n - mult, one forced step ends there.
     """
     n = A.shape[0]
@@ -283,11 +287,12 @@ def _kernel_staircase(A, lam, mult, tol):
         _, s, Vh = np.linalg.svd(Ek)
         if k == 1:
             scale = max(1.0, float(s[0]))
-        rank = min(max(int(np.count_nonzero(s > tol * scale**k)), floor), rank)
+            step = E / scale
+        rank = min(max(int(np.count_nonzero(s > tol * scale)), floor), rank)
         bases.append(Vh[rank:].conj().T)
         if rank == floor:
             return E, bases
-        Ek = Ek @ E
+        Ek = Ek @ step
     bases.append(Vh[floor:].conj().T)  # the forced step
     return E, bases
 
@@ -321,14 +326,13 @@ def spectral_profile(A, tol=DEFAULT_TOL):
 
 
 def _cluster_means(eigs, norm2, tol):
-    """The cut ``tol * max(1, norm2)`` and a (mean, multiplicity) pair per
-    eigenvalue cluster at that cut, near-real means snapped onto the real axis."""
-    thresh = tol * max(1.0, norm2)
+    """A (mean, multiplicity) pair per eigenvalue cluster at the cut ``tol * max(1, norm2)``,
+    near-real means snapped onto the real axis."""
     reps = []
-    for idx in _cluster_indices(eigs, thresh):
+    for idx in _cluster_indices(eigs, tol * max(1.0, norm2)):
         lam = complex(np.mean(eigs[idx]))
         reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(idx)))
-    return thresh, reps
+    return reps
 
 
 def profile_from_spectrum(A, eigs, norm2, tol):
@@ -338,33 +342,14 @@ def profile_from_spectrum(A, eigs, norm2, tol):
     computed once by a caller that profiles the same matrix at several
     tolerances.
     """
-    thresh, reps = _cluster_means(eigs, norm2, tol)
+    reps = _cluster_means(eigs, norm2, tol)
+    # eig of a real matrix returns exact conjugate pairs and single linkage is mirror-symmetric, so
+    # each lower-half-plane mean is the exact conjugate of an upper one and takes its block sizes
+    upper = {lam: _block_sizes(A, lam, mult, tol) for lam, mult in reps if lam.imag > 0}
     clusters = []
-    done = [False] * len(reps)
-    for i, (lam, mult) in enumerate(reps):
-        if lam.imag == 0.0:
-            clusters.append(EigenCluster(lam, _block_sizes(A, lam, mult, tol)))
-            done[i] = True
-    # complex clusters of a real matrix come in conjugate mirrors; compute the
-    # upper-half-plane representative once and mirror the block structure
-    for i, (lam, mult) in enumerate(reps):
-        if done[i] or lam.imag < 0:
-            continue
-        sizes = _block_sizes(A, lam, mult, tol)
+    for lam, mult in reps:
+        sizes = upper.get(complex(lam.real, abs(lam.imag))) or _block_sizes(A, lam, mult, tol)
         clusters.append(EigenCluster(lam, sizes))
-        done[i] = True
-        conj = lam.conjugate()
-        j = min(
-            (k for k in range(len(reps)) if not done[k] and reps[k][0].imag < 0),
-            key=lambda k: abs(reps[k][0] - conj),
-            default=None,
-        )
-        if j is not None and abs(reps[j][0] - conj) <= max(thresh, 1e-12 * max(1.0, abs(conj))):
-            clusters.append(EigenCluster(conj, sizes))
-            done[j] = True
-    for i, (lam, mult) in enumerate(reps):  # pathological leftovers
-        if not done[i]:
-            clusters.append(EigenCluster(lam, _block_sizes(A, lam, mult, tol)))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return SpectralProfile(tuple(clusters), float(tol))
 

@@ -19,7 +19,7 @@ from .errors import (
     NotUnimodularError,
     SingularMatrixError,
 )
-from .matcore import _overflow_guard, as_point_and_tangents, as_squares, require_invertible
+from .matcore import _det, _overflow_guard, as_point_and_tangents, as_squares, require_invertible
 
 
 @_overflow_guard("metric value")
@@ -42,11 +42,13 @@ def gram_matrix(A):
     matrix units column by column.  For B = A^{-1} the value collapses to
     B[j, k] * B[l, i] with alpha <-> (i, j), beta <-> (k, l).
     """
-    A = as_point_and_tangents(A, "A")[0]
-    n = A.shape[0]
-    B = np.linalg.inv(A)
-    T = np.einsum("jk,li->jilk", B, B)
-    return T.reshape(n * n, n * n)
+    return _gram_of_inverse(np.linalg.inv(as_point_and_tangents(A, "A")[0]))
+
+
+def _gram_of_inverse(B):
+    """:func:`gram_matrix` at ``B^{-1}``."""
+    n = B.shape[0]
+    return np.einsum("jk,li->jilk", B, B).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,9 @@ def signature_at(A, zero_tol=1e-10):
     Raises DegenerateMetricError when a Gram eigenvalue is numerically zero,
     which signals breakdown rather than a mathematical possibility.
     """
-    G = gram_matrix(A)
+    A = as_point_and_tangents(A, "A")[0]
+    # the signature is scale-free; a power of two near the largest entry keeps B (x) B in range
+    G = _gram_of_inverse(np.linalg.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
     w = np.linalg.eigvalsh(0.5 * (G + G.T))
     cut = zero_tol * float(np.abs(w).max())
     if np.any(np.abs(w) <= cut):
@@ -202,7 +206,7 @@ def sl_tangent_project(K, W):
 
 def leaf_of(Q):
     """Label of the determinant leaf through ``Q``: det(Q)."""
-    return float(np.linalg.det(as_point_and_tangents(Q, "Q")[0]))
+    return float(_det(as_point_and_tangents(Q, "Q")[0]))
 
 
 def leaf_base_point(c, n):
@@ -247,11 +251,11 @@ def product_inverse(Q):
     Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
     """
     Q = as_squares(Q=Q)[0]
-    d = float(np.linalg.det(Q))
-    if d <= 0.0:
+    sign, logdet = np.linalg.slogdet(Q)
+    if sign <= 0.0:
         raise NonPositiveDeterminantError("product chart needs a positive determinant")
     n = Q.shape[0]
-    return ProductPoint(Q / d ** (1.0 / n), math.log(d) / math.sqrt(n))
+    return ProductPoint(Q / math.exp(logdet / n), float(logdet) / math.sqrt(n))
 
 
 def product_pushforward(p, M, a):

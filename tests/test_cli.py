@@ -240,6 +240,7 @@ class TestHostileInput:
                    "--k1", _scaled_identity_doc(1.34e154)])
     @example(argv=["broken-arc", "--k1", _scaled_identity_doc(1e200),
                    "--k2", _scaled_identity_doc(1e200)])
+    @example(argv=["classify", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[1e200,1e200],[0,1e200]]}'])
     @example(argv=["geodesic", "--k", _scaled_identity_doc(1.35e154), "--c", _diag_doc(0, 0)])
     @example(argv=["geodesic", "--k", _diag_doc(1e-12, 1), "--velocity", _diag_doc(1e300, 0)])
     @settings(max_examples=300, deadline=None)

@@ -216,6 +216,16 @@ class TestChristoffel:
         assert float(np.abs(closed - fd).max()) <= 1e-5
         assert closed.shape == (4, 4, 4)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e3, 1e100, 1e200])
+    def test_homothety_scales_the_symbols(self, c, rng):
+        # Gamma(cP) = Gamma(P) / c, with no underflow of the triple products of (cP)^-1
+        P = np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = christoffel_closed(c * P)
+        want = christoffel_closed(P) / c
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_oracle_agreement_near_identity(self, rng):
         for n in (2, 3):
             P = np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n))

@@ -13,6 +13,7 @@ from tracegeo import (
     NotSPDError,
     NotSymmetricError,
     NotUniqueError,
+    SingularMatrixError,
     broken_arc,
     classify_arc,
     curve_residual,
@@ -311,11 +312,13 @@ class TestClassification:
 
     @pytest.mark.parametrize("case", ["paired", "defective-pairs", "mixed"])
     def test_negative_witness_needs_no_second_profile(self, case, rng, monkeypatch):
-        # the negative-spectrum log reads block sizes and chains off one
-        # staircase run per cluster; it never profiles its Schur block again
+        # the negative-spectrum log takes its clusters from the profile of M and reads
+        # chains off one staircase run per cluster; it never clusters its Schur block again
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_profile called")
 
+        eigvals, solves = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: solves.append(A) or eigvals(A))
         monkeypatch.setattr(matcore, "spectral_profile", refuse)
         monkeypatch.setattr(geodesy, "spectral_profile", refuse, raising=False)
         rot = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -330,6 +333,14 @@ class TestClassification:
         out = classify_arc(np.eye(n), M, tol)
         assert out.verdict is ArcKind.CONTINUUM
         assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["none", "all"])
+    def test_schur_split_disagreeing_with_the_clusters_raises(self, negative, monkeypatch):
+        # the Schur split selects on each eigenvalue, the profile on cluster means
+        monkeypatch.setattr(geodesy, "is_negative_real", lambda lam, tol: negative)
+        with pytest.raises(IllConditionedError, match="spectral split disagrees"):
+            classify_arc(np.eye(3), np.diag([-1.0, -1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "blocks",
@@ -465,6 +476,24 @@ class TestBrokenArc:
             K2[0] = -K2[0]
         arc = broken_arc(K1, K2)
         assert np.linalg.norm(arc.second.point(1.0) - K2) <= 1e-8 * max(1.0, np.linalg.norm(K2))
+
+    @pytest.mark.parametrize("singular", ["K1", "K2"])
+    def test_singular_endpoint_raises(self, singular, rng):
+        ends = {"K1": random_spd(rng, 3), "K2": random_spd(rng, 3)}
+        ends[singular] = np.diag([1.0, 2.0, 0.0])
+        with pytest.raises(SingularMatrixError):
+            broken_arc(ends["K1"], ends["K2"])
+
+    def test_each_endpoint_takes_one_svd(self, rng, monkeypatch):
+        # the polar decompositions make the singular cuts on K1 and K2; the one other
+        # SVD of K1 is the first leg's own check of its base point
+        K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
+        if np.linalg.det(K2) < 0:
+            K2[0] = -K2[0]
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        broken_arc(K1, K2)
+        assert [sum(np.array_equal(a, K) for a in seen) for K in (K1, K2)] == [2, 1]
 
     def test_different_components_rejected(self):
         with pytest.raises(DifferentComponentsError):

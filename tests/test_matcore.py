@@ -16,7 +16,8 @@ from tracegeo import (
     so_log,
     spectral_profile,
 )
-from tracegeo.matcore import require_invertible
+from tracegeo import matcore
+from tracegeo.matcore import EigenCluster, SpectralProfile, require_invertible
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
@@ -231,6 +232,86 @@ class TestSpectralProfile:
             for c in prof.clusters:
                 assert sum(c.block_sizes) == c.multiplicity
                 assert all(s >= 1 for s in c.block_sizes)
+
+
+def three_pass_profile(A, eigs, norm2, tol):
+    """Reference pairing: real clusters, then each upper cluster with its nearest unpaired
+    lower cluster within max(cut, 1e-12 max(1, |conj|)), then a pass over the leftovers."""
+    thresh = tol * max(1.0, norm2)
+    reps = matcore._cluster_means(eigs, norm2, tol)
+    clusters = []
+    done = [False] * len(reps)
+    for i, (lam, mult) in enumerate(reps):
+        if lam.imag == 0.0:
+            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)))
+            done[i] = True
+    for i, (lam, mult) in enumerate(reps):
+        if done[i] or lam.imag < 0:
+            continue
+        sizes = matcore._block_sizes(A, lam, mult, tol)
+        clusters.append(EigenCluster(lam, sizes))
+        done[i] = True
+        conj = lam.conjugate()
+        j = min(
+            (k for k in range(len(reps)) if not done[k] and reps[k][0].imag < 0),
+            key=lambda k: abs(reps[k][0] - conj),
+            default=None,
+        )
+        if j is not None and abs(reps[j][0] - conj) <= max(thresh, 1e-12 * max(1.0, abs(conj))):
+            clusters.append(EigenCluster(conj, sizes))
+            done[j] = True
+    for i, (lam, mult) in enumerate(reps):
+        if not done[i]:
+            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)))
+    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
+    return SpectralProfile(tuple(clusters), float(tol))
+
+
+def conjugate_pair_core(rng, n):
+    """A real n x n core of rotation-scale blocks (simple, repeated, defective and near the
+    real axis) filled up with real eigenvalues and real Jordan blocks."""
+    blocks = []
+    while (room := n - sum(b.shape[0] for b in blocks)) > 0:
+        kinds = ["real"] + ["pair", "near-axis", "real-jordan"] * (room >= 2)
+        kinds += ["repeated-pair", "defective-pair"] * (room >= 4)
+        kind = kinds[rng.integers(len(kinds))]
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+        b = float(rng.uniform(0.2, 2.0))
+        if kind == "near-axis":
+            b = abs(a) * 10.0 ** rng.uniform(-12, -5)
+        R = np.array([[a, -b], [b, a]])
+        if kind == "real":
+            blocks.append(np.array([[a]]))
+        elif kind == "real-jordan":
+            blocks.append(jordan_block(a, 2))
+        elif kind in ("pair", "near-axis"):
+            blocks.append(R)
+        elif kind == "repeated-pair":
+            blocks.append(sla.block_diag(R, R))
+        else:
+            blocks.append(np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]]))
+    return sla.block_diag(*blocks)
+
+
+def test_mirrored_clusters_match_the_three_pass_pairing():
+    rng = np.random.default_rng(7)
+    with_pairs = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+        A = 10.0 ** rng.uniform(-8, 8) * (S @ conjugate_pair_core(rng, n) @ np.linalg.inv(S))
+        eigs, norm2 = np.linalg.eigvals(A), float(np.linalg.norm(A, 2))
+        for tol in (1e-10, 1e-8, 1e-6):
+            got = matcore.profile_from_spectrum(A, eigs, norm2, tol)
+            want = three_pass_profile(A, eigs, norm2, tol)
+
+            def bits(profile):
+                return [(c.eigenvalue.real.hex(), c.eigenvalue.imag.hex(), c.block_sizes)
+                        for c in profile.clusters]
+
+            assert bits(got) == bits(want)
+            with_pairs += bool(got.non_real())
+    assert with_pairs >= 150
 
 
 class TestPolar:

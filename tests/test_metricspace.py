@@ -120,6 +120,13 @@ class TestSignature:
         with pytest.raises(SingularMatrixError):
             signature_at(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("c", [1e-6, 1e3, 1e100, 1e200])
+    def test_unchanged_by_scaling(self, c, rng):
+        A = random_invertible(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert signature_at(c * A) == signature_at(A)
+
 
 class TestIsometries:
     def test_apply_examples(self, rng):
@@ -266,12 +273,25 @@ class TestProductStructure:
         with pytest.raises(NonPositiveDeterminantError):
             product_inverse(np.diag([-1.0, 1.0]))
 
+    def test_inverse_reads_the_log_determinant_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = product_inverse(1e200 * I2)
+        assert_allclose(p.sl_part, I2, rtol=1e-12)  # exp(log det / n) errs by about |log det| u
+        assert p.line_part == pytest.approx(400.0 * np.log(10.0) / np.sqrt(2.0), rel=1e-14)
+
 
 class TestLeaves:
     def test_leaf_labels(self):
         assert leaf_of(I2) == pytest.approx(1.0)
         assert leaf_of(np.diag([2.0, 3.0])) == pytest.approx(6.0)
         assert leaf_of(np.diag([-1.0, 1.0])) == pytest.approx(-1.0)
+
+    def test_determinant_overflow_is_a_typed_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="determinant"):
+                leaf_of(1e200 * I2)
 
     def test_leaf_base_point(self):
         P0 = leaf_base_point(-8.0, 3)
