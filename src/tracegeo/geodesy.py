@@ -26,12 +26,11 @@ from .matcore import (
     _expm,
     _jordan_partition,
     _kernel_staircase,
+    _log_from_eig,
     _overflow_guard,
     _relative_gap,
-    _scipy_linalg,
     as_point_and_tangents,
     as_squares,
-    is_negative_real,
     polar_decompose,
     profile_from_spectrum,
     real_log_principal,
@@ -173,12 +172,13 @@ def _pick_complement(candidates, excluded, need):
 
 
 def _jordan_chains(B, lam, mult, tol):
-    """Jordan chains of B for the real eigenvalue lam, from one kernel staircase.
+    """Jordan chains of B for the real eigenvalue lam, and a basis of its left generalised
+    eigenspace, from one kernel staircase.
 
     Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
     and (B - lam) x_j = x_{j-1}.
     """
-    E, null_bases = _kernel_staircase(B, lam, mult, tol)
+    E, null_bases, left = _kernel_staircase(B, lam, mult, tol)
     sizes = _jordan_partition(null_bases)
     n = B.shape[0]
     chains = []
@@ -199,72 +199,41 @@ def _jordan_chains(B, lam, mult, tol):
                 chains.append([v / scale for v in chain])
         level = np.hstack([carry, tops])
         carry = E @ level if level.shape[1] else level
-    return chains
+    return chains, left
 
 
-def _log_series_nilpotent(lam, k):
-    """Sum_{i=1}^{k-1} (-1)^{i+1} N^i / (i lam^i) for the k x k nilpotent N."""
-    S = np.zeros((k, k))
-    for i in range(1, k):
-        S += ((-1) ** (i + 1) / (i * lam**i)) * np.eye(k, k, i)
-    return S
-
-
-def _negative_spectrum_log(B, clusters, tol):
-    """Real logarithm of a matrix whose spectrum is negative with even pairing.
-
-    ``clusters`` are B's negative eigenvalue clusters, as profiled on the
-    matrix that B is a Schur block of.  Equal-size Jordan chains of each
-    eigenvalue are paired; on the span of a pair the logarithm acts as
-    [[log|lam| I + S, -pi I], [pi I, log|lam| I + S]] with S the nilpotent
-    log series, the realification of the angle-pi branch of the complex
-    logarithm.
-    """
-    columns, blocks = [], []
-    for cluster in clusters:
-        lam = cluster.eigenvalue.real
-        chains = _jordan_chains(B, lam, cluster.multiplicity, tol)
-        by_len = {}
-        for chain in chains:
-            by_len.setdefault(len(chain), []).append(chain)
-        for k in sorted(by_len):
-            group = by_len[k]
-            if len(group) % 2:
-                raise IllConditionedError("negative eigenvalue with unpaired Jordan block")
-            base = np.log(abs(lam)) * np.eye(k) + _log_series_nilpotent(lam, k)
-            for first, second in zip(group[0::2], group[1::2]):
-                columns.extend(first)
-                columns.extend(second)
-                blk = np.block([[base, -np.pi * np.eye(k)], [np.pi * np.eye(k), base]])
-                blocks.append(blk)
-    V = np.column_stack(columns)
-    L_local = _scipy_linalg().block_diag(*blocks)
-    return V @ L_local @ np.linalg.inv(V)
-
-
+@_overflow_guard("arc logarithm")
 def _real_log_witness(M, profile, tol):
-    """Some real solution of exp(X) = M, principal wherever possible."""
-    negative = profile.negative_real()
-    if not negative:
+    """Some real solution C of exp(C) = M, principal wherever possible.
+
+    The verdict paired the Jordan blocks of each negative cluster of the profile, and the chains
+    of M come off the same staircase, so equal-length chains pair up as x, y.  With dual rows D
+    (D [X Y] = I, from the left generalised eigenspaces), P = [X Y] D is the negative spectral
+    projector and J = Y D_x - X D_y has J^2 = -P; both commute with M, so exp(pi J) = I - 2P and
+    C = log(M (I - 2P)) + pi J: the principal log with the negative spectrum flipped, then the
+    angle-pi turn that flips it back.
+    """
+    xs, ys, lefts = [], [], []
+    for cluster in profile.negative_real():
+        chains, left = _jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
+        chains.sort(key=len)
+        for x, y in zip(chains[0::2], chains[1::2]):
+            xs.extend(x)
+            ys.extend(y)
+        lefts.append(left)
+    if not xs:
         return real_log_principal(M, tol)
-    n = M.shape[0]
-    sla = _scipy_linalg()
-    T, Z, k = sla.schur(M, output="real", sort=lambda re, im: is_negative_real(complex(re, im), tol))
-    if k != sum(c.multiplicity for c in negative):
-        raise IllConditionedError("spectral split disagrees with the negative eigenvalue clusters")
-    if k == n:
-        L = _negative_spectrum_log(T, negative, tol)
-        return Z @ L @ Z.T
-    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    X = sla.solve_sylvester(T11, -T22, -T12)
-    L11 = _negative_spectrum_log(T11, negative, tol)
-    L22 = real_log_principal(T22, tol)
-    L_blk = sla.block_diag(L11, L22)
-    R = np.eye(n)
-    R[:k, k:] = X
-    Rinv = np.eye(n)
-    Rinv[:k, k:] = -X
-    return Z @ (R @ L_blk @ Rinv) @ Z.T
+    V = np.column_stack(xs + ys)
+    W = np.hstack(lefts)
+    try:  # a singular W^T V, or one so near it that the projector overflows
+        D = np.linalg.solve(W.T @ V, W.T)
+        A = M - 2.0 * (M @ (V @ D))
+        eigs, Q = np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("negative Jordan chains have no dual basis") from None
+    half = len(xs)
+    J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
+    return _log_from_eig(A, eigs, Q, tol) + np.pi * J
 
 
 def classify_arc(K0, K1, tol=DEFAULT_TOL):

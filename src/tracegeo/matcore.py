@@ -11,6 +11,8 @@ the start of a short process.
 """
 
 import functools
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +98,14 @@ _det = _overflow_guard("determinant")(np.linalg.det)
 
 
 def _relative_gap(A, B):
-    """``||A - B||_F / max(1, ||B||_F)``, free of overflow: A, B scaled by their largest entry."""
-    s = float(max(np.abs(A).max(), np.abs(B).max())) or 1.0
-    return float(np.linalg.norm(A / s - B / s)) / max(1.0 / s, float(np.linalg.norm(B / s)))
+    """``||A - B||_F / ||B||_F``, free of overflow: A, B scaled by their largest entry.
+
+    Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is ``inf``)."""
+    s = float(max(np.abs(A).max(), np.abs(B).max()))
+    if s == 0.0:
+        return 0.0
+    scale = float(np.linalg.norm(B / s))
+    return float(np.linalg.norm(A / s - B / s)) / scale if scale else math.inf
 
 
 def _on_real_axis(lam, tol):
@@ -183,13 +190,28 @@ def _log_from_eig(A, eigs, V, tol):
         diagonal = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) <= _EIGENBASIS_COND_MAX
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         diagonal = False
-    L = (V * np.log(eigs)) @ Vinv if diagonal else _scipy_linalg().logm(A)
+    L = (V * np.log(eigs)) @ Vinv if diagonal else _logm(A)
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
         if dirt > tol * max(1.0, float(np.abs(L.real).max())):
             raise SpectrumOnCutError("logarithm came back complex; spectrum too close to the cut")
         L = L.real
     return L
+
+
+@_overflow_guard("matrix logarithm")
+def _logm(A):
+    """``scipy.linalg.logm(A)`` without its warnings; an overflow of its error estimate raises.
+
+    The estimate ``expm(logm A) - A`` can overflow (ValueError from its finiteness check), and its
+    "result may be inaccurate" warning fires near 1e-12 on logarithms that pass the endpoint gates.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return _scipy_linalg().logm(A)
+        except ValueError as exc:
+            raise IllConditionedError("matrix logarithm overflows the float range") from exc
 
 
 def fractional_power(A, t, tol=DEFAULT_TOL):
@@ -271,7 +293,8 @@ def _cluster_indices(eigs, thresh):
 
 
 def _kernel_staircase(A, lam, mult, tol):
-    """``E = A - lam I`` and kernel bases of E^0, E^1, ..., from one full SVD per power.
+    """``E = A - lam I``, kernel bases of E^0, E^1, ..., and a left kernel basis ``U`` of the last
+    power (``U^H E^k = 0``, the left generalised eigenspace), from one full SVD per power.
 
     Rank E^k counts singular values above ``tol * s^k`` for ``s = max(1, ||E||_2)``, read as
     those of ``E (E/s)^(k-1)`` above ``tol * s`` so that no power overflows; clamped to
@@ -284,17 +307,17 @@ def _kernel_staircase(A, lam, mult, tol):
     bases = [np.zeros((n, 0), dtype=E.dtype)]
     Ek = E
     for k in range(1, mult + 1):
-        _, s, Vh = np.linalg.svd(Ek)
+        U, s, Vh = np.linalg.svd(Ek)
         if k == 1:
             scale = max(1.0, float(s[0]))
             step = E / scale
         rank = min(max(int(np.count_nonzero(s > tol * scale)), floor), rank)
         bases.append(Vh[rank:].conj().T)
         if rank == floor:
-            return E, bases
+            return E, bases, U[:, floor:]
         Ek = Ek @ step
     bases.append(Vh[floor:].conj().T)  # the forced step
-    return E, bases
+    return E, bases, U[:, floor:]
 
 
 def _jordan_partition(bases):

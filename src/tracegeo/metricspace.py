@@ -232,17 +232,19 @@ class ProductPoint:
 
     def __post_init__(self):
         P = as_squares(sl_part=self.sl_part)[0]
-        if abs(np.linalg.det(P) - 1.0) > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
+            unimodular = abs(np.linalg.det(P) - 1.0) <= 1e-10
+        if not unimodular:
             raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
         object.__setattr__(self, "line_part", float(self.line_part))
 
 
+@_overflow_guard("product chart")
 def product_forward(p):
     """Map (P, x) to e^{x / sqrt(n)} P in the positive-determinant component."""
     P = p.sl_part
-    n = P.shape[0]
-    return math.exp(p.line_part / math.sqrt(n)) * P
+    return np.exp(p.line_part / math.sqrt(P.shape[0])) * P
 
 
 def product_inverse(Q):
@@ -258,9 +260,10 @@ def product_inverse(Q):
     return ProductPoint(Q / math.exp(logdet / n), float(logdet) / math.sqrt(n))
 
 
+@_overflow_guard("product chart")
 def product_pushforward(p, M, a):
     """Differential of :func:`product_forward` at (P, x) on the tangent (M, a)."""
     P, M = as_squares(sl_part=p.sl_part, M=M)
     n = P.shape[0]
-    scale = math.exp(p.line_part / math.sqrt(n))
+    scale = np.exp(p.line_part / math.sqrt(n))
     return scale * M + (scale / math.sqrt(n)) * float(a) * P

@@ -14,6 +14,7 @@ from tracegeo import (
     NotSymmetricError,
     NotUniqueError,
     SingularMatrixError,
+    TraceGeoError,
     broken_arc,
     classify_arc,
     curve_residual,
@@ -166,6 +167,15 @@ class TestSpdGeodesic:
                 spd_geodesic(lopsided, I2, 0.0)
             assert_allclose(spd_geodesic(1e300 * I2, np.zeros((2, 2)), 1.0), 1e300 * I2)
 
+    def test_symmetry_tests_have_no_floor(self):
+        # a lopsided velocity is not symmetric at any scale
+        lopsided = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for c in (1e-12, 1e-300):
+            with pytest.raises(NotSymmetricError):
+                spd_geodesic(I2, c * lopsided, 1.0)
+            with pytest.raises(NotSPDError, match="symmetric"):
+                spd_geodesic(c * lopsided, I2, 1.0)
+
 
 class TestNabla:
     def test_constant_fields_at_identity(self, rng):
@@ -313,7 +323,7 @@ class TestClassification:
     @pytest.mark.parametrize("case", ["paired", "defective-pairs", "mixed"])
     def test_negative_witness_needs_no_second_profile(self, case, rng, monkeypatch):
         # the negative-spectrum log takes its clusters from the profile of M and reads
-        # chains off one staircase run per cluster; it never clusters its Schur block again
+        # chains off one staircase run per cluster; it never clusters anything again
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_profile called")
 
@@ -335,12 +345,27 @@ class TestClassification:
         assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
         assert len(solves) == 1
 
-    @pytest.mark.parametrize("negative", [False, True], ids=["none", "all"])
-    def test_schur_split_disagreeing_with_the_clusters_raises(self, negative, monkeypatch):
-        # the Schur split selects on each eigenvalue, the profile on cluster means
-        monkeypatch.setattr(geodesy, "is_negative_real", lambda lam, tol: negative)
-        with pytest.raises(IllConditionedError, match="spectral split disagrees"):
-            classify_arc(np.eye(3), np.diag([-1.0, -1.0, 2.0]))
+    @pytest.mark.parametrize("case", ["paired", "defective-pairs", "mixed"])
+    def test_negative_witness_needs_no_schur_split(self, case, rng, monkeypatch):
+        # the witness reads the negative spectral projector off M's own Jordan chains
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        core = {
+            "paired": np.diag([-1.0, -1.0, 2.0]),
+            "defective-pairs": sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2)),
+            "mixed": sla.block_diag(-I2, rot, [[2.0]]),
+        }[case]
+        n = core.shape[0]
+        S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+        M = S @ core @ np.linalg.inv(S)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Schur split called")
+
+        for name in ("schur", "solve_sylvester", "block_diag"):
+            monkeypatch.setattr(sla, name, refuse)
+        out = classify_arc(np.eye(n), M, 1e-6)
+        assert out.verdict is ArcKind.CONTINUUM
+        assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
 
     @pytest.mark.parametrize(
         "blocks",
@@ -351,7 +376,7 @@ class TestClassification:
         B = sla.block_diag(*(jordan_block(-1.0, k) for k in blocks))
         (cluster,) = spectral_profile(B).clusters
         assert cluster.block_sizes == blocks
-        chains = geodesy._jordan_chains(B, -1.0, cluster.multiplicity, 1e-8)
+        chains, _ = geodesy._jordan_chains(B, -1.0, cluster.multiplicity, 1e-8)
         assert tuple(sorted((len(c) for c in chains), reverse=True)) == cluster.block_sizes
         E = B + np.eye(B.shape[0])
         for chain in chains:
@@ -382,6 +407,42 @@ def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
             classify_arc(K, K)
+
+
+def test_witness_endpoint_check_is_not_vacuous_at_small_scale(monkeypatch):
+    # the gap is relative to ||K1|| with no floor, so it holds for K1 of norm 1e-12 too
+    K = 1e-12 * I2
+    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, profile, tol: np.diag([1.0, 0.0]))
+    with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
+        classify_arc(K, K)
+
+
+HOSTILE_CORES = {
+    "J2(-0.7)^2": np.kron(np.eye(2), jordan_block(-0.7, 2)),
+    "J3(-2)^2": np.kron(np.eye(2), jordan_block(-2.0, 3)),
+    "J2(-1)^2+(-1)^2": sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2), -I2),
+}
+
+
+@pytest.mark.parametrize("core", HOSTILE_CORES)
+def test_hostile_negative_spectra_get_a_typed_refusal_or_a_true_witness(core):
+    # near-defective negative blocks at units scale 1e-6..1e6: no untyped exception, no warning
+    core = HOSTILE_CORES[core]
+    n = core.shape[0]
+    for seed in range(400):  # includes 10, 20, 39, 93 and 388
+        rng = np.random.default_rng(seed)
+        S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+        K0 = rng.uniform(-1, 1, (n, n)) + 3 * np.eye(n)
+        K1 = 10 ** rng.uniform(-6, 6) * (K0 @ S @ core @ np.linalg.inv(S))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = classify_arc(K0, K1)
+            except TraceGeoError:
+                continue
+        if out.witness is not None:
+            err = np.linalg.norm(K0 @ sla.expm(out.witness.direction) - K1)
+            assert err <= 1e-8 * np.linalg.norm(K1), f"seed {seed}"
 
 
 class TestUniqueArc:

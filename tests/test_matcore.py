@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from tracegeo import (
+    IllConditionedError,
     NotSpecialOrthogonalError,
     SingularMatrixError,
     SpectrumNotPositiveError,
@@ -125,6 +128,28 @@ class TestRealLogPrincipal:
         want = sla.logm(A).real
         monkeypatch.setattr(sla, "logm", forbidden)
         assert_allclose(real_log_principal(A), want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+
+    def test_logm_fallback_is_typed_and_silent(self, monkeypatch):
+        # scipy checks logm against expm(logm A) - A: a warning there is no refusal, but an
+        # estimate that overflows (ValueError) or a non-finite logarithm is a typed error
+        logm, J = sla.logm, jordan_block(2.0, 2)  # defective: the logm route
+
+        def inaccurate(A):
+            warnings.warn("logm result may be inaccurate, approximate err = 5e-13", RuntimeWarning)
+            return logm(A)
+
+        def estimate_overflows(A):
+            np.full((2, 2), 1e300) @ np.full((2, 2), 1e300)
+            raise ValueError("array must not contain infs or NaNs")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(sla, "logm", inaccurate)
+            assert_allclose(real_log_principal(J), jordan_block_log(2.0, 2), atol=1e-12)
+            for broken in (estimate_overflows, lambda A: np.full((2, 2), np.inf)):
+                monkeypatch.setattr(sla, "logm", broken)
+                with pytest.raises(IllConditionedError, match="matrix logarithm overflows"):
+                    real_log_principal(J)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(SpectrumOnCutError):

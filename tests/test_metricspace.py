@@ -273,6 +273,17 @@ class TestProductStructure:
         with pytest.raises(NonPositiveDeterminantError):
             product_inverse(np.diag([-1.0, 1.0]))
 
+    def test_overflow_is_a_typed_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = ProductPoint(I2, 2000.0)  # e^(2000 / sqrt 2) is past the float range
+            with pytest.raises(IllConditionedError, match="product chart overflows"):
+                product_forward(far)
+            with pytest.raises(IllConditionedError, match="product chart overflows"):
+                product_pushforward(far, I2, 1.0)
+            with pytest.raises(NotUnimodularError):
+                ProductPoint(1e200 * I2, 0.0)  # det overflows
+
     def test_inverse_reads_the_log_determinant_without_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
