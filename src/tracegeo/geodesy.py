@@ -8,6 +8,7 @@ evenly, and uniqueness requires a positive spectrum with no repeated block.
 """
 
 import enum
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,12 +24,14 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    _eigenbasis,
     _expm,
     _jordan_partition,
     _kernel_staircase,
     _log_from_eig,
     _overflow_guard,
     _relative_gap,
+    _spectral,
     as_point_and_tangents,
     as_squares,
     polar_decompose,
@@ -41,19 +44,53 @@ from .matcore import (
 
 @dataclass(frozen=True, eq=False)
 class Geodesic:
-    """The geodesic t -> base_point @ expm(t * direction)."""
+    """The geodesic t -> base_point @ expm(t * direction).
+
+    Points come from one eigendecomposition of the direction, made on the
+    first call of :meth:`point`; a defective or ill-conditioned direction
+    takes ``scipy.linalg.expm`` instead.  Both arrays are read-only, so the
+    eigenbasis cannot go stale.
+    """
 
     base_point: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
         K, C = as_point_and_tangents(self.base_point, "base_point", direction=self.direction)
+        self._settle(K, C)
+
+    @classmethod
+    def _unchecked(cls, K, C):
+        """The geodesic of a base point and direction the caller has already validated (square,
+        finite, ``K`` invertible); the arrays become read-only."""
+        geo = cls.__new__(cls)
+        geo._settle(K, C)
+        return geo
+
+    def _settle(self, K, C):
+        K.flags.writeable = False
+        C.flags.writeable = False
         object.__setattr__(self, "base_point", K)
         object.__setattr__(self, "direction", C)
 
+    def __reduce__(self):  # a copy or unpickled geodesic gets read-only arrays and no cached basis
+        return Geodesic._unchecked, (self.base_point, self.direction)
+
+    @functools.cached_property
+    def _basis(self):
+        return _eigenbasis(*np.linalg.eig(self.direction), left=self.base_point)
+
     def point(self, t):
         """Point of the geodesic at parameter ``t`` (defined for every real t)."""
-        return _expm(float(t) * self.direction, left=self.base_point)
+        t = float(t)
+        if self._basis is None:
+            return _expm(t * self.direction, left=self.base_point)
+        return _exp_point(self._basis, t)
+
+
+@_overflow_guard("matrix exponential")
+def _exp_point(basis, t):
+    return _spectral(lambda lam: np.exp(t * lam), basis).real  # real up to rounding
 
 
 def geodesic_from_velocity(K, S):
@@ -61,7 +98,7 @@ def geodesic_from_velocity(K, S):
 
     The curve is K exp(t bS) for bS = K^{-1} S.
     """
-    return Geodesic(*_point_and_direction(K, S))
+    return Geodesic._unchecked(*_point_and_direction(K, S))
 
 
 @_overflow_guard("geodesic direction")
@@ -87,7 +124,16 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    return _expm(float(t) * inv_half @ S @ inv_half, left=half, right=half)
+    return _spd_point(half, inv_half, S, float(t))
+
+
+@_overflow_guard("matrix exponential")
+def _spd_point(half, inv_half, S, t):
+    """``half @ expm(tA) @ half`` for the symmetric ``A = inv_half @ S @ inv_half``, through its
+    orthogonal eigenbasis: no conditioning fallback."""
+    A = inv_half @ S @ inv_half
+    mu, R = np.linalg.eigh(0.5 * A + 0.5 * A.T)
+    return half @ ((R * np.exp(t * mu)) @ R.T) @ half
 
 
 @_overflow_guard("covariant derivative")
@@ -269,10 +315,11 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     witness = None
     if verdict is not ArcKind.NO_ARC:
         C = _real_log_witness(M, profile, tol)
-        witness = Geodesic(K0, C)
-        gap = _relative_gap(witness.point(1.0), K1)
+        # scipy's expm, not witness.point: a check through C's own eigenbasis would check itself
+        gap = _relative_gap(_expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
+        witness = Geodesic._unchecked(K0, C)
     return ArcClassification(verdict=verdict, witness=witness, profile=profile)
 
 
@@ -318,4 +365,4 @@ def broken_arc(K1, K2, tol=DEFAULT_TOL):
     Z = right.positive @ left.orthogonal
     C1 = real_log_principal(np.linalg.solve(K1, Z), tol)
     C2 = so_log(left.orthogonal.T @ right.orthogonal, tol)
-    return BrokenArc(first=Geodesic(K1, C1), second=Geodesic(Z, C2), joint=Z)
+    return BrokenArc(first=Geodesic._unchecked(K1, C1), second=Geodesic._unchecked(Z, C2), joint=Z)

@@ -151,11 +151,32 @@ def mat_exp(A):
     return _expm(as_squares(A=A)[0])
 
 
-# Largest 1-norm condition number of the eigenvector matrix for which the
-# logarithm is taken through the eigendecomposition: cond(V) u <~ 1e-12, far
+# Largest 1-norm condition number of the eigenvector matrix for which a matrix
+# function is taken through the eigendecomposition: cond(V) u <~ 1e-12, far
 # inside the 1e-8 endpoint gates.  The bound is scale-free, so A and cA take
 # the same route.
 _EIGENBASIS_COND_MAX = 1e4
+
+
+def _eigenbasis(eigs, V, left=None):
+    """``(eigs, left @ V, V^{-1})`` for ``A = V diag(eigs) V^{-1}``, from which :func:`_spectral`
+    takes ``left @ f(A)``; None when ``cond_1(V)`` exceeds ``_EIGENBASIS_COND_MAX`` (defective or
+    nearly so: the caller falls back to scipy).  The error is about ``cond(V) u`` (Higham 2008,
+    section 4.5); near-defective ``A`` is the case of Moler and Van Loan's warning (SIAM Rev.
+    2003, method 14)."""
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
+        return None
+    if np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) > _EIGENBASIS_COND_MAX:
+        return None
+    return eigs, (V if left is None else left @ V), Vinv
+
+
+def _spectral(f, basis):
+    """``left @ V diag(f(eigs)) V^{-1}`` from the :func:`_eigenbasis` of ``A``."""
+    eigs, LV, Vinv = basis
+    return (LV * f(eigs)) @ Vinv
 
 
 def real_log_principal(A, tol=DEFAULT_TOL):
@@ -185,12 +206,8 @@ def _log_from_eig(A, eigs, V, tol):
     """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``."""
     if any(is_negative_real(lam, tol) for lam in eigs):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    try:
-        Vinv = np.linalg.inv(V)
-        diagonal = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) <= _EIGENBASIS_COND_MAX
-    except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
-        diagonal = False
-    L = (V * np.log(eigs)) @ Vinv if diagonal else _logm(A)
+    basis = _eigenbasis(eigs, V)
+    L = _logm(A) if basis is None else _spectral(np.log, basis)
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
         if dirt > tol * max(1.0, float(np.abs(L.real).max())):
@@ -217,6 +234,9 @@ def _logm(A):
 def fractional_power(A, t, tol=DEFAULT_TOL):
     """A^t = exp(t log A) for matrices with positive real spectrum.
 
+    Taken as ``V diag(lam^t) V^{-1}`` from one eigendecomposition, or through
+    ``expm(t logm A)`` when the eigenbasis is ill conditioned.
+
     Raises SpectrumNotPositiveError if any eigenvalue fails to be positive
     real within ``tol``.
     """
@@ -225,7 +245,16 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     if not all(is_positive_real(lam, tol) for lam in eigs):
         raise SpectrumNotPositiveError("spectrum is not positive real")
     require_invertible(A, "A")
-    return mat_exp(float(t) * _log_from_eig(A, eigs, V, tol))
+    t = float(t)
+    basis = _eigenbasis(eigs, V)
+    if basis is None:
+        return _expm(t * _log_from_eig(A, eigs, V, tol))
+    return _power(basis, t)
+
+
+@_overflow_guard("matrix power")
+def _power(basis, t):
+    return _spectral(lambda lam: lam**t, basis).real  # real up to rounding for complex pairs
 
 
 # ---------------------------------------------------------------------------

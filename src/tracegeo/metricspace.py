@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
+    IllConditionedError,
     NonPositiveDeterminantError,
     NotUnimodularError,
     SingularMatrixError,
@@ -231,20 +232,32 @@ class ProductPoint:
     line_part: float
 
     def __post_init__(self):
+        x = float(self.line_part)
+        if not math.isfinite(x):
+            raise ValueError("line_part must be finite")
         P = as_squares(sl_part=self.sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
             unimodular = abs(np.linalg.det(P) - 1.0) <= 1e-10
         if not unimodular:
             raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
-        object.__setattr__(self, "line_part", float(self.line_part))
+        object.__setattr__(self, "line_part", x)
+
+
+def _chart_scale(x, n):
+    """e^{x / sqrt(n)}, raising once it leaves the normal float range (an overflow through the
+    caller's guard)."""
+    scale = np.exp(x / math.sqrt(n))
+    if scale < np.finfo(float).tiny:
+        raise IllConditionedError("product chart underflows the float range")
+    return scale
 
 
 @_overflow_guard("product chart")
 def product_forward(p):
     """Map (P, x) to e^{x / sqrt(n)} P in the positive-determinant component."""
     P = p.sl_part
-    return np.exp(p.line_part / math.sqrt(P.shape[0])) * P
+    return _chart_scale(p.line_part, P.shape[0]) * P
 
 
 def product_inverse(Q):
@@ -265,5 +278,5 @@ def product_pushforward(p, M, a):
     """Differential of :func:`product_forward` at (P, x) on the tangent (M, a)."""
     P, M = as_squares(sl_part=p.sl_part, M=M)
     n = P.shape[0]
-    scale = np.exp(p.line_part / math.sqrt(n))
+    scale = _chart_scale(p.line_part, n)
     return scale * M + (scale / math.sqrt(n)) * float(a) * P

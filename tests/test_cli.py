@@ -522,11 +522,15 @@ runs = [
     ["verify", "--suite", "metric", "--n", "3", "--cases", "5"],
     ["verify", "--suite", "curvature", "--n", "3", "--cases", "5"],
     ["verify", "--suite", "product", "--n", "3", "--cases", "5"],
+    ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0.3,-1],[2,0.1]]}', "--samples", "4"],
+    ["verify", "--suite", "foliation", "--n", "3", "--cases", "5"],
 ]
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
+tracegeo.fractional_power([[2.0, 1.0], [1.0, 3.0]], 0.5)
+tracegeo.spd_geodesic([[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.5]], 0.7)
 print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
 """
 
@@ -536,7 +540,7 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0],
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0],
                                            "scipy_linalg": False}
 
 

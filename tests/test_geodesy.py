@@ -1,9 +1,11 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from tracegeo import (
     ArcKind,
@@ -95,6 +97,101 @@ class TestGeodesicEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="overflows"):
                 spd_geodesic(K, 1e100 * np.diag([700.0, 1.0]), 1.0)
+
+
+def _expm_spy(monkeypatch):
+    calls, expm = [], sla.expm
+    monkeypatch.setattr(sla, "expm", lambda A: calls.append(A) or expm(A))
+    return calls
+
+
+class TestEigenbasisRoute:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_point_matches_scipy_expm(self, n, rng):
+        # the eigenbasis error grows with ||tC|| as expm's own does
+        for scale in 10.0 ** np.arange(-6, 7, 2):
+            for size in (0.1, 1.0, 5.0):
+                K = scale * random_invertible(rng, n)
+                C = size * rng.uniform(-1, 1, (n, n))
+                geo = Geodesic(K, C)
+                for t in np.linspace(-2.0, 2.0, 9):
+                    want = K @ sla.expm(t * C)
+                    bound = 1e-12 * max(1.0, np.linalg.norm(t * C, 2)) * np.linalg.norm(want)
+                    assert np.linalg.norm(geo.point(t) - want) <= bound
+
+    def test_diagonalisable_direction_never_reaches_expm(self, rng, monkeypatch):
+        calls = _expm_spy(monkeypatch)
+        geo = Geodesic(random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3)))
+        for t in (-1.0, 0.5, 2.0):
+            geo.point(t)
+        assert calls == []
+
+    @pytest.mark.parametrize("C", [
+        jordan_block(0.0, 2),  # nilpotent: eig finds one eigenvector
+        np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]),  # eigenvectors 1e-9 apart: cond_1(V) ~ 4e9
+    ], ids=["nilpotent", "near-defective"])
+    def test_defective_direction_falls_back_to_expm(self, C, monkeypatch):
+        calls = _expm_spy(monkeypatch)
+        K = np.array([[2.0, 1.0], [0.0, 1.0]])
+        geo = Geodesic(K, C)
+        ts = (-1.5, 0.3, 2.0)
+        for t in ts:
+            assert_allclose(geo.point(t), K @ sla.expm(t * C), rtol=1e-13)
+        assert len(calls) == 2 * len(ts)  # one in the route, one in the oracle
+
+    def test_complex_pair_gives_a_real_point(self):
+        geo = Geodesic(I2, np.array([[0.1, -2.0], [2.0, 0.1]]))
+        P = geo.point(0.7)
+        assert P.dtype == np.float64
+        assert_allclose(P, sla.expm(0.7 * geo.direction), rtol=1e-14)
+
+    def test_overflowing_t_raises_without_a_warning(self, rng):
+        geo = Geodesic(random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3)) + np.diag([2.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflows"):
+                geo.point(1e4)
+            with pytest.raises(IllConditionedError, match="overflows"):
+                geo.point(-1e4)
+
+    def test_arrays_are_read_only(self, rng):
+        K, C = random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3))
+        geo = Geodesic(K, C)
+        before = geo.point(1.0)
+        with pytest.raises(ValueError):
+            geo.direction[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            geo.base_point[0, 0] = 5.0
+        K[0, 0] = C[0, 0] = 5.0  # the caller's arrays were copied, and stay writable
+        assert_array_equal(geo.point(1.0), before)
+
+    def test_copies_are_read_only_too(self, rng):
+        geo = Geodesic(random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3)))
+        before = geo.point(1.0)  # fills the cache that the copies must not carry stale
+        for other in (pickle.loads(pickle.dumps(geo)), copy.copy(geo), copy.deepcopy(geo)):
+            with pytest.raises(ValueError):
+                other.direction[0, 0] = 5.0
+            assert_array_equal(other.point(1.0), before)
+
+    def test_spd_geodesic_matches_scipy_expm(self, rng):
+        for n in (2, 3, 4, 6):
+            for scale in 10.0 ** np.arange(-6, 7, 3):
+                K = scale * random_spd(rng, n)
+                S = scale * rng.uniform(-1, 1, (n, n))
+                S = S + S.T
+                w, Q = np.linalg.eigh(K)
+                half, inv_half = Q @ np.diag(np.sqrt(w)) @ Q.T, Q @ np.diag(w**-0.5) @ Q.T
+                for t in (-2.0, -0.3, 0.5, 2.0):
+                    tA = t * inv_half @ S @ inv_half
+                    want = half @ sla.expm(tA) @ half
+                    bound = 1e-12 * max(1.0, np.linalg.norm(tA, 2)) * np.linalg.norm(want)
+                    assert np.linalg.norm(spd_geodesic(K, S, t) - want) <= bound
+
+    def test_spd_geodesic_never_reaches_expm(self, rng, monkeypatch):
+        calls = _expm_spy(monkeypatch)
+        S = rng.uniform(-1, 1, (3, 3))
+        spd_geodesic(random_spd(rng, 3), S + S.T, 0.8)
+        assert calls == []
 
 
 class TestFromVelocity:
@@ -399,6 +496,26 @@ class TestClassification:
             classify_arc(np.eye(4), M, 1e-8)
 
 
+def test_classify_takes_one_svd_per_endpoint(rng, monkeypatch):
+    # as_point_and_tangents cuts K0 and require_invertible K1; the witness takes them as read
+    K0 = random_invertible(rng, 3)
+    K1 = K0 @ random_spd(rng, 3)  # K0^{-1} K1 is SPD: a unique arc with a witness
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+    outcome = classify_arc(K0, K1)
+    assert outcome.witness is not None
+    assert [sum(np.array_equal(a, K) for a in seen) for K in (K0, K1)] == [1, 1]
+
+
+def test_witness_endpoint_check_runs_on_scipy_expm(rng, monkeypatch):
+    # the check must not go through the witness's own eigenbasis, which would check itself
+    calls = _expm_spy(monkeypatch)
+    K0, K1 = random_spd(rng, 3), random_spd(rng, 3)
+    outcome = classify_arc(K0, K1)
+    assert len(calls) == 1
+    assert_array_equal(calls[0], outcome.witness.direction)
+
+
 def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
     # ||K1|| overflows for entries of 1.34e154; a wrong witness must still be caught
     K = 1.34e154 * I2
@@ -546,15 +663,21 @@ class TestBrokenArc:
             broken_arc(ends["K1"], ends["K2"])
 
     def test_each_endpoint_takes_one_svd(self, rng, monkeypatch):
-        # the polar decompositions make the singular cuts on K1 and K2; the one other
-        # SVD of K1 is the first leg's own check of its base point
+        # the polar decompositions make the singular cuts on K1 and K2; the legs take them as read
         K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
         if np.linalg.det(K2) < 0:
             K2[0] = -K2[0]
         svd, seen = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
         broken_arc(K1, K2)
-        assert [sum(np.array_equal(a, K) for a in seen) for K in (K1, K2)] == [2, 1]
+        assert [sum(np.array_equal(a, K) for a in seen) for K in (K1, K2)] == [1, 1]
+
+    def test_legs_are_read_only(self, rng):
+        arc = broken_arc(random_spd(rng, 3), random_spd(rng, 3))
+        with pytest.raises(ValueError):
+            arc.first.direction[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            arc.second.base_point[0, 0] = 5.0
 
     def test_different_components_rejected(self):
         with pytest.raises(DifferentComponentsError):

@@ -208,6 +208,42 @@ class TestFractionalPower:
         assert len(calls) == 1
 
 
+    def test_matches_the_scipy_route(self, rng):
+        # old route: expm(t log A); the error of both grows with ||t log A|| as expm's does
+        for n in (2, 3, 4, 6):
+            for scale in 10.0 ** np.arange(-6, 7, 2):
+                B = rng.uniform(-1, 1, (n, n))
+                A = scale * (B @ B.T + n * np.eye(n))
+                L = real_log_principal(A)
+                for t in (-2.0, -0.3, 0.5, 2.0):
+                    want = sla.expm(t * L)
+                    bound = 1e-12 * max(1.0, np.linalg.norm(t * L, 2)) * np.linalg.norm(want)
+                    assert np.linalg.norm(fractional_power(A, t) - want) <= bound
+
+    def test_only_a_defective_input_reaches_scipy(self, rng, monkeypatch):
+        calls = []
+        for name in ("expm", "logm"):
+            fn = getattr(sla, name)
+            monkeypatch.setattr(sla, name, lambda A, fn=fn, name=name: calls.append(name) or fn(A))
+        B = rng.uniform(-1, 1, (3, 3))
+        fractional_power(B @ B.T + 3 * np.eye(3), 0.5)
+        assert calls == []
+        fractional_power(jordan_block(2.0, 3), 0.5)
+        assert calls == ["logm", "expm"]
+
+    def test_complex_pair_near_the_axis_gives_a_real_power(self):
+        A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i count as positive
+        P = fractional_power(A, 0.5)
+        assert P.dtype == np.float64
+        assert_allclose(P, sla.sqrtm(A).real, rtol=1e-14)
+
+    def test_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflows"):
+                fractional_power(np.diag([1e10, 1.0]), 40.0)
+
+
 class TestSpectralProfile:
     def test_identity(self):
         prof = spectral_profile(I2)

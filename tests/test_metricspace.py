@@ -284,6 +284,23 @@ class TestProductStructure:
             with pytest.raises(NotUnimodularError):
                 ProductPoint(1e200 * I2, 0.0)  # det overflows
 
+    def test_underflow_is_a_typed_error_without_warnings(self):
+        # e^(-2000 / sqrt 2) is below the normal float range: the chart would land on 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = ProductPoint(I2, -2000.0)
+            with pytest.raises(IllConditionedError, match="product chart underflows"):
+                product_forward(near)
+            with pytest.raises(IllConditionedError, match="product chart underflows"):
+                product_pushforward(near, I2, 1.0)
+            # e^(-1000 / sqrt 2) ~ 1e-307 is still normal
+            assert product_forward(ProductPoint(I2, -1000.0))[0, 0] > 0
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_line_part_rejected(self, x):
+        with pytest.raises(ValueError, match="line_part must be finite"):
+            ProductPoint(I2, x)
+
     def test_inverse_reads_the_log_determinant_without_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
