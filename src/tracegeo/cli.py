@@ -3,7 +3,8 @@
 Matrices travel as ``{"n": int, "data": [[row], ...]}`` documents; every
 matrix argument accepts either a file path or that JSON inline.  Results are
 JSON on stdout, errors are ``{"error": code, "message": text}`` on stderr.
-Exit codes: 0 success, 2 classification found no arc, 1 anything else.
+Exit codes: 0 success, 2 classification found no arc, 1 anything else,
+including every argparse failure, which is a ``parse`` error.
 """
 
 import argparse
@@ -22,43 +23,59 @@ from .matcore import _det
 from .verify import matrix_document
 
 
-class _ParseError(Exception):
-    pass
+class _ParseError(argparse.ArgumentTypeError):
+    """Unreadable input.  Raised by an option's ``type=``, argparse prefixes the option's name."""
 
 
-# argparse destinations of the options that must be positive finite numbers
-_TOLERANCE_OPTIONS = ("tol", "tol_cluster", "tol_assert", "fd_step")
+class _Parser(argparse.ArgumentParser):
+    """Every argparse failure (subcommands included) is a ``parse`` error, not usage and exit 2."""
+
+    def error(self, message):
+        raise _ParseError(message)
 
 
-def _check_tolerance(name, value):
-    """Return ``value`` when it is a positive finite number; else a parse error."""
-    if not (math.isfinite(value) and value > 0):
-        raise _ParseError(f"{name} must be a positive finite number, got {value!r}")
-    return value
+def _number(convert, test, wants):
+    """An argparse ``type=``: ``convert`` the text and require ``test`` of the value."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            ok = test(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise _ParseError(f"must be {wants}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _default_assert_tol():
-    raw = os.environ.get("TRACEGEO_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise _ParseError(f"TRACEGEO_TOL is not a number: {raw!r}") from exc
-    return _check_tolerance("TRACEGEO_TOL", value)
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_finite = _number(float, math.isfinite, "a finite number")
+_count = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_count = _number(int, lambda v: v >= 1, "a positive integer")
+
+
+class _Span(argparse.Action):
+    """Stores ``--t-from`` or ``--t-to``; ``np.linspace`` needs a finite span between them."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        if not math.isfinite(namespace.t_to - namespace.t_from):
+            parser.error("--t-from and --t-to span more than the float range")
 
 
 def load_matrix(arg):
     """Load a matrix document from inline JSON, a file path, or stdin ("-")."""
-    if arg.strip() == "-":
-        text = sys.stdin.read()
-    elif arg.lstrip().startswith("{"):
-        text = arg
-    else:
-        path = Path(arg)
-        if not path.exists():
-            raise _ParseError(f"no such matrix file: {arg}")
-        text = path.read_text()
+    try:
+        if arg.strip() == "-":
+            text = sys.stdin.read()
+        elif arg.lstrip().startswith("{"):
+            text = arg
+        else:
+            text = Path(arg).read_text()
+    except (OSError, ValueError) as exc:  # no such file, a directory, not UTF-8 text
+        raise _ParseError(f"cannot read matrix: {exc}") from exc
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -100,19 +117,16 @@ def _witness_document(geo):
 
 
 def _cmd_metric(args):
-    A = load_matrix(args.at)
-    V = load_matrix(args.x)
-    W = load_matrix(args.y)
-    return {"value": metricspace.trace_metric(A, V, W)}, 0
+    return {"value": metricspace.trace_metric(args.at, args.x, args.y)}, 0
 
 
 def _cmd_signature(args):
-    sig = metricspace.signature_at(load_matrix(args.at))
+    sig = metricspace.signature_at(args.at)
     return {"positive": sig.positive, "negative": sig.negative}, 0
 
 
 def _cmd_classify(args):
-    outcome = geodesy.classify_arc(load_matrix(args.k0), load_matrix(args.k1), args.tol)
+    outcome = geodesy.classify_arc(args.k0, args.k1, args.tol)
     payload = {
         "verdict": outcome.verdict.value,
         "profile": _profile_document(outcome.profile),
@@ -123,7 +137,7 @@ def _cmd_classify(args):
 
 
 def _cmd_arc(args):
-    outcome = geodesy.classify_arc(load_matrix(args.k0), load_matrix(args.k1), args.tol)
+    outcome = geodesy.classify_arc(args.k0, args.k1, args.tol)
     payload = {"verdict": outcome.verdict.value}
     if outcome.witness is None:
         return payload, 2
@@ -132,16 +146,12 @@ def _cmd_arc(args):
 
 
 def _cmd_geodesic(args):
-    K = load_matrix(args.k)
     if args.c is not None:
-        geo = geodesy.Geodesic(K, load_matrix(args.c))
+        geo = geodesy.Geodesic(args.k, args.c)
     else:
-        geo = geodesy.geodesic_from_velocity(K, load_matrix(args.velocity))
-    if args.samples < 1:
-        raise _ParseError("--samples must be at least 1")
-    ts = np.linspace(args.t_from, args.t_to, args.samples)
+        geo = geodesy.geodesic_from_velocity(args.k, args.velocity)
     out = []
-    for t in ts:
+    for t in np.linspace(args.t_from, args.t_to, args.samples):
         P = geo.point(float(t))
         doc = matrix_document(P)
         doc["t"] = float(t)
@@ -151,7 +161,7 @@ def _cmd_geodesic(args):
 
 
 def _cmd_broken_arc(args):
-    arc = geodesy.broken_arc(load_matrix(args.k1), load_matrix(args.k2), args.tol)
+    arc = geodesy.broken_arc(args.k1, args.k2, args.tol)
     payload = {
         "joint": matrix_document(arc.joint),
         "first": _witness_document(arc.first),
@@ -160,31 +170,31 @@ def _cmd_broken_arc(args):
     return payload, 0
 
 
+# --kind -> (curvature function, the tangent options it takes after --at)
+_CURVATURES = {
+    "sectional": (curvature_mod.sectional, ("x", "y")),
+    "riemann04": (curvature_mod.riemann_04, ("x", "y", "z", "w")),
+    "ricci": (curvature_mod.ricci, ("x", "y")),
+    "scalar": (curvature_mod.scalar_curvature, ()),
+}
+
+
 def _cmd_curvature(args):
-    K = load_matrix(args.at)
-    kind = args.kind
-    if kind == "scalar":
-        return {"value": curvature_mod.scalar_curvature(K)}, 0
-    if args.x is None or args.y is None:
-        raise _ParseError(f"--kind {kind} needs --x and --y")
-    X = load_matrix(args.x)
-    Y = load_matrix(args.y)
-    if kind == "sectional":
-        return {"value": curvature_mod.sectional(K, X, Y)}, 0
-    if kind == "ricci":
-        return {"value": curvature_mod.ricci(K, X, Y)}, 0
-    if args.z is None or args.w is None:
-        raise _ParseError("--kind riemann04 needs --z and --w")
-    value = curvature_mod.riemann_04(K, X, Y, load_matrix(args.z), load_matrix(args.w))
-    return {"value": value}, 0
+    function, options = _CURVATURES[args.kind]
+    tangents = [getattr(args, option) for option in options]
+    if any(X is None for X in tangents):
+        raise _ParseError(f"--kind {args.kind} needs " + " ".join("--" + o for o in options))
+    return {"value": function(args.at, *tangents)}, 0
 
 
 def _cmd_verify(args):
-    kwargs = dict(
-        tol_assert=args.tol_assert,
-        tol_cluster=args.tol_cluster,
-        fd_step=args.fd_step,
-    )
+    tol_assert = args.tol_assert
+    if tol_assert is None:
+        try:
+            tol_assert = _positive(os.environ.get("TRACEGEO_TOL", "1e-8"))
+        except _ParseError as exc:
+            raise _ParseError(f"TRACEGEO_TOL {exc}") from None
+    kwargs = dict(tol_assert=tol_assert, tol_cluster=args.tol_cluster, fd_step=args.fd_step)
     if args.suite == "all":
         report = verify.run_all(args.n, args.seed, args.cases, **kwargs)
     else:
@@ -200,93 +210,81 @@ def _dumps(payload):
         raise IllConditionedError(f"result is not a finite number: {exc}") from exc
 
 
+def _matrix_options(parser, *options, required=True):
+    for option in options:
+        parser.add_argument(option, required=required, type=load_matrix,
+                            help="matrix: file path, inline JSON, or - for stdin")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracegeo",
         description="Trace-metric geometry of invertible matrices: metric, geodesics, curvature.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metric", help="metric value g_A(V, W)")
-    p.add_argument("--at", required=True, help="base point (file or inline JSON)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    _matrix_options(p, "--at", "--x", "--y")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("signature", help="metric signature at a point")
-    p.add_argument("--at", required=True)
+    _matrix_options(p, "--at")
     p.set_defaults(func=_cmd_signature)
 
     p = sub.add_parser("classify", help="classify geodesic arcs between two points")
-    p.add_argument("--k0", required=True)
-    p.add_argument("--k1", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue clustering tolerance")
+    _matrix_options(p, "--k0", "--k1")
+    p.add_argument("--tol", type=_positive, default=1e-8, help="eigenvalue clustering tolerance")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("arc", help="construct a geodesic arc between two points")
-    p.add_argument("--k0", required=True)
-    p.add_argument("--k1", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    _matrix_options(p, "--k0", "--k1")
+    p.add_argument("--tol", type=_positive, default=1e-8)
     p.set_defaults(func=_cmd_arc)
 
     p = sub.add_parser("geodesic", help="sample a geodesic K exp(tC)")
-    p.add_argument("--k", required=True)
+    _matrix_options(p, "--k")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--c", help="direction matrix C")
-    group.add_argument("--velocity", help="initial velocity S (uses C = K^{-1} S)")
-    p.add_argument("--t-from", type=float, default=0.0)
-    p.add_argument("--t-to", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=11)
+    group.add_argument("--c", type=load_matrix, help="direction matrix C")
+    group.add_argument("--velocity", type=load_matrix, help="initial velocity S (uses C = K^{-1} S)")
+    p.add_argument("--t-from", type=_finite, default=0.0, action=_Span)
+    p.add_argument("--t-to", type=_finite, default=1.0, action=_Span)
+    p.add_argument("--samples", type=_positive_count, default=11)
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("broken-arc", help="singly broken geodesic between same-component points")
-    p.add_argument("--k1", required=True)
-    p.add_argument("--k2", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    _matrix_options(p, "--k1", "--k2")
+    p.add_argument("--tol", type=_positive, default=1e-8)
     p.set_defaults(func=_cmd_broken_arc)
 
     p = sub.add_parser("curvature", help="curvature scalars at a point")
-    p.add_argument("--at", required=True)
-    p.add_argument("--kind", required=True, choices=["sectional", "riemann04", "ricci", "scalar"])
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--z")
-    p.add_argument("--w")
+    _matrix_options(p, "--at")
+    p.add_argument("--kind", required=True, choices=_CURVATURES)
+    _matrix_options(p, "--x", "--y", "--z", "--w", required=False)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("verify", help="run a seeded self-verification suite")
     p.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--tol-assert", type=float, default=None,
+    p.add_argument("--n", type=int, choices=verify.ORDERS, default=2)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--cases", type=_count, default=50)
+    p.add_argument("--tol-assert", type=_positive, default=None,
                    help="default 1e-8, or the TRACEGEO_TOL environment variable")
-    p.add_argument("--tol-cluster", type=float, default=1e-8)
-    p.add_argument("--fd-step", type=float, default=1e-4)
+    p.add_argument("--tol-cluster", type=_positive, default=1e-8)
+    p.add_argument("--fd-step", type=_positive, default=1e-4)
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "func", None) is _cmd_verify and args.tol_assert is None:
-            args.tol_assert = _default_assert_tol()
-        for dest in _TOLERANCE_OPTIONS:
-            value = getattr(args, dest, None)
-            if value is not None:
-                _check_tolerance("--" + dest.replace("_", "-"), value)
+        args = build_parser().parse_args(argv)
         payload, code = args.func(args)
         text = _dumps(payload)
-    except _ParseError as exc:
-        print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
-        return 1
     except TraceGeoError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (_ParseError, ValueError, OSError) as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
         return 1
     print(text)

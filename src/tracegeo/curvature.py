@@ -175,8 +175,8 @@ def christoffel_closed(P):
 def christoffel_fd(P, h=1e-4):
     """Christoffel symbols from central differences of the Gram matrix."""
     P = as_point_and_tangents(P, "P")[0]
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("step h must be positive and finite")
     n = P.shape[0]
     basis = standard_basis(n)
     m = n * n

@@ -24,6 +24,7 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    _curve_parameter,
     _eigenbasis,
     _expm,
     _jordan_partition,
@@ -82,7 +83,7 @@ class Geodesic:
 
     def point(self, t):
         """Point of the geodesic at parameter ``t`` (defined for every real t)."""
-        t = float(t)
+        t = _curve_parameter(t)
         if self._basis is None:
             return _expm(t * self.direction, left=self.base_point)
         return _exp_point(self._basis, t)
@@ -124,7 +125,7 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    return _spd_point(half, inv_half, S, float(t))
+    return _spd_point(half, inv_half, S, _curve_parameter(t))
 
 
 @_overflow_guard("matrix exponential")
@@ -155,8 +156,8 @@ def curve_residual(curve, t, h=1e-4):
     ``curve`` is a callable returning a matrix; derivatives are central
     differences of step ``h``.  Vanishes as O(h^2) on true geodesics.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("step h must be positive and finite")
     samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
     P0, Pp, Pm = as_squares(**samples)
     vel = (Pp - Pm) / (2.0 * h)

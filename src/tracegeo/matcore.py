@@ -76,6 +76,14 @@ def as_point_and_tangents(base, name, **tangents):
     return stack
 
 
+def _curve_parameter(t):
+    """``t`` as a float; a non-finite parameter is a ValueError, not an overflow downstream."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    return t
+
+
 def _overflow_guard(what):
     """Decorator: no floating-point warning escapes the function (an ``errstate`` decorator costs
     half a ``with``), and a non-finite result (numbers or arrays) raises IllConditionedError."""
@@ -245,7 +253,7 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     if not all(is_positive_real(lam, tol) for lam in eigs):
         raise SpectrumNotPositiveError("spectrum is not positive real")
     require_invertible(A, "A")
-    t = float(t)
+    t = _curve_parameter(t)
     basis = _eigenbasis(eigs, V)
     if basis is None:
         return _expm(t * _log_from_eig(A, eigs, V, tol))

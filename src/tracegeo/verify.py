@@ -9,9 +9,8 @@ import numpy as np
 
 from . import curvature, geodesy, metricspace
 
-SUITES = ("metric", "geodesic", "curvature", "foliation", "product")
-
 RESIDUAL_TOL = 1e-5  # geodesic ODE residual at the default step
+ORDERS = range(2, 7)  # the matrix orders n the suites are sized for
 
 
 def random_invertible(rng, n, det_min=0.1, cond_max=100.0):
@@ -100,7 +99,7 @@ def _all_isometries(rng, n):
     ]
 
 
-def _suite_metric(rec, rng, n, cases, tol):
+def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
     want_sig = (n * (n + 1) // 2, n * (n - 1) // 2)
     for _ in range(cases):
         A = random_invertible(rng, n)
@@ -178,7 +177,7 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
                   outcome.verdict.value, None, [("G", G)])
 
 
-def _suite_curvature(rec, rng, n, cases, tol, fd_step):
+def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
     eye = np.eye(n)
     for _ in range(cases):
         K = random_invertible(rng, n)
@@ -230,7 +229,7 @@ def _suite_curvature(rec, rng, n, cases, tol, fd_step):
                       1e-5 * max(1.0, float(np.linalg.norm(direct))), [("P", P)])
 
 
-def _suite_foliation(rec, rng, n, cases, tol):
+def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
     for _ in range(cases):
         K = random_invertible(rng, n)
         W = rng.uniform(-1.0, 1.0, (n, n))
@@ -273,7 +272,7 @@ def random_unimodular(rng, n):
     return A / np.linalg.det(A) ** (1.0 / n)
 
 
-def _suite_product(rec, rng, n, cases, tol):
+def _suite_product(rec, rng, n, cases, tol, fd_step, tol_cluster):
     for _ in range(cases):
         P = random_unimodular(rng, n)
         x = float(rng.uniform(-1.5, 1.5))
@@ -300,24 +299,26 @@ def _suite_product(rec, rng, n, cases, tol):
                   tol / 10 * max(1.0, abs(want), _metric_scale(P, M, M2)), [("P", P)])
 
 
+# each suite's generator is seeded with its index, so this order is part of the reports
+_SUITE_FUNCTIONS = {
+    "metric": _suite_metric,
+    "geodesic": _suite_geodesic,
+    "curvature": _suite_curvature,
+    "foliation": _suite_foliation,
+    "product": _suite_product,
+}
+SUITES = tuple(_SUITE_FUNCTIONS)
+
+
 def run_suite(suite, n, seed, cases, tol_assert=1e-8, tol_cluster=1e-8, fd_step=1e-4):
     """Run one named suite and return its VerifyReport dictionary."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES} or 'all'")
-    if not 2 <= n <= 6:
+    if n not in ORDERS:
         raise ValueError("suites are sized for 2 <= n <= 6")
     rng = np.random.default_rng([seed, SUITES.index(suite)])
     rec = _Recorder()
-    if suite == "metric":
-        _suite_metric(rec, rng, n, cases, tol_assert)
-    elif suite == "geodesic":
-        _suite_geodesic(rec, rng, n, cases, tol_assert, fd_step, tol_cluster)
-    elif suite == "curvature":
-        _suite_curvature(rec, rng, n, cases, tol_assert, fd_step)
-    elif suite == "foliation":
-        _suite_foliation(rec, rng, n, cases, tol_assert)
-    elif suite == "product":
-        _suite_product(rec, rng, n, cases, tol_assert)
+    _SUITE_FUNCTIONS[suite](rec, rng, n, cases, tol_assert, fd_step, tol_cluster)
     return {
         "suite": suite,
         "cases": rec.cases,

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from tracegeo.cli import main
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
 E12_DOC = '{"n":2,"data":[[0,1],[0,0]]}'
 E21_DOC = '{"n":2,"data":[[0,0],[1,0]]}'
+
+# a fresh interpreter imports the package from this checkout's src, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def run_cli(capsys, *argv):
@@ -189,19 +194,72 @@ def _command_lines(draw):
     return argv
 
 
-def _assert_answers_in_json(argv):
-    """Exit 0/2 with one JSON document on stdout, or exit 1 with one JSON error on stderr."""
+# text for a numeric flag that is unreadable or out of range for at least one flag
+_HOSTILE_NUMBERS = ["nan", "inf", "-1", "0", "abc", "1e999"]
+_MATRICES = [I2_DOC, E12_DOC, _diag_doc(-1, -1), _diag_doc(2, 0.5)]
+_TOLS = ["1e-8", "0.25", *_HOSTILE_NUMBERS]
+_TIMES = ["-1", "0.5", "2", "1e308", "-1e308", *_HOSTILE_NUMBERS]
+
+# every command: its fixed head, its required options, and its optional ones, each with the
+# values drawn for it; verify's head keeps --cases small unless a drawn --cases overrides it
+_ARGUMENT_COMMANDS = [
+    (["metric"], {"--at": _MATRICES, "--x": _MATRICES, "--y": _MATRICES}, {}),
+    (["signature"], {"--at": _MATRICES}, {}),
+    (["classify"], {"--k0": _MATRICES, "--k1": _MATRICES}, {"--tol": _TOLS}),
+    (["arc"], {"--k0": _MATRICES, "--k1": _MATRICES}, {"--tol": _TOLS}),
+    (["broken-arc"], {"--k1": _MATRICES, "--k2": _MATRICES}, {"--tol": _TOLS}),
+    (["geodesic"], {"--k": _MATRICES, "--c": _MATRICES},
+     {"--t-from": _TIMES, "--t-to": _TIMES, "--samples": ["1", "3", *_HOSTILE_NUMBERS]}),
+    (["curvature"], {"--at": _MATRICES, "--kind": ["scalar", "sectional", "ricci", "riemann04", "bogus"]},
+     {"--x": _MATRICES, "--y": _MATRICES, "--z": _MATRICES, "--w": _MATRICES}),
+    (["verify", "--cases", "1"], {"--suite": [*verify.SUITES, "all", "bogus"]},
+     {"--n": ["2", "3", *_HOSTILE_NUMBERS], "--seed": ["0", "42", *_HOSTILE_NUMBERS],
+      "--cases": ["0", "3", *_HOSTILE_NUMBERS]}),
+]
+
+
+@st.composite
+def _argument_lists(draw):
+    """A command with drawn option values, then maybe broken: a required option dropped, an
+    unknown option inserted, or the subcommand replaced by an unknown one."""
+    head, required, optional = draw(st.sampled_from(_ARGUMENT_COMMANDS))
+    pairs = [(flag, draw(st.sampled_from(values))) for flag, values in required.items()]
+    pairs += [(flag, draw(st.sampled_from(values))) for flag, values in optional.items()
+              if draw(st.booleans())]
+    breakage = draw(st.sampled_from(["none", "drop", "unknown-option", "unknown-command"]))
+    if breakage == "drop":
+        del pairs[draw(st.integers(0, len(required) - 1))]
+    argv = list(head)
+    for flag, value in draw(st.permutations(pairs)):
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if breakage == "unknown-option":
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    if breakage == "unknown-command":
+        argv[0] = draw(st.sampled_from(["bogus", "Metric", ""]))
+    return argv
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process run, with every warning an error."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_answers_in_json(argv):
+    """Exit 0 with one JSON document on stdout, exit 2 with a no-arc verdict on stdout, or
+    exit 1 with one JSON error on stderr."""
+    code, out, err = _run(argv)
     if code in (0, 2):
-        assert err.getvalue() == ""
-        json.loads(out.getvalue())
+        assert err == ""
+        doc = json.loads(out)
+        assert code == 0 or doc["verdict"] == "no-arc"
     else:
-        assert code == 1 and out.getvalue() == ""
-        assert isinstance(json.loads(err.getvalue())["error"], str)
+        assert code == 1 and out == ""
+        assert isinstance(json.loads(err)["error"], str)
 
 
 class TestHostileInput:
@@ -246,6 +304,15 @@ class TestHostileInput:
     @settings(max_examples=300, deadline=None)
     @given(argv=_command_lines())
     def test_every_matrix_command_answers_in_json(self, argv):
+        _assert_answers_in_json(argv)
+
+    @example(argv=[])
+    @example(argv=["verify", "--suite", "all", "--cases", "3", "--n", "3", "--seed", "42"])
+    @example(argv=["geodesic", "--k", I2_DOC, "--c", _diag_doc(2, 0.5),
+                   "--t-from=-1e308", "--t-to", "1e308"])
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argument_lists())
+    def test_every_argument_list_answers_in_json(self, argv):
         _assert_answers_in_json(argv)
 
 
@@ -476,6 +543,40 @@ class TestToleranceFlags:
         assert "TRACEGEO_TOL" in doc["message"]
 
 
+class TestArgumentErrors:
+    """Every malformed argument list is one JSON parse error on stderr with exit 1, never
+    argparse's usage text with exit 2, which reads as "no arc"."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["classify", "--k0", I2_DOC], ["--k1"]),
+        (["classify", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "abc"], ["--tol"]),
+        (["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--t-to", "inf"], ["--t-to"]),
+        (["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--t-from", "nan"], ["--t-from"]),
+        (["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--t-from=-1e308", "--t-to", "1e308"],
+         ["--t-from", "--t-to"]),
+        (["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--samples", "0"], ["--samples"]),
+        (["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--velocity", I2_DOC], ["--velocity"]),
+        (["verify", "--suite", "metric", "--cases", "-3"], ["--cases"]),
+        (["verify", "--suite", "metric", "--cases", "1", "--seed", "-1"], ["--seed"]),
+        (["verify", "--suite", "metric", "--cases", "1", "--n", "9"], ["--n"]),
+        (["verify", "--suite", "bogus"], ["--suite"]),
+        (["curvature", "--at", I2_DOC, "--kind", "bogus"], ["--kind"]),
+        (["metric", "--at", "no-such-file.json", "--x", I2_DOC, "--y", I2_DOC], ["--at"]),
+        (["signature", "--at", I2_DOC, "--bogus"], ["--bogus"]),
+        (["bogus"], ["bogus"]),
+        ([], ["command"]),
+    ], ids=["missing-k1", "tol-abc", "t-to-inf", "t-from-nan", "span-overflows", "samples-zero",
+            "c-and-velocity", "cases-negative", "seed-negative", "n-out-of-range", "unknown-suite",
+            "unknown-kind", "missing-file", "unknown-option", "unknown-command", "no-command"])
+    def test_is_one_json_parse_error_naming_the_argument(self, argv, named):
+        code, out, err = _run(argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "parse"
+        assert all(word in doc["message"] for word in named)
+
+
 class TestErrorCodes:
     WIRE = {
         errors.SingularMatrixError: "singular",
@@ -538,7 +639,7 @@ print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}
 class TestColdStart:
     def test_numpy_only_commands_never_import_scipy_linalg(self):
         proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0],
                                            "scipy_linalg": False}
@@ -550,6 +651,7 @@ class TestInstalledEntryPoint:
             [sys.executable, "-m", "tracegeo.cli", "metric", "--at", I2_DOC, "--x", I2_DOC, "--y", I2_DOC],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"value": 2.0}

@@ -18,8 +18,10 @@ from tracegeo import (
     SingularMatrixError,
     TraceGeoError,
     broken_arc,
+    christoffel_fd,
     classify_arc,
     curve_residual,
+    fractional_power,
     geodesic_from_velocity,
     nabla,
     spd_geodesic,
@@ -97,6 +99,26 @@ class TestGeodesicEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="overflows"):
                 spd_geodesic(K, 1e100 * np.diag([700.0, 1.0]), 1.0)
+
+
+_D = np.diag([1.0, 2.0])
+
+
+# a non-finite curve parameter or step names itself, where it once read as an
+# overflow ("matrix exponential/power overflows") or as a bad matrix operand
+@pytest.mark.parametrize("call, message", [
+    (lambda x: Geodesic(I2, _D).point(x), "t must be finite"),
+    (lambda x: spd_geodesic(I2, _D, x), "t must be finite"),
+    (lambda x: fractional_power(_D, x), "t must be finite"),
+    (lambda x: christoffel_fd(I2, x), "step h must be positive and finite"),
+    (lambda x: curve_residual(Geodesic(I2, _D).point, 0.0, x), "step h must be positive and finite"),
+], ids=["point", "spd_geodesic", "fractional_power", "christoffel_fd", "curve_residual"])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalar_is_a_value_error(call, message, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(x)
 
 
 def _expm_spy(monkeypatch):
