@@ -58,7 +58,7 @@ def sectional(K, X, Y):
     K, X, Y = stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     pair = np.column_stack([X.ravel(), Y.ravel()])
     s = np.linalg.svd(pair, compute_uv=False)
-    if s[1] <= 1e-12 * max(1.0, s[0]):
+    if s[1] <= 1e-12 * s[0]:  # relative to the pair alone: X -> aX, Y -> aY keeps the verdict
         raise LinearlyDependentError("X and Y do not span a 2-plane")
     # invariant under X -> aX, Y -> bY: tangents of largest entry 1 keep the Gram entries far
     # from overflow, as ||K^-1|| < 1e13 past the singular cut
@@ -200,6 +200,7 @@ def sl_einstein_check(K, X, Y, tol=1e-10):
     n = stack.shape[1]
     bX, bY = np.linalg.solve(stack[0], stack[1:])
     for name, bV in (("X", bX), ("Y", bY)):
-        if abs(float(np.trace(bV))) > tol * max(1.0, float(np.linalg.norm(bV))):
+        unit = bV / max(float(np.abs(bV).max()), np.finfo(float).tiny)  # ||unit|| cannot underflow
+        if abs(float(np.trace(unit))) > tol * float(np.linalg.norm(unit)):
             raise NotTangentError(f"{name} is not tangent to the determinant leaf")
     return float(_ricci_form(n, bX, bY)), float(-0.5 * n * np.trace(bX @ bY))

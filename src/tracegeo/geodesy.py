@@ -268,8 +268,8 @@ def _real_log_witness(M, profile, tol):
             xs.extend(x)
             ys.extend(y)
         lefts.append(left)
-    if not xs:
-        return real_log_principal(M, tol)
+    if not xs:  # M = K0^{-1} K1 of endpoints past the singular cut: no cut of its own
+        return _log_from_eig(M, *np.linalg.eig(M), tol)
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     try:  # a singular W^T V, or one so near it that the projector overflows

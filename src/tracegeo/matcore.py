@@ -308,27 +308,6 @@ class SpectralProfile:
         return [c for c in self.clusters if not c.is_real]
 
 
-def _cluster_indices(eigs, thresh):
-    """Single-linkage clustering of complex scalars at distance <= thresh."""
-    m = len(eigs)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigs[i] - eigs[j]) <= thresh:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _kernel_staircase(A, lam, mult, tol):
     """``E = A - lam I``, kernel bases of E^0, E^1, ..., and a left kernel basis ``U`` of the last
     power (``U^H E^k = 0``, the left generalised eigenspace), from one full SVD per power.
@@ -386,12 +365,19 @@ def spectral_profile(A, tol=DEFAULT_TOL):
 
 
 def _cluster_means(eigs, norm2, tol):
-    """A (mean, multiplicity) pair per eigenvalue cluster at the cut ``tol * max(1, norm2)``,
-    near-real means snapped onto the real axis."""
+    """A (mean, multiplicity) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
+    near-real means snapped onto the real axis.  Each eigenvalue merges every cluster within the
+    cut; a mean sums its members in ``eigs`` order, so conjugate clusters are exact mirrors."""
+    cut = tol * max(1.0, norm2)
+    eigs = eigs.tolist()
+    clusters = []  # index lists, ascending
+    for k, lam in enumerate(eigs):
+        near = [c for c in clusters if any(abs(eigs[i] - lam) <= cut for i in c)]
+        clusters = [c for c in clusters if c not in near] + [sorted(sum(near, [k]))]
     reps = []
-    for idx in _cluster_indices(eigs, tol * max(1.0, norm2)):
-        lam = complex(np.mean(eigs[idx]))
-        reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(idx)))
+    for c in clusters:
+        lam = complex(sum(eigs[i] for i in c) / len(c))
+        reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(c)))
     return reps
 
 

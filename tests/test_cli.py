@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracegeo import errors, verify
+from tracegeo import cli, errors, verify
 from tracegeo.cli import main
 
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
@@ -405,6 +405,30 @@ class TestGeodesicCommand:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ill-conditioned",
                                    "message": "determinant overflows the float range"}
+
+    def test_samples_past_the_entry_cap_are_a_parse_error_before_any_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace reached past the --samples cap")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = _run(["geodesic", "--k", I2_DOC, "--c", I2_DOC, "--samples", "1000000000"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "parse",
+            "message": "argument --samples: 1000000000 samples of 4 entries exceed "
+                       "the 1000000 one call may emit",
+        }
+
+    @pytest.mark.parametrize("n, samples, code", [(2, 3, 0), (2, 4, 1), (3, 1, 0), (3, 2, 1)])
+    def test_the_cap_counts_samples_times_n_squared(self, monkeypatch, n, samples, code):
+        monkeypatch.setattr(cli, "_MAX_SAMPLE_ENTRIES", 12)
+        doc = json.dumps({"n": n, "data": np.eye(n).tolist()})
+        got, out, err = _run(["geodesic", "--k", doc, "--c", doc, "--samples", str(samples)])
+        assert got == code
+        if code == 0:
+            assert len(json.loads(out)) == samples
+        else:
+            assert json.loads(err)["error"] == "parse"
 
     def test_velocity_input(self, capsys):
         code, out, _ = run_cli(

@@ -131,6 +131,34 @@ class TestSectional:
             sectional(I2, basis2["E12"], basis2["D1"])
 
 
+# X -> aX must not move a decision on the tangents: their cuts read the tangents' own scale
+TANGENT_SCALES = (1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e150)
+
+
+@pytest.mark.parametrize("a", TANGENT_SCALES)
+def test_sectional_cuts_are_on_the_tangents_scale(rng, a):
+    K = random_invertible(rng, 3)
+    X, Y, S = rng.uniform(-1, 1, (3, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sectional(K, a * X, a * Y) == pytest.approx(sectional(K, X, Y), rel=1e-12)
+        for pair in ((a * S, 2.0 * a * S), (a * S, 0.0 * S)):
+            with pytest.raises(LinearlyDependentError):
+                sectional(K, *pair)
+
+
+@pytest.mark.parametrize("a", TANGENT_SCALES)
+def test_einstein_tangent_cut_is_on_the_tangents_scale(rng, a):
+    K = random_invertible(rng, 3)
+    X, Y = (sl_tangent_project(K, a * U) for U in rng.uniform(-1, 1, (2, 3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sl_einstein_check(K, X, Y)
+        for tangents in ((a * K, Y), (X, a * K)):  # tr(K^-1 aK) = n a: never tangent
+            with pytest.raises(NotTangentError):
+                sl_einstein_check(K, *tangents)
+
+
 class TestRicci:
     def test_frame_values(self, basis2):
         assert ricci(I2, basis2["D1"], basis2["D1"]) == pytest.approx(-0.5, abs=1e-12)

@@ -529,6 +529,50 @@ def test_classify_takes_one_svd_per_endpoint(rng, monkeypatch):
     assert [sum(np.array_equal(a, K) for a in seen) for K in (K0, K1)] == [1, 1]
 
 
+def _positive_nonsymmetric(rng, n):
+    S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    return S @ np.diag(rng.uniform(0.5, 3.0, n)) @ np.linalg.inv(S)
+
+
+def _complex_pair(rng, n):
+    S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    core = np.diag(rng.uniform(0.5, 3.0, n))
+    core[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+    return S @ core @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("quotient, verdict", [
+    (random_spd, ArcKind.UNIQUE),
+    (_positive_nonsymmetric, ArcKind.UNIQUE),
+    (_complex_pair, ArcKind.COUNTABLE),
+], ids=["spd", "positive-nonsymmetric", "complex-pair"])
+def test_principal_witness_takes_no_second_validation(rng, monkeypatch, quotient, verdict):
+    # K0 and K1 passed the singular cut: M = K0^{-1} K1 is logged without real_log_principal's
+    # operand check and third cut
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_arc called real_log_principal")
+
+    monkeypatch.setattr(matcore, "real_log_principal", refuse)
+    monkeypatch.setattr(geodesy, "real_log_principal", refuse)
+    K0 = random_invertible(rng, 3)
+    K1 = K0 @ quotient(rng, 3)
+    outcome = classify_arc(K0, K1)
+    assert outcome.verdict is verdict
+    end = outcome.witness.point(1.0)
+    assert np.linalg.norm(end - K1) <= 1e-8 * np.linalg.norm(K1)
+
+
+def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not():
+    # M = diag(1e-7, 1e7) has sigma_min / sigma_max = 1e-14, below the singular cut; its arc
+    # C = diag(log 1e-7, log 1e7) exists all the same
+    K0, K1 = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
+    outcome = classify_arc(K0, K1)
+    assert outcome.verdict is ArcKind.UNIQUE
+    assert_allclose(outcome.witness.direction, np.diag(np.log([1e-7, 1e7])), rtol=1e-14)
+    end = outcome.witness.point(1.0)
+    assert np.linalg.norm(end - K1) <= 1e-8 * np.linalg.norm(K1)
+
+
 def test_witness_endpoint_check_runs_on_scipy_expm(rng, monkeypatch):
     # the check must not go through the witness's own eigenbasis, which would check itself
     calls = _expm_spy(monkeypatch)

@@ -375,6 +375,88 @@ def test_mirrored_clusters_match_the_three_pass_pairing():
     assert with_pairs >= 150
 
 
+def connected_components_means(eigs, norm2, tol):
+    """Brute-force reference for _cluster_means: the connected components of the graph that joins
+    eigenvalues within tol * max(1, norm2), each mean summed in index order."""
+    cut = tol * max(1.0, norm2)
+    vals = eigs.tolist()
+    label = list(range(len(vals)))  # each index ends labelled by the smallest index it reaches
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(vals):
+            for j, b in enumerate(vals):
+                if abs(a - b) <= cut and label[j] < label[i]:
+                    label[i], changed = label[j], True
+    reps = []
+    for root in sorted(set(label)):
+        members = [i for i in range(len(vals)) if label[i] == root]
+        lam = complex(sum(vals[i] for i in members) / len(members))
+        reps.append((complex(lam.real, 0.0) if matcore._on_real_axis(lam, tol) else lam,
+                     len(members)))
+    return reps
+
+
+def clustered_points(rng, cut):
+    """Eigenvalue-like points around a few centres: transitive chains with steps just inside the
+    cut, a pair just outside it, a late bridge between two earlier clusters, coincident points,
+    and each non-real point followed by its conjugate, as ``np.linalg.eig`` returns them."""
+    points = []
+    for _ in range(int(rng.integers(1, 4))):
+        centre = complex(rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(0.1, 3)]))
+        direction = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        shape = rng.choice(["chain", "split", "bridge", "coincident"])
+        if shape == "chain":  # a ~ b ~ c with a, c apart: one cluster
+            steps = [0.0, 0.9, 1.8]
+        elif shape == "split":  # two clusters
+            steps = [0.0, 1.1]
+        elif shape == "bridge":  # two clusters until the last point joins them
+            steps = [0.0, 1.2, 0.6]
+        else:
+            steps = [0.0, 0.0, 0.5]
+        group = [centre + s * cut * direction for s in steps]
+        if shape != "bridge":
+            group = [group[k] for k in rng.permutation(len(group))]
+        for z in group:
+            points += [z, z.conjugate()] if z.imag else [z]
+    return np.array(points)
+
+
+def bits(reps):
+    return sorted((lam.real.hex(), lam.imag.hex(), mult) for lam, mult in reps)
+
+
+def test_merge_loop_matches_connected_components():
+    rng = np.random.default_rng(11)
+    merged = 0
+    for _ in range(300):
+        norm2 = 10.0 ** rng.uniform(-2, 4)
+        tol = 10.0 ** rng.uniform(-10, -4)
+        eigs = clustered_points(rng, tol * max(1.0, norm2))
+        if not np.iscomplex(eigs).any():
+            eigs = eigs.real  # eig of a real spectrum returns a float array
+        got = matcore._cluster_means(eigs, norm2, tol)
+        assert bits(got) == bits(connected_components_means(eigs, norm2, tol))
+        assert sum(mult for _, mult in got) == len(eigs)
+        upper = {lam for lam, _ in got if lam.imag > 0}
+        assert {lam.conjugate() for lam, _ in got if lam.imag < 0} == upper  # exact mirrors
+        merged += any(mult > 1 for _, mult in got)
+    assert merged >= 250
+
+
+@pytest.mark.parametrize("steps, sizes", [
+    ([0.0, 0.9, 1.8], [3]),  # transitive chain
+    ([0.0, 1.8, 0.9], [3]),  # the last point bridges two clusters
+    ([0.0, 1.1], [1, 1]),
+    ([0.0, 0.0, 5.0], [1, 2]),  # coincident points
+])
+def test_single_linkage_on_the_real_line(steps, sizes):
+    eigs = 2.0 + 1e-8 * np.array(steps)
+    reps = matcore._cluster_means(eigs, 1.0, 1e-8)
+    assert sorted(mult for _, mult in reps) == sizes
+    assert all(lam.imag == 0.0 for lam, _ in reps)
+
+
 class TestPolar:
     def test_identity(self):
         pf = polar_decompose(I2, "left")
