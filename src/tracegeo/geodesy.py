@@ -24,6 +24,7 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
+    _RERUN_FACTORS,
     _curve_parameter,
     _eigenbasis,
     _expm,
@@ -31,12 +32,12 @@ from .matcore import (
     _kernel_staircase,
     _log_from_eig,
     _overflow_guard,
+    _profile_pass,
     _relative_gap,
     _spectral,
     as_point_and_tangents,
     as_squares,
     polar_decompose,
-    profile_from_spectrum,
     real_log_principal,
     require_invertible,
     so_log,
@@ -49,8 +50,8 @@ class Geodesic:
 
     Points come from one eigendecomposition of the direction, made on the
     first call of :meth:`point`; a defective or ill-conditioned direction
-    takes ``scipy.linalg.expm`` instead.  Both arrays are read-only, so the
-    eigenbasis cannot go stale.
+    takes the Pade exponential ``matcore._expm`` instead.  Both arrays are
+    read-only, so the eigenbasis cannot go stale.
     """
 
     base_point: np.ndarray
@@ -225,7 +226,7 @@ def _jordan_chains(B, lam, mult, tol):
     Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
     and (B - lam) x_j = x_{j-1}.
     """
-    E, null_bases, left = _kernel_staircase(B, lam, mult, tol)
+    E, null_bases, left, _ = _kernel_staircase(B, lam, mult, tol)
     sizes = _jordan_partition(null_bases)
     n = B.shape[0]
     chains = []
@@ -297,8 +298,16 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     * a continuum otherwise.
 
     When an arc exists the returned witness starts at K0 and reaches K1 at
-    t = 1.  Classification is re-run at tol/10 and 10 tol; a disagreement
-    raises IllConditionedError instead of guessing.
+    t = 1.  A verdict that differs at tol/10 or 10 tol raises
+    IllConditionedError instead of guessing.  Each decision of the profile
+    (an eigenvalue pair within the clustering cut, a cluster mean within the
+    real-axis cut, a staircase singular value above the rank cut) compares a
+    quantity with a cut proportional to tol, and the quantities do not
+    depend on tol.  So when none of them lies within a decade of its cut,
+    the profiles at tol/10 and 10 tol equal the one at tol and the verdict
+    cannot differ; only otherwise is the profile re-run at both.  The
+    witness endpoint check takes e^C by Pade scaling and squaring, not
+    through C's own eigenbasis, which would check itself.
     """
     K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
     require_invertible(K1, "K1")
@@ -306,17 +315,16 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
 
     eigs = np.linalg.eigvals(M)
     norm2 = float(np.linalg.norm(M, 2))
-    profile = profile_from_spectrum(M, eigs, norm2, tol)
+    profile, settled = _profile_pass(M, eigs, norm2, tol)
     verdict = _verdict(profile)
-    for factor in (0.1, 10.0):
-        if _verdict(profile_from_spectrum(M, eigs, norm2, tol * factor)) is not verdict:
+    for factor in () if settled else _RERUN_FACTORS:
+        if _verdict(_profile_pass(M, eigs, norm2, tol * factor)[0]) is not verdict:
             raise IllConditionedError(
                 f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})"
             )
     witness = None
     if verdict is not ArcKind.NO_ARC:
         C = _real_log_witness(M, profile, tol)
-        # scipy's expm, not witness.point: a check through C's own eigenbasis would check itself
         gap = _relative_gap(_expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")

@@ -5,9 +5,11 @@ structure estimation, polar decomposition, the canonical skew logarithm of a
 special orthogonal matrix, and the Cartan-Killing form of n x n matrices.
 All functions are pure and operate on plain ``numpy`` arrays.
 
-``scipy.linalg`` is imported on first use, through :func:`_scipy_linalg`: the
-metric, curvature and most arc work never need it, and its import dominates
-the start of a short process.
+The exponential is Pade scaling and squaring in numpy (:func:`_expm`).
+``scipy.linalg`` is imported on first use, through :func:`_scipy_linalg`, and
+only two fallbacks need it: ``logm`` for a defective or near-defective
+logarithm, and ``schur`` for a rotation with a half turn in :func:`so_log`.
+Its import dominates the start of a short process.
 """
 
 import functools
@@ -143,19 +145,55 @@ def _scipy_linalg():
     return scipy.linalg
 
 
+# Higham (SIAM J. Matrix Anal. Appl. 26, 2005), table 2.3: for each Pade degree m, the largest
+# 1-norm at which the diagonal approximant r_m = p_m(A) / p_m(-A) meets e^A to unit roundoff, and
+# p_m's coefficients b_j = (2m - j)! / (j! (m - j)!) split by parity: V = sum b_2k A^2k over the
+# even powers and U = A W, W = sum b_2k+1 A^2k, so that r_m = (V - U)^-1 (V + U).
+_PADE = tuple(
+    (theta, np.array([[math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+                       for j in range(parity, m + 1, 2)] for parity in (0, 1)], dtype=float))
+    for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                     (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 5.371920351148152))
+)
+
+
 @_overflow_guard("matrix exponential")
-def _expm(A, left=None, right=None):
-    """``left @ scipy.linalg.expm(A) @ right`` of float matrices; either factor may be omitted."""
-    E = _scipy_linalg().expm(A)
-    if left is not None:
-        E = left @ E
-    if right is not None:
-        E = E @ right
-    return E
+def _expm(A, left=None):
+    """``left @ e^A`` of a float matrix (``left`` may be omitted), by scaling and squaring: the
+    lowest Pade degree whose bound holds ``||A||_1``, else degree 13 on ``A / 2^s`` squared ``s``
+    times (Higham 2005, algorithm 2.3).  Each squaring of an upper-triangular ``A`` resets the
+    diagonal to its exact exponentials, where the rounding of the approximant would grow ``2^s``
+    fold (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009, section 2).  A 1-norm past the
+    float range raises."""
+    columns = abs(A).T.tolist()
+    norm = max(map(sum, columns))
+    if not math.isfinite(norm):
+        raise IllConditionedError("matrix exponential overflows the float range")
+    for theta, coef in _PADE:
+        if norm <= theta:
+            break
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    upper = not any(any(column[j + 1:]) for j, column in enumerate(columns))
+    diagonal = np.diagonal(A)
+    if s:
+        A = A * 2.0**-s
+    n = A.shape[0]
+    A2 = A @ A
+    evens = [np.eye(n), A2]
+    while len(evens) < coef.shape[1]:
+        evens.append(evens[-1] @ A2)
+    V, W = (coef @ np.reshape(evens, (-1, n * n))).reshape(2, n, n)
+    U = A @ W
+    E = np.linalg.solve(V - U, V + U)
+    for k in range(1, s + 1):
+        E = E @ E
+        if upper:
+            np.fill_diagonal(E, np.exp(diagonal * 2.0 ** (k - s)))
+    return E if left is None else left @ E
 
 
 def mat_exp(A):
-    """Matrix exponential e^A (scaling-and-squaring Pade)."""
+    """Matrix exponential e^A (scaling and squaring with Pade degree 3 to 13, Higham 2005)."""
     return _expm(as_squares(A=A)[0])
 
 
@@ -309,8 +347,9 @@ class SpectralProfile:
 
 
 def _kernel_staircase(A, lam, mult, tol):
-    """``E = A - lam I``, kernel bases of E^0, E^1, ..., and a left kernel basis ``U`` of the last
-    power (``U^H E^k = 0``, the left generalised eigenspace), from one full SVD per power.
+    """``E = A - lam I``, kernel bases of E^0, E^1, ..., a left kernel basis ``U`` of the last
+    power (``U^H E^k = 0``, the left generalised eigenspace), from one full SVD per power, and
+    whether no singular value of a power sits within a decade of its rank cut (:func:`_decade`).
 
     Rank E^k counts singular values above ``tol * s^k`` for ``s = max(1, ||E||_2)``, read as
     those of ``E (E/s)^(k-1)`` above ``tol * s`` so that no power overflows; clamped to
@@ -322,18 +361,21 @@ def _kernel_staircase(A, lam, mult, tol):
     floor, rank = n - mult, n
     bases = [np.zeros((n, 0), dtype=E.dtype)]
     Ek = E
+    settled = True
     for k in range(1, mult + 1):
         U, s, Vh = np.linalg.svd(Ek)
         if k == 1:
             scale = max(1.0, float(s[0]))
             step = E / scale
+        low, high = _decade(tol, scale)
+        settled = settled and not any(low < x <= high for x in s.tolist())
         rank = min(max(int(np.count_nonzero(s > tol * scale)), floor), rank)
         bases.append(Vh[rank:].conj().T)
         if rank == floor:
-            return E, bases, U[:, floor:]
+            return E, bases, U[:, floor:], settled
         Ek = Ek @ step
     bases.append(Vh[floor:].conj().T)  # the forced step
-    return E, bases, U[:, floor:]
+    return E, bases, U[:, floor:], settled
 
 
 def _jordan_partition(bases):
@@ -346,10 +388,12 @@ def _jordan_partition(bases):
 
 
 def _block_sizes(A, lam, mult, tol):
-    """Jordan block sizes for eigenvalue ``lam`` from the kernel staircase."""
+    """Jordan block sizes for eigenvalue ``lam`` from the kernel staircase, and whether the
+    staircase had a decade of margin at every cut."""
     if mult == 1:  # the staircase can only find one block of size 1
-        return (1,)
-    return _jordan_partition(_kernel_staircase(A, lam, mult, tol)[1])
+        return (1,), True
+    _, bases, _, settled = _kernel_staircase(A, lam, mult, tol)
+    return _jordan_partition(bases), settled
 
 
 def spectral_profile(A, tol=DEFAULT_TOL):
@@ -364,40 +408,76 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     return profile_from_spectrum(A, np.linalg.eigvals(A), float(np.linalg.norm(A, 2)), tol)
 
 
-def _cluster_means(eigs, norm2, tol):
+# classify_arc tests a verdict's stability by re-profiling at these multiples of tol
+_RERUN_FACTORS = (0.1, 10.0)
+
+
+def _decade(tol, base):
+    """The cuts ``tol/10 * base`` and ``10 tol * base``, rounded as the re-runs at those tolerances
+    round them.  A decision ``x <= tol * base`` with ``x`` outside ``(low, high]`` is the same at
+    ``tol / 10``, ``tol`` and ``10 tol``."""
+    down, up = _RERUN_FACTORS
+    return tol * down * base, tol * up * base
+
+
+def _clusters(eigs, norm2, tol):
     """A (mean, multiplicity) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
-    near-real means snapped onto the real axis.  Each eigenvalue merges every cluster within the
-    cut; a mean sums its members in ``eigs`` order, so conjugate clusters are exact mirrors."""
-    cut = tol * max(1.0, norm2)
+    near-real means snapped onto the real axis, and whether the clustering is settled: no pair
+    distance and no mean's real-axis test within a decade of its cut (:func:`_decade`).  Each
+    eigenvalue merges every cluster within the cut; a mean sums its members in ``eigs`` order, so
+    conjugate clusters are exact mirrors."""
+    base = max(1.0, norm2)
+    cut = tol * base
+    low, high = _decade(tol, base)
     eigs = eigs.tolist()
-    clusters = []  # index lists, ascending
+    clusters, settled = [], True  # clusters: index lists, ascending
     for k, lam in enumerate(eigs):
-        near = [c for c in clusters if any(abs(eigs[i] - lam) <= cut for i in c)]
+        dist = [abs(mu - lam) for mu in eigs[:k]]
+        if min(dist, default=math.inf) > high:  # the usual case: a new cluster, far from every cut
+            clusters.append([k])
+            continue
+        settled = settled and not any(low < d <= high for d in dist)
+        near = [c for c in clusters if any(dist[i] <= cut for i in c)]
         clusters = [c for c in clusters if c not in near] + [sorted(sum(near, [k]))]
     reps = []
     for c in clusters:
         lam = complex(sum(eigs[i] for i in c) / len(c))
+        if lam.imag:  # a real mean is on the axis at every tolerance
+            axis_low, axis_high = _decade(tol, max(1.0, abs(lam)))
+            settled = settled and not axis_low < abs(lam.imag) <= axis_high
         reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(c)))
-    return reps
+    return reps, settled
+
+
+def _cluster_means(eigs, norm2, tol):
+    """The (mean, multiplicity) pairs of :func:`_clusters`."""
+    return _clusters(eigs, norm2, tol)[0]
+
+
+def _profile_pass(A, eigs, norm2, tol):
+    """:func:`profile_from_spectrum` at ``tol``, and whether the profiles at ``tol / 10`` and
+    ``10 tol`` are sure to equal it: every decision it made had a decade of margin."""
+    reps, settled = _clusters(eigs, norm2, tol)
+    # eig of a real matrix returns exact conjugate pairs and single linkage is mirror-symmetric, so
+    # each lower-half-plane mean is the exact conjugate of an upper one and takes its block sizes
+    upper = {lam: _block_sizes(A, lam, mult, tol) for lam, mult in reps if lam.imag > 0}
+    clusters = []
+    for lam, mult in reps:
+        mirror = upper.get(complex(lam.real, abs(lam.imag)))
+        sizes, clear = mirror or _block_sizes(A, lam, mult, tol)
+        settled = settled and clear
+        clusters.append(EigenCluster(lam, sizes))
+    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
+    return SpectralProfile(tuple(clusters), float(tol)), settled
 
 
 def profile_from_spectrum(A, eigs, norm2, tol):
     """:func:`spectral_profile` of the square float matrix ``A`` at ``tol``.
 
     ``eigs`` are the eigenvalues of ``A`` and ``norm2`` its spectral norm,
-    computed once by a caller that profiles the same matrix at several
-    tolerances.
+    computed by the caller.
     """
-    reps = _cluster_means(eigs, norm2, tol)
-    # eig of a real matrix returns exact conjugate pairs and single linkage is mirror-symmetric, so
-    # each lower-half-plane mean is the exact conjugate of an upper one and takes its block sizes
-    upper = {lam: _block_sizes(A, lam, mult, tol) for lam, mult in reps if lam.imag > 0}
-    clusters = []
-    for lam, mult in reps:
-        sizes = upper.get(complex(lam.real, abs(lam.imag))) or _block_sizes(A, lam, mult, tol)
-        clusters.append(EigenCluster(lam, sizes))
-    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
-    return SpectralProfile(tuple(clusters), float(tol))
+    return _profile_pass(A, eigs, norm2, tol)[0]
 
 
 # ---------------------------------------------------------------------------

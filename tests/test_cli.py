@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracegeo import cli, errors, verify
+from tracegeo import Geodesic, cli, errors, verify
 from tracegeo.cli import main
 
 I2_DOC = '{"n":2,"data":[[1,0],[0,1]]}'
@@ -430,6 +430,32 @@ class TestGeodesicCommand:
         else:
             assert json.loads(err)["error"] == "parse"
 
+    def test_output_is_the_json_dumps_of_every_sample(self, capsys, rng):
+        K, C = rng.uniform(-1, 1, (3, 3)) + 3 * np.eye(3), rng.uniform(-1, 1, (3, 3))
+        code, out, _ = run_cli(capsys, "geodesic", "--k", json.dumps(verify.matrix_document(K)),
+                               "--c", json.dumps(verify.matrix_document(C)),
+                               "--t-from=-2", "--t-to", "3", "--samples", "7")
+        geo = Geodesic(K, C)
+        docs = []
+        for t in np.linspace(-2.0, 3.0, 7):
+            P = geo.point(float(t))
+            docs.append({**verify.matrix_document(P), "t": float(t), "det": float(np.linalg.det(P))})
+        assert (code, out) == (0, json.dumps(docs) + "\n")
+
+    def test_documents_are_made_one_at_a_time_as_they_are_written(self, monkeypatch):
+        made, writes, document = [], [], cli.matrix_document
+        monkeypatch.setattr(cli, "matrix_document", lambda P: made.append(P) or document(P))
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(made))  # documents made by the time of each write
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Recorder()):
+            code = main(["geodesic", "--k", I2_DOC, "--c", _diag_doc(1, -1), "--samples", "5"])
+        assert code == 0
+        assert writes == [0, 1, 2, 3, 4, 5, 5, 5]  # "[", one per document, "]", the newline
+
     def test_velocity_input(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -630,7 +656,8 @@ class TestErrorCodes:
         assert len(set(codes)) == len(codes)
 
 
-# Commands whose every path is pure numpy: one fresh process runs them all.
+# Commands whose every path is pure numpy: one fresh process runs them all.  The arcs build
+# witnesses (SPD, paired negative, complex pair) and check them with the Pade exponential.
 _NUMPY_ONLY_COMMANDS = """
 import contextlib, io, json, sys
 import tracegeo, tracegeo.cli
@@ -649,6 +676,11 @@ runs = [
     ["verify", "--suite", "product", "--n", "3", "--cases", "5"],
     ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0.3,-1],[2,0.1]]}', "--samples", "4"],
     ["verify", "--suite", "foliation", "--n", "3", "--cases", "5"],
+    ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[1,3]]}'],
+    ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[-2,0],[0,-2]]}'],
+    ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[-1,3]]}'],
+    ["verify", "--suite", "geodesic", "--n", "3", "--cases", "5"],
+    ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0,1],[0,0]]}', "--samples", "4"],
 ]
 codes = []
 for argv in runs:
@@ -656,6 +688,7 @@ for argv in runs:
         codes.append(main(argv))
 tracegeo.fractional_power([[2.0, 1.0], [1.0, 3.0]], 0.5)
 tracegeo.spd_geodesic([[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.5]], 0.7)
+tracegeo.mat_exp([[0.0, -1.0], [1.0, 0.0]])
 print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
 """
 
@@ -665,7 +698,8 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
+                                                     0, 0, 0, 0, 0],
                                            "scipy_linalg": False}
 
 

@@ -122,8 +122,17 @@ def test_non_finite_scalar_is_a_value_error(call, message, x):
 
 
 def _expm_spy(monkeypatch):
-    calls, expm = [], sla.expm
-    monkeypatch.setattr(sla, "expm", lambda A: calls.append(A) or expm(A))
+    """Records every matrix exponential as ("pade", A) for tracegeo's own, ``matcore._expm``, and
+    ("scipy", A) for ``scipy.linalg.expm``, the tests' independent oracle."""
+    calls, pade, expm = [], matcore._expm, sla.expm
+
+    def spy(A, left=None):
+        calls.append(("pade", A))
+        return pade(A, left)
+
+    for module in (matcore, geodesy):  # geodesy imported the name
+        monkeypatch.setattr(module, "_expm", spy)
+    monkeypatch.setattr(sla, "expm", lambda A: calls.append(("scipy", A)) or expm(A))
     return calls
 
 
@@ -159,7 +168,8 @@ class TestEigenbasisRoute:
         ts = (-1.5, 0.3, 2.0)
         for t in ts:
             assert_allclose(geo.point(t), K @ sla.expm(t * C), rtol=1e-13)
-        assert len(calls) == 2 * len(ts)  # one in the route, one in the oracle
+        # one Pade exponential in the route, one scipy exponential in the oracle
+        assert [kind for kind, _ in calls] == ["pade", "scipy"] * len(ts)
 
     def test_complex_pair_gives_a_real_point(self):
         geo = Geodesic(I2, np.array([[0.1, -2.0], [2.0, 0.1]]))
@@ -573,13 +583,15 @@ def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not():
     assert np.linalg.norm(end - K1) <= 1e-8 * np.linalg.norm(K1)
 
 
-def test_witness_endpoint_check_runs_on_scipy_expm(rng, monkeypatch):
+def test_witness_endpoint_check_runs_on_the_pade_exponential(rng, monkeypatch):
     # the check must not go through the witness's own eigenbasis, which would check itself
     calls = _expm_spy(monkeypatch)
     K0, K1 = random_spd(rng, 3), random_spd(rng, 3)
     outcome = classify_arc(K0, K1)
     assert len(calls) == 1
-    assert_array_equal(calls[0], outcome.witness.direction)
+    kind, A = calls[0]
+    assert kind == "pade"
+    assert_array_equal(A, outcome.witness.direction)
 
 
 def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
@@ -598,6 +610,158 @@ def test_witness_endpoint_check_is_not_vacuous_at_small_scale(monkeypatch):
     monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, profile, tol: np.diag([1.0, 0.0]))
     with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
         classify_arc(K, K)
+
+
+# ---------------------------------------------------------------------------
+# One profile pass when every decision has a decade of margin
+# ---------------------------------------------------------------------------
+
+
+def _pass_spy(monkeypatch):
+    """The tolerance of every profile pass classify_arc makes."""
+    calls, profile_pass = [], geodesy._profile_pass
+
+    def spy(A, eigs, norm2, tol):
+        calls.append(tol)
+        return profile_pass(A, eigs, norm2, tol)
+
+    monkeypatch.setattr(geodesy, "_profile_pass", spy)
+    return calls
+
+
+def _rotation_block(a, b):
+    return np.array([[a, -b], [b, a]])
+
+
+# a core of K0^-1 K1 for every class that classify_arc sees, spectra far from every cut
+SEPARATED_CORES = {
+    "nonsym-pos": (np.diag([0.5, 1.5, 3.0]), ArcKind.UNIQUE),
+    "complex-pair": (sla.block_diag(_rotation_block(1.0, 2.0), [[3.0]]), ArcKind.COUNTABLE),
+    "paired-neg": (np.diag([-2.0, -2.0, 3.0]), ArcKind.CONTINUUM),
+    "repeated-pos": (np.diag([2.0, 2.0, 3.0]), ArcKind.CONTINUUM),
+    "unpaired-neg": (np.diag([-2.0, 3.0, 4.0]), ArcKind.NO_ARC),
+}
+
+
+@pytest.mark.parametrize("cls", ["spd", *SEPARATED_CORES])
+def test_well_separated_pairs_take_one_profile_pass(cls, monkeypatch):
+    calls = _pass_spy(monkeypatch)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        if cls == "spd":
+            K0, K1, verdict = random_spd(rng, 3), random_spd(rng, 3), ArcKind.UNIQUE
+        else:
+            core, verdict = SEPARATED_CORES[cls]
+            S = np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3))
+            K0 = random_invertible(rng, 3)
+            K1 = 10 ** rng.uniform(-3, 3) * (K0 @ S @ core @ np.linalg.inv(S))
+        calls.clear()
+        assert classify_arc(K0, K1).verdict is verdict
+        assert calls == [1e-8]
+
+
+_J = np.array([[2.0, 1.0], [0.0, 2.0]])
+NEAR_CUT = {
+    # eigenvalues 2 and 2 + d, d twice the clustering cut: merged at 10 tol into one J2 block
+    "gap": (np.array([[2.0, 1.0], [0.0, 2.0 + 2e-8 * np.linalg.norm(_J, 2)]]), ArcKind.UNIQUE),
+    # 3 +- 2.1e-7 i: |Im| is 7 real-axis cuts, the pair 14 clustering cuts apart; the repeated
+    # eigenvalue 1 makes the verdict continuum whether or not the pair is snapped
+    "near-real": (sla.block_diag(_rotation_block(3.0, 2.1e-7), 1.0, 1.0), ArcKind.CONTINUUM),
+    # E = M - 2I has the singular value 6e-8, twice the rank cut tol * ||E||_2 = 3e-8
+    "staircase": (sla.block_diag([[2.0, 6e-8], [0.0, 2.0]], 5.0, 5.0), ArcKind.CONTINUUM),
+}
+
+
+@pytest.mark.parametrize("case", NEAR_CUT)
+def test_a_decision_within_a_decade_of_its_cut_reruns_the_profile(case, monkeypatch):
+    calls = _pass_spy(monkeypatch)
+    M, verdict = NEAR_CUT[case]
+    outcome = classify_arc(np.eye(len(M)), M)
+    assert outcome.verdict is verdict
+    assert calls == [1e-8, 1e-9, 1e-7]
+    end = outcome.witness.point(1.0)
+    assert np.linalg.norm(end - M) <= 1e-8 * np.linalg.norm(M)
+
+
+def _upper(a, e, b):
+    return np.array([[a, e, 0.0], [0.0, a, 0.0], [0.0, 0.0, b]])
+
+
+# classify_arc(I, M) before and after the single-pass rule: the verdict, or the refusal's message
+NEAR_THRESHOLD_TABLE = [
+    (1e-3 * np.diag([1.0, 1.0 + 1e-6, 2.0]), "continuum"),
+    (0.1 * np.diag([1.0, 1.0 + 1e-6, 2.0]), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (np.diag([1.0, 1.0 + 1e-6, 2.0]), "unique"),
+    (np.diag([2.0, 2.0 + 4e-9, 5.0]), "continuum"),
+    (np.diag([2.0, 2.0 + 1e-7, 5.0]), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (np.diag([2.0, 2.0 + 1e-6, 5.0]), "unique"),
+    (np.diag([-2.0, -2.0 - 1e-7, 5.0]), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (_upper(2.0, 3e-10, 5.0), "continuum"),
+    (_upper(2.0, 6e-8, 5.0), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (_upper(2.0, 6e-6, 5.0), "unique"),
+    (_upper(-2.0, 6e-8, 5.0), "ambiguous at tolerance 1e-08 (differs at 1e-09)"),
+    (sla.block_diag(_rotation_block(3.0, 3e-10), 1.0), "continuum"),
+    (sla.block_diag(_rotation_block(3.0, 2.1e-7), 1.0), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (sla.block_diag(_rotation_block(-3.0, 2.1e-7), 1.0), "ambiguous at tolerance 1e-08 (differs at 1e-07)"),
+    (sla.block_diag(_rotation_block(3.0, 3e-4), 1.0), "countable"),
+]
+
+
+@pytest.mark.parametrize("M, want", NEAR_THRESHOLD_TABLE)
+def test_near_threshold_pairs_refuse_as_before(M, want):
+    try:
+        got = classify_arc(np.eye(3), M).verdict.value
+    except IllConditionedError as exc:
+        got = str(exc).removeprefix("verdict is ")
+    assert got == want
+
+
+def always_three_passes(K0, K1, tol):
+    """Reference: the profile at tol and the verdict-stability rule that re-profiles at tol/10 and
+    10 tol every time; the verdict, or the message of the refusal."""
+    M = np.linalg.solve(K0, K1)
+    eigs, norm2 = np.linalg.eigvals(M), float(np.linalg.norm(M, 2))
+    profile = matcore.profile_from_spectrum(M, eigs, norm2, tol)
+    for factor in (0.1, 10.0):
+        other = matcore.profile_from_spectrum(M, eigs, norm2, tol * factor)
+        if geodesy._verdict(other) is not geodesy._verdict(profile):
+            return profile, f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})"
+    return profile, geodesy._verdict(profile)
+
+
+def near_threshold_core(rng):
+    """A 3 x 3 core with one decision placed 10^-2.5 .. 10^2.5 cuts from its cut: an eigenvalue
+    gap, a Jordan coupling, or the imaginary part of a near-real pair, next to the eigenvalue 3."""
+    a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.5))
+    size = 10 ** rng.uniform(-2.5, 2.5) * 3e-8  # cuts are tol * 3 here
+    kind = rng.choice(["gap", "coupling", "near-real"])
+    if kind == "gap":
+        return np.diag([a, a + size, 3.0])
+    if kind == "coupling":
+        return _upper(a, size, 3.0)
+    return sla.block_diag(_rotation_block(a, size), 3.0)
+
+
+def test_single_pass_rule_matches_always_three_passes(monkeypatch):
+    calls = _pass_spy(monkeypatch)
+    single = rerun = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        S = np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3))
+        K0 = random_invertible(rng, 3)
+        K1 = K0 @ S @ near_threshold_core(rng) @ np.linalg.inv(S)
+        profile, want = always_three_passes(K0, K1, 1e-8)
+        calls.clear()
+        try:
+            outcome = classify_arc(K0, K1)
+        except IllConditionedError as exc:
+            assert str(exc) == want, f"seed {seed}"
+        else:
+            assert outcome.verdict is want, f"seed {seed}"
+            assert outcome.profile == profile
+        single += calls == [1e-8]
+        rerun += calls[1:2] == [1e-9]
+    assert single >= 100 and rerun >= 100
 
 
 HOSTILE_CORES = {

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from tracegeo import (
     IllConditionedError,
@@ -64,6 +64,57 @@ class TestMatExp:
         h = 1e-6
         dd = (mat_exp((1 + h) * A) - mat_exp((1 - h) * A)) / (2 * h)
         assert_allclose(dd, A @ mat_exp(A), atol=1e-8)
+
+
+class TestPadeExponential:
+    # 1-norms inside the bound of each Pade degree (3; 5 twice; 7 twice; 9 twice), where the
+    # approximant alone meets e^A to a few roundoffs, then degree 13 after s = 0, 2, 5 and 8
+    # squarings, where the error of scipy's expm, like ours, grows with the 1-norm
+    NORMS = (1e-3, 0.1, 0.25, 0.6, 0.9, 1.5, 2.0, 5.0, 20.0, 100.0, 1e3)
+
+    @staticmethod
+    def operands(rng, n, norm):
+        """A general matrix (up to 1-norm 100, where e^A stays finite), a skew matrix with a small
+        general part, and a strictly upper-triangular (nilpotent, far from normal) one."""
+        B = rng.uniform(-1, 1, (n, n))
+        kinds = [B - B.T + 0.01 * B, np.triu(B, 1)] + [B] * (norm <= 100.0)
+        return [norm / np.abs(A).sum(axis=0).max() * A for A in kinds]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_scipy_on_every_degree_and_scaling(self, n, rng):
+        for norm in self.NORMS:
+            for _ in range(10):
+                for A in self.operands(rng, n, norm):
+                    want = sla.expm(A)
+                    err = np.linalg.norm(matcore._expm(A) - want, 1) / np.linalg.norm(want, 1)
+                    assert err <= (1e-14 if norm <= 2.0 else 1e-12 * norm)
+
+    def test_left_factor(self, rng):
+        K, A = random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3))
+        assert_allclose(matcore._expm(A, left=K), K @ sla.expm(A), rtol=1e-13)
+
+    @pytest.mark.parametrize("A", [
+        np.full((3, 3), 1e308),  # the 1-norm itself is inf
+        np.diag([1e308, 1.0]),  # a finite 1-norm whose squarings overflow
+        np.array([[0.0, 1e308], [1e308, 0.0]]),  # cosh and sinh of 1e308
+    ], ids=["inf-norm", "squarings", "hyperbolic"])
+    def test_overflow_raises_without_a_warning(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="matrix exponential overflows"):
+                mat_exp(A)
+
+    def test_underflow_is_a_finite_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(mat_exp(np.diag([-1e308, 0.0])), np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e10, 1e100, 1e300])
+    def test_triangular_diagonal_does_not_drift_with_the_squarings(self, t):
+        # without the diagonal reset, s = log2(t / 5.4) squarings drive a diagonal of 1 - u
+        # toward 0 (0.97 at t = 1e15)
+        assert_allclose(mat_exp([[0.0, t], [0.0, 0.0]]), [[1.0, t], [0.0, 1.0]], rtol=1e-15)
+        assert_allclose(mat_exp([[-t, 0.0], [0.0, 0.5]]), np.diag([0.0, np.exp(0.5)]), rtol=1e-15)
 
 
 DIAGONALISABLE_KINDS = ("positive-distinct", "complex-pair", "repeated-semisimple", "spd-product")
@@ -221,15 +272,14 @@ class TestFractionalPower:
                     assert np.linalg.norm(fractional_power(A, t) - want) <= bound
 
     def test_only_a_defective_input_reaches_scipy(self, rng, monkeypatch):
-        calls = []
-        for name in ("expm", "logm"):
-            fn = getattr(sla, name)
-            monkeypatch.setattr(sla, name, lambda A, fn=fn, name=name: calls.append(name) or fn(A))
+        calls, logm, pade = [], sla.logm, matcore._expm
+        monkeypatch.setattr(sla, "logm", lambda A: calls.append("logm") or logm(A))
+        monkeypatch.setattr(matcore, "_expm", lambda A: calls.append("expm") or pade(A))
         B = rng.uniform(-1, 1, (3, 3))
         fractional_power(B @ B.T + 3 * np.eye(3), 0.5)
         assert calls == []
         fractional_power(jordan_block(2.0, 3), 0.5)
-        assert calls == ["logm", "expm"]
+        assert calls == ["logm", "expm"]  # scipy's logarithm, then the Pade exponential
 
     def test_complex_pair_near_the_axis_gives_a_real_power(self):
         A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i count as positive
@@ -304,12 +354,12 @@ def three_pass_profile(A, eigs, norm2, tol):
     done = [False] * len(reps)
     for i, (lam, mult) in enumerate(reps):
         if lam.imag == 0.0:
-            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)))
+            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)[0]))
             done[i] = True
     for i, (lam, mult) in enumerate(reps):
         if done[i] or lam.imag < 0:
             continue
-        sizes = matcore._block_sizes(A, lam, mult, tol)
+        sizes = matcore._block_sizes(A, lam, mult, tol)[0]
         clusters.append(EigenCluster(lam, sizes))
         done[i] = True
         conj = lam.conjugate()
@@ -323,7 +373,7 @@ def three_pass_profile(A, eigs, norm2, tol):
             done[j] = True
     for i, (lam, mult) in enumerate(reps):
         if not done[i]:
-            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)))
+            clusters.append(EigenCluster(lam, matcore._block_sizes(A, lam, mult, tol)[0]))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return SpectralProfile(tuple(clusters), float(tol))
 
