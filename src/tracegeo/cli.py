@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import curvature as curvature_mod
-from . import geodesy, metricspace, verify
+from . import geodesy, metricspace
 from .errors import IllConditionedError, TraceGeoError
-from .matcore import _det
-from .verify import matrix_document
+from .matcore import _det, matrix_document
 
 
 class _ParseError(argparse.ArgumentTypeError):
@@ -54,6 +53,22 @@ _positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive fin
 _finite = _number(float, math.isfinite, "a finite number")
 _count = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive_count = _number(int, lambda v: v >= 1, "a positive integer")
+
+
+# Only the verify command imports tracegeo.verify, the costliest module to compile: its two
+# options take their allowed values from it when they are parsed.
+def _suite(text):
+    from . import verify
+
+    return _number(str, lambda v: v in (*verify.SUITES, "all"),
+                   f"one of {', '.join(verify.SUITES)} or all")(text)
+
+
+def _order(text):
+    from . import verify
+
+    return _number(int, lambda v: v in verify.ORDERS,
+                   f"an integer from {verify.ORDERS[0]} to {verify.ORDERS[-1]}")(text)
 
 
 class _Span(argparse.Action):
@@ -204,6 +219,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     tol_assert = args.tol_assert
     if tol_assert is None:
         try:
@@ -279,8 +296,8 @@ def build_parser():
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("verify", help="run a seeded self-verification suite")
-    p.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
-    p.add_argument("--n", type=int, choices=verify.ORDERS, default=2)
+    p.add_argument("--suite", required=True, type=_suite, help="a suite name, or all")
+    p.add_argument("--n", type=_order, default=2, help="matrix order, 2 to 6")
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--cases", type=_count, default=50)
     p.add_argument("--tol-assert", type=_positive, default=None,

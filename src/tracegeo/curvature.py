@@ -61,7 +61,8 @@ def sectional(K, X, Y):
     if s[1] <= 1e-12 * s[0]:  # relative to the pair alone: X -> aX, Y -> aY keeps the verdict
         raise LinearlyDependentError("X and Y do not span a 2-plane")
     # invariant under X -> aX, Y -> bY: tangents of largest entry 1 keep the Gram entries far
-    # from overflow, as ||K^-1|| < 1e13 past the singular cut
+    # from overflow unless ||K^-1|| itself is huge (the singular cut is relative to ||K||_2, so
+    # a tiny K passes it), where the overflow guard raises
     tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
     bX, bY = np.linalg.solve(K, tangents)
     gxx = float(np.trace(bX @ bX))

@@ -251,15 +251,16 @@ def _jordan_chains(B, lam, mult, tol):
 
 
 @_overflow_guard("arc logarithm")
-def _real_log_witness(M, profile, tol):
-    """Some real solution C of exp(C) = M, principal wherever possible.
+def _real_log_witness(M, eigs, vecs, profile, tol):
+    """Some real solution C of exp(C) = M = vecs diag(eigs) vecs^-1, principal wherever possible.
 
-    The verdict paired the Jordan blocks of each negative cluster of the profile, and the chains
-    of M come off the same staircase, so equal-length chains pair up as x, y.  With dual rows D
-    (D [X Y] = I, from the left generalised eigenspaces), P = [X Y] D is the negative spectral
-    projector and J = Y D_x - X D_y has J^2 = -P; both commute with M, so exp(pi J) = I - 2P and
-    C = log(M (I - 2P)) + pi J: the principal log with the negative spectrum flipped, then the
-    angle-pi turn that flips it back.
+    With no negative cluster in the profile, C is the principal log from that eigendecomposition.
+    Otherwise the verdict paired the Jordan blocks of each negative cluster of the profile, and the
+    chains of M come off the same staircase, so equal-length chains pair up as x, y.  With dual
+    rows D (D [X Y] = I, from the left generalised eigenspaces), P = [X Y] D is the negative
+    spectral projector and J = Y D_x - X D_y has J^2 = -P; both commute with M, so
+    exp(pi J) = I - 2P and C = log(M (I - 2P)) + pi J: the principal log with the negative
+    spectrum flipped, then the angle-pi turn that flips it back.
     """
     xs, ys, lefts = [], [], []
     for cluster in profile.negative_real():
@@ -270,7 +271,7 @@ def _real_log_witness(M, profile, tol):
             ys.extend(y)
         lefts.append(left)
     if not xs:  # M = K0^{-1} K1 of endpoints past the singular cut: no cut of its own
-        return _log_from_eig(M, *np.linalg.eig(M), tol)
+        return _log_from_eig(M, eigs, vecs, tol)
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     try:  # a singular W^T V, or one so near it that the projector overflows
@@ -298,23 +299,26 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     * a continuum otherwise.
 
     When an arc exists the returned witness starts at K0 and reaches K1 at
-    t = 1.  A verdict that differs at tol/10 or 10 tol raises
-    IllConditionedError instead of guessing.  Each decision of the profile
-    (an eigenvalue pair within the clustering cut, a cluster mean within the
-    real-axis cut, a staircase singular value above the rank cut) compares a
-    quantity with a cut proportional to tol, and the quantities do not
-    depend on tol.  So when none of them lies within a decade of its cut,
-    the profiles at tol/10 and 10 tol equal the one at tol and the verdict
-    cannot differ; only otherwise is the profile re-run at both.  The
-    witness endpoint check takes e^C by Pade scaling and squaring, not
-    through C's own eigenbasis, which would check itself.
+    t = 1.  One eigendecomposition M = V diag(lam) V^-1 serves both the
+    profile (its eigenvalues) and, when no cluster is negative, the principal
+    witness V diag(log lam) V^-1 (Higham 2008, section 4.5).  A verdict that
+    differs at tol/10 or 10 tol raises IllConditionedError instead of
+    guessing.  Each decision of the profile (an eigenvalue pair within the
+    clustering cut, a cluster mean within the real-axis cut, a staircase
+    singular value above the rank cut) compares a quantity with a cut
+    proportional to tol, and the quantities do not depend on tol.  So when
+    none of them lies within a decade of its cut, the profiles at tol/10 and
+    10 tol equal the one at tol and the verdict cannot differ; only otherwise
+    is the profile re-run at both.  The witness endpoint check takes e^C by
+    Pade scaling and squaring, not through C's own eigenbasis, which would
+    check itself.
     """
     K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
     require_invertible(K1, "K1")
     M = np.linalg.solve(K0, K1)
 
-    eigs = np.linalg.eigvals(M)
-    norm2 = float(np.linalg.norm(M, 2))
+    eigs, vecs = np.linalg.eig(M)
+    norm2 = float(np.linalg.svd(M, compute_uv=False)[0])
     profile, settled = _profile_pass(M, eigs, norm2, tol)
     verdict = _verdict(profile)
     for factor in () if settled else _RERUN_FACTORS:
@@ -324,7 +328,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
             )
     witness = None
     if verdict is not ArcKind.NO_ARC:
-        C = _real_log_witness(M, profile, tol)
+        C = _real_log_witness(M, eigs, vecs, profile, tol)
         gap = _relative_gap(_expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")

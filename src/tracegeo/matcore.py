@@ -2,7 +2,8 @@
 
 Exponential, real principal logarithm, fractional powers, eigenvalue/Jordan
 structure estimation, polar decomposition, the canonical skew logarithm of a
-special orthogonal matrix, and the Cartan-Killing form of n x n matrices.
+special orthogonal matrix, and the Cartan-Killing form of n x n matrices;
+also the JSON matrix document that the CLI and the verify suites write.
 All functions are pure and operate on plain ``numpy`` arrays.
 
 The exponential is Pade scaling and squaring in numpy (:func:`_expm`).
@@ -57,11 +58,11 @@ def as_squares(**operands):
     raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
 
 
-_SINGULAR_RTOL = 1e-13  # the singular cut, relative to max(1, sigma_max)
+_SINGULAR_RTOL = 1e-13  # the singular cut, relative to sigma_max: cA is singular exactly when A is
 
 
 def _is_singular(s):  # s: singular values, largest first
-    return s[-1] <= _SINGULAR_RTOL * max(1.0, s[0])
+    return s[-1] <= _SINGULAR_RTOL * s[0]
 
 
 def require_invertible(a, name="matrix"):
@@ -76,6 +77,15 @@ def as_point_and_tangents(base, name, **tangents):
     stack = as_squares(**{name: base}, **tangents)
     require_invertible(stack[0], name)
     return stack
+
+
+def matrix_document(M, label=None):
+    """JSON form ``{"n", "data"[, "label"]}`` of a matrix, as the CLI reads and writes it."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    doc = {"n": int(M.shape[0]), "data": M.tolist()}
+    if label:
+        doc["label"] = label
+    return doc
 
 
 def _curve_parameter(t):
@@ -206,15 +216,16 @@ _EIGENBASIS_COND_MAX = 1e4
 
 def _eigenbasis(eigs, V, left=None):
     """``(eigs, left @ V, V^{-1})`` for ``A = V diag(eigs) V^{-1}``, from which :func:`_spectral`
-    takes ``left @ f(A)``; None when ``cond_1(V)`` exceeds ``_EIGENBASIS_COND_MAX`` (defective or
-    nearly so: the caller falls back to scipy).  The error is about ``cond(V) u`` (Higham 2008,
+    takes ``left @ f(A)``; None when ``cond_1(V)`` (the largest column sums of ``|V|`` and
+    ``|V^{-1}|``, multiplied) exceeds ``_EIGENBASIS_COND_MAX`` (defective or nearly so: the caller
+    falls back to ``_logm`` or ``_expm``).  The error is about ``cond(V) u`` (Higham 2008,
     section 4.5); near-defective ``A`` is the case of Moler and Van Loan's warning (SIAM Rev.
     2003, method 14)."""
     try:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         return None
-    if np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) > _EIGENBASIS_COND_MAX:
+    if abs(V).sum(axis=0).max() * abs(Vinv).sum(axis=0).max() > _EIGENBASIS_COND_MAX:
         return None
     return eigs, (V if left is None else left @ V), Vinv
 
@@ -405,7 +416,8 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     structure.
     """
     A = as_squares(A=A)[0]
-    return profile_from_spectrum(A, np.linalg.eigvals(A), float(np.linalg.norm(A, 2)), tol)
+    norm2 = float(np.linalg.svd(A, compute_uv=False)[0])
+    return profile_from_spectrum(A, np.linalg.eigvals(A), norm2, tol)
 
 
 # classify_arc tests a verdict's stability by re-profiling at these multiples of tol

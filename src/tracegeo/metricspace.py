@@ -106,6 +106,12 @@ _ISOMETRY_TABLE = {
 ISOMETRY_KINDS = tuple(_ISOMETRY_TABLE)
 
 
+@_overflow_guard("isometry")
+def _nonlinear(map_, G, *operands):
+    """``map_(G, *operands)`` of a kind that inverts its point, which may overflow at any scale."""
+    return map_(G, *operands)
+
+
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """One isometry of the trace metric, tagged by kind.
@@ -168,9 +174,10 @@ def apply_isometry(iso, X):
     """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds."""
     X = as_squares(X=X)[0]
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
-    if differential is not None:
-        require_invertible(X, "X")
-    return forward(iso.parameter, X)
+    if differential is None:
+        return forward(iso.parameter, X)
+    require_invertible(X, "X")
+    return _nonlinear(forward, iso.parameter, X)
 
 
 def pushforward(iso, A, V):
@@ -184,7 +191,7 @@ def pushforward(iso, A, V):
     if differential is None:
         return forward(iso.parameter, V)
     require_invertible(A, "A")
-    return differential(iso.parameter, A, V)
+    return _nonlinear(differential, iso.parameter, A, V)
 
 
 # ---------------------------------------------------------------------------

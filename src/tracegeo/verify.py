@@ -8,6 +8,7 @@ form.  Suites are deterministic functions of (suite, n, seed, cases).
 import numpy as np
 
 from . import curvature, geodesy, metricspace
+from .matcore import matrix_document
 
 RESIDUAL_TOL = 1e-5  # geodesic ODE residual at the default step
 ORDERS = range(2, 7)  # the matrix orders n the suites are sized for
@@ -40,15 +41,6 @@ def random_spd(rng, n, low=0.5, high=3.0, min_gap=1e-3):
     Q = random_special_orthogonal(rng, n)
     P = Q @ (w[:, None] * Q.T)
     return 0.5 * (P + P.T)
-
-
-def matrix_document(M, label=None):
-    """JSON form ``{"n", "data"[, "label"]}`` of a matrix, as the CLI reads and writes it."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    doc = {"n": int(M.shape[0]), "data": M.tolist()}
-    if label:
-        doc["label"] = label
-    return doc
 
 
 class _Recorder:

@@ -702,6 +702,34 @@ class TestColdStart:
                                                      0, 0, 0, 0, 0],
                                            "scipy_linalg": False}
 
+    def test_only_the_verify_command_imports_the_verify_suites(self):
+        # one fresh process runs the other seven commands, then verify
+        script = """
+import contextlib, io, json, sys
+from tracegeo.cli import main
+I2, C = '{"n":2,"data":[[1,0],[0,1]]}', '{"n":2,"data":[[0,1],[0,0]]}'
+runs = [
+    ["metric", "--at", I2, "--x", I2, "--y", I2],
+    ["signature", "--at", I2],
+    ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[-1,3]]}'],
+    ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[1,3]]}'],
+    ["geodesic", "--k", I2, "--c", C, "--samples", "3"],
+    ["broken-arc", "--k1", I2, "--k2", '{"n":2,"data":[[2,1],[-1,3]]}'],
+    ["curvature", "--at", I2, "--kind", "sectional", "--x", C, "--y", I2],
+    ["verify", "--suite", "metric", "--n", "2", "--cases", "1"],
+]
+loaded = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    loaded.append("tracegeo.verify" in sys.modules)
+print(json.dumps(loaded))
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False] * 7 + [True]
+
 
 class TestInstalledEntryPoint:
     def test_subprocess_roundtrip(self):

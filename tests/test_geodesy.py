@@ -456,8 +456,8 @@ class TestClassification:
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_profile called")
 
-        eigvals, solves = np.linalg.eigvals, []
-        monkeypatch.setattr(np.linalg, "eigvals", lambda A: solves.append(A) or eigvals(A))
+        eig, solves = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda A: solves.append(A) or eig(A))
         monkeypatch.setattr(matcore, "spectral_profile", refuse)
         monkeypatch.setattr(geodesy, "spectral_profile", refuse, raising=False)
         rot = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -470,9 +470,11 @@ class TestClassification:
         S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) if case == "mixed" else np.eye(n)
         M = S @ core @ np.linalg.inv(S)
         out = classify_arc(np.eye(n), M, tol)
+        # one eig of M for the profile, then one of the flipped M (I - 2P) for its logarithm
+        assert len(solves) == 2
+        assert_array_equal(solves[0], np.linalg.solve(np.eye(n), M))
         assert out.verdict is ArcKind.CONTINUUM
         assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
-        assert len(solves) == 1
 
     @pytest.mark.parametrize("case", ["paired", "defective-pairs", "mixed"])
     def test_negative_witness_needs_no_schur_split(self, case, rng, monkeypatch):
@@ -597,7 +599,7 @@ def test_witness_endpoint_check_runs_on_the_pade_exponential(rng, monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
     # ||K1|| overflows for entries of 1.34e154; a wrong witness must still be caught
     K = 1.34e154 * I2
-    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, profile, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, eigs, vecs, profile, tol: np.diag([1.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
@@ -607,7 +609,7 @@ def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_small_scale(monkeypatch):
     # the gap is relative to ||K1|| with no floor, so it holds for K1 of norm 1e-12 too
     K = 1e-12 * I2
-    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, profile, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, eigs, vecs, profile, tol: np.diag([1.0, 0.0]))
     with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
         classify_arc(K, K)
 
@@ -762,6 +764,117 @@ def test_single_pass_rule_matches_always_three_passes(monkeypatch):
         single += calls == [1e-8]
         rerun += calls[1:2] == [1e-9]
     assert single >= 100 and rerun >= 100
+
+
+# ---------------------------------------------------------------------------
+# One eigendecomposition of M per arc
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", ["spd", *SEPARATED_CORES])
+def test_classify_arc_decomposes_the_quotient_once(cls, rng, monkeypatch):
+    # the profile and the principal witness share eig(M); eigvals is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    eig, seen = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda A: seen.append(A) or eig(A))
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    if cls == "spd":
+        K0, K1, verdict = random_spd(rng, 3), random_spd(rng, 3), ArcKind.UNIQUE
+    else:
+        core, verdict = SEPARATED_CORES[cls]
+        S = np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3))
+        K0 = random_invertible(rng, 3)
+        K1 = K0 @ S @ core @ np.linalg.inv(S)
+    outcome = classify_arc(K0, K1)
+    M = np.linalg.solve(K0, K1)
+    assert outcome.verdict is verdict
+    assert sum(np.array_equal(A, M) for A in seen) == 1
+    assert_array_equal(seen[0], M)
+    # only the negative-spectrum log takes a second eig, of the flipped M (I - 2P)
+    assert len(seen) == (2 if cls == "paired-neg" else 1)
+
+
+def eigvals_route(K0, K1, tol):
+    """Reference: classify_arc with M's spectrum read twice, as before one eigendecomposition
+    served the profile and the witness: ``eigvals(M)`` and ``norm(M, 2)`` for the profile, then
+    ``eig(M)`` again for the witness.  The verdict, profile and witness direction, or the type and
+    message of the refusal."""
+    try:
+        M = np.linalg.solve(K0, K1)
+        eigs, norm2 = np.linalg.eigvals(M), float(np.linalg.norm(M, 2))
+        profile, settled = matcore._profile_pass(M, eigs, norm2, tol)
+        verdict = geodesy._verdict(profile)
+        for factor in () if settled else matcore._RERUN_FACTORS:
+            if geodesy._verdict(matcore._profile_pass(M, eigs, norm2, tol * factor)[0]) is not verdict:
+                raise IllConditionedError(
+                    f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})")
+        if verdict is ArcKind.NO_ARC:
+            return verdict, profile, None
+        C = geodesy._real_log_witness(M, *np.linalg.eig(M), profile, tol)
+        gap = matcore._relative_gap(matcore._expm(C, left=K0), K1)
+        if gap > 1e-6:
+            raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
+        return verdict, profile, C
+    except TraceGeoError as exc:
+        return type(exc), str(exc)
+
+
+def arcs_class_pair(rng, cls, n):
+    """Endpoints whose quotient K0^-1 K1 has the spectral class ``cls`` of the perfbench ``arcs``
+    workload, with K1 scaled by c log-uniform over 1e-6..1e6."""
+    c = 10 ** rng.uniform(-6, 6)
+    if cls == "spd":
+        return random_spd(rng, n), c * random_spd(rng, n)
+    positive = list(rng.uniform(0.5, 3.0, n))
+    if cls == "complex-pair":
+        theta = rng.uniform(0.3, np.pi - 0.3)
+        core = sla.block_diag(positive[0] * _rotation_block(np.cos(theta), np.sin(theta)),
+                              *positive[2:])
+    elif cls in ("paired-neg", "repeated-pos"):
+        sign = -1.0 if cls == "paired-neg" else 1.0
+        core = sla.block_diag(sign * positive[0] * I2, *positive[2:])
+    elif cls == "unpaired-neg":
+        core = np.diag([-positive[0], *positive[1:]])
+    else:  # nonsym-pos
+        core = np.diag(positive)
+    S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    K0 = random_invertible(rng, n)
+    return K0, c * (K0 @ S @ core @ np.linalg.inv(S))
+
+
+ARCS_CLASSES = ("spd", "nonsym-pos", "complex-pair", "paired-neg", "repeated-pos", "unpaired-neg")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_eigendecomposition_matches_the_eigvals_route(n, monkeypatch):
+    # the spectrum and spectral norm the first profile pass reads, and every answer
+    seen, profile_pass = [], geodesy._profile_pass
+    monkeypatch.setattr(geodesy, "_profile_pass",
+                        lambda A, eigs, norm2, tol: seen.append((A, eigs, norm2)) or
+                        profile_pass(A, eigs, norm2, tol))
+    for cls in ARCS_CLASSES:
+        for seed in range(20):
+            rng = np.random.default_rng([n, ARCS_CLASSES.index(cls), seed])
+            K0, K1 = arcs_class_pair(rng, cls, n)
+            want = eigvals_route(K0, K1, 1e-8)
+            seen.clear()
+            try:
+                outcome = classify_arc(K0, K1)
+            except TraceGeoError as exc:
+                assert (type(exc), str(exc)) == want, (cls, seed)
+                continue
+            M, eigs, norm2 = seen[0]
+            assert_array_equal(eigs, np.linalg.eigvals(M))
+            assert norm2 == float(np.linalg.norm(M, 2))
+            verdict, profile, C = want
+            assert outcome.verdict is verdict, (cls, seed)
+            assert outcome.profile == profile, (cls, seed)
+            if C is None:
+                assert outcome.witness is None
+            else:
+                assert_array_equal(outcome.witness.direction, C)
 
 
 HOSTILE_CORES = {

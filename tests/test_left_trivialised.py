@@ -15,10 +15,12 @@ from tracegeo import (
     DimensionMismatchError,
     IllConditionedError,
     SingularMatrixError,
+    apply_isometry,
     cartan_killing,
     geodesic_from_velocity,
     inversion,
     nabla,
+    point_symmetry,
     pushforward,
     ricci,
     ricci_trace_oracle,
@@ -147,6 +149,10 @@ OVERFLOWS = {
     "sl_tangent_project": lambda: sl_tangent_project(NEAR_SINGULAR, np.diag([1e300, 0.0])),
     "sl_einstein_check": lambda: sl_einstein_check(I2, 1e200 * E12, 1e200 * E21),
     "geodesic_from_velocity": lambda: geodesic_from_velocity(NEAR_SINGULAR, np.diag([1e300, 0.0])),
+    # a point of scale 1e-300 passes the scale-free singular cut; its inverse is 1e300
+    "pushforward-inversion": lambda: pushforward(inversion(), 1e-300 * I2, I2),
+    "pushforward-point-symmetry": lambda: pushforward(point_symmetry(I2), 1e-300 * I2, I2),
+    "apply-point-symmetry": lambda: apply_isometry(point_symmetry(1e10 * I2), 1e-300 * I2),
 }
 
 

@@ -221,6 +221,20 @@ class TestRealLogPrincipal:
                 assert np.linalg.norm(back - A) <= 1e-8 * np.linalg.norm(A)
 
 
+def test_eigenbasis_condition_is_the_1_norm_product(rng):
+    # cond_1(V) from column sums decides the route exactly as norm(V, 1) * norm(V^-1, 1) would
+    routes = []
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        V = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        V[:, 0] = V[:, 1] + 10 ** rng.uniform(-6, 0) * V[:, 0]  # cond from ~1 to ~1e7
+        cond = np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
+        basis = matcore._eigenbasis(np.ones(n), V)
+        assert (basis is None) == (cond > matcore._EIGENBASIS_COND_MAX)
+        routes.append(basis is None)
+    assert 20 <= sum(routes) <= 180
+
+
 class TestFractionalPower:
     def test_square_root(self):
         assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
@@ -542,7 +556,7 @@ class TestPolar:
             polar_decompose(np.zeros((2, 2)), "left")
 
     def test_same_singular_cut_as_require_invertible(self):
-        # the cut sits at sigma_min = 1e-13 max(1, sigma_max)
+        # the cut sits at sigma_min = 1e-13 sigma_max
         below, above = np.diag([1.0, 0.9e-13]), np.diag([1.0, 1.1e-13])
         for side in ("left", "right"):
             with pytest.raises(SingularMatrixError, match="polar decomposition"):
@@ -551,6 +565,21 @@ class TestPolar:
         with pytest.raises(SingularMatrixError, match="numerically singular"):
             require_invertible(below)
         require_invertible(above)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-14, 1.0, 1e300])
+    def test_singular_cut_does_not_move_with_the_scale(self, c, rng):
+        # cK is invertible exactly when K is: the cut reads sigma_min / sigma_max alone
+        K = random_invertible(rng, 3)
+        require_invertible(c * K)
+        for side in ("left", "right"):
+            pf = polar_decompose(c * K, side)
+            assert np.linalg.norm(pf.product() / c - K) <= 1e-12 * np.linalg.norm(K)
+        below = c * np.diag([1.0, 0.9e-13])
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            require_invertible(below)
+        for side in ("left", "right"):
+            with pytest.raises(SingularMatrixError, match="polar decomposition"):
+                polar_decompose(below, side)
 
 
 def schur_so_log(O):
