@@ -60,11 +60,11 @@ def sectional(K, X, Y):
     s = np.linalg.svd(pair, compute_uv=False)
     if s[1] <= 1e-12 * s[0]:  # relative to the pair alone: X -> aX, Y -> aY keeps the verdict
         raise LinearlyDependentError("X and Y do not span a 2-plane")
-    # invariant under X -> aX, Y -> bY: tangents of largest entry 1 keep the Gram entries far
-    # from overflow unless ||K^-1|| itself is huge (the singular cut is relative to ||K||_2, so
-    # a tiny K passes it), where the overflow guard raises
+    # invariant under X -> aX, Y -> bY and K -> cK: tangents of largest entry 1, and K over the
+    # power of two of its largest entry (an exact scaling), keep the Gram entries far from the
+    # ends of the float range, as the singular cut bounds ||K^-1|| against ||K||
     tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
-    bX, bY = np.linalg.solve(K, tangents)
+    bX, bY = np.linalg.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
     gxx = float(np.trace(bX @ bX))
     gyy = float(np.trace(bY @ bY))
     gxy = float(np.trace(bX @ bY))

@@ -157,8 +157,8 @@ def curve_residual(curve, t, h=1e-4):
     ``curve`` is a callable returning a matrix; derivatives are central
     differences of step ``h``.  Vanishes as O(h^2) on true geodesics.
     """
-    if not 0 < h < np.inf:
-        raise ValueError("step h must be positive and finite")
+    if not (0 < h < np.inf and h * h >= np.finfo(float).tiny):  # acc divides by h * h
+        raise ValueError("step h must be positive and finite, and h * h a normal float")
     samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
     P0, Pp, Pm = as_squares(**samples)
     vel = (Pp - Pm) / (2.0 * h)
@@ -303,15 +303,15 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     profile (its eigenvalues) and, when no cluster is negative, the principal
     witness V diag(log lam) V^-1 (Higham 2008, section 4.5).  A verdict that
     differs at tol/10 or 10 tol raises IllConditionedError instead of
-    guessing.  Each decision of the profile (an eigenvalue pair within the
-    clustering cut, a cluster mean within the real-axis cut, a staircase
-    singular value above the rank cut) compares a quantity with a cut
-    proportional to tol, and the quantities do not depend on tol.  So when
-    none of them lies within a decade of its cut, the profiles at tol/10 and
-    10 tol equal the one at tol and the verdict cannot differ; only otherwise
-    is the profile re-run at both.  The witness endpoint check takes e^C by
-    Pade scaling and squaring, not through C's own eigenbasis, which would
-    check itself.
+    guessing.  Each of the profile's two kinds of decision (an eigenvalue
+    pair within the clustering cut, which alone decides which clusters are
+    real, and a staircase singular value above the rank cut) compares a
+    quantity with a cut proportional to tol, and the quantities do not
+    depend on tol.  So when none of them lies within a decade of its cut,
+    the profiles at tol/10 and 10 tol equal the one at tol and the verdict
+    cannot differ; only otherwise is the profile re-run at both.  The witness
+    endpoint check takes e^C by Pade scaling and squaring, not through C's
+    own eigenbasis, which would check itself.
     """
     K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
     require_invertible(K1, "K1")

@@ -332,7 +332,7 @@ class EigenCluster:
 
     @property
     def is_real(self):
-        # Representatives of real clusters are snapped to imag == 0 exactly.
+        # A self-conjugate cluster's mean is exactly real (see _clusters); any other is not.
         return self.eigenvalue.imag == 0.0
 
 
@@ -410,14 +410,16 @@ def _block_sizes(A, lam, mult, tol):
 def spectral_profile(A, tol=DEFAULT_TOL):
     """Cluster the eigenvalues of ``A`` and estimate Jordan block sizes.
 
-    Eigenvalues are merged when closer than ``tol * max(1, ||A||_2)``;
-    near-real cluster means are snapped onto the real axis and complex
-    clusters are emitted in exact conjugate pairs with identical block
-    structure.
+    A profile makes two kinds of decision: eigenvalues within
+    ``tol * max(1, ||A||_2)`` of each other merge (single linkage), and a
+    staircase singular value above its rank cut counts as rank.  A cluster is
+    real exactly when it is its own conjugate, which the merge cut alone
+    decides; the other clusters come in exact conjugate pairs with identical
+    block structure.
     """
     A = as_squares(A=A)[0]
     norm2 = float(np.linalg.svd(A, compute_uv=False)[0])
-    return profile_from_spectrum(A, np.linalg.eigvals(A), norm2, tol)
+    return _profile_pass(A, np.linalg.eigvals(A), norm2, tol)[0]
 
 
 # classify_arc tests a verdict's stability by re-profiling at these multiples of tol
@@ -434,10 +436,12 @@ def _decade(tol, base):
 
 def _clusters(eigs, norm2, tol):
     """A (mean, multiplicity) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
-    near-real means snapped onto the real axis, and whether the clustering is settled: no pair
-    distance and no mean's real-axis test within a decade of its cut (:func:`_decade`).  Each
-    eigenvalue merges every cluster within the cut; a mean sums its members in ``eigs`` order, so
-    conjugate clusters are exact mirrors."""
+    and whether the clustering is settled: no pair distance within a decade of the cut
+    (:func:`_decade`).  Each eigenvalue merges every cluster within the cut; a mean sums its
+    members in ``eigs`` order.  The cut is the only real-axis decision: ``eig`` of a real matrix
+    returns each conjugate pair as ``+b`` then ``-b`` and single linkage is mirror-symmetric, so
+    a cluster is either its own mirror, whose mean has ``imag == 0.0`` exactly, or lies in one
+    open half-plane and has an exact mirror."""
     base = max(1.0, norm2)
     cut = tol * base
     low, high = _decade(tol, base)
@@ -451,24 +455,14 @@ def _clusters(eigs, norm2, tol):
         settled = settled and not any(low < d <= high for d in dist)
         near = [c for c in clusters if any(dist[i] <= cut for i in c)]
         clusters = [c for c in clusters if c not in near] + [sorted(sum(near, [k]))]
-    reps = []
-    for c in clusters:
-        lam = complex(sum(eigs[i] for i in c) / len(c))
-        if lam.imag:  # a real mean is on the axis at every tolerance
-            axis_low, axis_high = _decade(tol, max(1.0, abs(lam)))
-            settled = settled and not axis_low < abs(lam.imag) <= axis_high
-        reps.append((complex(lam.real, 0.0) if _on_real_axis(lam, tol) else lam, len(c)))
-    return reps, settled
-
-
-def _cluster_means(eigs, norm2, tol):
-    """The (mean, multiplicity) pairs of :func:`_clusters`."""
-    return _clusters(eigs, norm2, tol)[0]
+    return [(complex(sum(eigs[i] for i in c) / len(c)), len(c)) for c in clusters], settled
 
 
 def _profile_pass(A, eigs, norm2, tol):
-    """:func:`profile_from_spectrum` at ``tol``, and whether the profiles at ``tol / 10`` and
-    ``10 tol`` are sure to equal it: every decision it made had a decade of margin."""
+    """:func:`spectral_profile` of the square float matrix ``A``, whose eigenvalues ``eigs`` and
+    spectral norm ``norm2`` the caller computed, at ``tol``; and whether the profiles at
+    ``tol / 10`` and ``10 tol`` are sure to equal it: every decision it made had a decade of
+    margin."""
     reps, settled = _clusters(eigs, norm2, tol)
     # eig of a real matrix returns exact conjugate pairs and single linkage is mirror-symmetric, so
     # each lower-half-plane mean is the exact conjugate of an upper one and takes its block sizes
@@ -481,15 +475,6 @@ def _profile_pass(A, eigs, norm2, tol):
         clusters.append(EigenCluster(lam, sizes))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return SpectralProfile(tuple(clusters), float(tol)), settled
-
-
-def profile_from_spectrum(A, eigs, norm2, tol):
-    """:func:`spectral_profile` of the square float matrix ``A`` at ``tol``.
-
-    ``eigs`` are the eigenvalues of ``A`` and ``norm2`` its spectral norm,
-    computed by the caller.
-    """
-    return _profile_pass(A, eigs, norm2, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +575,7 @@ def _schur_so_log(O):
     return Z @ S @ Z.T
 
 
+@_overflow_guard("Cartan-Killing form")
 def cartan_killing(X, Y):
     """Cartan-Killing form 2n tr(XY) - 2 tr(X) tr(Y) on n x n matrices."""
     X, Y = as_squares(X=X, Y=Y)

@@ -36,6 +36,7 @@ def standard_basis(n):
     return np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)  # alpha = i + n j <-> E_ij
 
 
+@_overflow_guard("Gram matrix")
 def gram_matrix(A):
     """Gram matrix of the metric at ``A`` in the standard basis.
 
@@ -106,12 +107,6 @@ _ISOMETRY_TABLE = {
 ISOMETRY_KINDS = tuple(_ISOMETRY_TABLE)
 
 
-@_overflow_guard("isometry")
-def _nonlinear(map_, G, *operands):
-    """``map_(G, *operands)`` of a kind that inverts its point, which may overflow at any scale."""
-    return map_(G, *operands)
-
-
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """One isometry of the trace metric, tagged by kind.
@@ -170,16 +165,17 @@ def point_symmetry(A):
     return Isometry("point-symmetry", A)
 
 
+@_overflow_guard("isometry")
 def apply_isometry(iso, X):
     """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds."""
     X = as_squares(X=X)[0]
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
-    if differential is None:
-        return forward(iso.parameter, X)
-    require_invertible(X, "X")
-    return _nonlinear(forward, iso.parameter, X)
+    if differential is not None:
+        require_invertible(X, "X")
+    return forward(iso.parameter, X)
 
 
+@_overflow_guard("isometry")
 def pushforward(iso, A, V):
     """Differential of ``iso`` at the point ``A`` applied to the tangent ``V``.
 
@@ -191,7 +187,7 @@ def pushforward(iso, A, V):
     if differential is None:
         return forward(iso.parameter, V)
     require_invertible(A, "A")
-    return _nonlinear(differential, iso.parameter, A, V)
+    return differential(iso.parameter, A, V)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +219,8 @@ def leaf_base_point(c, n):
     Left translation by its inverse carries the leaf isometrically onto the
     unimodular group.
     """
+    if not n >= 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     c = float(c)
     if c == 0.0 or not math.isfinite(c):
         raise SingularMatrixError("leaf label must be a nonzero finite real")

@@ -147,6 +147,16 @@ def test_sectional_cuts_are_on_the_tangents_scale(rng, a):
                 sectional(K, *pair)
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-100, 1.0, 1e100, 1e300])
+def test_sectional_is_free_of_the_base_points_scale(rng, c):
+    # K -> cK scales the metric by c^-2, which the Gram determinant divides out
+    K = random_invertible(rng, 3)
+    X, Y = rng.uniform(-1, 1, (2, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sectional(c * K, X, Y) == pytest.approx(sectional(K, X, Y), rel=1e-12)
+
+
 @pytest.mark.parametrize("a", TANGENT_SCALES)
 def test_einstein_tangent_cut_is_on_the_tangents_scale(rng, a):
     K = random_invertible(rng, 3)

@@ -17,8 +17,13 @@ from tracegeo import (
     SingularMatrixError,
     apply_isometry,
     cartan_killing,
+    congruence_by,
+    curve_residual,
     geodesic_from_velocity,
+    gram_matrix,
     inversion,
+    leaf_base_point,
+    left_translate,
     nabla,
     point_symmetry,
     pushforward,
@@ -72,6 +77,11 @@ OPERAND_DEFECTS = {
                                SingularMatrixError, "K is numerically singular"),
     "defect-before-singular-base": (lambda: trace_metric(np.zeros((2, 2)), I2, NAN2),
                                     ValueError, "W has non-finite entries"),
+    # h * h = 0 would divide the second difference by zero
+    "step-squared-underflows": (lambda: curve_residual(lambda t: I2, 0.0, 1e-200),
+                                ValueError, "h * h a normal float"),
+    "order-zero-leaf": (lambda: leaf_base_point(1.0, 0),
+                        ValueError, "n must be a positive integer"),
 }
 
 
@@ -153,6 +163,11 @@ OVERFLOWS = {
     "pushforward-inversion": lambda: pushforward(inversion(), 1e-300 * I2, I2),
     "pushforward-point-symmetry": lambda: pushforward(point_symmetry(I2), 1e-300 * I2, I2),
     "apply-point-symmetry": lambda: apply_isometry(point_symmetry(1e10 * I2), 1e-300 * I2),
+    # the linear isometries overflow too, at large parameter and point
+    "apply-left-translate": lambda: apply_isometry(left_translate(BIG), BIG),
+    "pushforward-congruence": lambda: pushforward(congruence_by(BIG), I2, I2),
+    "gram_matrix": lambda: gram_matrix(1e-300 * I2),
+    "cartan_killing": lambda: cartan_killing(BIG, BIG),
 }
 
 

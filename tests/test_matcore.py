@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -331,6 +332,17 @@ class TestSpectralProfile:
         assert eigs[1] == pytest.approx(complex(0, 2), abs=1e-12)
         assert prof.clusters[0].block_sizes == prof.clusters[1].block_sizes == (1,)
 
+    def test_a_pair_outside_the_clustering_cut_is_not_real(self):
+        # 3 +- 2.9e-8 i is 11.6 clustering cuts wide at ||M||_2 = 5: a conjugate pair, not two
+        # real clusters at 3, whatever |Im| is against |3|
+        prof = spectral_profile(sla.block_diag([[3.0, -2.9e-8], [2.9e-8, 3.0]], 5.0))
+        low, high, five = prof.clusters
+        assert [c.is_real for c in prof.clusters] == [False, False, True]
+        assert low.eigenvalue == high.eigenvalue.conjugate()
+        assert high.eigenvalue == pytest.approx(3.0 + 2.9e-8j, abs=1e-20)
+        assert five.eigenvalue == 5.0
+        assert low.block_sizes == high.block_sizes == five.block_sizes == (1,)
+
     def test_mixed_structure(self, rng):
         # J3(2) + J1(2) + a conjugate pair, under a similarity
         core = np.zeros((6, 6))
@@ -363,7 +375,7 @@ def three_pass_profile(A, eigs, norm2, tol):
     """Reference pairing: real clusters, then each upper cluster with its nearest unpaired
     lower cluster within max(cut, 1e-12 max(1, |conj|)), then a pass over the leftovers."""
     thresh = tol * max(1.0, norm2)
-    reps = matcore._cluster_means(eigs, norm2, tol)
+    reps = matcore._clusters(eigs, norm2, tol)[0]
     clusters = []
     done = [False] * len(reps)
     for i, (lam, mult) in enumerate(reps):
@@ -427,7 +439,7 @@ def test_mirrored_clusters_match_the_three_pass_pairing():
         A = 10.0 ** rng.uniform(-8, 8) * (S @ conjugate_pair_core(rng, n) @ np.linalg.inv(S))
         eigs, norm2 = np.linalg.eigvals(A), float(np.linalg.norm(A, 2))
         for tol in (1e-10, 1e-8, 1e-6):
-            got = matcore.profile_from_spectrum(A, eigs, norm2, tol)
+            got = matcore._profile_pass(A, eigs, norm2, tol)[0]
             want = three_pass_profile(A, eigs, norm2, tol)
 
             def bits(profile):
@@ -439,11 +451,8 @@ def test_mirrored_clusters_match_the_three_pass_pairing():
     assert with_pairs >= 150
 
 
-def connected_components_means(eigs, norm2, tol):
-    """Brute-force reference for _cluster_means: the connected components of the graph that joins
-    eigenvalues within tol * max(1, norm2), each mean summed in index order."""
-    cut = tol * max(1.0, norm2)
-    vals = eigs.tolist()
+def connected_components(vals, cut):
+    """Index lists of the connected components of the graph joining values within ``cut``."""
     label = list(range(len(vals)))  # each index ends labelled by the smallest index it reaches
     changed = True
     while changed:
@@ -452,13 +461,55 @@ def connected_components_means(eigs, norm2, tol):
             for j, b in enumerate(vals):
                 if abs(a - b) <= cut and label[j] < label[i]:
                     label[i], changed = label[j], True
-    reps = []
-    for root in sorted(set(label)):
-        members = [i for i in range(len(vals)) if label[i] == root]
-        lam = complex(sum(vals[i] for i in members) / len(members))
-        reps.append((complex(lam.real, 0.0) if matcore._on_real_axis(lam, tol) else lam,
-                     len(members)))
-    return reps
+    return [[i for i in range(len(vals)) if label[i] == root] for root in sorted(set(label))]
+
+
+def connected_components_means(eigs, norm2, tol):
+    """Brute-force reference for _clusters: the connected components of the graph that joins
+    eigenvalues within tol * max(1, norm2), each mean summed in index order."""
+    vals = eigs.tolist()
+    return [(complex(sum(vals[i] for i in members) / len(members)), len(members))
+            for members in connected_components(vals, tol * max(1.0, norm2))]
+
+
+def snapped_profile(A, eigs, norm2, tol):
+    """Reference: the profile under the second real-axis cut it once had, which moved each cluster
+    mean within tol * max(1, |mean|) of the axis onto it; block sizes as in _profile_pass."""
+    reps = [(complex(lam.real, 0.0) if matcore._on_real_axis(lam, tol) else lam, mult)
+            for lam, mult in matcore._clusters(eigs, norm2, tol)[0]]
+    upper = {lam: matcore._block_sizes(A, lam, mult, tol)[0] for lam, mult in reps if lam.imag > 0}
+    clusters = [EigenCluster(lam, upper.get(complex(lam.real, abs(lam.imag)))
+                             or matcore._block_sizes(A, lam, mult, tol)[0]) for lam, mult in reps]
+    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
+    return SpectralProfile(tuple(clusters), float(tol))
+
+
+def test_the_clustering_cut_alone_decides_which_clusters_are_real():
+    rng = np.random.default_rng(7)
+    compared = duplicated = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+        A = 10.0 ** rng.uniform(-8, 8) * (S @ conjugate_pair_core(rng, n) @ np.linalg.inv(S))
+        eigs, norm2 = np.linalg.eigvals(A), float(np.linalg.norm(A, 2))
+        vals = eigs.tolist()
+        for tol in (1e-10, 1e-8, 1e-6):
+            got = matcore._profile_pass(A, eigs, norm2, tol)[0]
+            means = [c.eigenvalue for c in got.clusters]
+            assert len(set(means)) == len(means)
+            # the real clusters are the self-conjugate components, each mean exactly on the axis
+            self_conjugate = sorted(
+                complex(sum(vals[i] for i in c) / len(c)).real
+                for c in connected_components(vals, tol * max(1.0, norm2))
+                if Counter(vals[i] for i in c) == Counter(vals[i].conjugate() for i in c))
+            assert sorted(lam.real for lam in means if lam.imag == 0.0) == self_conjugate
+            want = snapped_profile(A, eigs, norm2, tol)
+            if len({c.eigenvalue for c in want.clusters}) < len(want.clusters):
+                duplicated += 1  # two halves of one pair snapped onto the same real mean
+            else:
+                assert got == want
+                compared += 1
+    assert compared >= 850 and duplicated >= 10
 
 
 def clustered_points(rng, cut):
@@ -499,7 +550,7 @@ def test_merge_loop_matches_connected_components():
         eigs = clustered_points(rng, tol * max(1.0, norm2))
         if not np.iscomplex(eigs).any():
             eigs = eigs.real  # eig of a real spectrum returns a float array
-        got = matcore._cluster_means(eigs, norm2, tol)
+        got = matcore._clusters(eigs, norm2, tol)[0]
         assert bits(got) == bits(connected_components_means(eigs, norm2, tol))
         assert sum(mult for _, mult in got) == len(eigs)
         upper = {lam for lam, _ in got if lam.imag > 0}
@@ -516,7 +567,7 @@ def test_merge_loop_matches_connected_components():
 ])
 def test_single_linkage_on_the_real_line(steps, sizes):
     eigs = 2.0 + 1e-8 * np.array(steps)
-    reps = matcore._cluster_means(eigs, 1.0, 1e-8)
+    reps = matcore._clusters(eigs, 1.0, 1e-8)[0]
     assert sorted(mult for _, mult in reps) == sizes
     assert all(lam.imag == 0.0 for lam, _ in reps)
 
