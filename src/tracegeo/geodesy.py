@@ -20,6 +20,7 @@ from .errors import (
     NotSPDError,
     NotSymmetricError,
     NotUniqueError,
+    SpectrumOnCutError,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -33,6 +34,7 @@ from .matcore import (
     _log_from_eig,
     _overflow_guard,
     _profile_pass,
+    _real_part,
     _relative_gap,
     _spectral,
     as_point_and_tangents,
@@ -157,8 +159,11 @@ def curve_residual(curve, t, h=1e-4):
     ``curve`` is a callable returning a matrix; derivatives are central
     differences of step ``h``.  Vanishes as O(h^2) on true geodesics.
     """
-    if not (0 < h < np.inf and h * h >= np.finfo(float).tiny):  # acc divides by h * h
-        raise ValueError("step h must be positive and finite, and h * h a normal float")
+    t = _curve_parameter(t)
+    # acc divides by h * h, and t +- h rounded to t would read every curve as a geodesic
+    if not (0 < h < np.inf and h * h >= np.finfo(float).tiny and t - h != t != t + h):
+        raise ValueError("step h must be positive and finite, h * h a normal float, "
+                         "and t + h and t - h distinct from t")
     samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
     P0, Pp, Pm = as_squares(**samples)
     vel = (Pp - Pm) / (2.0 * h)
@@ -254,24 +259,33 @@ def _jordan_chains(B, lam, mult, tol):
 def _real_log_witness(M, eigs, vecs, profile, tol):
     """Some real solution C of exp(C) = M = vecs diag(eigs) vecs^-1, principal wherever possible.
 
-    With no negative cluster in the profile, C is the principal log from that eigendecomposition.
-    Otherwise the verdict paired the Jordan blocks of each negative cluster of the profile, and the
-    chains of M come off the same staircase, so equal-length chains pair up as x, y.  With dual
-    rows D (D [X Y] = I, from the left generalised eigenspaces), P = [X Y] D is the negative
-    spectral projector and J = Y D_x - X D_y has J^2 = -P; both commute with M, so
-    exp(pi J) = I - 2P and C = log(M (I - 2P)) + pi J: the principal log with the negative
-    spectrum flipped, then the angle-pi turn that flips it back.
+    Every branch choice comes from the profile.  When every negative cluster is semisimple (all
+    its blocks of size 1) and :func:`matcore._eigenbasis` accepts ``vecs``, C comes from that one
+    eigendecomposition (:func:`_semisimple_log`); with no negative cluster it is M's principal log.
+    Otherwise a negative cluster is defective or the basis is ill conditioned.  With no negative
+    cluster, C is then :func:`matcore._log_from_eig`'s fallback: its negative-axis cut, then
+    ``scipy.linalg.logm``.  With one, the verdict paired the Jordan blocks of each negative
+    cluster, and the chains of M come off the profile's staircase, so equal-length chains pair up
+    as x, y.  With dual rows D (D [X Y] = I, from the left generalised eigenspaces),
+    P = [X Y] D is the negative spectral projector and J = Y D_x - X D_y has J^2 = -P; both
+    commute with M, so exp(pi J) = I - 2P and C = log(M (I - 2P)) + pi J: the principal log with
+    the negative spectrum flipped, then the angle-pi turn that flips it back.
     """
+    negative = profile.negative_real()
+    semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
+    basis = _eigenbasis(eigs, vecs) if semisimple else None
+    if basis is not None:
+        return _semisimple_log(basis, negative, tol)
+    if not negative:
+        return _log_from_eig(M, eigs, vecs, tol)
     xs, ys, lefts = [], [], []
-    for cluster in profile.negative_real():
+    for cluster in negative:
         chains, left = _jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
         chains.sort(key=len)
         for x, y in zip(chains[0::2], chains[1::2]):
             xs.extend(x)
             ys.extend(y)
         lefts.append(left)
-    if not xs:  # M = K0^{-1} K1 of endpoints past the singular cut: no cut of its own
-        return _log_from_eig(M, eigs, vecs, tol)
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     try:  # a singular W^T V, or one so near it that the projector overflows
@@ -283,6 +297,41 @@ def _real_log_witness(M, eigs, vecs, profile, tol):
     half = len(xs)
     J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
     return _log_from_eig(A, eigs, Q, tol) + np.pi * J
+
+
+def _semisimple_log(basis, negative, tol):
+    """V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose ``negative``
+    clusters are semisimple.
+
+    Each negative cluster c, of mean mu, trades its eigenvalues for |mu| in the spectral sum, which
+    adds log|mu| P_c for its spectral projector P_c = V_c W_c (W_c: its rows of V^-1), and adds an
+    angle-pi turn J_c.  With Q an orthonormal real basis of range P_c (one QR of Re v for a real
+    eigenvalue, Re v and Im v for a conjugate pair) and D = Q^T P_c, QD = P_c and DQ = I, so the
+    halves Q = [Q_x Q_y], D = [D_x; D_y] give J_c = Q_y D_x - Q_x D_y with J_c^2 = -P_c.  J_c maps
+    range P_c into itself and kills every other eigenvector, and a semisimple M is mu on range P_c
+    up to the cluster's spread, so J_c commutes with M and with log|mu| P_c; hence
+    exp(log|mu| P_c + pi J_c) = -|mu| P_c = mu P_c.  As J_c = [Q_y, -Q_x] D, the orthonormal Q
+    keeps ||J_c||_2 <= ||P_c||_2; raw eigenvectors with their dual rows would inflate J_c by the
+    conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
+    An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
+    and has no real log: SpectrumOnCutError, raised here for a real spectrum and by
+    :func:`matcore._real_part` for a complex one, whose log comes back complex.
+    """
+    eigs, V, Vinv = basis
+    lams, J = eigs.copy(), 0.0
+    for cluster in negative:
+        members = list(cluster.members)
+        lams[members] = -cluster.eigenvalue.real
+        Vc = V[:, members]
+        # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
+        Q = np.linalg.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
+        D = ((Q.T @ Vc) @ Vinv[members]).real
+        half = len(members) // 2
+        J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
+    if lams.dtype.kind == "f" and lams.min() <= 0:
+        raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
+    L = _real_part(_spectral(np.log, (lams, V, Vinv)), tol)
+    return L + np.pi * J if negative else L
 
 
 def classify_arc(K0, K1, tol=DEFAULT_TOL):
@@ -300,8 +349,12 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
 
     When an arc exists the returned witness starts at K0 and reaches K1 at
     t = 1.  One eigendecomposition M = V diag(lam) V^-1 serves both the
-    profile (its eigenvalues) and, when no cluster is negative, the principal
-    witness V diag(log lam) V^-1 (Higham 2008, section 4.5).  A verdict that
+    profile (its eigenvalues) and, when every negative cluster is semisimple,
+    the witness V diag(log lam) V^-1 (Higham 2008, section 4.5), with each
+    negative cluster's eigenvalues traded for the modulus of its mean and an
+    angle-pi turn J added on its eigenspace, where M is a multiple of the
+    identity, so that J commutes with M.  A defective negative cluster takes
+    its witness from M's Jordan chains instead.  A verdict that
     differs at tol/10 or 10 tol raises IllConditionedError instead of
     guessing.  Each of the profile's two kinds of decision (an eigenvalue
     pair within the clustering cut, which alone decides which clusters are

@@ -16,7 +16,7 @@ Its import dominates the start of a short process.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,7 +264,12 @@ def _log_from_eig(A, eigs, V, tol):
     if any(is_negative_real(lam, tol) for lam in eigs):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     basis = _eigenbasis(eigs, V)
-    L = _logm(A) if basis is None else _spectral(np.log, basis)
+    return _real_part(_logm(A) if basis is None else _spectral(np.log, basis), tol)
+
+
+def _real_part(L, tol):
+    """The logarithm ``L``, real up to rounding, as a float matrix; SpectrumOnCutError when its
+    imaginary residue exceeds ``tol * max(1, max |Re L|)``."""
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
         if dirt > tol * max(1.0, float(np.abs(L.real).max())):
@@ -321,10 +326,12 @@ def _power(basis, t):
 
 @dataclass(frozen=True)
 class EigenCluster:
-    """One eigenvalue cluster with its Jordan block-size multiset."""
+    """One eigenvalue cluster with its Jordan block-size multiset.  ``members`` are the positions,
+    in the spectrum the profile was built from, of the eigenvalues the cluster merged."""
 
     eigenvalue: complex
     block_sizes: tuple[int, ...]
+    members: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def multiplicity(self):
@@ -435,13 +442,14 @@ def _decade(tol, base):
 
 
 def _clusters(eigs, norm2, tol):
-    """A (mean, multiplicity) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
+    """A (mean, members) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
     and whether the clustering is settled: no pair distance within a decade of the cut
-    (:func:`_decade`).  Each eigenvalue merges every cluster within the cut; a mean sums its
-    members in ``eigs`` order.  The cut is the only real-axis decision: ``eig`` of a real matrix
-    returns each conjugate pair as ``+b`` then ``-b`` and single linkage is mirror-symmetric, so
-    a cluster is either its own mirror, whose mean has ``imag == 0.0`` exactly, or lies in one
-    open half-plane and has an exact mirror."""
+    (:func:`_decade`).  Each eigenvalue merges every cluster within the cut; ``members`` are the
+    ascending positions in ``eigs`` of its eigenvalues, and the mean sums them in that order.
+    The cut is the only real-axis decision: ``eig`` of a real matrix returns each conjugate pair
+    as ``+b`` then ``-b`` and single linkage is mirror-symmetric, so a cluster is either its own
+    mirror, whose mean has ``imag == 0.0`` exactly, or lies in one open half-plane and has an
+    exact mirror."""
     base = max(1.0, norm2)
     cut = tol * base
     low, high = _decade(tol, base)
@@ -455,7 +463,7 @@ def _clusters(eigs, norm2, tol):
         settled = settled and not any(low < d <= high for d in dist)
         near = [c for c in clusters if any(dist[i] <= cut for i in c)]
         clusters = [c for c in clusters if c not in near] + [sorted(sum(near, [k]))]
-    return [(complex(sum(eigs[i] for i in c) / len(c)), len(c)) for c in clusters], settled
+    return [(complex(sum(eigs[i] for i in c) / len(c)), tuple(c)) for c in clusters], settled
 
 
 def _profile_pass(A, eigs, norm2, tol):
@@ -466,13 +474,13 @@ def _profile_pass(A, eigs, norm2, tol):
     reps, settled = _clusters(eigs, norm2, tol)
     # eig of a real matrix returns exact conjugate pairs and single linkage is mirror-symmetric, so
     # each lower-half-plane mean is the exact conjugate of an upper one and takes its block sizes
-    upper = {lam: _block_sizes(A, lam, mult, tol) for lam, mult in reps if lam.imag > 0}
+    upper = {lam: _block_sizes(A, lam, len(members), tol) for lam, members in reps if lam.imag > 0}
     clusters = []
-    for lam, mult in reps:
+    for lam, members in reps:
         mirror = upper.get(complex(lam.real, abs(lam.imag)))
-        sizes, clear = mirror or _block_sizes(A, lam, mult, tol)
+        sizes, clear = mirror or _block_sizes(A, lam, len(members), tol)
         settled = settled and clear
-        clusters.append(EigenCluster(lam, sizes))
+        clusters.append(EigenCluster(lam, sizes, members))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return SpectralProfile(tuple(clusters), float(tol)), settled
 

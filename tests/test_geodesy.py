@@ -16,6 +16,8 @@ from tracegeo import (
     NotSymmetricError,
     NotUniqueError,
     SingularMatrixError,
+    SpectrumNotPositiveError,
+    SpectrumOnCutError,
     TraceGeoError,
     broken_arc,
     christoffel_fd,
@@ -24,6 +26,7 @@ from tracegeo import (
     fractional_power,
     geodesic_from_velocity,
     nabla,
+    real_log_principal,
     spd_geodesic,
     spectral_profile,
     unique_arc,
@@ -470,8 +473,9 @@ class TestClassification:
         S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) if case == "mixed" else np.eye(n)
         M = S @ core @ np.linalg.inv(S)
         out = classify_arc(np.eye(n), M, tol)
-        # one eig of M for the profile, then one of the flipped M (I - 2P) for its logarithm
-        assert len(solves) == 2
+        # one eig of M serves the profile and a semisimple negative witness; only the chains
+        # route of a defective negative cluster decomposes the flipped M (I - 2P) as well
+        assert len(solves) == (2 if case == "defective-pairs" else 1)
         assert_array_equal(solves[0], np.linalg.solve(np.eye(n), M))
         assert out.verdict is ArcKind.CONTINUUM
         assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
@@ -790,8 +794,8 @@ def test_classify_arc_decomposes_the_quotient_once(cls, rng, monkeypatch):
     assert outcome.verdict is verdict
     assert sum(np.array_equal(A, M) for A in seen) == 1
     assert_array_equal(seen[0], M)
-    # only the negative-spectrum log takes a second eig, of the flipped M (I - 2P)
-    assert len(seen) == (2 if cls == "paired-neg" else 1)
+    # the paired negatives here are semisimple: their witness takes no second eig either
+    assert len(seen) == 1
 
 
 def eigvals_route(K0, K1, tol):
@@ -873,6 +877,160 @@ def test_one_eigendecomposition_matches_the_eigvals_route(n, monkeypatch):
                 assert outcome.witness is None
             else:
                 assert_array_equal(outcome.witness.direction, C)
+
+
+# ---------------------------------------------------------------------------
+# Paired negative witnesses from the one eigendecomposition
+# ---------------------------------------------------------------------------
+
+
+def chains_witness(M, eigs, vecs, profile, tol):
+    """Reference: the witness with every negative cluster taken through its Jordan chains, as
+    before semisimple clusters were read off eig(M): C = log(M (I - 2P)) + pi J with P and J
+    from the chains and the staircase's left kernel, or M's principal log with its cut test when
+    no cluster is negative."""
+    xs, ys, lefts = [], [], []
+    for cluster in profile.negative_real():
+        chains, left = geodesy._jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
+        chains.sort(key=len)
+        for x, y in zip(chains[0::2], chains[1::2]):
+            xs.extend(x)
+            ys.extend(y)
+        lefts.append(left)
+    if not xs:
+        return matcore._log_from_eig(M, eigs, vecs, tol)
+    V = np.column_stack(xs + ys)
+    W = np.hstack(lefts)
+    D = np.linalg.solve(W.T @ V, W.T)
+    A = M - 2.0 * (M @ (V @ D))
+    half = len(xs)
+    J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
+    return matcore._log_from_eig(A, *np.linalg.eig(A), tol) + np.pi * J
+
+
+def semisimple_negative_pair(rng, n, kind):
+    """Endpoints whose quotient has one or two semisimple negative eigenvalue pairs ("paired"),
+    or one beside a complex pair ("mixed"), the rest positive; similarity S with cond(S) up to
+    1e3, K1 scaled by c log-uniform over 1e-6..1e6."""
+    values = list(rng.uniform(0.5, 3.0, n))
+    blocks = [-values[0] * I2]
+    if kind == "mixed" and n >= 4:
+        theta = rng.uniform(0.3, np.pi - 0.3)
+        blocks.append(values[1] * _rotation_block(np.cos(theta), np.sin(theta)))
+    elif n >= 4 and rng.uniform() < 0.5:
+        blocks.append(-values[1] * I2)
+    core = sla.block_diag(*blocks, *values[2 * len(blocks):])
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Vt, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    S = U @ np.diag(np.logspace(0, rng.uniform(0, 3), n)) @ Vt
+    K0 = random_invertible(rng, n)
+    return K0, 10 ** rng.uniform(-6, 6) * (K0 @ S @ core @ np.linalg.inv(S))
+
+
+def _endpoint_error(outcome, K1):
+    K0, C = outcome.witness.base_point, outcome.witness.direction
+    return np.linalg.norm(K0 @ sla.expm(C) - K1) / np.linalg.norm(K1)
+
+
+@pytest.mark.parametrize("kind", ["paired", "mixed"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_semisimple_negative_witness_matches_the_chains_route(n, kind, monkeypatch):
+    def answer(K0, K1):
+        try:
+            return classify_arc(K0, K1)
+        except TraceGeoError as exc:
+            return type(exc), str(exc)
+
+    witnesses = 0
+    for seed in range(40):
+        rng = np.random.default_rng([n, seed, kind == "mixed"])
+        K0, K1 = semisimple_negative_pair(rng, n, kind)
+        outcome = answer(K0, K1)
+        with monkeypatch.context() as patch:
+            patch.setattr(geodesy, "_real_log_witness", chains_witness)
+            reference = answer(K0, K1)
+        if isinstance(reference, tuple):  # a refusal before any witness is built
+            assert outcome == reference, seed
+            continue
+        assert outcome.verdict is reference.verdict is ArcKind.CONTINUUM, seed
+        assert outcome.profile == reference.profile, seed
+        assert _endpoint_error(reference, K1) <= 1e-8, seed
+        assert _endpoint_error(outcome, K1) <= 1e-8, seed
+        witnesses += 1
+    assert witnesses >= 36
+
+
+def _witness_route_spy(monkeypatch):
+    """The arrays eig decomposes and the clusters whose Jordan chains are taken."""
+    eig, chains, decomposed, chained = np.linalg.eig, geodesy._jordan_chains, [], []
+    monkeypatch.setattr(np.linalg, "eig", lambda A: decomposed.append(A) or eig(A))
+    monkeypatch.setattr(geodesy, "_jordan_chains",
+                        lambda B, lam, mult, tol: chained.append(lam) or chains(B, lam, mult, tol))
+    return decomposed, chained
+
+
+@pytest.mark.parametrize("core, chained", [
+    (np.diag([-1.0, -1.0, 2.0]), False),
+    (sla.block_diag(-I2, -3.0 * I2, 0.5), False),
+    (sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2)), True),
+    (sla.block_diag(jordan_block(-1.0, 2), jordan_block(-1.0, 2), -2.0 * I2), True),
+    # coupling 1e-6 over a 1e-13 perturbation: the profile reads blocks (2, 2) while the
+    # eigenbasis passes its conditioning test, and the eig route would miss M by 7e-7
+    (np.kron(I2, [[-1.0, 1e-6], [1e-13, -1.0]]), True),
+], ids=["(-1)^2", "(-1)^2+(-3)^2", "J2(-1)^2", "J2(-1)^2+(-2)^2", "near-J2(-1)^2"])
+def test_only_a_defective_negative_cluster_takes_the_chains_route(core, chained, monkeypatch):
+    decomposed, lams = _witness_route_spy(monkeypatch)
+    n = core.shape[0]
+    outcome = classify_arc(np.eye(n), core)
+    assert outcome.verdict is ArcKind.CONTINUUM
+    # the chains route decomposes M (I - 2P) after M; the semisimple route only M
+    assert len(decomposed) == (2 if chained else 1)
+    assert bool(lams) is chained
+    assert np.linalg.norm(outcome.witness.point(1.0) - core) <= 1e-8 * np.linalg.norm(core)
+
+
+def test_an_ill_conditioned_eigenbasis_takes_the_chains_route(monkeypatch):
+    # diag(-1, -1, 2) under a similarity whose eigenbasis has cond_1 above 1e4
+    S = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-5]])
+    M = S @ np.diag([-1.0, -1.0, 2.0]) @ np.linalg.inv(S)
+    assert matcore._eigenbasis(*np.linalg.eig(M)) is None
+    decomposed, lams = _witness_route_spy(monkeypatch)
+    outcome = classify_arc(np.eye(3), M)
+    assert outcome.verdict is ArcKind.CONTINUUM
+    assert len(decomposed) == 2 and lams
+    assert np.linalg.norm(outcome.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
+
+
+# A near-negative pair just outside the clustering cut (half-width 8e-9 against the cut 1e-8)
+# sits inside is_negative_real's own cut tol * max(1, |lam|): the profile calls it non-real, and
+# the witness follows the profile instead of raising SpectrumOnCutError after a stable verdict.
+NEAR_CUT_PAIR = _rotation_block(-0.5, 8e-9)
+UNMERGED_NEAR_NEGATIVE = {
+    "principal": sla.block_diag(NEAR_CUT_PAIR, 0.9, 0.9),
+    "paired": sla.block_diag(NEAR_CUT_PAIR, -0.9, -0.9),
+    "paired-2490": sla.block_diag(_rotation_block(-0.2657, 8.87e-9), -0.3174 * I2),
+}
+
+
+@pytest.mark.parametrize("case", UNMERGED_NEAR_NEGATIVE)
+def test_an_unmerged_near_negative_pair_gets_its_witness(case):
+    M = UNMERGED_NEAR_NEGATIVE[case]
+    outcome = classify_arc(np.eye(4), M)
+    assert outcome.verdict is ArcKind.CONTINUUM
+    assert len(outcome.profile.non_real()) == 2
+    assert _endpoint_error(outcome, M) <= 1e-8
+    # the principal logarithm and the fractional power keep their own cut tests
+    with pytest.raises(SpectrumOnCutError):
+        real_log_principal(M)
+    with pytest.raises(SpectrumNotPositiveError):
+        fractional_power(M, 0.5)
+
+
+def test_a_real_cluster_across_zero_is_refused_as_on_the_cut():
+    # 2e-9 and -1e-9 merge at the cut 3e-8 into a cluster of mean 5e-10 > 0, and -1e-9 has no
+    # real logarithm: a typed refusal, not a NaN read as an overflow
+    with pytest.raises(SpectrumOnCutError, match="closed negative real axis"):
+        classify_arc(np.eye(3), np.diag([2e-9, -1e-9, 3.0]))
 
 
 HOSTILE_CORES = {

@@ -80,6 +80,9 @@ OPERAND_DEFECTS = {
     # h * h = 0 would divide the second difference by zero
     "step-squared-underflows": (lambda: curve_residual(lambda t: I2, 0.0, 1e-200),
                                 ValueError, "h * h a normal float"),
+    # t +- h rounded to t would read a line that is no geodesic as one (residual 0.0)
+    "step-rounds-to-t": (lambda: curve_residual(lambda t: I2 + t * np.diag([1.0, 2.0]), 0.3, 1e-20),
+                         ValueError, "t + h and t - h distinct from t"),
     "order-zero-leaf": (lambda: leaf_base_point(1.0, 0),
                         ValueError, "n must be a positive integer"),
 }

@@ -375,7 +375,7 @@ def three_pass_profile(A, eigs, norm2, tol):
     """Reference pairing: real clusters, then each upper cluster with its nearest unpaired
     lower cluster within max(cut, 1e-12 max(1, |conj|)), then a pass over the leftovers."""
     thresh = tol * max(1.0, norm2)
-    reps = matcore._clusters(eigs, norm2, tol)[0]
+    reps = [(lam, len(members)) for lam, members in matcore._clusters(eigs, norm2, tol)[0]]
     clusters = []
     done = [False] * len(reps)
     for i, (lam, mult) in enumerate(reps):
@@ -466,17 +466,17 @@ def connected_components(vals, cut):
 
 def connected_components_means(eigs, norm2, tol):
     """Brute-force reference for _clusters: the connected components of the graph that joins
-    eigenvalues within tol * max(1, norm2), each mean summed in index order."""
+    eigenvalues within tol * max(1, norm2), each mean summed in index order, with its members."""
     vals = eigs.tolist()
-    return [(complex(sum(vals[i] for i in members) / len(members)), len(members))
+    return [(complex(sum(vals[i] for i in members) / len(members)), tuple(members))
             for members in connected_components(vals, tol * max(1.0, norm2))]
 
 
 def snapped_profile(A, eigs, norm2, tol):
     """Reference: the profile under the second real-axis cut it once had, which moved each cluster
     mean within tol * max(1, |mean|) of the axis onto it; block sizes as in _profile_pass."""
-    reps = [(complex(lam.real, 0.0) if matcore._on_real_axis(lam, tol) else lam, mult)
-            for lam, mult in matcore._clusters(eigs, norm2, tol)[0]]
+    reps = [(complex(lam.real, 0.0) if matcore._on_real_axis(lam, tol) else lam, len(members))
+            for lam, members in matcore._clusters(eigs, norm2, tol)[0]]
     upper = {lam: matcore._block_sizes(A, lam, mult, tol)[0] for lam, mult in reps if lam.imag > 0}
     clusters = [EigenCluster(lam, upper.get(complex(lam.real, abs(lam.imag)))
                              or matcore._block_sizes(A, lam, mult, tol)[0]) for lam, mult in reps]
@@ -538,7 +538,7 @@ def clustered_points(rng, cut):
 
 
 def bits(reps):
-    return sorted((lam.real.hex(), lam.imag.hex(), mult) for lam, mult in reps)
+    return sorted((lam.real.hex(), lam.imag.hex(), members) for lam, members in reps)
 
 
 def test_merge_loop_matches_connected_components():
@@ -552,10 +552,10 @@ def test_merge_loop_matches_connected_components():
             eigs = eigs.real  # eig of a real spectrum returns a float array
         got = matcore._clusters(eigs, norm2, tol)[0]
         assert bits(got) == bits(connected_components_means(eigs, norm2, tol))
-        assert sum(mult for _, mult in got) == len(eigs)
+        assert sum(len(members) for _, members in got) == len(eigs)
         upper = {lam for lam, _ in got if lam.imag > 0}
         assert {lam.conjugate() for lam, _ in got if lam.imag < 0} == upper  # exact mirrors
-        merged += any(mult > 1 for _, mult in got)
+        merged += any(len(members) > 1 for _, members in got)
     assert merged >= 250
 
 
@@ -568,7 +568,7 @@ def test_merge_loop_matches_connected_components():
 def test_single_linkage_on_the_real_line(steps, sizes):
     eigs = 2.0 + 1e-8 * np.array(steps)
     reps = matcore._clusters(eigs, 1.0, 1e-8)[0]
-    assert sorted(mult for _, mult in reps) == sizes
+    assert sorted(len(members) for _, members in reps) == sizes
     assert all(lam.imag == 0.0 for lam, _ in reps)
 
 
