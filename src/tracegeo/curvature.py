@@ -6,6 +6,7 @@ opposite convention need a global sign flip.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +65,14 @@ def sectional(K, X, Y):
     # power of two of its largest entry (an exact scaling), keep the Gram entries far from the
     # ends of the float range, as the singular cut bounds ||K^-1|| against ||K||
     tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
-    bX, bY = np.linalg.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
-    gxx = float(np.trace(bX @ bX))
-    gyy = float(np.trace(bY @ bY))
-    gxy = float(np.trace(bX @ bY))
+    solved = np.linalg.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
+    (gxx, gxy), (_, gyy) = np.einsum("aij,bji->ab", solved, solved)  # tr(bA bB) for A, B in {X, Y}
     denom = gxx * gyy - gxy * gxy
-    scale = (np.linalg.norm(bX) * np.linalg.norm(bY)) ** 2
-    if abs(denom) <= 1e-10 * max(scale, np.finfo(float).tiny):
+    fxx, fyy = np.einsum("aij,aij->a", solved, solved)  # ||bX||^2, ||bY||^2
+    if abs(denom) <= 1e-10 * max(fxx * fyy, np.finfo(float).tiny):
         raise DegenerateSectionError("metric is degenerate on the section")
-    numer = 0.25 * float(np.trace(_commutator(bX, bY) @ _commutator(bX, bY)))
-    return numer / denom
+    bracket = _commutator(*solved)
+    return float(0.25 * np.trace(bracket @ bracket) / denom)
 
 
 def _ricci_form(n, BX, BY):
@@ -107,21 +106,34 @@ class OrthonormalFrame:
         return ["space-like" if s > 0 else "time-like" for s in self.signs]
 
 
-def orthonormal_frame(K):
-    """Left-translate of the standard orthonormal frame at the identity.
+@lru_cache(maxsize=5)
+def _identity_frame(n):
+    """The standard orthonormal frame at the n x n identity and its signs, read-only.
 
-    At the identity the frame is the diagonal units, the normalised
-    symmetric pair sums (space-like) and the normalised antisymmetric pair
-    differences (time-like); left translation by K transports it to K.
+    Built once per order: the cache holds the 5 orders used last, as many as
+    ``verify.ORDERS`` (n = 2..6) has, so a mix of those orders never rebuilds one.
+    An order costs 8 (n^4 + n^2) bytes, 10.7 kB at n = 6 and 18.9 kB for n = 2..6.
     """
-    K = as_point_and_tangents(K, "K")[0]
-    n = K.shape[0]
     units = np.eye(n * n).reshape(n, n, n, n)  # units[i, j] = E_ij
     i, j = np.nonzero(np.less.outer(range(n), range(n)))  # the pairs i < j, row by row
     sums, differences = units[i, j] + units[j, i], units[i, j] - units[j, i]
     at_identity = np.concatenate([units[range(n), range(n)], sums / np.sqrt(2.0),
                                   differences / np.sqrt(2.0)])
     signs = np.repeat([1.0, -1.0], [n * (n + 1) // 2, n * (n - 1) // 2])
+    at_identity.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return at_identity, signs
+
+
+def orthonormal_frame(K):
+    """Left-translate of the standard orthonormal frame at the identity.
+
+    At the identity the frame is the diagonal units, the normalised
+    symmetric pair sums (space-like) and the normalised antisymmetric pair
+    differences (time-like); left translation by K transports it to K.
+    ``signs`` is shared between frames of one order and is read-only.
+    """
+    K = as_point_and_tangents(K, "K")[0]
+    at_identity, signs = _identity_frame(K.shape[0])
     return OrthonormalFrame(base_point=K, vectors=K @ at_identity, signs=signs)
 
 
@@ -133,8 +145,11 @@ def scalar_curvature(K):
     """
     frame = orthonormal_frame(K)
     K = frame.base_point
-    BV = np.linalg.solve(K, frame.vectors)  # K^{-1} X_a for the whole frame at once
-    return float(frame.signs @ _ricci_form(K.shape[0], BV, BV))
+    n = K.shape[0]
+    # K^{-1} X_a for the whole frame from one factorisation: the X_a side by side as n x n^3
+    BV = np.linalg.solve(K, frame.vectors.transpose(1, 0, 2).reshape(n, -1))
+    BV = BV.reshape(n, -1, n).transpose(1, 0, 2)
+    return float(frame.signs @ _ricci_form(n, BV, BV))
 
 
 def ricci_trace_oracle(K, X, Y):
@@ -167,10 +182,13 @@ def christoffel_closed(P):
     n = P.shape[0]
     e = np.frexp(np.abs(P).max())[1]  # Gamma(P) = Gamma(P / 2^e) / 2^e, exactly, with no overflow
     B = np.linalg.inv(np.ldexp(P, -e))
-    T = np.einsum("jk,lr,si->jilksr", B, B, B).reshape(n * n, n * n, n * n)
-    sym = T + T.transpose(1, 0, 2)
+    m = n * n
+    # T[ji, lk, sr] = B[j, k] B[l, r] B[s, i], by broadcasting over the axes (j, i, l, k, s, r)
+    T = (B[:, None, None, :, None, None] * B[None, None, :, None, None, :]
+         * B.T[None, :, None, None, :, None]).reshape(m, m, m)
+    sym = (T + T.transpose(1, 0, 2)).reshape(m * m, m)  # rows (a, b) and (b, a) are equal
     Ginv = np.linalg.inv(_gram_of_inverse(B))
-    return np.ldexp(-0.5 * np.einsum("cd,abd->abc", Ginv, sym), -e)
+    return np.ldexp(-0.5 * (sym @ Ginv.T).reshape(m, m, m), -e)
 
 
 def christoffel_fd(P, h=1e-4):
@@ -178,6 +196,9 @@ def christoffel_fd(P, h=1e-4):
     P = as_point_and_tangents(P, "P")[0]
     if not 0 < h < np.inf:
         raise ValueError("step h must be positive and finite")
+    # P + h or P - h rounded back to P would drop or halve that entry's difference quotient
+    if np.any((P + h == P) | (P - h == P)):
+        raise ValueError("step h must move every entry of P: P + h and P - h distinct from P")
     n = P.shape[0]
     basis = standard_basis(n)
     m = n * n

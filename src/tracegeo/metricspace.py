@@ -70,7 +70,7 @@ def signature_at(A, zero_tol=1e-10):
     A = as_point_and_tangents(A, "A")[0]
     # the signature is scale-free; a power of two near the largest entry keeps B (x) B in range
     G = _gram_of_inverse(np.linalg.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
+    w = np.linalg.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
     cut = zero_tol * float(np.abs(w).max())
     if np.any(np.abs(w) <= cut):
         raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue")

@@ -51,7 +51,7 @@ class _Recorder:
     def check(self, name, got, expected, tol=None, inputs=()):
         self.cases += 1
         if isinstance(expected, float) and tol is not None:
-            ok = abs(got - expected) <= tol
+            ok = not isinstance(got, str) and abs(got - expected) <= tol  # a str is a refusal
         else:
             ok = got == expected
         if not ok:
@@ -67,6 +67,18 @@ class _Recorder:
     def close(self, name, got, expected, tol, inputs=()):
         """Check |got - expected| <= tol * max(1, |expected|)."""
         self.check(name, float(got), float(expected), tol * max(1.0, abs(float(expected))), inputs)
+
+
+def _refused_or(difference_quotient, *args):
+    """The quotient's value, or the message of its refusal of the step (``ValueError``).
+
+    A step that some operand rounds away fails that one check, so the report
+    of every suite is still written.
+    """
+    try:
+        return difference_quotient(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _metric_scale(A, V, W):
@@ -142,8 +154,8 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
         C /= max(1.0, float(np.linalg.norm(C, 2)))
         geo = geodesy.Geodesic(K, C)
         for t in (-1.0, 0.37, 2.0):
-            rec.check("ode-residual", geodesy.curve_residual(geo.point, t, fd_step), 0.0,
-                      RESIDUAL_TOL, [("K", K), ("C", C)])
+            rec.check("ode-residual", _refused_or(geodesy.curve_residual, geo.point, t, fd_step),
+                      0.0, RESIDUAL_TOL, [("K", K), ("C", C)])
         s, t = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
         direct = geo.point(s + t)
         shifted = geodesy.Geodesic(geo.point(s), C).point(t)
@@ -207,9 +219,9 @@ def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
     if n <= 3:
         for P in (eye, eye + 0.2 * rng.uniform(-1.0, 1.0, (n, n))):
             closed = curvature.christoffel_closed(P)
-            fd = curvature.christoffel_fd(P, fd_step)
-            rec.check("christoffel-closed-vs-fd", float(np.abs(closed - fd).max()), 0.0,
-                      1e-5, [("P", P)])
+            fd = _refused_or(curvature.christoffel_fd, P, fd_step)
+            fd_error = fd if isinstance(fd, str) else float(np.abs(closed - fd).max())
+            rec.check("christoffel-closed-vs-fd", fd_error, 0.0, 1e-5, [("P", P)])
             rec.check("christoffel-symmetry",
                       bool(np.array_equal(closed, closed.transpose(1, 0, 2))), True, None)
             X0 = rng.uniform(-1.0, 1.0, (n, n))

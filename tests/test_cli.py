@@ -559,6 +559,24 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["failures"]
 
+    @pytest.mark.parametrize("n, refused", [
+        ("2", {"geodesic:ode-residual": 6, "curvature:christoffel-closed-vs-fd": 2}),
+        ("4", {"geodesic:ode-residual": 6}),  # the finite-difference Christoffel check runs at n <= 3
+    ], ids=["n2", "n4"])
+    def test_a_step_that_rounds_away_fails_its_checks_and_the_report_stands(self, capsys, n,
+                                                                           refused):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", n, "--seed", "42",
+                                 "--cases", "2", "--fd-step", "1e-20")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        failed = [f["check"] for f in report["failures"]]
+        assert {check: failed.count(check) for check in failed} == refused
+        assert all(f["expected"] == 0.0 and f["got"].startswith("step h must")
+                   for f in report["failures"])
+        _, default_out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", n, "--seed", "42",
+                                    "--cases", "2")
+        assert report["cases"] == json.loads(default_out)["cases"]
+
 
 class TestToleranceFlags:
     """Non-finite or non-positive tolerances are parse errors, never a verdict."""

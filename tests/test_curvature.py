@@ -11,6 +11,7 @@ from tracegeo import (
     cartan_killing,
     christoffel_closed,
     christoffel_fd,
+    gram_matrix,
     nabla,
     orthonormal_frame,
     ricci,
@@ -23,7 +24,7 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import curvature
+from tracegeo import curvature, verify
 from tracegeo.verify import random_invertible
 
 I2 = np.eye(2)
@@ -120,6 +121,23 @@ class TestSectional:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sectional(I2, np.diag([1e200, 0.0]), np.diag([0.0, 1e200])) == 0.0
+
+    def test_matches_the_per_entry_formula(self, rng):
+        # the Gram entries as three traces of products and the commutator formed twice, on the
+        # same normalised tangents and scaled base point as sectional itself
+        def reference(K, X, Y):
+            tangents = np.stack([X / np.abs(X).max(), Y / np.abs(Y).max()])
+            bX, bY = np.linalg.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
+            gxx, gyy, gxy = (float(np.trace(a @ b)) for a, b in ((bX, bX), (bY, bY), (bX, bY)))
+            comm = bX @ bY - bY @ bX
+            return 0.25 * float(np.trace(comm @ comm)) / (gxx * gyy - gxy * gxy)
+
+        for n in range(2, 7):
+            for _ in range(20):
+                K = random_invertible(rng, n)
+                X, Y = rng.uniform(-1, 1, (2, n, n))
+                want = reference(K, X, Y)
+                assert sectional(K, X, Y) == pytest.approx(want, rel=1e-13)
 
     def test_linear_dependence_rejected(self, basis2):
         with pytest.raises(LinearlyDependentError):
@@ -232,6 +250,45 @@ class TestScalarCurvature:
                 got = scalar_curvature(K)
             assert got == pytest.approx(loop, rel=1e-12)
 
+    def test_one_factorisation_and_the_frame_built_once_per_order(self, rng, monkeypatch):
+        solve, shapes = np.linalg.solve, []
+
+        def spy(a, b):
+            shapes.append((np.ndim(a), np.ndim(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for n in (2, 3, 5):
+            K = random_invertible(rng, n)
+            first = scalar_curvature(K)
+            built = curvature._identity_frame.cache_info().misses
+            shapes.clear()
+            assert scalar_curvature(2.0 * K) == pytest.approx(first, rel=1e-12)
+            assert shapes == [(2, 2)]
+            assert curvature._identity_frame.cache_info().misses == built
+
+    def test_every_verify_order_stays_cached(self, rng):
+        orders = list(verify.ORDERS)
+        for n in orders:
+            scalar_curvature(random_invertible(rng, n))
+        built = curvature._identity_frame.cache_info().misses
+        for _ in range(4):  # every order in a shuffled order, as the fields pool draws them
+            for n in rng.permutation(orders):
+                scalar_curvature(random_invertible(rng, int(n)))
+        assert curvature._identity_frame.cache_info().misses == built
+
+    def test_shared_frame_arrays_are_read_only(self, rng):
+        K = random_invertible(rng, 3)
+        frame = orthonormal_frame(K)
+        with pytest.raises(ValueError):
+            frame.signs[0] = -1.0
+        at_identity, _ = curvature._identity_frame(3)
+        with pytest.raises(ValueError):
+            at_identity[0, 0, 0] = 2.0
+        again = orthonormal_frame(K)
+        assert np.array_equal(again.signs, np.repeat([1.0, -1.0], [6, 3]))
+        assert np.array_equal(again.vectors, frame.vectors)
+
     def test_frame_is_orthonormal_with_expected_characters(self, rng):
         n = 3
         K = random_invertible(rng, n)
@@ -275,6 +332,35 @@ class TestChristoffel:
         P = np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2))
         gamma = christoffel_closed(P)
         assert np.array_equal(gamma, gamma.transpose(1, 0, 2))
+
+    def test_matmul_contraction_matches_einsum_and_stays_exactly_symmetric(self, rng):
+        # every contraction of the closed formula as an einsum; the contraction's rounding error
+        # is bounded by the same sum taken over the absolute values of its terms
+        def reference(P):
+            n = P.shape[0]
+            m, e = n * n, np.frexp(np.abs(P).max())[1]
+            B = np.linalg.inv(np.ldexp(P, -e))
+            T = np.einsum("jk,lr,si->jilksr", B, B, B).reshape(m, m, m)
+            sym = T + T.transpose(1, 0, 2)
+            Ginv = np.linalg.inv(gram_matrix(np.ldexp(P, -e)))
+            gamma = -0.5 * np.einsum("cd,abd->abc", Ginv, sym)
+            terms = 0.5 * np.einsum("cd,abd->abc", np.abs(Ginv), np.abs(sym))
+            return np.ldexp(gamma, -e), np.ldexp(terms, -e)
+
+        for n in (2, 3, 4, 5):
+            for _ in range(100):
+                P = random_invertible(rng, n)
+                gamma = christoffel_closed(P)
+                want, terms = reference(P)
+                assert np.all(np.abs(gamma - want) <= 1e-14 * terms)
+                assert np.array_equal(gamma, gamma.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("P, h", [(I2 + 0.1, 1e-20), (I2 + 0.1, 1e-17),
+                                      (1e12 * (I2 + 0.1), 1e-4)])
+    def test_step_that_rounds_away_is_refused(self, P, h):
+        # P + h rounded back to P would read a zero difference for that entry
+        with pytest.raises(ValueError, match="move every entry of P"):
+            christoffel_fd(P, h)
 
     def test_assembled_connection_matches_closed_form(self, rng):
         for n in (2, 3):

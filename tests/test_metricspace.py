@@ -120,6 +120,14 @@ class TestSignature:
         with pytest.raises(SingularMatrixError):
             signature_at(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_gram_is_exactly_symmetric(self, c, rng):
+        # signature_at hands the Gram matrix to eigvalsh unsymmetrised: its entries (ji, lk) and
+        # (lk, ji) are one product of two floats
+        for n in range(2, 7):
+            G = gram_matrix(c * random_invertible(rng, n))
+            assert np.array_equal(G, G.T)
+
     @pytest.mark.parametrize("c", [1e-6, 1e3, 1e100, 1e200])
     def test_unchanged_by_scaling(self, c, rng):
         A = random_invertible(rng, 3)
