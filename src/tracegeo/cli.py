@@ -71,15 +71,6 @@ def _order(text):
                    f"an integer from {verify.ORDERS[0]} to {verify.ORDERS[-1]}")(text)
 
 
-class _Span(argparse.Action):
-    """Stores ``--t-from`` or ``--t-to``; ``np.linspace`` needs a finite span between them."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, value)
-        if not math.isfinite(namespace.t_to - namespace.t_from):
-            parser.error("--t-from and --t-to span more than the float range")
-
-
 def load_matrix(arg):
     """Load a matrix document from inline JSON, a file path, or stdin ("-")."""
     try:
@@ -169,6 +160,8 @@ def _cmd_geodesic(args):
     if args.samples * args.k.size > _MAX_SAMPLE_ENTRIES:
         raise _ParseError(f"argument --samples: {args.samples} samples of {args.k.size} entries "
                           f"exceed the {_MAX_SAMPLE_ENTRIES} one call may emit")
+    if not math.isfinite(args.t_to - args.t_from):  # np.linspace needs a finite span
+        raise _ParseError("--t-from and --t-to span more than the float range")
     if args.c is not None:
         geo = geodesy.Geodesic(args.k, args.c)
     else:
@@ -279,8 +272,8 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--c", type=load_matrix, help="direction matrix C")
     group.add_argument("--velocity", type=load_matrix, help="initial velocity S (uses C = K^{-1} S)")
-    p.add_argument("--t-from", type=_finite, default=0.0, action=_Span)
-    p.add_argument("--t-to", type=_finite, default=1.0, action=_Span)
+    p.add_argument("--t-from", type=_finite, default=0.0)
+    p.add_argument("--t-to", type=_finite, default=1.0)
     p.add_argument("--samples", type=_positive_count, default=11)
     p.set_defaults(func=_cmd_geodesic)
 

@@ -196,9 +196,12 @@ def christoffel_fd(P, h=1e-4):
     P = as_point_and_tangents(P, "P")[0]
     if not 0 < h < np.inf:
         raise ValueError("step h must be positive and finite")
-    # P + h or P - h rounded back to P would drop or halve that entry's difference quotient
-    if np.any((P + h == P) | (P - h == P)):
-        raise ValueError("step h must move every entry of P: P + h and P - h distinct from P")
+    # Below 2^20 ulp(max|P|) rounding swamps the quotient (1e-3 of max|Gamma| at h = 1e-13 near
+    # I), and below half an ulp P + h rounds back to P.
+    floor = 2.0**20 * float(np.spacing(np.abs(P).max()))
+    if h < floor:
+        raise ValueError(f"step h must move every entry of P well past rounding: "
+                         f"h >= 2^20 ulp(max|P|) = {floor:.3g}")
     n = P.shape[0]
     basis = standard_basis(n)
     m = n * n
@@ -211,8 +214,11 @@ def christoffel_fd(P, h=1e-4):
     return 0.5 * np.einsum("cd,abd->abc", Ginv, bracket)
 
 
+_LEAF_TRACE_RTOL = 1e-10  # tangent to the leaf: |tr(K^-1 X)| at most this fraction of ||K^-1 X||
+
+
 @_overflow_guard("curvature")
-def sl_einstein_check(K, X, Y, tol=1e-10):
+def sl_einstein_check(K, X, Y):
     """Einstein identity on a determinant leaf: (Ric(X,Y), -(n/2) g(X,Y)).
 
     Requires X and Y tangent to the leaf through K, i.e. tr(K^{-1}X) and
@@ -223,6 +229,6 @@ def sl_einstein_check(K, X, Y, tol=1e-10):
     bX, bY = np.linalg.solve(stack[0], stack[1:])
     for name, bV in (("X", bX), ("Y", bY)):
         unit = bV / max(float(np.abs(bV).max()), np.finfo(float).tiny)  # ||unit|| cannot underflow
-        if abs(float(np.trace(unit))) > tol * float(np.linalg.norm(unit)):
+        if abs(float(np.trace(unit))) > _LEAF_TRACE_RTOL * float(np.linalg.norm(unit)):
             raise NotTangentError(f"{name} is not tangent to the determinant leaf")
     return float(_ricci_form(n, bX, bY)), float(-0.5 * n * np.trace(bX @ bY))

@@ -84,17 +84,13 @@ class Geodesic:
     def _basis(self):
         return _eigenbasis(*np.linalg.eig(self.direction), left=self.base_point)
 
+    @_overflow_guard("matrix exponential")
     def point(self, t):
         """Point of the geodesic at parameter ``t`` (defined for every real t)."""
         t = _curve_parameter(t)
         if self._basis is None:
             return _expm(t * self.direction, left=self.base_point)
-        return _exp_point(self._basis, t)
-
-
-@_overflow_guard("matrix exponential")
-def _exp_point(basis, t):
-    return _spectral(lambda lam: np.exp(t * lam), basis).real  # real up to rounding
+        return _spectral(lambda lam: np.exp(t * lam), self._basis).real  # real up to rounding
 
 
 def geodesic_from_velocity(K, S):
@@ -111,12 +107,15 @@ def _point_and_direction(K, S):
     return K, np.linalg.solve(K, S)
 
 
+@_overflow_guard("matrix exponential")
 def spd_geodesic(K, S, t):
     """Symmetric-positive-definite geodesic K^{1/2} exp(t K^{-1/2} S K^{-1/2}) K^{1/2}.
 
     Agrees with geodesic_from_velocity(K, S) evaluated at t; stated for a
     symmetric positive definite base and a symmetric velocity, where the
-    whole curve stays symmetric positive definite.
+    whole curve stays symmetric positive definite.  ``exp(tA)`` of the
+    symmetric ``A = K^{-1/2} S K^{-1/2}`` is taken through its orthogonal
+    eigenbasis: no conditioning fallback.
     """
     K, S = as_squares(K=K, S=S)
     if _relative_gap(K, K.T) > 1e-10:
@@ -128,13 +127,7 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    return _spd_point(half, inv_half, S, _curve_parameter(t))
-
-
-@_overflow_guard("matrix exponential")
-def _spd_point(half, inv_half, S, t):
-    """``half @ expm(tA) @ half`` for the symmetric ``A = inv_half @ S @ inv_half``, through its
-    orthogonal eigenbasis: no conditioning fallback."""
+    t = _curve_parameter(t)
     A = inv_half @ S @ inv_half
     mu, R = np.linalg.eigh(0.5 * A + 0.5 * A.T)
     return half @ ((R * np.exp(t * mu)) @ R.T) @ half

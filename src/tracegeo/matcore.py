@@ -133,17 +133,6 @@ def _on_real_axis(lam, tol):
     return abs(lam.imag) <= tol * max(1.0, abs(lam))
 
 
-def is_negative_real(lam, tol=DEFAULT_TOL):
-    """Decide whether the complex scalar ``lam`` counts as a negative real."""
-    lam = complex(lam)
-    return lam.real < 0 and _on_real_axis(lam, tol)
-
-
-def is_positive_real(lam, tol=DEFAULT_TOL):
-    lam = complex(lam)
-    return lam.real > 0 and _on_real_axis(lam, tol)
-
-
 def _scipy_linalg():
     """The ``scipy.linalg`` module, imported on the first call.
 
@@ -261,7 +250,7 @@ def real_log_principal(A, tol=DEFAULT_TOL):
 
 def _log_from_eig(A, eigs, V, tol):
     """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``."""
-    if any(is_negative_real(lam, tol) for lam in eigs):
+    if any(lam.real < 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     basis = _eigenbasis(eigs, V)
     return _real_part(_logm(A) if basis is None else _spectral(np.log, basis), tol)
@@ -280,19 +269,24 @@ def _real_part(L, tol):
 
 @_overflow_guard("matrix logarithm")
 def _logm(A):
-    """``scipy.linalg.logm(A)`` without its warnings; an overflow of its error estimate raises.
+    """``scipy.linalg.logm(A)`` without its warnings; a failure of the call raises.
 
     The estimate ``expm(logm A) - A`` can overflow (ValueError from its finiteness check), and its
     "result may be inaccurate" warning fires near 1e-12 on logarithms that pass the endpoint gates.
+    Near-singular ``A`` at an extreme scale draws ``LogmNearlySingularWarning`` and then a bare
+    ``Exception`` from inside its Schur-Pade algorithm.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore")
         try:
             return _scipy_linalg().logm(A)
         except ValueError as exc:
             raise IllConditionedError("matrix logarithm overflows the float range") from exc
+        except Exception as exc:
+            raise IllConditionedError(f"matrix logarithm failed: {exc}") from exc
 
 
+@_overflow_guard("matrix power")
 def fractional_power(A, t, tol=DEFAULT_TOL):
     """A^t = exp(t log A) for matrices with positive real spectrum.
 
@@ -304,18 +298,13 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     """
     A = as_squares(A=A)[0]
     eigs, V = np.linalg.eig(A)
-    if not all(is_positive_real(lam, tol) for lam in eigs):
+    if not all(lam.real > 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumNotPositiveError("spectrum is not positive real")
     require_invertible(A, "A")
     t = _curve_parameter(t)
     basis = _eigenbasis(eigs, V)
-    if basis is None:
-        return _expm(t * _log_from_eig(A, eigs, V, tol))
-    return _power(basis, t)
-
-
-@_overflow_guard("matrix power")
-def _power(basis, t):
+    if basis is None:  # a positive spectrum is off the cut: only the logarithm's residue is tested
+        return _expm(t * _real_part(_logm(A), tol))
     return _spectral(lambda lam: lam**t, basis).real  # real up to rounding for complex pairs
 
 

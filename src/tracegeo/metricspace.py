@@ -61,7 +61,10 @@ class MetricSignature:
     negative: int
 
 
-def signature_at(A, zero_tol=1e-10):
+_GRAM_ZERO_RTOL = 1e-10  # a Gram eigenvalue is zero at this fraction of the largest
+
+
+def signature_at(A):
     """Signature of the metric at ``A`` from the eigenvalues of its Gram matrix.
 
     Raises DegenerateMetricError when a Gram eigenvalue is numerically zero,
@@ -71,7 +74,7 @@ def signature_at(A, zero_tol=1e-10):
     # the signature is scale-free; a power of two near the largest entry keeps B (x) B in range
     G = _gram_of_inverse(np.linalg.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
     w = np.linalg.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
-    cut = zero_tol * float(np.abs(w).max())
+    cut = _GRAM_ZERO_RTOL * float(np.abs(w).max())
     if np.any(np.abs(w) <= cut):
         raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue")
     pos = int(np.count_nonzero(w > 0))

@@ -301,6 +301,14 @@ class TestHostileInput:
     @example(argv=["classify", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[1e200,1e200],[0,1e200]]}'])
     @example(argv=["geodesic", "--k", _scaled_identity_doc(1.35e154), "--c", _diag_doc(0, 0)])
     @example(argv=["geodesic", "--k", _diag_doc(1e-12, 1), "--velocity", _diag_doc(1e300, 0)])
+    # K0^-1 K1 at scale 1e-272 .. 1e304: scipy's logm warns that it is (nearly) singular, and once
+    # raised a bare Exception
+    @example(argv=["classify", "--k0", _diag_doc(-7.820940878317247e+284, -8.28563366221217e+271),
+                   "--k1", '{"n":2,"data":[[1,1],[-2,0]]}'])
+    @example(argv=["classify", "--k0", _diag_doc(-1.294434894540508e+278, -8.285633662216671e+271),
+                   "--k1", '{"n":2,"data":[[1,0.03125],[-2,0]]}'])
+    @example(argv=["classify", "--k0", '{"n":2,"data":[[1e-06,1e-06],[-1.1,0]]}',
+                   "--k1", _diag_doc(-3.395170794223354e+298, -1.1905450675048749e+292)])
     @settings(max_examples=300, deadline=None)
     @given(argv=_command_lines())
     def test_every_matrix_command_answers_in_json(self, argv):

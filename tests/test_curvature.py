@@ -356,9 +356,12 @@ class TestChristoffel:
                 assert np.array_equal(gamma, gamma.transpose(1, 0, 2))
 
     @pytest.mark.parametrize("P, h", [(I2 + 0.1, 1e-20), (I2 + 0.1, 1e-17),
-                                      (1e12 * (I2 + 0.1), 1e-4)])
+                                      (1e12 * (I2 + 0.1), 1e-4), (I2 + 0.1, 1e-13),
+                                      (I2 + 0.1, 1e-15), (I2 + 0.1, 1.2e-16)])
     def test_step_that_rounds_away_is_refused(self, P, h):
-        # P + h rounded back to P would read a zero difference for that entry
+        # P + h rounded back to P would read a zero difference for that entry; the last three
+        # move every entry of I + 0.1, yet rounding puts the symbols off by 1e-3, 0.13 and 0.47
+        # of max |Gamma|: the floor is 2^20 ulp(max|P|), 2.3e-10 here
         with pytest.raises(ValueError, match="move every entry of P"):
             christoffel_fd(P, h)
 

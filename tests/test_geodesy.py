@@ -1002,7 +1002,7 @@ def test_an_ill_conditioned_eigenbasis_takes_the_chains_route(monkeypatch):
 
 
 # A near-negative pair just outside the clustering cut (half-width 8e-9 against the cut 1e-8)
-# sits inside is_negative_real's own cut tol * max(1, |lam|): the profile calls it non-real, and
+# sits inside the logarithm's own cut tol * max(1, |lam|): the profile calls it non-real, and
 # the witness follows the profile instead of raising SpectrumOnCutError after a stable verdict.
 NEAR_CUT_PAIR = _rotation_block(-0.5, 8e-9)
 UNMERGED_NEAR_NEGATIVE = {

@@ -183,7 +183,8 @@ class TestRealLogPrincipal:
 
     def test_logm_fallback_is_typed_and_silent(self, monkeypatch):
         # scipy checks logm against expm(logm A) - A: a warning there is no refusal, but an
-        # estimate that overflows (ValueError) or a non-finite logarithm is a typed error
+        # estimate that overflows (ValueError), a non-finite logarithm or any other failure of
+        # the call is a typed error
         logm, J = sla.logm, jordan_block(2.0, 2)  # defective: the logm route
 
         def inaccurate(A):
@@ -194,6 +195,10 @@ class TestRealLogPrincipal:
             np.full((2, 2), 1e300) @ np.full((2, 2), 1e300)
             raise ValueError("array must not contain infs or NaNs")
 
+        def nearly_singular(A):  # scipy's own warning category, then a bare Exception
+            warnings.warn("The logm input matrix may be nearly singular.", UserWarning)
+            raise Exception("R is not upper triangular")
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             monkeypatch.setattr(sla, "logm", inaccurate)
@@ -202,6 +207,9 @@ class TestRealLogPrincipal:
                 monkeypatch.setattr(sla, "logm", broken)
                 with pytest.raises(IllConditionedError, match="matrix logarithm overflows"):
                     real_log_principal(J)
+            monkeypatch.setattr(sla, "logm", nearly_singular)
+            with pytest.raises(IllConditionedError, match="matrix logarithm failed"):
+                real_log_principal(J)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(SpectrumOnCutError):
@@ -295,6 +303,14 @@ class TestFractionalPower:
         assert calls == []
         fractional_power(jordan_block(2.0, 3), 0.5)
         assert calls == ["logm", "expm"]  # scipy's logarithm, then the Pade exponential
+
+    def test_the_fallback_decides_once(self, monkeypatch):
+        # the rejected eigenbasis is not rebuilt for the logarithm: one inverse of V in all
+        calls, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: calls.append(1) or inv(A))
+        assert_allclose(fractional_power([[2.0, 1.0], [0.0, 2.0]], 0.5),
+                        jordan_block_power(2.0, 2, 0.5), atol=1e-12)
+        assert len(calls) == 1
 
     def test_complex_pair_near_the_axis_gives_a_real_power(self):
         A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i count as positive
