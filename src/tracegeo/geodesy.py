@@ -20,7 +20,6 @@ from .errors import (
     NotSPDError,
     NotSymmetricError,
     NotUniqueError,
-    SpectrumOnCutError,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -29,12 +28,9 @@ from .matcore import (
     _curve_parameter,
     _eigenbasis,
     _expm,
-    _jordan_partition,
-    _kernel_staircase,
-    _log_from_eig,
     _overflow_guard,
     _profile_pass,
-    _real_part,
+    _real_log,
     _relative_gap,
     _spectral,
     as_point_and_tangents,
@@ -122,7 +118,7 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be symmetric")
     if _relative_gap(S, S.T) > 1e-10:
         raise NotSymmetricError("velocity must be symmetric")
-    w, Q = np.linalg.eigh(0.5 * (K + K.T))
+    w, Q = np.linalg.eigh(0.5 * K + 0.5 * K.T)  # halves first: no overflow
     if w.min() <= 0:
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
@@ -159,8 +155,9 @@ def curve_residual(curve, t, h=1e-4):
                          "and t + h and t - h distinct from t")
     samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
     P0, Pp, Pm = as_squares(**samples)
-    vel = (Pp - Pm) / (2.0 * h)
-    acc = (Pp - 2.0 * P0 + Pm) / (h * h)
+    hp, hm = (t + h) - t, t - (t - h)  # the steps taken: t +- h round on the grids of their binades
+    vel = (Pp - Pm) / (hp + hm)
+    acc = 2.0 * ((Pp - P0) / hp - (P0 - Pm) / hm) / (hp + hm)
     return float(np.linalg.norm(acc - vel @ np.linalg.solve(P0, vel)))
 
 
@@ -200,131 +197,6 @@ def _verdict(profile):
     if not neg and cplx and pos_no_repeat and all(len(c.block_sizes) == 1 for c in cplx):
         return ArcKind.COUNTABLE
     return ArcKind.CONTINUUM
-
-
-def _pick_complement(candidates, excluded, need):
-    """``need`` columns inside span(candidates) independent of span(excluded)."""
-    if candidates.shape[1] < need:
-        raise IllConditionedError("Jordan chain extraction ran out of directions")
-    if excluded.shape[1]:
-        Q, _ = np.linalg.qr(excluded)
-        reduced = candidates - Q @ (Q.T @ candidates)
-    else:
-        reduced = candidates
-    _, s, Vh = np.linalg.svd(reduced)
-    if s.size < need or s[need - 1] <= 1e-10:
-        raise IllConditionedError("Jordan chain extraction found dependent directions")
-    return candidates @ Vh[:need].T
-
-
-def _jordan_chains(B, lam, mult, tol):
-    """Jordan chains of B for the real eigenvalue lam, and a basis of its left generalised
-    eigenspace, from one kernel staircase.
-
-    Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
-    and (B - lam) x_j = x_{j-1}.
-    """
-    E, null_bases, left, _ = _kernel_staircase(B, lam, mult, tol)
-    sizes = _jordan_partition(null_bases)
-    n = B.shape[0]
-    chains = []
-    carry = np.zeros((n, 0))  # height-k vectors inherited from longer chains
-    for k in range(sizes[0], 0, -1):  # sizes come largest first
-        need = sizes.count(k)
-        tops = np.zeros((n, 0))
-        if need:
-            excluded = np.hstack([null_bases[k - 1], carry])
-            tops = _pick_complement(null_bases[k], excluded, need)
-            for idx in range(need):
-                top = tops[:, idx]
-                chain = [top]
-                for _ in range(k - 1):
-                    chain.append(E @ chain[-1])
-                chain.reverse()
-                scale = max(np.linalg.norm(v) for v in chain)
-                chains.append([v / scale for v in chain])
-        level = np.hstack([carry, tops])
-        carry = E @ level if level.shape[1] else level
-    return chains, left
-
-
-@_overflow_guard("arc logarithm")
-def _real_log_witness(M, eigs, vecs, profile, tol):
-    """Some real solution C of exp(C) = M = vecs diag(eigs) vecs^-1, principal wherever possible.
-
-    Every branch choice comes from the profile.  When every negative cluster is semisimple (all
-    its blocks of size 1) and :func:`matcore._eigenbasis` accepts ``vecs``, C comes from that one
-    eigendecomposition (:func:`_semisimple_log`); with no negative cluster it is M's principal log.
-    Otherwise a negative cluster is defective or the basis is ill conditioned.  With no negative
-    cluster, C is then :func:`matcore._log_from_eig`'s fallback: its negative-axis cut, then
-    ``scipy.linalg.logm``.  With one, the verdict paired the Jordan blocks of each negative
-    cluster, and the chains of M come off the profile's staircase, so equal-length chains pair up
-    as x, y.  With dual rows D (D [X Y] = I, from the left generalised eigenspaces),
-    P = [X Y] D is the negative spectral projector and J = Y D_x - X D_y has J^2 = -P; both
-    commute with M, so exp(pi J) = I - 2P and C = log(M (I - 2P)) + pi J: the principal log with
-    the negative spectrum flipped, then the angle-pi turn that flips it back.
-    """
-    negative = profile.negative_real()
-    semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
-    basis = _eigenbasis(eigs, vecs) if semisimple else None
-    if basis is not None:
-        return _semisimple_log(basis, negative, tol)
-    if not negative:
-        return _log_from_eig(M, eigs, vecs, tol)
-    xs, ys, lefts = [], [], []
-    for cluster in negative:
-        chains, left = _jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
-        chains.sort(key=len)
-        for x, y in zip(chains[0::2], chains[1::2]):
-            xs.extend(x)
-            ys.extend(y)
-        lefts.append(left)
-    V = np.column_stack(xs + ys)
-    W = np.hstack(lefts)
-    try:  # a singular W^T V, or one so near it that the projector overflows
-        D = np.linalg.solve(W.T @ V, W.T)
-        A = M - 2.0 * (M @ (V @ D))
-        eigs, Q = np.linalg.eig(A)
-    except np.linalg.LinAlgError:
-        raise IllConditionedError("negative Jordan chains have no dual basis") from None
-    half = len(xs)
-    J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
-    return _log_from_eig(A, eigs, Q, tol) + np.pi * J
-
-
-def _semisimple_log(basis, negative, tol):
-    """V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose ``negative``
-    clusters are semisimple.
-
-    Each negative cluster c, of mean mu, trades its eigenvalues for |mu| in the spectral sum, which
-    adds log|mu| P_c for its spectral projector P_c = V_c W_c (W_c: its rows of V^-1), and adds an
-    angle-pi turn J_c.  With Q an orthonormal real basis of range P_c (one QR of Re v for a real
-    eigenvalue, Re v and Im v for a conjugate pair) and D = Q^T P_c, QD = P_c and DQ = I, so the
-    halves Q = [Q_x Q_y], D = [D_x; D_y] give J_c = Q_y D_x - Q_x D_y with J_c^2 = -P_c.  J_c maps
-    range P_c into itself and kills every other eigenvector, and a semisimple M is mu on range P_c
-    up to the cluster's spread, so J_c commutes with M and with log|mu| P_c; hence
-    exp(log|mu| P_c + pi J_c) = -|mu| P_c = mu P_c.  As J_c = [Q_y, -Q_x] D, the orthonormal Q
-    keeps ||J_c||_2 <= ||P_c||_2; raw eigenvectors with their dual rows would inflate J_c by the
-    conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
-    An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
-    and has no real log: SpectrumOnCutError, raised here for a real spectrum and by
-    :func:`matcore._real_part` for a complex one, whose log comes back complex.
-    """
-    eigs, V, Vinv = basis
-    lams, J = eigs.copy(), 0.0
-    for cluster in negative:
-        members = list(cluster.members)
-        lams[members] = -cluster.eigenvalue.real
-        Vc = V[:, members]
-        # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
-        Q = np.linalg.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
-        D = ((Q.T @ Vc) @ Vinv[members]).real
-        half = len(members) // 2
-        J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
-    if lams.dtype.kind == "f" and lams.min() <= 0:
-        raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    L = _real_part(_spectral(np.log, (lams, V, Vinv)), tol)
-    return L + np.pi * J if negative else L
 
 
 def classify_arc(K0, K1, tol=DEFAULT_TOL):
@@ -374,7 +246,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
             )
     witness = None
     if verdict is not ArcKind.NO_ARC:
-        C = _real_log_witness(M, eigs, vecs, profile, tol)
+        C = _real_log(M, eigs, vecs, profile.negative_real(), tol)
         gap = _relative_gap(_expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")

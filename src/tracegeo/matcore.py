@@ -1,6 +1,6 @@
 """Matrix-analysis engine.
 
-Exponential, real principal logarithm, fractional powers, eigenvalue/Jordan
+Exponential, real logarithms, fractional powers, eigenvalue/Jordan
 structure estimation, polar decomposition, the canonical skew logarithm of a
 special orthogonal matrix, and the Cartan-Killing form of n x n matrices;
 also the JSON matrix document that the CLI and the verify suites write.
@@ -249,11 +249,10 @@ def real_log_principal(A, tol=DEFAULT_TOL):
 
 
 def _log_from_eig(A, eigs, V, tol):
-    """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``."""
+    """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``: its cut test."""
     if any(lam.real < 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    basis = _eigenbasis(eigs, V)
-    return _real_part(_logm(A) if basis is None else _spectral(np.log, basis), tol)
+    return _real_log(A, eigs, V, (), tol)
 
 
 def _real_part(L, tol):
@@ -472,6 +471,133 @@ def _profile_pass(A, eigs, norm2, tol):
         clusters.append(EigenCluster(lam, sizes, members))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return SpectralProfile(tuple(clusters), float(tol)), settled
+
+
+# ---------------------------------------------------------------------------
+# Real logarithms
+# ---------------------------------------------------------------------------
+
+
+def _real_log(M, eigs, vecs, negative, tol):
+    """The one logarithm dispatch: some real C with exp(C) = M = vecs diag(eigs) vecs^-1, principal
+    wherever possible.  Every branch follows the profile's ``negative`` clusters (none for a
+    principal log), with no real-axis test here: semisimple ones and a basis accepted by
+    :func:`_eigenbasis` take :func:`_semisimple_log`; else ``logm`` of M, or :func:`_chains_log`."""
+    semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
+    basis = _eigenbasis(eigs, vecs) if semisimple else None
+    if basis is not None:
+        return _semisimple_log(basis, negative, tol)
+    if not negative:
+        return _real_part(_logm(M), tol)
+    return _chains_log(M, negative, tol)
+
+
+@_overflow_guard("arc logarithm")
+def _chains_log(M, negative, tol):
+    """log(M (I - 2P)) + pi J from the Jordan chains of the ``negative`` clusters, whose blocks the
+    verdict paired.  The chains come off the profile's staircase, so equal-length chains pair up
+    as x, y.  With dual rows D (D [X Y] = I, from the left generalised eigenspaces),
+    P = [X Y] D is the negative spectral projector and J = Y D_x - X D_y has J^2 = -P; both
+    commute with M, so exp(pi J) = I - 2P: the principal log with the negative spectrum flipped,
+    then the angle-pi turn that flips it back.  Guarded: P can overflow near a singular W^T V."""
+    xs, ys, lefts = [], [], []
+    for cluster in negative:
+        chains, left = _jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
+        chains.sort(key=len)
+        for x, y in zip(chains[0::2], chains[1::2]):
+            xs.extend(x)
+            ys.extend(y)
+        lefts.append(left)
+    V = np.column_stack(xs + ys)
+    W = np.hstack(lefts)
+    try:
+        D = np.linalg.solve(W.T @ V, W.T)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("negative Jordan chains have no dual basis") from None
+    half = len(xs)
+    J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
+    return _real_part(_logm(M - 2.0 * (M @ (V @ D))), tol) + np.pi * J
+
+
+def _semisimple_log(basis, negative, tol):
+    """V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose ``negative``
+    clusters are semisimple.
+
+    Each negative cluster c, of mean mu, trades its eigenvalues for |mu| in the spectral sum, which
+    adds log|mu| P_c for its spectral projector P_c = V_c W_c (W_c: its rows of V^-1), and adds an
+    angle-pi turn J_c.  With Q an orthonormal real basis of range P_c (one QR of Re v for a real
+    eigenvalue, Re v and Im v for a conjugate pair) and D = Q^T P_c, QD = P_c and DQ = I, so the
+    halves Q = [Q_x Q_y], D = [D_x; D_y] give J_c = Q_y D_x - Q_x D_y with J_c^2 = -P_c.  J_c maps
+    range P_c into itself and kills every other eigenvector, and a semisimple M is mu on range P_c
+    up to the cluster's spread, so J_c commutes with M and with log|mu| P_c; hence
+    exp(log|mu| P_c + pi J_c) = -|mu| P_c = mu P_c.  As J_c = [Q_y, -Q_x] D, the orthonormal Q
+    keeps ||J_c||_2 <= ||P_c||_2; raw eigenvectors with their dual rows would inflate J_c by the
+    conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
+    An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
+    and has no real log: SpectrumOnCutError, raised here for a real spectrum and by
+    :func:`_real_part` for a complex one, whose log comes back complex.
+    """
+    eigs, V, Vinv = basis
+    lams, J = eigs.copy(), 0.0
+    for cluster in negative:
+        members = list(cluster.members)
+        lams[members] = -cluster.eigenvalue.real
+        Vc = V[:, members]
+        # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
+        Q = np.linalg.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
+        D = ((Q.T @ Vc) @ Vinv[members]).real
+        half = len(members) // 2
+        J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
+    if lams.dtype.kind == "f" and lams.min() <= 0:
+        raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
+    L = _real_part(_spectral(np.log, (lams, V, Vinv)), tol)
+    return L + np.pi * J if negative else L
+
+
+def _pick_complement(candidates, excluded, need):
+    """``need`` columns inside span(candidates) independent of span(excluded)."""
+    if candidates.shape[1] < need:
+        raise IllConditionedError("Jordan chain extraction ran out of directions")
+    if excluded.shape[1]:
+        Q, _ = np.linalg.qr(excluded)
+        reduced = candidates - Q @ (Q.T @ candidates)
+    else:
+        reduced = candidates
+    _, s, Vh = np.linalg.svd(reduced)
+    if s.size < need or s[need - 1] <= 1e-10:
+        raise IllConditionedError("Jordan chain extraction found dependent directions")
+    return candidates @ Vh[:need].T
+
+
+def _jordan_chains(B, lam, mult, tol):
+    """Jordan chains of B for the real eigenvalue lam, and a basis of its left generalised
+    eigenspace, from one kernel staircase.
+
+    Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
+    and (B - lam) x_j = x_{j-1}.
+    """
+    E, null_bases, left, _ = _kernel_staircase(B, lam, mult, tol)
+    sizes = _jordan_partition(null_bases)
+    n = B.shape[0]
+    chains = []
+    carry = np.zeros((n, 0))  # height-k vectors inherited from longer chains
+    for k in range(sizes[0], 0, -1):  # sizes come largest first
+        need = sizes.count(k)
+        tops = np.zeros((n, 0))
+        if need:
+            excluded = np.hstack([null_bases[k - 1], carry])
+            tops = _pick_complement(null_bases[k], excluded, need)
+            for idx in range(need):
+                top = tops[:, idx]
+                chain = [top]
+                for _ in range(k - 1):
+                    chain.append(E @ chain[-1])
+                chain.reverse()
+                scale = max(np.linalg.norm(v) for v in chain)
+                chains.append([v / scale for v in chain])
+        level = np.hstack([carry, tops])
+        carry = E @ level if level.shape[1] else level
+    return chains, left
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from tracegeo import (
     unique_arc,
 )
 from tracegeo import geodesy, matcore
-from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
+from tracegeo.verify import RESIDUAL_TOL, random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
 
@@ -299,6 +299,14 @@ class TestSpdGeodesic:
                 spd_geodesic(lopsided, I2, 0.0)
             assert_allclose(spd_geodesic(1e300 * I2, np.zeros((2, 2)), 1.0), 1e300 * I2)
 
+    def test_base_is_halved_before_it_is_symmetrised(self):
+        # K + K.T overflows for an entry of 1.7e308; 0.5 K + 0.5 K.T does not.  K^1/2 K^1/2 is
+        # K to rounding: sqrt(1.7e308)^2 is one ulp below it
+        K = np.diag([1.7e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(spd_geodesic(K, np.zeros((2, 2)), 0.5), K, rtol=1e-15)
+
     def test_symmetry_tests_have_no_floor(self):
         # a lopsided velocity is not symmetric at any scale
         lopsided = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -348,6 +356,13 @@ class TestResidual:
                 geo = Geodesic(random_invertible(rng, n), C)
                 for t in (-1.0, 0.37, 2.0):
                     assert curve_residual(geo.point, t, 1e-4) <= 1e-5
+
+    def test_steps_are_the_ones_taken(self):
+        # at a power of two t - h rounds on the finer grid of the binade below t, so the two steps
+        # differ by up to half an ulp of t; dividing by 2h read 0.0165 at 2^20 and 16.9 at 2^30
+        geo = Geodesic(I2, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        for t in (1.0, 2.0**20, -(2.0**20), 2.0**30):
+            assert curve_residual(geo.point, t, 1e-4) <= RESIDUAL_TOL, t
 
     def test_straight_line_is_not_a_geodesic(self, rng):
         K = np.eye(2)
@@ -473,9 +488,9 @@ class TestClassification:
         S = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) if case == "mixed" else np.eye(n)
         M = S @ core @ np.linalg.inv(S)
         out = classify_arc(np.eye(n), M, tol)
-        # one eig of M serves the profile and a semisimple negative witness; only the chains
-        # route of a defective negative cluster decomposes the flipped M (I - 2P) as well
-        assert len(solves) == (2 if case == "defective-pairs" else 1)
+        # one eig of M serves the profile and every witness: the chains route of a defective
+        # negative cluster takes the flipped M (I - 2P) to logm without decomposing it
+        assert len(solves) == 1
         assert_array_equal(solves[0], np.linalg.solve(np.eye(n), M))
         assert out.verdict is ArcKind.CONTINUUM
         assert np.linalg.norm(out.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
@@ -511,7 +526,7 @@ class TestClassification:
         B = sla.block_diag(*(jordan_block(-1.0, k) for k in blocks))
         (cluster,) = spectral_profile(B).clusters
         assert cluster.block_sizes == blocks
-        chains, _ = geodesy._jordan_chains(B, -1.0, cluster.multiplicity, 1e-8)
+        chains, _ = matcore._jordan_chains(B, -1.0, cluster.multiplicity, 1e-8)
         assert tuple(sorted((len(c) for c in chains), reverse=True)) == cluster.block_sizes
         E = B + np.eye(B.shape[0])
         for chain in chains:
@@ -603,7 +618,7 @@ def test_witness_endpoint_check_runs_on_the_pade_exponential(rng, monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
     # ||K1|| overflows for entries of 1.34e154; a wrong witness must still be caught
     K = 1.34e154 * I2
-    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, eigs, vecs, profile, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
@@ -613,7 +628,7 @@ def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_small_scale(monkeypatch):
     # the gap is relative to ||K1|| with no floor, so it holds for K1 of norm 1e-12 too
     K = 1e-12 * I2
-    monkeypatch.setattr(geodesy, "_real_log_witness", lambda M, eigs, vecs, profile, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
     with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
         classify_arc(K, K)
 
@@ -814,7 +829,7 @@ def eigvals_route(K0, K1, tol):
                     f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})")
         if verdict is ArcKind.NO_ARC:
             return verdict, profile, None
-        C = geodesy._real_log_witness(M, *np.linalg.eig(M), profile, tol)
+        C = matcore._real_log(M, *np.linalg.eig(M), profile.negative_real(), tol)
         gap = matcore._relative_gap(matcore._expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
@@ -884,14 +899,14 @@ def test_one_eigendecomposition_matches_the_eigvals_route(n, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def chains_witness(M, eigs, vecs, profile, tol):
+def chains_witness(M, eigs, vecs, negative, tol):
     """Reference: the witness with every negative cluster taken through its Jordan chains, as
     before semisimple clusters were read off eig(M): C = log(M (I - 2P)) + pi J with P and J
     from the chains and the staircase's left kernel, or M's principal log with its cut test when
     no cluster is negative."""
     xs, ys, lefts = [], [], []
-    for cluster in profile.negative_real():
-        chains, left = geodesy._jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
+    for cluster in negative:
+        chains, left = matcore._jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
         chains.sort(key=len)
         for x, y in zip(chains[0::2], chains[1::2]):
             xs.extend(x)
@@ -947,7 +962,7 @@ def test_semisimple_negative_witness_matches_the_chains_route(n, kind, monkeypat
         K0, K1 = semisimple_negative_pair(rng, n, kind)
         outcome = answer(K0, K1)
         with monkeypatch.context() as patch:
-            patch.setattr(geodesy, "_real_log_witness", chains_witness)
+            patch.setattr(geodesy, "_real_log", chains_witness)
             reference = answer(K0, K1)
         if isinstance(reference, tuple):  # a refusal before any witness is built
             assert outcome == reference, seed
@@ -962,9 +977,9 @@ def test_semisimple_negative_witness_matches_the_chains_route(n, kind, monkeypat
 
 def _witness_route_spy(monkeypatch):
     """The arrays eig decomposes and the clusters whose Jordan chains are taken."""
-    eig, chains, decomposed, chained = np.linalg.eig, geodesy._jordan_chains, [], []
+    eig, chains, decomposed, chained = np.linalg.eig, matcore._jordan_chains, [], []
     monkeypatch.setattr(np.linalg, "eig", lambda A: decomposed.append(A) or eig(A))
-    monkeypatch.setattr(geodesy, "_jordan_chains",
+    monkeypatch.setattr(matcore, "_jordan_chains",
                         lambda B, lam, mult, tol: chained.append(lam) or chains(B, lam, mult, tol))
     return decomposed, chained
 
@@ -983,8 +998,8 @@ def test_only_a_defective_negative_cluster_takes_the_chains_route(core, chained,
     n = core.shape[0]
     outcome = classify_arc(np.eye(n), core)
     assert outcome.verdict is ArcKind.CONTINUUM
-    # the chains route decomposes M (I - 2P) after M; the semisimple route only M
-    assert len(decomposed) == (2 if chained else 1)
+    # either route decomposes M alone; the chains spy tells them apart
+    assert len(decomposed) == 1
     assert bool(lams) is chained
     assert np.linalg.norm(outcome.witness.point(1.0) - core) <= 1e-8 * np.linalg.norm(core)
 
@@ -997,7 +1012,7 @@ def test_an_ill_conditioned_eigenbasis_takes_the_chains_route(monkeypatch):
     decomposed, lams = _witness_route_spy(monkeypatch)
     outcome = classify_arc(np.eye(3), M)
     assert outcome.verdict is ArcKind.CONTINUUM
-    assert len(decomposed) == 2 and lams
+    assert len(decomposed) == 1 and lams
     assert np.linalg.norm(outcome.witness.point(1.0) - M) <= 1e-8 * np.linalg.norm(M)
 
 
@@ -1005,17 +1020,23 @@ def test_an_ill_conditioned_eigenbasis_takes_the_chains_route(monkeypatch):
 # sits inside the logarithm's own cut tol * max(1, |lam|): the profile calls it non-real, and
 # the witness follows the profile instead of raising SpectrumOnCutError after a stable verdict.
 NEAR_CUT_PAIR = _rotation_block(-0.5, 8e-9)
+_S_NEAR_DEPENDENT = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0], [0, 0, 0, 1e-5]])
 UNMERGED_NEAR_NEGATIVE = {
     "principal": sla.block_diag(NEAR_CUT_PAIR, 0.9, 0.9),
     "paired": sla.block_diag(NEAR_CUT_PAIR, -0.9, -0.9),
     "paired-2490": sla.block_diag(_rotation_block(-0.2657, 8.87e-9), -0.3174 * I2),
+    # no negative cluster and an eigenbasis of cond_1 above 1e4: M's logm, with no second cut
+    "ill-conditioned": _S_NEAR_DEPENDENT @ sla.block_diag(NEAR_CUT_PAIR, 0.9, 0.9)
+    @ np.linalg.inv(_S_NEAR_DEPENDENT),
+    # defective paired negatives: the chains route, whose flipped M (I - 2P) keeps the pair
+    "defective": sla.block_diag(NEAR_CUT_PAIR, jordan_block(-0.9, 2), jordan_block(-0.9, 2)),
 }
 
 
 @pytest.mark.parametrize("case", UNMERGED_NEAR_NEGATIVE)
 def test_an_unmerged_near_negative_pair_gets_its_witness(case):
     M = UNMERGED_NEAR_NEGATIVE[case]
-    outcome = classify_arc(np.eye(4), M)
+    outcome = classify_arc(np.eye(len(M)), M)
     assert outcome.verdict is ArcKind.CONTINUUM
     assert len(outcome.profile.non_real()) == 2
     assert _endpoint_error(outcome, M) <= 1e-8
