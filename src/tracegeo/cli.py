@@ -143,12 +143,10 @@ def _cmd_classify(args):
 
 
 def _cmd_arc(args):
-    outcome = geodesy.classify_arc(args.k0, args.k1, args.tol)
-    payload = {"verdict": outcome.verdict.value}
-    if outcome.witness is None:
-        return payload, 2
-    payload.update(_witness_document(outcome.witness))
-    return payload, 0
+    payload, code = _cmd_classify(args)
+    del payload["profile"]
+    payload.update(payload.pop("witness", {}))
+    return payload, code
 
 
 # Most matrix entries (samples * n^2) one ``geodesic`` call emits: at the cap a process peaks

@@ -32,13 +32,12 @@ from .matcore import (
     _profile_pass,
     _real_log,
     _relative_gap,
+    _so_log,
     _spectral,
     as_point_and_tangents,
     as_squares,
     polar_decompose,
-    real_log_principal,
     require_invertible,
-    so_log,
 )
 
 
@@ -213,23 +212,17 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     * a continuum otherwise.
 
     When an arc exists the returned witness starts at K0 and reaches K1 at
-    t = 1.  One eigendecomposition M = V diag(lam) V^-1 serves both the
-    profile (its eigenvalues) and, when every negative cluster is semisimple,
-    the witness V diag(log lam) V^-1 (Higham 2008, section 4.5), with each
-    negative cluster's eigenvalues traded for the modulus of its mean and an
-    angle-pi turn J added on its eigenspace, where M is a multiple of the
-    identity, so that J commutes with M.  A defective negative cluster takes
-    its witness from M's Jordan chains instead.  A verdict that
-    differs at tol/10 or 10 tol raises IllConditionedError instead of
-    guessing.  Each of the profile's two kinds of decision (an eigenvalue
-    pair within the clustering cut, which alone decides which clusters are
-    real, and a staircase singular value above the rank cut) compares a
-    quantity with a cut proportional to tol, and the quantities do not
-    depend on tol.  So when none of them lies within a decade of its cut,
-    the profiles at tol/10 and 10 tol equal the one at tol and the verdict
-    cannot differ; only otherwise is the profile re-run at both.  The witness
-    endpoint check takes e^C by Pade scaling and squaring, not through C's
-    own eigenbasis, which would check itself.
+    t = 1: its direction is ``matcore._real_log`` of M, from the one
+    eigendecomposition that also gives the profile's eigenvalues, and
+    :func:`_arc` checks its endpoint.  A verdict that differs at tol/10 or
+    10 tol raises IllConditionedError instead of guessing.  Each of the
+    profile's two kinds of decision (an eigenvalue pair within the clustering
+    cut, which alone decides which clusters are real, and a staircase
+    singular value above the rank cut) compares a quantity with a cut
+    proportional to tol, and the quantities do not depend on tol.  So when
+    none of them lies within a decade of its cut, the profiles at tol/10 and
+    10 tol equal the one at tol and the verdict cannot differ; only otherwise
+    is the profile re-run at both.
     """
     K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
     require_invertible(K1, "K1")
@@ -246,12 +239,17 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
             )
     witness = None
     if verdict is not ArcKind.NO_ARC:
-        C = _real_log(M, eigs, vecs, profile.negative_real(), tol)
-        gap = _relative_gap(_expm(C, left=K0), K1)
-        if gap > 1e-6:
-            raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
-        witness = Geodesic._unchecked(K0, C)
+        witness = _arc(K0, _real_log(M, eigs, vecs, profile.negative_real(), tol), K1)
     return ArcClassification(verdict=verdict, witness=witness, profile=profile)
+
+
+def _arc(K, C, end):
+    """The geodesic K exp(tC), once it reaches ``end`` at t = 1 within 1e-6 relative error; e^C
+    is taken by Pade scaling and squaring, not by C's own eigenbasis, which would check itself."""
+    gap = _relative_gap(_expm(C, left=K), end)
+    if gap > 1e-6:
+        raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
+    return Geodesic._unchecked(K, C)
 
 
 def unique_arc(K0, K1, tol=DEFAULT_TOL):
@@ -283,17 +281,18 @@ class BrokenArc:
 def broken_arc(K1, K2, tol=DEFAULT_TOL):
     """Join two same-component points by a singly broken geodesic arc.
 
-    With left polar K1 = O1 P1 and right polar K2 = P2 O2 the joint is
-    Z = P2 O1.  K1^{-1} Z has positive spectrum, so the first leg is a
-    principal-log arc; Z^{-1} K2 = O1^T O2 is special orthogonal, so the
-    second leg is a rotation arc through the skew logarithm.
+    With left polar K1 = O1 P1 and right polar K2 = P2 O2 the joint is Z = P2 O1.
+    K1^{-1} Z = P1^{-1} (O1^T P2 O1) has positive spectrum, so the first leg is the principal
+    witness of :func:`classify_arc`, with its endpoint check (:func:`_arc`).  Z^{-1} K2 = O1^T O2
+    is special orthogonal iff K1 and K2 share a component; the second leg is its rotation arc.
     """
     K1, K2 = as_squares(K1=K1, K2=K2)
     left = polar_decompose(K1, side="left")  # the singular cuts on K1 and K2
     right = polar_decompose(K2, side="right")
-    if np.linalg.slogdet(K1)[0] != np.linalg.slogdet(K2)[0]:
+    R = left.orthogonal.T @ right.orthogonal
+    if np.linalg.det(R) < 0:
         raise DifferentComponentsError("endpoints lie in different determinant components")
     Z = right.positive @ left.orthogonal
-    C1 = real_log_principal(np.linalg.solve(K1, Z), tol)
-    C2 = so_log(left.orthogonal.T @ right.orthogonal, tol)
-    return BrokenArc(first=Geodesic._unchecked(K1, C1), second=Geodesic._unchecked(Z, C2), joint=Z)
+    M = np.linalg.solve(K1, Z)
+    first = _arc(K1, _real_log(M, *np.linalg.eig(M), (), tol), Z)
+    return BrokenArc(first=first, second=Geodesic._unchecked(Z, _so_log(R, tol)), joint=Z)

@@ -7,10 +7,10 @@ also the JSON matrix document that the CLI and the verify suites write.
 All functions are pure and operate on plain ``numpy`` arrays.
 
 The exponential is Pade scaling and squaring in numpy (:func:`_expm`).
-``scipy.linalg`` is imported on first use, through :func:`_scipy_linalg`, and
-only two fallbacks need it: ``logm`` for a defective or near-defective
-logarithm, and ``schur`` for a rotation with a half turn in :func:`so_log`.
-Its import dominates the start of a short process.
+``scipy.linalg`` is imported on first use, inside the only two fallbacks that
+need it: ``logm`` for a defective or near-defective logarithm (:func:`_logm`),
+and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
+import dominates the start of a short process.
 """
 
 import functools
@@ -131,17 +131,6 @@ def _relative_gap(A, B):
 def _on_real_axis(lam, tol):
     """The real-axis test: ``|Im lam| <= tol * max(1, |lam|)`` for a complex ``lam``."""
     return abs(lam.imag) <= tol * max(1.0, abs(lam))
-
-
-def _scipy_linalg():
-    """The ``scipy.linalg`` module, imported on the first call.
-
-    Callers look each function up on the module at the call, so a wrapper
-    installed on the module attribute sees every call.
-    """
-    import scipy.linalg
-
-    return scipy.linalg
 
 
 # Higham (SIAM J. Matrix Anal. Appl. 26, 2005), table 2.3: for each Pade degree m, the largest
@@ -275,10 +264,12 @@ def _logm(A):
     Near-singular ``A`` at an extreme scale draws ``LogmNearlySingularWarning`` and then a bare
     ``Exception`` from inside its Schur-Pade algorithm.
     """
+    import scipy.linalg
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return _scipy_linalg().logm(A)
+            return scipy.linalg.logm(A)
         except ValueError as exc:
             raise IllConditionedError("matrix logarithm overflows the float range") from exc
         except Exception as exc:
@@ -534,8 +525,8 @@ def _semisimple_log(basis, negative, tol):
     keeps ||J_c||_2 <= ||P_c||_2; raw eigenvectors with their dual rows would inflate J_c by the
     conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
     An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
-    and has no real log: SpectrumOnCutError, raised here for a real spectrum and by
-    :func:`_real_part` for a complex one, whose log comes back complex.
+    and has no real log: SpectrumOnCutError, raised here for a real spectrum or an exact 0, and
+    by :func:`_real_part` for a complex one, whose log comes back complex.
     """
     eigs, V, Vinv = basis
     lams, J = eigs.copy(), 0.0
@@ -548,7 +539,7 @@ def _semisimple_log(basis, negative, tol):
         D = ((Q.T @ Vc) @ Vinv[members]).real
         half = len(members) // 2
         J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
-    if lams.dtype.kind == "f" and lams.min() <= 0:
+    if (lams.dtype.kind == "f" and lams.min() <= 0) or not lams.all():
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     L = _real_part(_spectral(np.log, (lams, V, Vinv)), tol)
     return L + np.pi * J if negative else L
@@ -665,6 +656,11 @@ def so_log(O, tol=DEFAULT_TOL):
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
     if ortho_defect > max(tol, 1e-10) * n or np.linalg.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
+    return _so_log(O, tol)
+
+
+def _so_log(O, tol):
+    """:func:`so_log` of a float matrix the caller knows to be special orthogonal."""
     try:  # real_log_principal without its singular test: O is orthogonal
         L = _log_from_eig(O, *np.linalg.eig(O), tol)
     except SpectrumOnCutError:
@@ -674,8 +670,10 @@ def so_log(O, tol=DEFAULT_TOL):
 
 def _schur_so_log(O):
     """Skew logarithm of the special orthogonal ``O`` from its real Schur form."""
+    import scipy.linalg
+
     n = O.shape[0]
-    T, Z = _scipy_linalg().schur(O, output="real")
+    T, Z = scipy.linalg.schur(O, output="real")
     S = np.zeros((n, n))
     minus_ones = []
     i = 0

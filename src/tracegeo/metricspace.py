@@ -272,13 +272,20 @@ def product_inverse(Q):
     """Inverse of :func:`product_forward`.
 
     Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
+    Not re-validated: det(sl_part) computes to 1 only within about cond(Q) u.
     """
     Q = as_squares(Q=Q)[0]
-    sign, logdet = np.linalg.slogdet(Q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(Q)
     if sign <= 0.0:
         raise NonPositiveDeterminantError("product chart needs a positive determinant")
+    if not math.isfinite(logdet):
+        raise IllConditionedError("product chart overflows the float range")
     n = Q.shape[0]
-    return ProductPoint(Q / math.exp(logdet / n), float(logdet) / math.sqrt(n))
+    point = object.__new__(ProductPoint)
+    object.__setattr__(point, "sl_part", Q / math.exp(logdet / n))
+    object.__setattr__(point, "line_part", float(logdet) / math.sqrt(n))
+    return point
 
 
 @_overflow_guard("product chart")

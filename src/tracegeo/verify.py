@@ -64,10 +64,6 @@ class _Recorder:
                 }
             )
 
-    def close(self, name, got, expected, tol, inputs=()):
-        """Check |got - expected| <= tol * max(1, |expected|)."""
-        self.check(name, float(got), float(expected), tol * max(1.0, abs(float(expected))), inputs)
-
 
 def _refused_or(difference_quotient, *args):
     """The quotient's value, or the message of its refusal of the step (``ValueError``).
@@ -204,7 +200,8 @@ def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
             rec.check("ricci-trace-oracle", curvature.ricci_trace_oracle(K, X, Y),
                       curvature.ricci(K, X, Y), tol * mscale, [("K", K)])
         want_scalar = -(n + 1) * n * (n - 1) / 2.0
-        rec.close("scalar-curvature", curvature.scalar_curvature(K), want_scalar, tol, [("K", K)])
+        rec.check("scalar-curvature", curvature.scalar_curvature(K), want_scalar,
+                  tol * max(1.0, abs(want_scalar)), [("K", K)])
         # Cartan-Schouten identities for left-invariant fields
         X0, Y0, Z0 = (rng.uniform(-1.0, 1.0, (n, n)) for _ in range(3))
         nab = geodesy.nabla(K, K @ X0, K @ Y0, K @ (X0 @ Y0))

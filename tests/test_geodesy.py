@@ -174,6 +174,13 @@ class TestEigenbasisRoute:
         # one Pade exponential in the route, one scipy exponential in the oracle
         assert [kind for kind, _ in calls] == ["pade", "scipy"] * len(ts)
 
+    def test_exactly_singular_eigenbasis_falls_back_to_expm(self):
+        # eig returns a singular eigenvector matrix for J3(0), which _eigenbasis cannot invert
+        N = jordan_block(0.0, 3)
+        geo = Geodesic(np.eye(3), N)
+        for t in (-2.5, 0.3, 4.0):
+            assert_allclose(geo.point(t), np.eye(3) + t * N + t * t / 2.0 * (N @ N), rtol=1e-15, atol=1e-15)
+
     def test_complex_pair_gives_a_real_point(self):
         geo = Geodesic(I2, np.array([[0.1, -2.0], [2.0, 0.1]]))
         P = geo.point(0.7)
@@ -579,18 +586,22 @@ def _complex_pair(rng, n):
 ], ids=["spd", "positive-nonsymmetric", "complex-pair"])
 def test_principal_witness_takes_no_second_validation(rng, monkeypatch, quotient, verdict):
     # K0 and K1 passed the singular cut: M = K0^{-1} K1 is logged without real_log_principal's
-    # operand check and third cut
-    def refuse(*args, **kwargs):
-        raise AssertionError("classify_arc called real_log_principal")
+    # operand check and third cut; broken_arc's legs skip real_log_principal and so_log alike
+    for name in ("real_log_principal", "so_log"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"an arc builder called {name}")
 
-    monkeypatch.setattr(matcore, "real_log_principal", refuse)
-    monkeypatch.setattr(geodesy, "real_log_principal", refuse)
+        monkeypatch.setattr(matcore, name, refuse)
+        monkeypatch.setattr(geodesy, name, refuse, raising=False)
     K0 = random_invertible(rng, 3)
     K1 = K0 @ quotient(rng, 3)
     outcome = classify_arc(K0, K1)
     assert outcome.verdict is verdict
     end = outcome.witness.point(1.0)
     assert np.linalg.norm(end - K1) <= 1e-8 * np.linalg.norm(K1)
+    arc = broken_arc(K0, K1)  # det(quotient) > 0: one component
+    assert np.linalg.norm(arc.first.point(1.0) - arc.joint) <= 1e-8 * np.linalg.norm(arc.joint)
+    assert np.linalg.norm(arc.second.point(1.0) - K1) <= 1e-8 * np.linalg.norm(K1)
 
 
 def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not():
@@ -1047,6 +1058,16 @@ def test_an_unmerged_near_negative_pair_gets_its_witness(case):
         fractional_power(M, 0.5)
 
 
+def test_an_eigenvalue_that_underflows_to_zero_is_refused_as_on_the_cut():
+    # each endpoint passes the singular cut, but M's third eigenvalue 1e-324 rounds to 0 beside a
+    # complex pair: refused before log 0, not a divide-by-zero warning
+    K1 = sla.block_diag(1e-150 * np.array([[0.6, -0.8], [0.8, 0.6]]), [[1e-162]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumOnCutError, match="closed negative real axis"):
+            classify_arc(1e162 * np.eye(3), K1)
+
+
 def test_a_real_cluster_across_zero_is_refused_as_on_the_cut():
     # 2e-9 and -1e-9 merge at the cut 3e-8 into a cluster of mean 5e-10 > 0, and -1e-9 has no
     # real logarithm: a typed refusal, not a NaN read as an overflow
@@ -1132,6 +1153,21 @@ class TestUniqueArc:
             unique_arc(I2, I2)
 
 
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _same_component_pair(rng, n, cond):
+    """Two endpoints U diag(s) V^T with singular values 1, cond and n - 2 log-uniform between,
+    the second's first row flipped into the first's component."""
+    K1, K2 = (np.linalg.qr(rng.standard_normal((n, n)))[0]
+              @ np.diag(np.concatenate([[1.0, cond], cond ** rng.uniform(0.0, 1.0, n - 2)]))
+              @ np.linalg.qr(rng.standard_normal((n, n)))[0].T for _ in range(2))
+    if np.linalg.det(K1) * np.linalg.det(K2) < 0:
+        K2[0] = -K2[0]
+    return K1, K2
+
+
 class TestBrokenArc:
     def test_trivial_pair(self):
         arc = broken_arc(I2, I2)
@@ -1183,14 +1219,51 @@ class TestBrokenArc:
             broken_arc(ends["K1"], ends["K2"])
 
     def test_each_endpoint_takes_one_svd(self, rng, monkeypatch):
-        # the polar decompositions make the singular cuts on K1 and K2; the legs take them as read
+        # the polar decompositions make the singular cuts on K1 and K2; the legs take them as read,
+        # and det(O1^T O2) alone decides the component
         K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
         if np.linalg.det(K2) < 0:
             K2[0] = -K2[0]
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        seen = {"svd": [], "det": [], "slogdet": []}
+        for name, calls in seen.items():
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *args, calls=calls, fn=fn, **kw: calls.append(a) or fn(a, *args, **kw))
         broken_arc(K1, K2)
-        assert [sum(np.array_equal(a, K) for a in seen) for K in (K1, K2)] == [1, 1]
+        assert [len(calls) for calls in seen.values()] == [2, 1, 0]
+        assert [sum(np.array_equal(a, K) for a in seen["svd"]) for K in (K1, K2)] == [1, 1]
+
+    def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not(self):
+        # K1^-1 Z has sigma_min / sigma_max = 1e-14, below the singular cut; its arc exists
+        K1, K2 = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
+        arc = broken_arc(K1, K2)
+        assert _relative_error(K1 @ sla.expm(arc.first.direction), arc.joint) <= 1e-8
+        assert _relative_error(arc.joint @ sla.expm(arc.second.direction), K2) <= 1e-8
+
+    def test_ill_conditioned_endpoints_are_joined(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            K1, K2 = _same_component_pair(rng, n, 1e7)
+            arc = broken_arc(K1, K2)
+            assert _relative_error(K1 @ sla.expm(arc.first.direction), arc.joint) <= 1e-7
+            assert _relative_error(arc.joint @ sla.expm(arc.second.direction), K2) <= 1e-7
+
+    def test_extreme_conditioning_is_a_typed_refusal(self):
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(30):
+                K1, K2 = _same_component_pair(rng, int(rng.integers(2, 7)), 1e12)
+                try:
+                    broken_arc(K1, K2)
+                except TraceGeoError:
+                    pass
+
+    def test_first_leg_endpoint_check_is_not_vacuous(self, monkeypatch):
+        monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
+        with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
+            broken_arc(I2, np.diag([2.0, 3.0]))
 
     def test_legs_are_read_only(self, rng):
         arc = broken_arc(random_spd(rng, 3), random_spd(rng, 3))

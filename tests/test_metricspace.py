@@ -253,6 +253,15 @@ class TestProductStructure:
                 Q[0] = -Q[0]
             assert np.linalg.norm(product_forward(product_inverse(Q)) - Q) <= 1e-10 * np.linalg.norm(Q)
 
+    def test_ill_conditioned_inverse_round_trips(self, rng):
+        # det(sl_part) computes to 1 only within about cond(Q) u: the point is not re-checked
+        for n in (2, 3, 4, 6):
+            U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+            Q = U @ np.diag(np.geomspace(1.0, 1e8, n)) @ V.T
+            if np.linalg.det(Q) < 0:
+                Q[0] = -Q[0]
+            assert np.linalg.norm(product_forward(product_inverse(Q)) - Q) <= 1e-10 * np.linalg.norm(Q)
+
     def test_forward_lands_in_positive_component(self, rng):
         P = random_unimodular(rng, 3)
         Q = product_forward(ProductPoint(P, 1.3))
@@ -315,6 +324,12 @@ class TestProductStructure:
             p = product_inverse(1e200 * I2)
         assert_allclose(p.sl_part, I2, rtol=1e-12)  # exp(log det / n) errs by about |log det| u
         assert p.line_part == pytest.approx(400.0 * np.log(10.0) / np.sqrt(2.0), rel=1e-14)
+
+    def test_inverse_overflowing_log_determinant_is_a_typed_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="product chart overflows"):
+                product_inverse([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
 
 
 class TestLeaves:
