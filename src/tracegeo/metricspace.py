@@ -272,18 +272,19 @@ def product_inverse(Q):
     """Inverse of :func:`product_forward`.
 
     Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
-    Not re-validated: det(sl_part) computes to 1 only within about cond(Q) u.
+    Its determinant is not re-checked: det(sl_part) computes to 1 only within about cond(Q) u.
     """
     Q = as_squares(Q=Q)[0]
+    n = Q.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(Q)
-    if sign <= 0.0:
-        raise NonPositiveDeterminantError("product chart needs a positive determinant")
-    if not math.isfinite(logdet):
+        if sign <= 0.0:
+            raise NonPositiveDeterminantError("product chart needs a positive determinant")
+        P = Q / math.exp(logdet / n)  # det(diag(1e300, 1e-300, 1e-300))^{1/3} = 1e-100
+    if not (math.isfinite(logdet) and np.isfinite(P).all()):
         raise IllConditionedError("product chart overflows the float range")
-    n = Q.shape[0]
     point = object.__new__(ProductPoint)
-    object.__setattr__(point, "sl_part", Q / math.exp(logdet / n))
+    object.__setattr__(point, "sl_part", P)
     object.__setattr__(point, "line_part", float(logdet) / math.sqrt(n))
     return point
 

@@ -330,6 +330,8 @@ class TestProductStructure:
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="product chart overflows"):
                 product_inverse([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+            with pytest.raises(IllConditionedError, match="product chart overflows"):
+                product_inverse(np.diag([1e300, 1e-300, 1e-300]))  # finite det, overflowing quotient
 
 
 class TestLeaves:
