@@ -8,6 +8,7 @@ including every argparse failure, which is a ``parse`` error.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -320,5 +321,17 @@ def main(argv=None):
     return code
 
 
+def run():
+    """Process entry of ``tracegeo`` and ``python -m tracegeo.cli``: :func:`main`'s exit code.
+
+    ``gc.freeze()`` once ``main`` has returned spares interpreter shut-down collecting and freeing
+    what numpy and tracegeo imported, object by object (about 20 ms); ``atexit`` handlers and the
+    stream flush still run.  ``main`` never freezes, so in-process callers keep their collector.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -20,6 +20,7 @@ from .errors import (
     NotSPDError,
     NotSymmetricError,
     NotUniqueError,
+    SingularMatrixError,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -28,6 +29,7 @@ from .matcore import (
     _curve_parameter,
     _eigenbasis,
     _expm,
+    _is_singular,
     _overflow_guard,
     _profile_pass,
     _real_log,
@@ -36,7 +38,6 @@ from .matcore import (
     _spectral,
     as_point_and_tangents,
     as_squares,
-    polar_decompose,
     require_invertible,
 )
 
@@ -281,18 +282,36 @@ class BrokenArc:
 def broken_arc(K1, K2, tol=DEFAULT_TOL):
     """Join two same-component points by a singly broken geodesic arc.
 
-    With left polar K1 = O1 P1 and right polar K2 = P2 O2 the joint is Z = P2 O1.
-    K1^{-1} Z = P1^{-1} (O1^T P2 O1) has positive spectrum, so the first leg is the principal
-    witness of :func:`classify_arc`, with its endpoint check (:func:`_arc`).  Z^{-1} K2 = O1^T O2
-    is special orthogonal iff K1 and K2 share a component; the second leg is its rotation arc.
+    One SVD of each endpoint, K1 = U1 S1 V1^T and K2 = U2 S2 V2^T, makes the singular cuts and
+    the polar factors O1 = U1 V1^T, P2 = U2 S2 U2^T and O2 = U2 V2^T; the joint is Z = P2 O1.
+    The first leg is :func:`_positive_leg`, with the endpoint check of :func:`_arc`.
+    Z^{-1} K2 = O1^T O2 is special orthogonal iff K1 and K2 share a component; the second leg is
+    its rotation arc.
     """
-    K1, K2 = as_squares(K1=K1, K2=K2)
-    left = polar_decompose(K1, side="left")  # the singular cuts on K1 and K2
-    right = polar_decompose(K2, side="right")
-    R = left.orthogonal.T @ right.orthogonal
+    ends = as_squares(K1=K1, K2=K2)
+    (U1, U2), (s1, s2), (V1t, V2t) = np.linalg.svd(ends)
+    if _is_singular(s1) or _is_singular(s2):
+        raise SingularMatrixError("polar decomposition requires an invertible matrix")
+    O1 = U1 @ V1t
+    R = O1.T @ (U2 @ V2t)
     if np.linalg.det(R) < 0:
         raise DifferentComponentsError("endpoints lie in different determinant components")
-    Z = right.positive @ left.orthogonal
-    M = np.linalg.solve(K1, Z)
-    first = _arc(K1, _real_log(M, *np.linalg.eig(M), (), tol), Z)
+    Z = U2 @ (s2[:, None] * (U2.T @ O1))
+    first = _arc(ends[0], _positive_leg(s1, V1t, U1.T @ U2, s2), Z)
     return BrokenArc(first=first, second=Geodesic._unchecked(Z, _so_log(R, tol)), joint=Z)
+
+
+@_overflow_guard("arc logarithm")
+def _positive_leg(s1, V1t, W, s2):
+    """C = V1 S1^-1/2 X diag(2 log phi) X^T S1^1/2 V1^T, the logarithm of K1^{-1} Z.
+
+    K1^{-1} Z = V1 S1^-1 W S2 W^T V1^T for W = U1^T U2 is similar, through V1 S1^-1/2, to F F^T
+    with F = S1^-1/2 W S2^1/2 = X diag(phi) Y^T.  So its spectrum phi^2 is positive by
+    construction: no eigendecomposition of a nonsymmetric matrix, no cut test, no fallback.
+    """
+    r1 = np.sqrt(s1)
+    F = W / r1[:, None] * np.sqrt(s2)
+    if not np.isfinite(F).all():  # LAPACK leaves the SVD of an infinite matrix unspecified
+        raise IllConditionedError("arc logarithm overflows the float range")
+    X, phi, _ = np.linalg.svd(F)
+    return ((V1t.T / r1 @ X) * (2.0 * np.log(phi))) @ (X.T * r1) @ V1t

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -757,13 +759,68 @@ print(json.dumps(loaded))
         assert json.loads(proc.stdout) == [False] * 7 + [True]
 
 
+_NO_ARC = ("classify", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[-1,0],[0,2]]}')
+_OTHER_COMPONENT = ("broken-arc", "--k1", I2_DOC, "--k2", '{"n":2,"data":[[-1,0],[0,1]]}')
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_roundtrip(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tracegeo.cli", "metric", "--at", I2_DOC, "--x", I2_DOC, "--y", I2_DOC],
-            capture_output=True,
-            text=True,
-            env=SUBPROCESS_ENV,
+        code, out, _ = self._module_run("metric", "--at", I2_DOC, "--x", I2_DOC, "--y", I2_DOC)
+        assert code == 0
+        assert json.loads(out) == {"value": 2.0}
+
+    @pytest.mark.parametrize("argv, want", [(_NO_ARC, 2), (_OTHER_COMPONENT, 1)],
+                             ids=["no-arc", "different-components"])
+    def test_process_prints_and_exits_as_main_returns(self, capsys, argv, want):
+        in_process = run_cli(capsys, *argv)
+        assert in_process[0] == want
+        assert self._module_run(*argv) == in_process
+
+    def test_module_run_freezes_after_main_and_still_runs_atexit(self):
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['tracegeo', 'metric', '--at', {I2_DOC!r}, '--x', {I2_DOC!r}, '--y', {I2_DOC!r}]\n"
+            "runpy.run_module('tracegeo.cli', run_name='__main__')\n"
         )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout) == {"value": 2.0}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"value": 2.0}\nfrozen True\n', "")
+
+    def test_console_script_is_the_process_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^\[project\.scripts\]\ntracegeo = "tracegeo\.cli:run"\n\n', text, re.M)
+
+    @staticmethod
+    def _module_run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "tracegeo.cli", *argv],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, want", [
+        (("metric", "--at", I2_DOC, "--x", I2_DOC, "--y", I2_DOC), 0),
+        (_OTHER_COMPONENT, 1),
+        (_NO_ARC, 2),
+    ], ids=["ok", "error", "no-arc"])
+    def test_main_never_freezes(self, capsys, argv, want):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, *argv)[0] == want
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_once_after_main_and_returns_its_code(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or 2)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        assert cli.run() == 2
+        assert events == ["main", "freeze"]
+
+    def test_system_exit_out_of_main_is_not_frozen(self, monkeypatch):
+        def help_exit(argv=None):
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "main", help_exit)
+        monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("froze on the way out of a SystemExit"))
+        with pytest.raises(SystemExit):
+            cli.run()

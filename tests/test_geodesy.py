@@ -1219,19 +1219,22 @@ class TestBrokenArc:
             broken_arc(ends["K1"], ends["K2"])
 
     def test_each_endpoint_takes_one_svd(self, rng, monkeypatch):
-        # the polar decompositions make the singular cuts on K1 and K2; the legs take them as read,
-        # and det(O1^T O2) alone decides the component
+        # one batched SVD of K1 and K2 makes both singular cuts and the polar factors; the first
+        # leg takes one more SVD, of S1^-1/2 U1^T U2 S2^1/2, and no eig (the one solve is the
+        # Pade exponential of its endpoint check); the second leg takes the eig of O1^T O2, and
+        # det(O1^T O2) alone decides the component
         K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
         if np.linalg.det(K2) < 0:
             K2[0] = -K2[0]
-        seen = {"svd": [], "det": [], "slogdet": []}
+        seen = {"svd": [], "eig": [], "solve": [], "det": [], "slogdet": []}
         for name, calls in seen.items():
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, *args, calls=calls, fn=fn, **kw: calls.append(a) or fn(a, *args, **kw))
         broken_arc(K1, K2)
-        assert [len(calls) for calls in seen.values()] == [2, 1, 0]
-        assert [sum(np.array_equal(a, K) for a in seen["svd"]) for K in (K1, K2)] == [1, 1]
+        assert [len(calls) for calls in seen.values()] == [2, 1, 1, 1, 0]
+        decomposed = [m for a in seen["svd"] for m in np.reshape(a, (-1, *np.shape(a)[-2:]))]
+        assert [sum(np.array_equal(m, K) for m in decomposed) for K in (K1, K2)] == [1, 1]
 
     def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not(self):
         # K1^-1 Z has sigma_min / sigma_max = 1e-14, below the singular cut; its arc exists
@@ -1250,23 +1253,36 @@ class TestBrokenArc:
             assert _relative_error(arc.joint @ sla.expm(arc.second.direction), K2) <= 1e-7
 
     def test_extreme_conditioning_is_a_typed_refusal(self):
-        # at 1e12 the first leg misses its joint by up to 3.5e-4: each pair is refused by the
-        # spectrum cut or by the endpoint gate, and the gate is what stops some of them
+        # at 1e12 the first leg misses its joint by 4e-6 to 3e-4 on these pairs: the endpoint gate
+        # refuses each such pair, and an arc that does come back has both legs within 1e-6
         rng = np.random.default_rng(5)
         refusals = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(30):
                 K1, K2 = _same_component_pair(rng, int(rng.integers(2, 7)), 1e12)
-                with pytest.raises((SpectrumOnCutError, IllConditionedError)) as refusal:
-                    broken_arc(K1, K2)
-                refusals.append(refusal.value)
-        gated = [e for e in refusals if "witness endpoint check failed" in str(e)]
-        assert all(isinstance(e, SpectrumOnCutError) for e in refusals if e not in gated)
-        assert gated
+                try:
+                    arc = broken_arc(K1, K2)
+                except IllConditionedError as refusal:
+                    refusals.append(refusal)
+                    continue
+                assert _relative_error(K1 @ sla.expm(arc.first.direction), arc.joint) <= 1e-6
+                assert _relative_error(arc.joint @ sla.expm(arc.second.direction), K2) <= 1e-6
+        assert refusals
+        assert all("witness endpoint check failed" in str(e) for e in refusals)
+
+    @pytest.mark.parametrize("s1, s2", [(1e-300, 1e12), (5e-324, 1e308)])
+    def test_overflowing_quotient_is_a_typed_refusal(self, s1, s2):
+        # K1^-1 Z = (s2 / s1) I overflows.  At 1e-300 and 1e12 the leg C = log(1e312) I is
+        # finite and e^C overflows in the endpoint check; at 5e-324 and 1e308 already
+        # S1^-1/2 W S2^1/2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="overflows the float range"):
+                broken_arc(s1 * I2, s2 * I2)
 
     def test_first_leg_endpoint_check_is_not_vacuous(self, monkeypatch):
-        monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
+        monkeypatch.setattr(geodesy, "_positive_leg", lambda s1, V1t, W, s2: np.diag([1.0, 0.0]))
         with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
             broken_arc(I2, np.diag([2.0, 3.0]))
 
