@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
-from .matcore import _overflow_guard, as_point_and_tangents, as_squares
-from .metricspace import _gram_of_inverse, gram_matrix, standard_basis
+from .matcore import _overflow_guard, as_point_and_tangents, as_squares, require_invertible
+from .metricspace import _gram_of_inverse, standard_basis
 
 __all__ = [
     "riemann_13",
@@ -37,8 +37,12 @@ def _commutator(a, b):
 def riemann_13(K, X, Y, Z):
     """(1,3) curvature: -K [bZ, [bX, bY]] / 4 for bV = K^{-1} V."""
     stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
-    bX, bY, bZ = np.linalg.solve(stack[0], stack[1:])
-    return -0.25 * stack[0] @ _commutator(bZ, _commutator(bX, bY))
+    return _riemann_13(stack[0], *np.linalg.solve(stack[0], stack[1:]))
+
+
+def _riemann_13(K, bX, bY, bZ):
+    """:func:`riemann_13` from the quotients bV = K^{-1} V, any of them a stack (broadcast)."""
+    return -0.25 * K @ _commutator(bZ, _commutator(bX, bY))
 
 
 @_overflow_guard("curvature")
@@ -152,24 +156,24 @@ def scalar_curvature(K):
     return float(frame.signs @ _ricci_form(n, BV, BV))
 
 
+@_overflow_guard("curvature")
 def ricci_trace_oracle(K, X, Y):
     """Ricci via the trace of Z -> R_{XZ}Y over the standard basis.
 
     Components are extracted with the metric-dual expansion
     V = sum g^{ab} g(V, E_b) E_a, so the oracle shares no code path with the
-    closed Ricci formula.
+    closed Ricci formula.  One batched (1,3) call gives every R(X, E_a)Y, taken at
+    K / 2^e for e the exponent of max |K|, as Ric(K) = 4^-e Ric(K / 2^e) exactly.
     """
-    K, X, Y = as_squares(K=K, X=X, Y=Y)
-    G = gram_matrix(K)
-    Ginv = np.linalg.inv(G)
-    B = np.linalg.inv(K)
-    basis = standard_basis(K.shape[0])
-    total = 0.0
-    for alpha in range(basis.shape[0]):
-        T = riemann_13(K, X, basis[alpha], Y)
-        gvec = (B @ T @ B).ravel()  # gvec[beta] = g_K(T, E_beta)
-        total += float(Ginv[alpha] @ gvec)
-    return total
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
+    e = np.frexp(np.abs(stack[0]).max())[1]
+    K = np.ldexp(stack[0], -e)
+    n = K.shape[0]
+    bX, bY, B = np.linalg.solve(K, [*stack[1:], np.eye(n)])
+    T = _riemann_13(K, bX, B @ standard_basis(n), bY)  # T[a] = R(X, E_a)Y
+    gvecs = B @ T @ B  # gvecs[a].ravel()[b] = g_K(T[a], E_b)
+    Ginv = np.linalg.inv(_gram_of_inverse(B))
+    return float(np.ldexp(Ginv.ravel() @ gvecs.ravel(), -2 * e))
 
 
 def christoffel_closed(P):
@@ -191,9 +195,12 @@ def christoffel_closed(P):
     return np.ldexp(-0.5 * (sym @ Ginv.T).reshape(m, m, m), -e)
 
 
+@_overflow_guard("Christoffel symbols")
 def christoffel_fd(P, h=1e-4):
-    """Christoffel symbols from central differences of the Gram matrix."""
-    P = as_point_and_tangents(P, "P")[0]
+    """Christoffel symbols from central differences of the Gram matrix, in one pass: one batched
+    cut and ``inv`` of the 2n^2 + 1 points P +- h E_d and P.  Taken at P / 2^e with the step
+    h / 2^e, e the exponent of max |P|, as Gamma(P, h) = Gamma(P / 2^e, h / 2^e) / 2^e exactly."""
+    P = as_squares(P=P)[0]
     if not 0 < h < np.inf:
         raise ValueError("step h must be positive and finite")
     # Below 2^20 ulp(max|P|) rounding swamps the quotient (1e-3 of max|Gamma| at h = 1e-13 near
@@ -202,16 +209,18 @@ def christoffel_fd(P, h=1e-4):
     if h < floor:
         raise ValueError(f"step h must move every entry of P well past rounding: "
                          f"h >= 2^20 ulp(max|P|) = {floor:.3g}")
-    n = P.shape[0]
-    basis = standard_basis(n)
-    m = n * n
-    dG = np.empty((m, m, m))  # dG[d, a, b] = d g_{ab} / d p^d
-    for delta in range(m):
-        dG[delta] = (gram_matrix(P + h * basis[delta]) - gram_matrix(P - h * basis[delta])) / (2 * h)
-    Ginv = np.linalg.inv(gram_matrix(P))
+    e = np.frexp(np.abs(P).max())[1]
+    P, h = np.ldexp(P, -e), np.ldexp(h, -e)
+    m = P.shape[0] ** 2
+    steps = h * standard_basis(P.shape[0])
+    points = np.concatenate([P + steps, P - steps, P[None]])
+    require_invertible(points, "P")
+    G = _gram_of_inverse(np.linalg.inv(points))
+    dG = (G[:m] - G[m:-1]) / (2 * h)  # dG[d, a, b] = d g_{ab} / d p^d
+    Ginv = np.linalg.inv(G[-1])
     # Gamma^c_{ab} = (1/2) g^{cd} (g_{ad,b} + g_{bd,a} - g_{ab,d})
     bracket = np.einsum("bad->abd", dG) + dG - np.einsum("dab->abd", dG)
-    return 0.5 * np.einsum("cd,abd->abc", Ginv, bracket)
+    return np.ldexp(0.5 * np.einsum("cd,abd->abc", Ginv, bracket), -e)
 
 
 _LEAF_TRACE_RTOL = 1e-10  # tangent to the leaf: |tr(K^-1 X)| at most this fraction of ||K^-1 X||

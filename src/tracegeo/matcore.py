@@ -61,13 +61,15 @@ def as_squares(**operands):
 _SINGULAR_RTOL = 1e-13  # the singular cut, relative to sigma_max: cA is singular exactly when A is
 
 
-def _is_singular(s):  # s: singular values, largest first
+def _is_singular(s):  # s: singular values, largest first, along axis 0 (a stack's, transposed)
     return s[-1] <= _SINGULAR_RTOL * s[0]
 
 
 def require_invertible(a, name="matrix"):
-    """Raise SingularMatrixError when the smallest singular value is negligible."""
-    if _is_singular(np.linalg.svd(a, compute_uv=False)):
+    """Raise SingularMatrixError when the smallest singular value is negligible; of a stack of
+    matrices (the last two axes), one batched SVD cuts each, and any singular one raises."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if _is_singular(s) if s.ndim == 1 else _is_singular(s.T).any():  # one matrix: no 3 us reduction
         raise SingularMatrixError(f"{name} is numerically singular")
 
 
@@ -632,7 +634,7 @@ def polar_decompose(A, side="left"):
         P = Vt.T @ (s[:, None] * Vt)
     else:
         P = U @ (s[:, None] * U.T)
-    P = 0.5 * P + 0.5 * P.T  # halves first: no overflow
+    P = np.triu(P) + np.triu(P, 1).T  # exactly symmetric, with no arithmetic to round a subnormal
     return PolarFactors(orthogonal=O, positive=P, side=side)
 
 

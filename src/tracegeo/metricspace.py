@@ -48,9 +48,11 @@ def gram_matrix(A):
 
 
 def _gram_of_inverse(B):
-    """:func:`gram_matrix` at ``B^{-1}``."""
-    n = B.shape[0]
-    return np.einsum("jk,li->jilk", B, B).reshape(n * n, n * n)
+    """:func:`gram_matrix` at ``B^{-1}``, or a stack of them for a stack of ``B`` (its last two
+    axes): entry [ji, lk] is the one product B[j, k] B[l, i], by broadcasting over (j, i, l, k)."""
+    n = B.shape[-1]
+    G = B[..., :, None, None, :] * B.swapaxes(-1, -2)[..., None, :, :, None]
+    return G.reshape(B.shape[:-2] + (n * n, n * n))
 
 
 @dataclass(frozen=True)

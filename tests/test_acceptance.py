@@ -5,6 +5,7 @@ assertions carry the same tolerances, so a red test is a failed criterion.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 import tracegeo as tg
@@ -262,3 +263,33 @@ def test_verify_suites_all_green():
     report = verify.run_all(n=2, seed=42, cases=25)
     print(f"ACCEPTANCE verify-all: {'PASS' if not report['failures'] else 'FAIL'}")
     assert report["failures"] == []
+
+
+@pytest.mark.parametrize("n, cases", [(2, 911), (3, 918), (4, 902), (6, 931)])
+def test_verify_reports_keep_every_check(n, cases):
+    """``verify --suite all --seed 42 --cases 20``: green, with the case count and tolerances the
+    suites have had since their identities were first pinned."""
+    from tracegeo import verify
+
+    report = verify.run_all(n, 42, 20)
+    assert report["failures"] == []
+    assert report["cases"] == cases
+    assert report["tolerances"] == {"assert": 1e-8, "cluster": 1e-8, "fd-step": 1e-4, "residual": 1e-5}
+
+
+def test_metric_suite_reads_the_identity_splitting_off_one_gram_matrix(monkeypatch):
+    from tracegeo import metricspace, verify
+
+    trace_metric, gram_matrix, grams = metricspace.trace_metric, metricspace.gram_matrix, []
+
+    def spy(A, V, W):
+        assert not np.array_equal(A, np.eye(len(A))), "trace_metric called at the identity"
+        return trace_metric(A, V, W)
+
+    monkeypatch.setattr(metricspace, "trace_metric", spy)
+    monkeypatch.setattr(metricspace, "gram_matrix", lambda A: grams.append(A) or gram_matrix(A))
+    for n in (2, 4):
+        grams.clear()
+        report = verify.run_suite("metric", n, 42, 2)
+        assert report["failures"] == []
+        assert [np.array_equal(A, np.eye(n)) for A in grams] == [True]

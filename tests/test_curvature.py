@@ -8,6 +8,8 @@ from tracegeo import (
     DegenerateSectionError,
     LinearlyDependentError,
     NotTangentError,
+    SingularMatrixError,
+    TraceGeoError,
     cartan_killing,
     christoffel_closed,
     christoffel_fd,
@@ -24,7 +26,7 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import curvature, verify
+from tracegeo import curvature, metricspace, verify
 from tracegeo.verify import random_invertible
 
 I2 = np.eye(2)
@@ -229,6 +231,22 @@ class TestRicciTraceOracle:
         Y = rng.uniform(-1, 1, (2, 2))
         assert ricci_trace_oracle(K, X, Y) == pytest.approx(ricci_trace_oracle(K, Y, X), abs=1e-10)
 
+    def test_one_batched_pass_with_one_svd(self, rng, monkeypatch):
+        # K is cut once, and neither the public (1,3) formula nor gram_matrix is called per unit
+        def refuse(*args, **kwargs):
+            raise AssertionError("public formula called")
+
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        monkeypatch.setattr(curvature, "riemann_13", refuse)
+        monkeypatch.setattr(metricspace, "gram_matrix", refuse)
+        for n in (2, 3):
+            K = random_invertible(rng, n)
+            X, Y = rng.uniform(-1, 1, (2, n, n))
+            seen.clear()
+            assert ricci_trace_oracle(K, X, Y) == pytest.approx(ricci(K, X, Y), abs=1e-8)
+            assert len(seen) == 2  # the oracle's cut, then ricci's
+
 
 class TestScalarCurvature:
     def test_constant_values(self, rng):
@@ -365,6 +383,20 @@ class TestChristoffel:
         with pytest.raises(ValueError, match="move every entry of P"):
             christoffel_fd(P, h)
 
+    def test_one_batched_cut_of_every_point(self, rng, monkeypatch):
+        # P +- h E_d and P, 2 n^2 + 1 points, in one SVD call; gram_matrix is never called
+        def refuse(*args, **kwargs):
+            raise AssertionError("gram_matrix called")
+
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        monkeypatch.setattr(metricspace, "gram_matrix", refuse)
+        for n in (2, 3):
+            P = np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n))
+            seen.clear()
+            christoffel_fd(P, 1e-4)
+            assert [a.shape for a in seen] == [(2 * n * n + 1, n, n)]
+
     def test_assembled_connection_matches_closed_form(self, rng):
         for n in (2, 3):
             P = np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n))
@@ -376,6 +408,43 @@ class TestChristoffel:
             ).reshape((n, n), order="F")
             direct = nabla(P, X, Y, np.zeros((n, n)))
             assert np.linalg.norm(assembled - direct) <= 1e-5 * max(1.0, np.linalg.norm(direct))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracles_are_scale_free_typed_and_silent(rng, n):
+    # Ric(cK) = Ric(K) / c^2 and Gamma(cP) = Gamma(P) / c: each oracle agrees with its closed form
+    # at the acceptance bounds, or refuses with a typed error where the closed form refuses too
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except TraceGeoError as exc:
+            return type(exc)
+
+    points = [10.0**k * (rng.normal(size=(n, n)) + 2 * np.eye(n)) for k in range(-150, 151, 50)]
+    points += [1e200 * np.eye(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in points:
+            c = float(np.abs(K).max())
+            X, Y = rng.uniform(-1, 1, (2, n, n))
+            want, got = outcome(ricci, K, X, Y), outcome(ricci_trace_oracle, K, X, Y)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want), verify._metric_scale(K, X, Y))
+            P = c * (np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n)))
+            closed, fd = outcome(christoffel_closed, P), outcome(christoffel_fd, P, 1e-4 * c)
+            if isinstance(closed, type) or isinstance(fd, type):
+                assert fd == closed
+            else:
+                assert np.abs(closed - fd).max() <= 1e-5 * np.abs(closed).max()
+
+
+def test_oracles_name_their_singular_operand():
+    with pytest.raises(SingularMatrixError, match="K is numerically singular"):
+        ricci_trace_oracle(np.diag([1.0, 0.0]), I2, I2)
+    with pytest.raises(SingularMatrixError, match="P is numerically singular"):
+        christoffel_fd(np.diag([1.0, 0.0]), 1e-4)
 
 
 class TestEinsteinOnLeaves:

@@ -622,6 +622,21 @@ class TestPolar:
         with pytest.raises(SingularMatrixError):
             polar_decompose(np.zeros((2, 2)), "left")
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_subnormal_input_keeps_its_positive_factor(self, side):
+        # the smallest subnormal passes the singular cut (ratio 1); mirroring a triangle keeps it
+        tiny = 5e-324 * I2
+        pf = polar_decompose(tiny, side)
+        assert np.array_equal(pf.positive, tiny)
+        assert np.array_equal(pf.product(), tiny)
+
+    def test_require_invertible_cuts_a_stack(self):
+        # one batched SVD; a stack is refused when any one member is singular
+        good = np.stack([I2, np.diag([1.0, 1.1e-13])])
+        require_invertible(good, "P")
+        with pytest.raises(SingularMatrixError, match="P is numerically singular"):
+            require_invertible(np.concatenate([good, [np.diag([1.0, 0.9e-13])]]), "P")
+
     def test_same_singular_cut_as_require_invertible(self):
         # the cut sits at sigma_min = 1e-13 sigma_max
         below, above = np.diag([1.0, 0.9e-13]), np.diag([1.0, 1.1e-13])
