@@ -38,7 +38,6 @@ from .matcore import (
     _spectral,
     as_point_and_tangents,
     as_squares,
-    require_invertible,
 )
 
 
@@ -224,9 +223,15 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     none of them lies within a decade of its cut, the profiles at tol/10 and
     10 tol equal the one at tol and the verdict cannot differ; only otherwise
     is the profile re-run at both.
+
+    One batched SVD of both endpoints makes their singular cuts, K0's first,
+    as :func:`broken_arc` makes its own.
     """
-    K0, K1 = as_point_and_tangents(K0, "K0", K1=K1)
-    require_invertible(K1, "K1")
+    K0, K1 = ends = as_squares(K0=K0, K1=K1)
+    s0, s1 = np.linalg.svd(ends, compute_uv=False)
+    for name, s in (("K0", s0), ("K1", s1)):
+        if _is_singular(s):
+            raise SingularMatrixError(f"{name} is numerically singular")
     M = np.linalg.solve(K0, K1)
 
     eigs, vecs = np.linalg.eig(M)

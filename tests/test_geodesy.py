@@ -556,15 +556,44 @@ class TestClassification:
             classify_arc(np.eye(4), M, 1e-8)
 
 
+def _linalg_spy(monkeypatch, *names):
+    """Records the operand of every call of each named ``np.linalg`` function."""
+    seen = {name: [] for name in names}
+    for name, calls in seen.items():
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, calls=calls, fn=fn, **kw: calls.append(a) or fn(a, *args, **kw))
+    return seen
+
+
+def _decomposed(calls):
+    """The matrices that the recorded calls decomposed: a stack counts each of its matrices."""
+    return [m for a in calls for m in np.reshape(a, (-1, *np.shape(a)[-2:]))]
+
+
 def test_classify_takes_one_svd_per_endpoint(rng, monkeypatch):
-    # as_point_and_tangents cuts K0 and require_invertible K1; the witness takes them as read
+    # one batched SVD of K0 and K1 makes both singular cuts, as broken_arc's does, and the witness
+    # takes them as read; the rest of a unique arc is one SVD of M (its 2-norm), one eig, the inv
+    # of the eigenbasis, and two solves: M = K0^-1 K1 and the Pade exponential of the endpoint check
     K0 = random_invertible(rng, 3)
     K1 = K0 @ random_spd(rng, 3)  # K0^{-1} K1 is SPD: a unique arc with a witness
-    svd, seen = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+    seen = _linalg_spy(monkeypatch, "svd", "eig", "solve", "inv")
     outcome = classify_arc(K0, K1)
-    assert outcome.witness is not None
-    assert [sum(np.array_equal(a, K) for a in seen) for K in (K0, K1)] == [1, 1]
+    assert outcome.verdict is ArcKind.UNIQUE
+    assert [len(calls) for calls in seen.values()] == [2, 1, 2, 1]
+    assert [sum(np.array_equal(m, K) for m in _decomposed(seen["svd"])) for K in (K0, K1)] == [1, 1]
+
+
+@pytest.mark.parametrize("singular, named", [
+    (("K0",), "K0"), (("K1",), "K1"), (("K0", "K1"), "K0"),
+], ids=["K0", "K1", "both"])
+def test_a_singular_endpoint_is_named(singular, named):
+    # the batched cut tests K0 first, then K1, with the messages of one cut per endpoint
+    ends = {"K0": np.diag([1.0, 2.0, 3.0]), "K1": np.diag([3.0, 1.0, 2.0])}
+    for name in singular:
+        ends[name] = np.diag([1.0, 2.0, 1e-14])
+    with pytest.raises(SingularMatrixError, match=f"^{named} is numerically singular$"):
+        classify_arc(ends["K0"], ends["K1"])
 
 
 def _positive_nonsymmetric(rng, n):
@@ -1226,15 +1255,10 @@ class TestBrokenArc:
         K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
         if np.linalg.det(K2) < 0:
             K2[0] = -K2[0]
-        seen = {"svd": [], "eig": [], "solve": [], "det": [], "slogdet": []}
-        for name, calls in seen.items():
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda a, *args, calls=calls, fn=fn, **kw: calls.append(a) or fn(a, *args, **kw))
+        seen = _linalg_spy(monkeypatch, "svd", "eig", "solve", "det", "slogdet")
         broken_arc(K1, K2)
         assert [len(calls) for calls in seen.values()] == [2, 1, 1, 1, 0]
-        decomposed = [m for a in seen["svd"] for m in np.reshape(a, (-1, *np.shape(a)[-2:]))]
-        assert [sum(np.array_equal(m, K) for m in decomposed) for K in (K1, K2)] == [1, 1]
+        assert [sum(np.array_equal(m, K) for m in _decomposed(seen["svd"])) for K in (K1, K2)] == [1, 1]
 
     def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not(self):
         # K1^-1 Z has sigma_min / sigma_max = 1e-14, below the singular cut; its arc exists

@@ -5,7 +5,9 @@ Every pointwise function validates its operands once, through
 tangents through bV = K^{-1} V from one solve.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,3 +194,33 @@ def test_relative_gap_is_the_frobenius_ratio_and_does_not_overflow(rng):
         assert _relative_gap(1e300 * A, 1e300 * B) == pytest.approx(want, rel=1e-14)
         assert _relative_gap(np.array([[1e308, -1e308]]), np.array([[-1e308, 1e308]])) == 2.0
     assert _relative_gap(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
+def _exact_gap(A, B):
+    """``||A - B||_F / ||B||_F`` in rational arithmetic, rounded once before the root."""
+    diff = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(A.flat, B.flat))
+    base = sum(Fraction(b) ** 2 for b in B.flat)
+    return math.sqrt(diff / base) if base else (math.inf if diff else 0.0)
+
+
+@pytest.mark.parametrize("exponent", [*range(-160, -139, 5), *range(140, 161, 5), -300, 300])
+def test_relative_gap_agrees_across_its_two_routes(exponent, rng):
+    # ||B|| and ||A - B|| inside (1e-150, 1e150) take the norms directly, outside it the scaled
+    # route: both meet the exact ratio, on either side of the switch and with one norm across it
+    for _ in range(10):
+        A, B = rng.uniform(-3.0, 3.0, (2, 4, 4)) * 10.0**exponent
+        for a in (A, 2.0 * B, 1e5 * A, 1e-5 * A, B):
+            assert _relative_gap(a, B) == pytest.approx(_exact_gap(a, B), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("A, B", [
+    # subnormal B: multiples of the smallest subnormal are exact, as are their scaled ratios
+    (5e-324 * np.array([[2.0, 4.0], [6.0, 9.0]]), 5e-324 * np.array([[1.0, 2.0], [3.0, 4.0]])),
+    (np.ones((2, 2)), np.zeros((2, 2))),
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+    # the squares of A - B underflow beside ||B||: the direct route would read 0, the scaled one
+    # reads 1e-30
+    (np.diag([1e-140, 2e-170]), np.diag([1e-140, 1e-170])),
+], ids=["subnormal", "zero-B", "both-zero", "underflowing-difference"])
+def test_relative_gap_at_the_ends_of_the_float_range(A, B):
+    assert _relative_gap(A, B) == pytest.approx(_exact_gap(A, B), rel=1e-14, abs=0.0)

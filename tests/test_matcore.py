@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -89,6 +90,44 @@ class TestPadeExponential:
                     want = sla.expm(A)
                     err = np.linalg.norm(matcore._expm(A) - want, 1) / np.linalg.norm(want, 1)
                     assert err <= (1e-14 if norm <= 2.0 else 1e-12 * norm)
+
+    @staticmethod
+    def list_table_expm(A, left=None):
+        """Reference: ``matcore._expm`` with its even powers collected in a Python list and
+        stacked by ``np.reshape``: the same products in the same order, so the same bits."""
+        columns = abs(A).T.tolist()
+        norm = max(map(sum, columns))
+        for theta, coef in matcore._PADE:
+            if norm <= theta:
+                break
+        s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+        upper = not any(any(column[j + 1:]) for j, column in enumerate(columns))
+        diagonal = np.diagonal(A)
+        if s:
+            A = A * 2.0**-s
+        n = A.shape[0]
+        A2 = A @ A
+        evens = [np.eye(n), A2]
+        while len(evens) < coef.shape[1]:
+            evens.append(evens[-1] @ A2)
+        V, W = (coef @ np.reshape(evens, (-1, n * n))).reshape(2, n, n)
+        U = A @ W
+        E = np.linalg.solve(V - U, V + U)
+        for k in range(1, s + 1):
+            E = E @ E
+            if upper:
+                np.fill_diagonal(E, np.exp(diagonal * 2.0 ** (k - s)))
+        return E if left is None else left @ E
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_in_place_power_table_keeps_every_bit(self, n, rng):
+        # every Pade degree and scaling (NORMS), general, skew-like and upper-triangular operands
+        for norm in self.NORMS:
+            for _ in range(4):
+                K = random_invertible(rng, n)
+                for A in self.operands(rng, n, norm):
+                    for left in (None, K):
+                        assert_array_equal(matcore._expm(A, left=left), self.list_table_expm(A, left))
 
     def test_left_factor(self, rng):
         K, A = random_invertible(rng, 3), rng.uniform(-1, 1, (3, 3))
