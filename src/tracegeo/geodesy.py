@@ -144,7 +144,7 @@ def nabla(P, Xp, Yp, euc_deriv):
 def curve_residual(curve, t, h=1e-4):
     """Frobenius norm of the geodesic-equation defect of ``curve`` at ``t``.
 
-    ``curve`` is a callable returning a matrix; derivatives are central
+    ``curve`` is a callable returning a matrix, invertible at ``t``; derivatives are central
     differences of step ``h``.  Vanishes as O(h^2) on true geodesics.
     """
     t = _curve_parameter(t)
@@ -152,8 +152,9 @@ def curve_residual(curve, t, h=1e-4):
     if not (0 < h < np.inf and h * h >= np.finfo(float).tiny and t - h != t != t + h):
         raise ValueError("step h must be positive and finite, h * h a normal float, "
                          "and t + h and t - h distinct from t")
-    samples = {"curve(t)": curve(t), "curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)}
-    P0, Pp, Pm = as_squares(**samples)
+    # the singular cut on curve(t), which the solve below inverts
+    P0, Pp, Pm = as_point_and_tangents(curve(t), "curve(t)",
+                                       **{"curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)})
     hp, hm = (t + h) - t, t - (t - h)  # the steps taken: t +- h round on the grids of their binades
     vel = (Pp - Pm) / (hp + hm)
     acc = 2.0 * ((Pp - P0) / hp - (P0 - Pm) / hm) / (hp + hm)

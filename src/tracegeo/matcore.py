@@ -65,12 +65,26 @@ def _is_singular(s):  # s: singular values, largest first, along axis 0 (a stack
     return s[-1] <= _SINGULAR_RTOL * s[0]
 
 
+# (bytes, shape, dtype) of the last single matrix the cut passed.  The SVD's verdict is a function
+# of these alone, so an equal matrix passes again without one: the verify suites cut one base point
+# once per identity they check there.  One entry; a refusal or a stack is never remembered.  Every
+# entry is a pass, so callers that share it (threads, tests) can cost each other SVDs, not verdicts.
+_passed = [None]
+
+
 def require_invertible(a, name="matrix"):
     """Raise SingularMatrixError when the smallest singular value is negligible; of a stack of
-    matrices (the last two axes), one batched SVD cuts each, and any singular one raises."""
+    matrices (the last two axes), one batched SVD cuts each, and any singular one raises.  A
+    matrix equal in bytes, shape and dtype to the last one passed is passed with no SVD."""
+    a = np.asarray(a)
+    key = (a.tobytes(), a.shape, a.dtype) if a.ndim == 2 else None
+    if key is not None and key == _passed[0]:
+        return
     s = np.linalg.svd(a, compute_uv=False)
     if _is_singular(s) if s.ndim == 1 else _is_singular(s.T).any():  # one matrix: no 3 us reduction
         raise SingularMatrixError(f"{name} is numerically singular")
+    if key is not None:
+        _passed[0] = key
 
 
 def as_point_and_tangents(base, name, **tangents):
@@ -127,17 +141,20 @@ def _relative_gap(A, B):
     Both norms come straight from ``np.linalg.norm`` (the root of a sum of squares) when each
     lies in (1e-150, 1e150), or ``A - B`` is exactly zero: no square can then overflow, and a
     square that underflows loses at most 5e-324 against a sum above 1e-300.  Outside that range
-    A and B are first scaled by their largest entry.  Scale-free, so a zero ``B`` is matched
-    only by a zero ``A`` (any other ``A`` is ``inf``)."""
+    A and B are first scaled by the power of two that brings their largest entry into [1/2, 1):
+    the scaling is exact, so ``A - B`` is the scaled difference with no rounding of its own to
+    cancel.  Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is
+    ``inf``)."""
     D = A - B
     gap, norm = float(np.linalg.norm(D)), float(np.linalg.norm(B))
     if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not D.any()):
         return gap / norm
-    s = float(max(np.abs(A).max(), np.abs(B).max()))
-    if s == 0.0:
+    big = float(max(np.abs(A).max(), np.abs(B).max()))
+    if big == 0.0:
         return 0.0
-    scale = float(np.linalg.norm(B / s))
-    return float(np.linalg.norm(A / s - B / s)) / scale if scale else math.inf
+    A, B = np.ldexp([A, B], -math.frexp(big)[1])
+    scale = float(np.linalg.norm(B))
+    return float(np.linalg.norm(A - B)) / scale if scale else math.inf
 
 
 def _on_real_axis(lam, tol):

@@ -9,6 +9,7 @@ unimodular group with a Euclidean line.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,9 @@ from .errors import (
     NotUnimodularError,
     SingularMatrixError,
 )
-from .matcore import _det, _overflow_guard, as_point_and_tangents, as_squares, require_invertible
+from .matcore import (
+    _det, _is_singular, _overflow_guard, as_point_and_tangents, as_squares, require_invertible,
+)
 
 
 @_overflow_guard("metric value")
@@ -224,7 +227,7 @@ def leaf_base_point(c, n):
     Left translation by its inverse carries the leaf isometrically onto the
     unimodular group.
     """
-    if not n >= 1:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
     c = float(c)
     if c == 0.0 or not math.isfinite(c):
@@ -236,7 +239,13 @@ def leaf_base_point(c, n):
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
-    """Point (P, x) of the product of the unimodular group with a line."""
+    """Point (P, x) of the product of the unimodular group with a line.
+
+    ``det P`` must be 1 within 1e-10, or within ``10 n u cond_2(P)`` (u the unit roundoff) for an
+    invertible P: the computed det of an exactly unimodular P errs by up to about 4 n u cond_2(P),
+    and :func:`product_inverse` of an ill-conditioned Q gives such a P.  Only a determinant past
+    1e-10 pays for the SVD of the second test.
+    """
 
     sl_part: np.ndarray
     line_part: float
@@ -247,9 +256,11 @@ class ProductPoint:
             raise ValueError("line_part must be finite")
         P = as_squares(sl_part=self.sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
-            unimodular = abs(np.linalg.det(P) - 1.0) <= 1e-10
-        if not unimodular:
-            raise NotUnimodularError("sl_part must have determinant 1")
+            miss = abs(np.linalg.det(P) - 1.0)
+        if not miss <= 1e-10:
+            s = np.linalg.svd(P, compute_uv=False)
+            if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
+                raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
         object.__setattr__(self, "line_part", x)
 
@@ -274,7 +285,8 @@ def product_inverse(Q):
     """Inverse of :func:`product_forward`.
 
     Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
-    Its determinant is not re-checked: det(sl_part) computes to 1 only within about cond(Q) u.
+    Its determinant is not re-checked: det(sl_part) computes to 1 only within about n u cond(Q),
+    which :class:`ProductPoint` accepts.
     """
     Q = as_squares(Q=Q)[0]
     n = Q.shape[0]

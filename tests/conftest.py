@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from tracegeo import matcore
 from tracegeo.verify import random_invertible, random_spd, random_unimodular
+
+
+@pytest.fixture(autouse=True)
+def _forget_the_last_cut():
+    """Each test starts with an empty singular-cut memo, so its SVD counts do not depend on which
+    matrices earlier tests passed."""
+    matcore._passed[0] = None
 
 
 @pytest.fixture

@@ -232,7 +232,8 @@ class TestRicciTraceOracle:
         assert ricci_trace_oracle(K, X, Y) == pytest.approx(ricci_trace_oracle(K, Y, X), abs=1e-10)
 
     def test_one_batched_pass_with_one_svd(self, rng, monkeypatch):
-        # K is cut once, and neither the public (1,3) formula nor gram_matrix is called per unit
+        # K is decided once: the oracle's cut is the one SVD, and ricci's cut of the same K is
+        # remembered; neither the public (1,3) formula nor gram_matrix is called per unit
         def refuse(*args, **kwargs):
             raise AssertionError("public formula called")
 
@@ -245,7 +246,7 @@ class TestRicciTraceOracle:
             X, Y = rng.uniform(-1, 1, (2, n, n))
             seen.clear()
             assert ricci_trace_oracle(K, X, Y) == pytest.approx(ricci(K, X, Y), abs=1e-8)
-            assert len(seen) == 2  # the oracle's cut, then ricci's
+            assert len(seen) == 1
 
 
 class TestScalarCurvature:

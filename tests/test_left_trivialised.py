@@ -87,6 +87,11 @@ OPERAND_DEFECTS = {
                          ValueError, "t + h and t - h distinct from t"),
     "order-zero-leaf": (lambda: leaf_base_point(1.0, 0),
                         ValueError, "n must be a positive integer"),
+    "fractional-order-leaf": (lambda: leaf_base_point(1.0, 2.5),
+                              ValueError, "n must be a positive integer"),
+    # solve(curve(t), velocity) needs an invertible curve(t): cut before the solve, not by it
+    "singular-curve-point": (lambda: curve_residual(lambda t: I2 * t, 0.0),
+                             SingularMatrixError, "curve(t) is numerically singular"),
 }
 
 
@@ -203,13 +208,16 @@ def _exact_gap(A, B):
     return math.sqrt(diff / base) if base else (math.inf if diff else 0.0)
 
 
-@pytest.mark.parametrize("exponent", [*range(-160, -139, 5), *range(140, 161, 5), -300, 300])
+@pytest.mark.parametrize("exponent", [*range(-160, -139, 5), *range(140, 161, 5), -300, -200, 200, 300])
 def test_relative_gap_agrees_across_its_two_routes(exponent, rng):
     # ||B|| and ||A - B|| inside (1e-150, 1e150) take the norms directly, outside it the scaled
     # route: both meet the exact ratio, on either side of the switch and with one norm across it
+    # and a close pair, A = B (1 + 1e-12 U): the scaled route scales by a power of two, exactly,
+    # so no rounding of the scaling cancels into the difference (2e-4 off when it divided)
     for _ in range(10):
         A, B = rng.uniform(-3.0, 3.0, (2, 4, 4)) * 10.0**exponent
-        for a in (A, 2.0 * B, 1e5 * A, 1e-5 * A, B):
+        close = B * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, B.shape))
+        for a in (A, 2.0 * B, 1e5 * A, 1e-5 * A, B, close):
             assert _relative_gap(a, B) == pytest.approx(_exact_gap(a, B), rel=1e-14, abs=0.0)
 
 

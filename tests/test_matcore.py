@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from collections import Counter
@@ -21,7 +22,7 @@ from tracegeo import (
     so_log,
     spectral_profile,
 )
-from tracegeo import matcore
+from tracegeo import matcore, verify
 from tracegeo.matcore import EigenCluster, SpectralProfile, require_invertible
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
@@ -701,6 +702,84 @@ class TestPolar:
         for side in ("left", "right"):
             with pytest.raises(SingularMatrixError, match="polar decomposition"):
                 polar_decompose(below, side)
+
+
+class _Forgetful(list):
+    """A memo slot that keeps nothing written to it: the singular cut with its memo off."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+class TestSingularCutMemo:
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        return seen
+
+    def test_a_second_cut_of_equal_bytes_runs_no_svd(self, rng, svds):
+        K, L = random_invertible(rng, 3), random_invertible(rng, 3)
+        svds.clear()
+        require_invertible(K, "K")
+        require_invertible(K.copy(), "K")  # another array, the same bytes
+        require_invertible(K.tolist(), "K")  # an array-like, as np.linalg.svd takes one
+        assert len(svds) == 1
+        require_invertible(L, "L")
+        require_invertible(K, "K")  # one entry: the matrix passed in between displaced K
+        assert len(svds) == 3
+
+    def test_a_passed_matrix_mutated_in_place_to_singular_is_refused(self, rng):
+        K = random_invertible(rng, 3)
+        require_invertible(K, "K")
+        K[2] = K[0] + K[1]
+        with pytest.raises(SingularMatrixError, match="K is numerically singular"):
+            require_invertible(K, "K")
+
+    def test_equal_bytes_of_another_dtype_or_shape_are_cut_afresh(self, svds):
+        K = np.diag([1.0, 2.0, 3.0, 4.0])
+        require_invertible(K)
+        for other in (K.reshape(2, 8), K.view(np.int64), K.view(np.complex128).reshape(4, 2)):
+            assert other.tobytes() == K.tobytes()
+            require_invertible(other)
+        assert len(svds) == 4
+        require_invertible(K)  # the last pass was of another shape
+        assert len(svds) == 5
+
+    def test_a_singular_matrix_raises_on_every_call_and_is_never_remembered(self, rng, svds):
+        K, S = random_invertible(rng, 2), np.diag([1.0, 0.9e-13])
+        svds.clear()
+        require_invertible(K)
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError):
+                require_invertible(S)
+        assert len(svds) == 4
+        require_invertible(K)  # still the entry: a refusal displaces nothing
+        assert len(svds) == 4
+
+    def test_a_stack_is_always_cut(self, rng, svds):
+        P = np.stack([random_invertible(rng, 2), I2])
+        svds.clear()
+        for _ in range(3):
+            require_invertible(P, "P")
+        assert len(svds) == 3
+        require_invertible(I2)
+        require_invertible(I2)  # a stack is never remembered, but a matrix of it is cut as any other
+        assert len(svds) == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_verify_reports_are_identical_with_the_memo_off(self, n, monkeypatch, svds):
+        # at tol_assert = 0 nearly every check fails and its report carries the value computed
+        def reports():
+            return [verify.run_suite(suite, n, seed, 4, tol_assert=0.0)
+                    for suite in verify.SUITES for seed in range(5)]
+
+        on = reports()
+        with_memo = len(svds)
+        monkeypatch.setattr(matcore, "_passed", _Forgetful([None]))
+        off = reports()
+        assert len(svds) - with_memo > with_memo  # the memo was in play, and off means off
+        assert json.dumps(on) == json.dumps(off)
 
 
 def schur_so_log(O):

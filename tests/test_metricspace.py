@@ -254,13 +254,31 @@ class TestProductStructure:
             assert np.linalg.norm(product_forward(product_inverse(Q)) - Q) <= 1e-10 * np.linalg.norm(Q)
 
     def test_ill_conditioned_inverse_round_trips(self, rng):
-        # det(sl_part) computes to 1 only within about cond(Q) u: the point is not re-checked
+        # det(sl_part) computes to 1 only within about n u cond(Q): the point is not re-checked
         for n in (2, 3, 4, 6):
             U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
             Q = U @ np.diag(np.geomspace(1.0, 1e8, n)) @ V.T
             if np.linalg.det(Q) < 0:
                 Q[0] = -Q[0]
             assert np.linalg.norm(product_forward(product_inverse(Q)) - Q) <= 1e-10 * np.linalg.norm(Q)
+
+    @pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
+    def test_an_inverse_chart_point_is_a_product_point(self, cond, rng):
+        # det(sl_part) computes to 1 only within about 4 n u cond_2(P), past 1e-10 from cond 1e8
+        # on: a point is accepted within 10 n u cond_2(P), at any scale of Q
+        for n in range(2, 7):
+            for _ in range(40):
+                U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+                Q = 10.0 ** rng.uniform(-100, 100) * U @ np.diag(np.geomspace(1.0, cond, n)) @ V.T
+                if np.linalg.slogdet(Q)[0] < 0:
+                    Q[0] = -Q[0]
+                p = product_inverse(Q)
+                assert np.array_equal(ProductPoint(p.sl_part, p.line_part).sl_part, p.sl_part)
+
+    def test_a_unimodular_point_takes_no_svd(self, rng, monkeypatch):
+        P = random_unimodular(rng, 4)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert ProductPoint(P, 0.5).sl_part is not P  # as_squares' copy, accepted by det alone
 
     def test_forward_lands_in_positive_component(self, rng):
         P = random_unimodular(rng, 3)
@@ -285,8 +303,11 @@ class TestProductStructure:
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
     def test_errors(self):
-        with pytest.raises(NotUnimodularError):
-            ProductPoint(np.diag([2.0, 1.0]), 0.0)
+        # the last is singular, yet cond_2 = 6.7e20 would admit its det of 1.5 past the singular cut
+        for P in (np.diag([2.0, 1.0]), np.diag([1.001, 1.0]), np.zeros((2, 2)),
+                  np.diag([1e7, 1e7, 1.5e-14])):
+            with pytest.raises(NotUnimodularError, match="sl_part must have determinant 1"):
+                ProductPoint(P, 0.0)
         with pytest.raises(NonPositiveDeterminantError):
             product_inverse(np.diag([-1.0, 1.0]))
 
