@@ -184,7 +184,7 @@ def _documents(ts, points, dets):
 
 
 def _cmd_broken_arc(args):
-    arc = geodesy.broken_arc(args.k1, args.k2, args.tol)
+    arc = geodesy.broken_arc(args.k1, args.k2)
     payload = {
         "joint": matrix_document(arc.joint),
         "first": _witness_document(arc.first),
@@ -278,7 +278,6 @@ def build_parser():
 
     p = sub.add_parser("broken-arc", help="singly broken geodesic between same-component points")
     _matrix_options(p, "--k1", "--k2")
-    p.add_argument("--tol", type=_positive, default=1e-8)
     p.set_defaults(func=_cmd_broken_arc)
 
     p = sub.add_parser("curvature", help="curvature scalars at a point")

@@ -285,14 +285,14 @@ class BrokenArc:
     joint: np.ndarray
 
 
-def broken_arc(K1, K2, tol=DEFAULT_TOL):
+def broken_arc(K1, K2):
     """Join two same-component points by a singly broken geodesic arc.
 
     One SVD of each endpoint, K1 = U1 S1 V1^T and K2 = U2 S2 V2^T, makes the singular cuts and
     the polar factors O1 = U1 V1^T, P2 = U2 S2 U2^T and O2 = U2 V2^T; the joint is Z = P2 O1.
     The first leg is :func:`_positive_leg`, with the endpoint check of :func:`_arc`.
     Z^{-1} K2 = O1^T O2 is special orthogonal iff K1 and K2 share a component; the second leg is
-    its rotation arc.
+    its rotation arc (:func:`matcore.so_log`).  No step clusters eigenvalues: no tolerance to set.
     """
     ends = as_squares(K1=K1, K2=K2)
     (U1, U2), (s1, s2), (V1t, V2t) = np.linalg.svd(ends)
@@ -304,7 +304,7 @@ def broken_arc(K1, K2, tol=DEFAULT_TOL):
         raise DifferentComponentsError("endpoints lie in different determinant components")
     Z = U2 @ (s2[:, None] * (U2.T @ O1))
     first = _arc(ends[0], _positive_leg(s1, V1t, U1.T @ U2, s2), Z)
-    return BrokenArc(first=first, second=Geodesic._unchecked(Z, _so_log(R, tol)), joint=Z)
+    return BrokenArc(first=first, second=Geodesic._unchecked(Z, _so_log(R)), joint=Z)
 
 
 @_overflow_guard("arc logarithm")

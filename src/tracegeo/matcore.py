@@ -143,18 +143,18 @@ def _relative_gap(A, B):
     square that underflows loses at most 5e-324 against a sum above 1e-300.  Outside that range
     A and B are first scaled by the power of two that brings their largest entry into [1/2, 1):
     the scaling is exact, so ``A - B`` is the scaled difference with no rounding of its own to
-    cancel.  Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is
-    ``inf``)."""
+    cancel.  ``||B||`` is taken at B's own power of two, so a B far below A keeps its norm.
+    Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is ``inf``)."""
     D = A - B
     gap, norm = float(np.linalg.norm(D)), float(np.linalg.norm(B))
     if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not D.any()):
         return gap / norm
-    big = float(max(np.abs(A).max(), np.abs(B).max()))
-    if big == 0.0:
-        return 0.0
-    A, B = np.ldexp([A, B], -math.frexp(big)[1])
-    scale = float(np.linalg.norm(B))
-    return float(np.linalg.norm(A - B)) / scale if scale else math.inf
+    b = float(np.abs(B).max())
+    if b == 0.0:
+        return math.inf if A.any() else 0.0
+    e, f = math.frexp(max(float(np.abs(A).max()), b))[1], math.frexp(b)[1]
+    gap = float(np.linalg.norm(np.ldexp(A, -e) - np.ldexp(B, -e)))
+    return float(np.ldexp(gap / float(np.linalg.norm(np.ldexp(B, -f))), e - f))
 
 
 def _on_real_axis(lam, tol):
@@ -275,12 +275,12 @@ def _log_from_eig(A, eigs, V, tol):
     return _real_log(A, eigs, V, (), tol)
 
 
-def _real_part(L, tol):
+def _real_part(L):
     """The logarithm ``L``, real up to rounding, as a float matrix; SpectrumOnCutError when its
-    imaginary residue exceeds ``tol * max(1, max |Re L|)``."""
+    imaginary residue exceeds the fixed ``DEFAULT_TOL * max(1, max |Re L|)``, whatever ``tol``."""
     if np.iscomplexobj(L):
         dirt = float(np.abs(L.imag).max())
-        if dirt > tol * max(1.0, float(np.abs(L.real).max())):
+        if dirt > DEFAULT_TOL * max(1.0, float(np.abs(L.real).max())):
             raise SpectrumOnCutError("logarithm came back complex; spectrum too close to the cut")
         L = L.real
     return L
@@ -324,8 +324,8 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     require_invertible(A, "A")
     t = _curve_parameter(t)
     basis = _eigenbasis(eigs, V)
-    if basis is None:  # a positive spectrum is off the cut: only the logarithm's residue is tested
-        return _expm(t * _real_part(_logm(A), tol))
+    if basis is None:  # a positive spectrum is off the cut: the logarithm dispatch takes logm
+        return _expm(t * _real_log(A, eigs, None, (), tol))
     return _spectral(lambda lam: lam**t, basis).real  # real up to rounding for complex pairs
 
 
@@ -501,16 +501,16 @@ def _profile_pass(A, eigs, norm2, tol):
 
 
 def _real_log(M, eigs, vecs, negative, tol):
-    """The one logarithm dispatch: some real C with exp(C) = M = vecs diag(eigs) vecs^-1, principal
-    wherever possible.  Every branch follows the profile's ``negative`` clusters (none for a
-    principal log), with no real-axis test here: semisimple ones and a basis accepted by
-    :func:`_eigenbasis` take :func:`_semisimple_log`; else ``logm`` of M, or :func:`_chains_log`."""
+    """The one logarithm dispatch: a real C with exp(C) = M = vecs diag(eigs) vecs^-1 (vecs None
+    once rejected), principal where possible, following the profile's ``negative`` clusters (none
+    for a principal log) with no real-axis test: semisimple ones with an :func:`_eigenbasis` take
+    :func:`_semisimple_log`; else ``logm`` or :func:`_chains_log`, whose staircase reads ``tol``."""
     semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
-    basis = _eigenbasis(eigs, vecs) if semisimple else None
+    basis = _eigenbasis(eigs, vecs) if semisimple and vecs is not None else None
     if basis is not None:
-        return _semisimple_log(basis, negative, tol)
+        return _semisimple_log(basis, negative)
     if not negative:
-        return _real_part(_logm(M), tol)
+        return _real_part(_logm(M))
     return _chains_log(M, negative, tol)
 
 
@@ -538,10 +538,10 @@ def _chains_log(M, negative, tol):
         raise IllConditionedError("negative Jordan chains have no dual basis") from None
     half = len(xs)
     J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
-    return _real_part(_logm(M - 2.0 * (M @ (V @ D))), tol) + np.pi * J
+    return _real_part(_logm(M - 2.0 * (M @ (V @ D)))) + np.pi * J
 
 
-def _semisimple_log(basis, negative, tol):
+def _semisimple_log(basis, negative):
     """V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose ``negative``
     clusters are semisimple.
 
@@ -572,7 +572,7 @@ def _semisimple_log(basis, negative, tol):
         J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
     if (lams.dtype.kind == "f" and lams.min() <= 0) or not lams.all():
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    L = _real_part(_spectral(np.log, (lams, V, Vinv)), tol)
+    L = _real_part(_spectral(np.log, (lams, V, Vinv)))
     return L + np.pi * J if negative else L
 
 
@@ -676,24 +676,24 @@ def so_log(O, tol=DEFAULT_TOL):
     """Canonical real skew-symmetric logarithm of a special orthogonal matrix.
 
     Rotation angles are taken in (-pi, pi] and -1 eigenvalue pairs are mapped
-    to angle pi.  With no eigenvalue at -1 within ``tol`` this is the skew
-    part of :func:`real_log_principal`.  Otherwise the matrix is
-    block-diagonalised by a real Schur similarity into planar rotation blocks
-    and +1/-1 entries.  The output L is exactly skew-symmetric and satisfies
-    expm(L) ~= O.
+    to angle pi.  With no eigenvalue at -1 within 1e-8, whatever ``tol`` is, this
+    is the skew part of :func:`real_log_principal`; otherwise a real Schur
+    similarity block-diagonalises O into planar rotations and +1/-1 entries.
+    L is exactly skew-symmetric with expm(L) ~= O.  ``tol`` only admits an O
+    with ``||O^T O - I||_F <= max(tol, 1e-10) n``.
     """
     O = as_squares(O=O)[0]
     n = O.shape[0]
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
     if ortho_defect > max(tol, 1e-10) * n or np.linalg.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
-    return _so_log(O, tol)
+    return _so_log(O)
 
 
-def _so_log(O, tol):
+def _so_log(O):
     """:func:`so_log` of a float matrix the caller knows to be special orthogonal."""
-    try:  # real_log_principal without its singular test: O is orthogonal
-        L = _log_from_eig(O, *np.linalg.eig(O), tol)
+    try:  # real_log_principal at 1e-8 whatever tol is, without its singular test: O is orthogonal
+        L = _log_from_eig(O, *np.linalg.eig(O), DEFAULT_TOL)
     except SpectrumOnCutError:
         L = _schur_so_log(O)
     return 0.5 * (L - L.T)

@@ -244,7 +244,8 @@ class ProductPoint:
     ``det P`` must be 1 within 1e-10, or within ``10 n u cond_2(P)`` (u the unit roundoff) for an
     invertible P: the computed det of an exactly unimodular P errs by up to about 4 n u cond_2(P),
     and :func:`product_inverse` of an ill-conditioned Q gives such a P.  Only a determinant past
-    1e-10 pays for the SVD of the second test.
+    1e-10, or ``||P||_F^n >= 1e12`` (``sigma_min sigma_max^(n-1) >= |det P|``, so a singular P with
+    det near 1 has ``sigma_max^n >~ 1e13``), pays for the SVD of the second test and the cut.
     """
 
     sl_part: np.ndarray
@@ -257,10 +258,10 @@ class ProductPoint:
         P = as_squares(sl_part=self.sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
             miss = abs(np.linalg.det(P) - 1.0)
-        if not miss <= 1e-10:
-            s = np.linalg.svd(P, compute_uv=False)
-            if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
-                raise NotUnimodularError("sl_part must have determinant 1")
+            if not miss <= 1e-10 or np.linalg.norm(P) ** P.shape[0] >= 1e12:
+                s = np.linalg.svd(P, compute_uv=False)
+                if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
+                    raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
         object.__setattr__(self, "line_part", x)
 

@@ -14,12 +14,12 @@ RESIDUAL_TOL = 1e-5  # geodesic ODE residual at the default step
 ORDERS = range(2, 7)  # the matrix orders n the suites are sized for
 
 
-def random_invertible(rng, n, det_min=0.1, cond_max=100.0):
-    """Uniform [-1, 1] entries, resampled until |det| >= det_min and cond <= cond_max."""
+def random_invertible(rng, n):
+    """Uniform [-1, 1] entries, resampled until |det| >= 0.1 and cond_2 <= 100."""
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
         s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= cond_max and abs(np.linalg.det(A)) >= det_min:
+        if s[-1] > 0 and s[0] / s[-1] <= 100.0 and abs(np.linalg.det(A)) >= 0.1:
             return A
 
 
@@ -32,11 +32,11 @@ def random_special_orthogonal(rng, n):
     return Q
 
 
-def random_spd(rng, n, low=0.5, high=3.0, min_gap=1e-3):
-    """SPD matrix with well-separated eigenvalues (keeps classification stable)."""
+def random_spd(rng, n):
+    """SPD matrix of order n >= 2, eigenvalues in [0.5, 3] at least 1e-3 apart (stable verdicts)."""
     while True:
-        w = np.sort(rng.uniform(low, high, n))
-        if n == 1 or float(np.diff(w).min()) >= min_gap:
+        w = np.sort(rng.uniform(0.5, 3.0, n))
+        if float(np.diff(w).min()) >= 1e-3:
             break
     Q = random_special_orthogonal(rng, n)
     P = Q @ (w[:, None] * Q.T)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -201,23 +202,40 @@ _HOSTILE_NUMBERS = ["nan", "inf", "-1", "0", "abc", "1e999"]
 _MATRICES = [I2_DOC, E12_DOC, _diag_doc(-1, -1), _diag_doc(2, 0.5)]
 _TOLS = ["1e-8", "0.25", *_HOSTILE_NUMBERS]
 _TIMES = ["-1", "0.5", "2", "1e308", "-1e308", *_HOSTILE_NUMBERS]
+_GEODESIC_OPTIONS = {"--t-from": _TIMES, "--t-to": _TIMES,
+                     "--samples": ["1", "3", *_HOSTILE_NUMBERS]}
 
 # every command: its fixed head, its required options, and its optional ones, each with the
-# values drawn for it; verify's head keeps --cases small unless a drawn --cases overrides it
+# values drawn for it; verify's head keeps --cases small unless a drawn --cases overrides it.
+# geodesic takes exactly one of --c and --velocity, so each has its own row; a 1e-30 assertion
+# tolerance and a 1e-20 step make verify report failed checks (exit 1, report on stdout)
 _ARGUMENT_COMMANDS = [
     (["metric"], {"--at": _MATRICES, "--x": _MATRICES, "--y": _MATRICES}, {}),
     (["signature"], {"--at": _MATRICES}, {}),
     (["classify"], {"--k0": _MATRICES, "--k1": _MATRICES}, {"--tol": _TOLS}),
     (["arc"], {"--k0": _MATRICES, "--k1": _MATRICES}, {"--tol": _TOLS}),
-    (["broken-arc"], {"--k1": _MATRICES, "--k2": _MATRICES}, {"--tol": _TOLS}),
-    (["geodesic"], {"--k": _MATRICES, "--c": _MATRICES},
-     {"--t-from": _TIMES, "--t-to": _TIMES, "--samples": ["1", "3", *_HOSTILE_NUMBERS]}),
+    (["broken-arc"], {"--k1": _MATRICES, "--k2": _MATRICES}, {}),
+    (["geodesic"], {"--k": _MATRICES, "--c": _MATRICES}, _GEODESIC_OPTIONS),
+    (["geodesic"], {"--k": _MATRICES, "--velocity": _MATRICES}, _GEODESIC_OPTIONS),
     (["curvature"], {"--at": _MATRICES, "--kind": ["scalar", "sectional", "ricci", "riemann04", "bogus"]},
      {"--x": _MATRICES, "--y": _MATRICES, "--z": _MATRICES, "--w": _MATRICES}),
     (["verify", "--cases", "1"], {"--suite": [*verify.SUITES, "all", "bogus"]},
      {"--n": ["2", "3", *_HOSTILE_NUMBERS], "--seed": ["0", "42", *_HOSTILE_NUMBERS],
-      "--cases": ["0", "3", *_HOSTILE_NUMBERS]}),
+      "--cases": ["0", "3", *_HOSTILE_NUMBERS], "--tol-assert": ["1e-30", *_TOLS],
+      "--tol-cluster": _TOLS, "--fd-step": ["1e-4", "1e-20", *_HOSTILE_NUMBERS]}),
 ]
+
+
+def test_the_argument_table_draws_every_flag_of_the_parser():
+    # a flag the parser drops must leave the table, and a flag it gains must enter it
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    drawn = {}
+    for head, required, optional in _ARGUMENT_COMMANDS:
+        drawn.setdefault(head[0], set()).update(required, optional)
+    parsed = {name: {flag for action in parser._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help")} for name, parser in commands.items()}
+    assert drawn == parsed
 
 
 @st.composite
@@ -252,16 +270,20 @@ def _run(argv):
 
 
 def _assert_answers_in_json(argv):
-    """Exit 0 with one JSON document on stdout, exit 2 with a no-arc verdict on stdout, or
-    exit 1 with one JSON error on stderr."""
+    """Exit 0 with one JSON document on stdout, exit 2 with a no-arc verdict on stdout, exit 1
+    with a verify report of failed checks on stdout, or exit 1 with one JSON error on stderr."""
     code, out, err = _run(argv)
-    if code in (0, 2):
-        assert err == ""
-        doc = json.loads(out)
-        assert code == 0 or doc["verdict"] == "no-arc"
-    else:
-        assert code == 1 and out == ""
+    if code == 1 and out == "":
         assert isinstance(json.loads(err)["error"], str)
+        return
+    assert err == ""
+    doc = json.loads(out)
+    if code == 2:
+        assert doc["verdict"] == "no-arc"
+    elif code == 1:
+        assert argv[0] == "verify" and doc["failures"]
+    else:
+        assert code == 0
 
 
 class TestHostileInput:
@@ -318,6 +340,7 @@ class TestHostileInput:
 
     @example(argv=[])
     @example(argv=["verify", "--suite", "all", "--cases", "3", "--n", "3", "--seed", "42"])
+    @example(argv=["verify", "--cases", "1", "--suite", "metric", "--tol-assert", "1e-30"])
     @example(argv=["geodesic", "--k", I2_DOC, "--c", _diag_doc(2, 0.5),
                    "--t-from=-1e308", "--t-to", "1e308"])
     @settings(max_examples=200, deadline=None)
@@ -597,7 +620,8 @@ class TestToleranceFlags:
             ("--tol", ("classify", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "-1")),
             ("--tol", ("classify", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "nan")),
             ("--tol", ("arc", "--k0", I2_DOC, "--k1", I2_DOC, "--tol", "0")),
-            ("--tol", ("broken-arc", "--k1", I2_DOC, "--k2", I2_DOC, "--tol", "inf")),
+            ("unrecognized arguments: --tol", ("broken-arc", "--k1", I2_DOC, "--k2", I2_DOC,
+                                               "--tol", "inf")),
             ("--tol-cluster", ("verify", "--suite", "geodesic", "--cases", "1", "--tol-cluster=-1e-8")),
             ("--tol-assert", ("verify", "--suite", "metric", "--cases", "1", "--tol-assert", "nan")),
             ("--fd-step", ("verify", "--suite", "geodesic", "--cases", "1", "--fd-step", "nan")),

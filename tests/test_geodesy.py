@@ -694,6 +694,22 @@ def _rotation_block(a, b):
     return np.array([[a, -b], [b, a]])
 
 
+def test_a_tight_clustering_tol_still_joins_complex_spectra():
+    # M = S blockdiag(r R(theta)) S^-1 (and one positive eigenvalue at odd n), its pairs far apart:
+    # tol moves only the clustering cut, and the logarithm's realness bound stays 1e-8, so at
+    # tol = 1e-15 every M is countable with a witness (9 of these 400 once came back complex)
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 6):
+        for _ in range(100):
+            blocks = [rng.uniform(0.5, 2.0) * _rotation_block(np.cos(a), np.sin(a))
+                      for a in rng.uniform(0.3, 3.0, n // 2)]
+            S, K0 = random_invertible(rng, n), random_invertible(rng, n)
+            K1 = K0 @ S @ sla.block_diag(*blocks, np.diag(rng.uniform(0.5, 2.0, n % 2))) @ np.linalg.inv(S)
+            out = classify_arc(K0, K1, 1e-15)
+            assert out.verdict is ArcKind.COUNTABLE
+            assert _relative_error(K0 @ sla.expm(out.witness.direction), K1) <= 1e-8
+
+
 # a core of K0^-1 K1 for every class that classify_arc sees, spectra far from every cut
 SEPARATED_CORES = {
     "nonsym-pos": (np.diag([0.5, 1.5, 3.0]), ArcKind.UNIQUE),
@@ -1239,6 +1255,20 @@ class TestBrokenArc:
             K2[0] = -K2[0]
         arc = broken_arc(K1, K2)
         assert np.linalg.norm(arc.second.point(1.0) - K2) <= 1e-8 * max(1.0, np.linalg.norm(K2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_near_half_turn_second_leg(self, n):
+        # Z^-1 K2 turns 1e-11 or 1e-12 short of pi: the rotation log takes the Schur route, so
+        # the second leg lands on K2 to rounding (a leg through the eigenbasis missed by 1.2e-7)
+        rng = np.random.default_rng([7, n])
+        for short in (1e-11, 1e-12):
+            angles = [np.pi - short, *rng.uniform(-3.0, 3.0, n // 2 - 1)]
+            Q = random_special_orthogonal(rng, n)
+            O = Q @ sla.block_diag(*[_rotation_block(np.cos(a), np.sin(a)) for a in angles],
+                                   np.eye(n % 2)) @ Q.T
+            K1, K2 = random_spd(rng, n), random_spd(rng, n) @ O
+            arc = broken_arc(K1, K2)
+            assert _relative_error(arc.second.point(1.0), K2) <= 1e-12
 
     @pytest.mark.parametrize("singular", ["K1", "K2"])
     def test_singular_endpoint_raises(self, singular, rng):

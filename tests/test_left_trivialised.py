@@ -201,6 +201,14 @@ def test_relative_gap_is_the_frobenius_ratio_and_does_not_overflow(rng):
     assert _relative_gap(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
 
+def test_relative_gap_keeps_a_b_far_below_a():
+    # B / 2^e at A's power of two would underflow to 0 and read inf: ||B|| is taken at B's own
+    I2 = np.eye(2)
+    assert _relative_gap(I2, 1e-170 * I2) == pytest.approx(1e170, rel=1e-15, abs=0.0)
+    assert _relative_gap(I2, np.zeros((2, 2))) == math.inf
+    assert _relative_gap(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
 def _exact_gap(A, B):
     """``||A - B||_F / ||B||_F`` in rational arithmetic, rounded once before the root."""
     diff = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(A.flat, B.flat))

@@ -868,6 +868,22 @@ class TestSoLog:
         self.assert_matches_schur(planar_rotation(Q, [np.pi - 1e-9, *others]))
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_near_half_turn_route_ignores_tol(self, n, tol, monkeypatch):
+        # tol only bounds the orthogonality defect: 1e-11 and 1e-12 short of pi take the Schur
+        # route at every tol (an eigenbasis chosen by a 1e-13 cut lost 3.4e-7 of these angles)
+        calls = self.count_schur_calls(monkeypatch)
+        rng = np.random.default_rng([7, n])
+        Q = random_special_orthogonal(rng, n)
+        others = list(rng.uniform(-3.0, 3.0, n // 2 - 1))
+        for short in (1e-11, 1e-12):
+            O = planar_rotation(Q, [np.pi - short, *others])
+            L, want = so_log(O, tol), schur_so_log(O)
+            assert np.array_equal(L, -L.T)
+            assert np.linalg.norm(L - want) <= 1e-12 * np.linalg.norm(want)
+        assert len(calls) == 4  # one per so_log, one per reference
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_minus_one_pairs(self, rng, n):
         Q = random_special_orthogonal(rng, n)

@@ -303,9 +303,10 @@ class TestProductStructure:
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
     def test_errors(self):
-        # the last is singular, yet cond_2 = 6.7e20 would admit its det of 1.5 past the singular cut
+        # the last two are singular: cond_2 = 6.7e20 would admit a det of 1.5, and a det of 1 needs
+        # no second test unless ||P||_F^n >= 1e12 asks for the singular cut
         for P in (np.diag([2.0, 1.0]), np.diag([1.001, 1.0]), np.zeros((2, 2)),
-                  np.diag([1e7, 1e7, 1.5e-14])):
+                  np.diag([1e7, 1e7, 1.5e-14]), np.diag([1e7, 1e7, 1e-14])):
             with pytest.raises(NotUnimodularError, match="sl_part must have determinant 1"):
                 ProductPoint(P, 0.0)
         with pytest.raises(NonPositiveDeterminantError):
