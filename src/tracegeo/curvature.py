@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
 from .matcore import _overflow_guard, as_point_and_tangents, as_squares, require_invertible
 from .metricspace import _gram_of_inverse, standard_basis
@@ -37,7 +38,7 @@ def _commutator(a, b):
 def riemann_13(K, X, Y, Z):
     """(1,3) curvature: -K [bZ, [bX, bY]] / 4 for bV = K^{-1} V."""
     stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
-    return _riemann_13(stack[0], *np.linalg.solve(stack[0], stack[1:]))
+    return _riemann_13(stack[0], *_lapack.solve(stack[0], stack[1:]))
 
 
 def _riemann_13(K, bX, bY, bZ):
@@ -49,7 +50,7 @@ def _riemann_13(K, bX, bY, bZ):
 def riemann_04(K, X, Y, Z, W):
     """(0,4) curvature: tr([bX, bY] [bZ, bW]) / 4 for bV = K^{-1} V."""
     stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
-    bX, bY, bZ, bW = np.linalg.solve(stack[0], stack[1:])
+    bX, bY, bZ, bW = _lapack.solve(stack[0], stack[1:])
     return float(0.25 * np.trace(_commutator(bX, bY) @ _commutator(bZ, bW)))
 
 
@@ -62,14 +63,14 @@ def sectional(K, X, Y):
     """
     K, X, Y = stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     pair = np.column_stack([X.ravel(), Y.ravel()])
-    s = np.linalg.svd(pair, compute_uv=False)
+    s = _lapack.svd(pair, compute_uv=False)
     if s[1] <= 1e-12 * s[0]:  # relative to the pair alone: X -> aX, Y -> aY keeps the verdict
         raise LinearlyDependentError("X and Y do not span a 2-plane")
     # invariant under X -> aX, Y -> bY and K -> cK: tangents of largest entry 1, and K over the
     # power of two of its largest entry (an exact scaling), keep the Gram entries far from the
     # ends of the float range, as the singular cut bounds ||K^-1|| against ||K||
     tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
-    solved = np.linalg.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
+    solved = _lapack.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
     (gxx, gxy), (_, gyy) = np.einsum("aij,bji->ab", solved, solved)  # tr(bA bB) for A, B in {X, Y}
     denom = gxx * gyy - gxy * gxy
     fxx, fyy = np.einsum("aij,aij->a", solved, solved)  # ||bX||^2, ||bY||^2
@@ -89,7 +90,7 @@ def _ricci_form(n, BX, BY):
 def ricci(K, X, Y):
     """Ricci curvature tr(bX) tr(bY) / 2 - n tr(bX bY) / 2 for bV = K^{-1} V."""
     stack = as_point_and_tangents(K, "K", X=X, Y=Y)
-    bX, bY = np.linalg.solve(stack[0], stack[1:])
+    bX, bY = _lapack.solve(stack[0], stack[1:])
     return float(_ricci_form(stack.shape[1], bX, bY))
 
 
@@ -151,7 +152,7 @@ def scalar_curvature(K):
     K = frame.base_point
     n = K.shape[0]
     # K^{-1} X_a for the whole frame from one factorisation: the X_a side by side as n x n^3
-    BV = np.linalg.solve(K, frame.vectors.transpose(1, 0, 2).reshape(n, -1))
+    BV = _lapack.solve(K, frame.vectors.transpose(1, 0, 2).reshape(n, -1))
     BV = BV.reshape(n, -1, n).transpose(1, 0, 2)
     return float(frame.signs @ _ricci_form(n, BV, BV))
 
@@ -169,10 +170,10 @@ def ricci_trace_oracle(K, X, Y):
     e = np.frexp(np.abs(stack[0]).max())[1]
     K = np.ldexp(stack[0], -e)
     n = K.shape[0]
-    bX, bY, B = np.linalg.solve(K, [*stack[1:], np.eye(n)])
+    bX, bY, B = _lapack.solve(K, [*stack[1:], np.eye(n)])
     T = _riemann_13(K, bX, B @ standard_basis(n), bY)  # T[a] = R(X, E_a)Y
     gvecs = B @ T @ B  # gvecs[a].ravel()[b] = g_K(T[a], E_b)
-    Ginv = np.linalg.inv(_gram_of_inverse(B))
+    Ginv = _lapack.inv(_gram_of_inverse(B))
     return float(np.ldexp(Ginv.ravel() @ gvecs.ravel(), -2 * e))
 
 
@@ -185,13 +186,13 @@ def christoffel_closed(P):
     P = as_point_and_tangents(P, "P")[0]
     n = P.shape[0]
     e = np.frexp(np.abs(P).max())[1]  # Gamma(P) = Gamma(P / 2^e) / 2^e, exactly, with no overflow
-    B = np.linalg.inv(np.ldexp(P, -e))
+    B = _lapack.inv(np.ldexp(P, -e))
     m = n * n
     # T[ji, lk, sr] = B[j, k] B[l, r] B[s, i], by broadcasting over the axes (j, i, l, k, s, r)
     T = (B[:, None, None, :, None, None] * B[None, None, :, None, None, :]
          * B.T[None, :, None, None, :, None]).reshape(m, m, m)
     sym = (T + T.transpose(1, 0, 2)).reshape(m * m, m)  # rows (a, b) and (b, a) are equal
-    Ginv = np.linalg.inv(_gram_of_inverse(B))
+    Ginv = _lapack.inv(_gram_of_inverse(B))
     return np.ldexp(-0.5 * (sym @ Ginv.T).reshape(m, m, m), -e)
 
 
@@ -215,9 +216,9 @@ def christoffel_fd(P, h=1e-4):
     steps = h * standard_basis(P.shape[0])
     points = np.concatenate([P + steps, P - steps, P[None]])
     require_invertible(points, "P")
-    G = _gram_of_inverse(np.linalg.inv(points))
+    G = _gram_of_inverse(_lapack.inv(points))
     dG = (G[:m] - G[m:-1]) / (2 * h)  # dG[d, a, b] = d g_{ab} / d p^d
-    Ginv = np.linalg.inv(G[-1])
+    Ginv = _lapack.inv(G[-1])
     # Gamma^c_{ab} = (1/2) g^{cd} (g_{ad,b} + g_{bd,a} - g_{ab,d})
     bracket = np.einsum("bad->abd", dG) + dG - np.einsum("dab->abd", dG)
     return np.ldexp(0.5 * np.einsum("cd,abd->abc", Ginv, bracket), -e)
@@ -235,7 +236,7 @@ def sl_einstein_check(K, X, Y):
     """
     stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     n = stack.shape[1]
-    bX, bY = np.linalg.solve(stack[0], stack[1:])
+    bX, bY = _lapack.solve(stack[0], stack[1:])
     for name, bV in (("X", bX), ("Y", bY)):
         unit = bV / max(float(np.abs(bV).max()), np.finfo(float).tiny)  # ||unit|| cannot underflow
         if abs(float(np.trace(unit))) > _LEAF_TRACE_RTOL * float(np.linalg.norm(unit)):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DifferentComponentsError,
     IllConditionedError,
@@ -77,7 +78,7 @@ class Geodesic:
 
     @functools.cached_property
     def _basis(self):
-        return _eigenbasis(*np.linalg.eig(self.direction), left=self.base_point)
+        return _eigenbasis(*_lapack.eig(self.direction), left=self.base_point)
 
     @_overflow_guard("matrix exponential")
     def point(self, t):
@@ -99,7 +100,7 @@ def geodesic_from_velocity(K, S):
 @_overflow_guard("geodesic direction")
 def _point_and_direction(K, S):
     K, S = as_point_and_tangents(K, "K", S=S)
-    return K, np.linalg.solve(K, S)
+    return K, _lapack.solve(K, S)
 
 
 @_overflow_guard("matrix exponential")
@@ -117,14 +118,14 @@ def spd_geodesic(K, S, t):
         raise NotSPDError("base point must be symmetric")
     if _relative_gap(S, S.T) > 1e-10:
         raise NotSymmetricError("velocity must be symmetric")
-    w, Q = np.linalg.eigh(0.5 * K + 0.5 * K.T)  # halves first: no overflow
+    w, Q = _lapack.eigh(0.5 * K + 0.5 * K.T)  # halves first: no overflow
     if w.min() <= 0:
         raise NotSPDError("base point must be positive definite")
     half = Q @ (np.sqrt(w)[:, None] * Q.T)
     inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
     t = _curve_parameter(t)
     A = inv_half @ S @ inv_half
-    mu, R = np.linalg.eigh(0.5 * A + 0.5 * A.T)
+    mu, R = _lapack.eigh(0.5 * A + 0.5 * A.T)
     return half @ ((R * np.exp(t * mu)) @ R.T) @ half
 
 
@@ -137,7 +138,7 @@ def nabla(P, Xp, Yp, euc_deriv):
     for constant-coefficient fields).
     """
     P, Xp, Yp, D = stack = as_point_and_tangents(P, "P", Xp=Xp, Yp=Yp, euc_deriv=euc_deriv)
-    bX, bY = np.linalg.solve(P, stack[1:3])
+    bX, bY = _lapack.solve(P, stack[1:3])
     return D - 0.5 * (Xp @ bY + Yp @ bX)
 
 
@@ -158,7 +159,7 @@ def curve_residual(curve, t, h=1e-4):
     hp, hm = (t + h) - t, t - (t - h)  # the steps taken: t +- h round on the grids of their binades
     vel = (Pp - Pm) / (hp + hm)
     acc = 2.0 * ((Pp - P0) / hp - (P0 - Pm) / hm) / (hp + hm)
-    return float(np.linalg.norm(acc - vel @ np.linalg.solve(P0, vel)))
+    return float(np.linalg.norm(acc - vel @ _lapack.solve(P0, vel)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +227,19 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     is the profile re-run at both.
 
     One batched SVD of both endpoints makes their singular cuts, K0's first,
-    as :func:`broken_arc` makes its own.
+    as :func:`broken_arc` makes its own.  A quotient M past the float range
+    raises IllConditionedError.
     """
     K0, K1 = ends = as_squares(K0=K0, K1=K1)
-    s0, s1 = np.linalg.svd(ends, compute_uv=False)
+    s0, s1 = _lapack.svd(ends, compute_uv=False)
     for name, s in (("K0", s0), ("K1", s1)):
         if _is_singular(s):
             raise SingularMatrixError(f"{name} is numerically singular")
-    M = np.linalg.solve(K0, K1)
-
-    eigs, vecs = np.linalg.eig(M)
-    norm2 = float(np.linalg.svd(M, compute_uv=False)[0])
+    M = _lapack.solve(K0, K1)
+    if not np.isfinite(M).all():  # two valid endpoints whose quotient overflows
+        raise IllConditionedError("K0^-1 K1 overflows the float range")
+    eigs, vecs = _lapack.eig(M)
+    norm2 = float(_lapack.svd(M, compute_uv=False)[0])
     profile, settled = _profile_pass(M, eigs, norm2, tol)
     verdict = _verdict(profile)
     for factor in () if settled else _RERUN_FACTORS:
@@ -295,12 +298,12 @@ def broken_arc(K1, K2):
     its rotation arc (:func:`matcore.so_log`).  No step clusters eigenvalues: no tolerance to set.
     """
     ends = as_squares(K1=K1, K2=K2)
-    (U1, U2), (s1, s2), (V1t, V2t) = np.linalg.svd(ends)
+    (U1, U2), (s1, s2), (V1t, V2t) = _lapack.svd(ends)
     if _is_singular(s1) or _is_singular(s2):
         raise SingularMatrixError("polar decomposition requires an invertible matrix")
     O1 = U1 @ V1t
     R = O1.T @ (U2 @ V2t)
-    if np.linalg.det(R) < 0:
+    if _lapack.det(R) < 0:
         raise DifferentComponentsError("endpoints lie in different determinant components")
     Z = U2 @ (s2[:, None] * (U2.T @ O1))
     first = _arc(ends[0], _positive_leg(s1, V1t, U1.T @ U2, s2), Z)
@@ -319,5 +322,5 @@ def _positive_leg(s1, V1t, W, s2):
     F = W / r1[:, None] * np.sqrt(s2)
     if not np.isfinite(F).all():  # LAPACK leaves the SVD of an infinite matrix unspecified
         raise IllConditionedError("arc logarithm overflows the float range")
-    X, phi, _ = np.linalg.svd(F)
+    X, phi, _ = _lapack.svd(F)
     return ((V1t.T / r1 @ X) * (2.0 * np.log(phi))) @ (X.T * r1) @ V1t

@@ -11,6 +11,12 @@ The exponential is Pade scaling and squaring in numpy (:func:`_expm`).
 need it: ``logm`` for a defective or near-defective logarithm (:func:`_logm`),
 and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
 import dominates the start of a short process.
+
+Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``eig``,
+``eigvals``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
+:mod:`tracegeo._lapack`, which calls numpy.linalg's own gufuncs without its
+per-call wrapper and returns numpy's results bit for bit; at n <= 6 that
+wrapper costs more than LAPACK does.  ``qr`` and ``norm`` stay on numpy.
 """
 
 import functools
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -80,7 +87,7 @@ def require_invertible(a, name="matrix"):
     key = (a.tobytes(), a.shape, a.dtype) if a.ndim == 2 else None
     if key is not None and key == _passed[0]:
         return
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _lapack.svd(a, compute_uv=False)
     if _is_singular(s) if s.ndim == 1 else _is_singular(s.T).any():  # one matrix: no 3 us reduction
         raise SingularMatrixError(f"{name} is numerically singular")
     if key is not None:
@@ -131,7 +138,9 @@ def _overflow_guard(what):
     return decorate
 
 
-_det = _overflow_guard("determinant")(np.linalg.det)
+@_overflow_guard("determinant")
+def _det(a):
+    return _lapack.det(a)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -203,7 +212,7 @@ def _expm(A, left=None):
         np.matmul(evens[j - 1], evens[1], out=evens[j])
     V, W = (coef @ evens.reshape(powers, n * n)).reshape(2, n, n)
     U = A @ W
-    E = np.linalg.solve(V - U, V + U)
+    E = _lapack.solve(V - U, V + U)
     for k in range(1, s + 1):
         E = E @ E
         if upper:
@@ -231,7 +240,7 @@ def _eigenbasis(eigs, V, left=None):
     section 4.5); near-defective ``A`` is the case of Moler and Van Loan's warning (SIAM Rev.
     2003, method 14)."""
     try:
-        Vinv = np.linalg.inv(V)
+        Vinv = _lapack.inv(V)
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         return None
     if abs(V).sum(axis=0).max() * abs(Vinv).sum(axis=0).max() > _EIGENBASIS_COND_MAX:
@@ -265,7 +274,7 @@ def real_log_principal(A, tol=DEFAULT_TOL):
         Some eigenvalue sits on the closed negative real axis within ``tol``.
     """
     A = as_point_and_tangents(A, "A")[0]
-    return _log_from_eig(A, *np.linalg.eig(A), tol)
+    return _log_from_eig(A, *_lapack.eig(A), tol)
 
 
 def _log_from_eig(A, eigs, V, tol):
@@ -318,7 +327,7 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     real within ``tol``.
     """
     A = as_squares(A=A)[0]
-    eigs, V = np.linalg.eig(A)
+    eigs, V = _lapack.eig(A)
     if not all(lam.real > 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumNotPositiveError("spectrum is not positive real")
     require_invertible(A, "A")
@@ -391,7 +400,7 @@ def _kernel_staircase(A, lam, mult, tol):
     Ek = E
     settled = True
     for k in range(1, mult + 1):
-        U, s, Vh = np.linalg.svd(Ek)
+        U, s, Vh = _lapack.svd(Ek)
         if k == 1:
             scale = max(1.0, float(s[0]))
             step = E / scale
@@ -435,8 +444,8 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     block structure.
     """
     A = as_squares(A=A)[0]
-    norm2 = float(np.linalg.svd(A, compute_uv=False)[0])
-    return _profile_pass(A, np.linalg.eigvals(A), norm2, tol)[0]
+    norm2 = float(_lapack.svd(A, compute_uv=False)[0])
+    return _profile_pass(A, _lapack.eigvals(A), norm2, tol)[0]
 
 
 # classify_arc tests a verdict's stability by re-profiling at these multiples of tol
@@ -533,7 +542,7 @@ def _chains_log(M, negative, tol):
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     try:
-        D = np.linalg.solve(W.T @ V, W.T)
+        D = _lapack.solve(W.T @ V, W.T)
     except np.linalg.LinAlgError:
         raise IllConditionedError("negative Jordan chains have no dual basis") from None
     half = len(xs)
@@ -585,7 +594,7 @@ def _pick_complement(candidates, excluded, need):
         reduced = candidates - Q @ (Q.T @ candidates)
     else:
         reduced = candidates
-    _, s, Vh = np.linalg.svd(reduced)
+    _, s, Vh = _lapack.svd(reduced)
     if s.size < need or s[need - 1] <= 1e-10:
         raise IllConditionedError("Jordan chain extraction found dependent directions")
     return candidates @ Vh[:need].T
@@ -655,7 +664,7 @@ def polar_decompose(A, side="left"):
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     A = as_squares(A=A)[0]
-    U, s, Vt = np.linalg.svd(A)
+    U, s, Vt = _lapack.svd(A)
     if _is_singular(s):
         raise SingularMatrixError("polar decomposition requires an invertible matrix")
     O = U @ Vt
@@ -685,7 +694,7 @@ def so_log(O, tol=DEFAULT_TOL):
     O = as_squares(O=O)[0]
     n = O.shape[0]
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
-    if ortho_defect > max(tol, 1e-10) * n or np.linalg.det(O) < 0:
+    if ortho_defect > max(tol, 1e-10) * n or _lapack.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
     return _so_log(O)
 
@@ -693,7 +702,7 @@ def so_log(O, tol=DEFAULT_TOL):
 def _so_log(O):
     """:func:`so_log` of a float matrix the caller knows to be special orthogonal."""
     try:  # real_log_principal at 1e-8 whatever tol is, without its singular test: O is orthogonal
-        L = _log_from_eig(O, *np.linalg.eig(O), DEFAULT_TOL)
+        L = _log_from_eig(O, *_lapack.eig(O), DEFAULT_TOL)
     except SpectrumOnCutError:
         L = _schur_so_log(O)
     return 0.5 * (L - L.T)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DegenerateMetricError,
     IllConditionedError,
@@ -30,7 +31,7 @@ from .matcore import (
 def trace_metric(A, V, W):
     """Metric value tr(A^{-1} V A^{-1} W) = tr(bV bW), bV = A^{-1} V; symmetric and bilinear."""
     stack = as_point_and_tangents(A, "A", V=V, W=W)
-    bV, bW = np.linalg.solve(stack[0], stack[1:])
+    bV, bW = _lapack.solve(stack[0], stack[1:])
     return float(np.trace(bV @ bW))
 
 
@@ -47,7 +48,7 @@ def gram_matrix(A):
     matrix units column by column.  For B = A^{-1} the value collapses to
     B[j, k] * B[l, i] with alpha <-> (i, j), beta <-> (k, l).
     """
-    return _gram_of_inverse(np.linalg.inv(as_point_and_tangents(A, "A")[0]))
+    return _gram_of_inverse(_lapack.inv(as_point_and_tangents(A, "A")[0]))
 
 
 def _gram_of_inverse(B):
@@ -77,8 +78,8 @@ def signature_at(A):
     """
     A = as_point_and_tangents(A, "A")[0]
     # the signature is scale-free; a power of two near the largest entry keeps B (x) B in range
-    G = _gram_of_inverse(np.linalg.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
-    w = np.linalg.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
+    G = _gram_of_inverse(_lapack.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
+    w = _lapack.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
     cut = _GRAM_ZERO_RTOL * float(np.abs(w).max())
     if np.any(np.abs(w) <= cut):
         raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue")
@@ -91,7 +92,7 @@ def signature_at(A):
 # ---------------------------------------------------------------------------
 
 def _inversion_differential(G, A, V):
-    Ainv = np.linalg.inv(A)
+    Ainv = _lapack.inv(A)
     return -Ainv @ V @ Ainv
 
 
@@ -101,14 +102,14 @@ def _inversion_differential(G, A, V):
 _ISOMETRY_TABLE = {
     "left-translate": (True, lambda G, X: G @ X, None),
     "right-translate": (True, lambda G, X: X @ G, None),
-    "conjugate": (True, lambda G, X: np.linalg.solve(G, X @ G), None),
+    "conjugate": (True, lambda G, X: _lapack.solve(G, X @ G), None),
     "congruence": (True, lambda G, X: G.T @ X @ G, None),
     "point-symmetry": (
         True,
-        lambda G, X: G @ np.linalg.inv(X) @ G,
+        lambda G, X: G @ _lapack.inv(X) @ G,
         lambda G, A, V: G @ _inversion_differential(G, A, V) @ G,
     ),
-    "inversion": (False, lambda G, X: np.linalg.inv(X), _inversion_differential),
+    "inversion": (False, lambda G, X: _lapack.inv(X), _inversion_differential),
     "transposition": (False, lambda G, X: X.T, None),
     "negation": (False, lambda G, X: -X, None),
 }
@@ -212,7 +213,7 @@ def sl_tangent_project(K, W):
     condition up to roundoff.
     """
     K, W = stack = as_point_and_tangents(K, "K", W=W)
-    (bW,) = np.linalg.solve(K, stack[1:])
+    (bW,) = _lapack.solve(K, stack[1:])
     return W - (float(np.trace(bW)) / K.shape[0]) * K
 
 
@@ -257,9 +258,9 @@ class ProductPoint:
             raise ValueError("line_part must be finite")
         P = as_squares(sl_part=self.sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
-            miss = abs(np.linalg.det(P) - 1.0)
+            miss = abs(_lapack.det(P) - 1.0)
             if not miss <= 1e-10 or np.linalg.norm(P) ** P.shape[0] >= 1e12:
-                s = np.linalg.svd(P, compute_uv=False)
+                s = _lapack.svd(P, compute_uv=False)
                 if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
                     raise NotUnimodularError("sl_part must have determinant 1")
         object.__setattr__(self, "sl_part", P)
@@ -292,7 +293,7 @@ def product_inverse(Q):
     Q = as_squares(Q=Q)[0]
     n = Q.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(Q)
+        sign, logdet = _lapack.slogdet(Q)
         if sign <= 0.0:
             raise NonPositiveDeterminantError("product chart needs a positive determinant")
         P = Q / math.exp(logdet / n)  # det(diag(1e300, 1e-300, 1e-300))^{1/3} = 1e-100

@@ -7,7 +7,7 @@ form.  Suites are deterministic functions of (suite, n, seed, cases).
 
 import numpy as np
 
-from . import curvature, geodesy, metricspace
+from . import _lapack, curvature, geodesy, metricspace
 from .matcore import matrix_document
 
 RESIDUAL_TOL = 1e-5  # geodesic ODE residual at the default step
@@ -18,8 +18,8 @@ def random_invertible(rng, n):
     """Uniform [-1, 1] entries, resampled until |det| >= 0.1 and cond_2 <= 100."""
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
-        s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= 100.0 and abs(np.linalg.det(A)) >= 0.1:
+        s = _lapack.svd(A, compute_uv=False)
+        if s[-1] > 0 and s[0] / s[-1] <= 100.0 and abs(_lapack.det(A)) >= 0.1:
             return A
 
 
@@ -27,7 +27,7 @@ def random_special_orthogonal(rng, n):
     M = rng.normal(size=(n, n))
     Q, R = np.linalg.qr(M)
     Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
+    if _lapack.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
 
@@ -79,7 +79,7 @@ def _refused_or(difference_quotient, *args):
 
 def _metric_scale(A, V, W):
     """Honest relative scale of tr(A^{-1}V A^{-1}W): the Cauchy-Schwarz bound."""
-    AV, AW = np.linalg.solve(A, [V, W])
+    AV, AW = _lapack.solve(A, [V, W])
     return float(np.linalg.norm(AV) * np.linalg.norm(AW))
 
 
@@ -155,10 +155,10 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
         shifted = geodesy.Geodesic(geo.point(s), C).point(t)
         rec.check("parameter-shift", float(np.linalg.norm(direct - shifted)), 0.0,
                   tol / 10 * max(1.0, float(np.linalg.norm(direct))), [("K", K), ("C", C)])
-        detK = np.linalg.det(K)
+        detK = _lapack.det(K)
         for t in (-2.0, -0.6, 1.3, 2.0):
             want = detK * np.exp(t * np.trace(C))
-            rec.check("jacobi-determinant", float(np.linalg.det(geo.point(t))), float(want),
+            rec.check("jacobi-determinant", float(_lapack.det(geo.point(t))), float(want),
                       tol * max(1.0, abs(want)), [("K", K), ("C", C)])
         # unique arcs between commensurate positive-definite endpoints
         K0 = random_spd(rng, n)
@@ -233,8 +233,8 @@ def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
         K = random_invertible(rng, n)
         W = rng.uniform(-1.0, 1.0, (n, n))
         proj = metricspace.sl_tangent_project(K, W)
-        scale = max(1.0, float(np.linalg.norm(np.linalg.solve(K, W))))
-        rec.check("projection-tangency", float(np.trace(np.linalg.solve(K, proj))), 0.0,
+        scale = max(1.0, float(np.linalg.norm(_lapack.solve(K, W))))
+        rec.check("projection-tangency", float(np.trace(_lapack.solve(K, proj))), 0.0,
                   tol / 100 * scale, [("K", K), ("W", W)])
         again = metricspace.sl_tangent_project(K, proj)
         rec.check("projection-idempotent", float(np.linalg.norm(again - proj)), 0.0,
@@ -249,13 +249,13 @@ def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
         geo = geodesy.Geodesic(K, C)
         c = metricspace.leaf_of(K)
         for t in (-2.0, -0.5, 0.9, 2.0):
-            rec.check("leaf-invariant-determinant", float(np.linalg.det(geo.point(t))), c,
+            rec.check("leaf-invariant-determinant", float(_lapack.det(geo.point(t))), c,
                       tol * max(1.0, abs(c)), [("K", K), ("C", C)])
         # the left-translation chart from the leaf to the unimodular group
         P0 = metricspace.leaf_base_point(c, n)
-        chart = metricspace.left_translate(np.linalg.inv(P0))
+        chart = metricspace.left_translate(_lapack.inv(P0))
         Q = metricspace.apply_isometry(chart, K)
-        rec.check("leaf-chart-unimodular", float(np.linalg.det(Q)), 1.0,
+        rec.check("leaf-chart-unimodular", float(_lapack.det(Q)), 1.0,
                   tol, [("K", K)])
         g0 = metricspace.trace_metric(K, X, Y)
         g1 = metricspace.trace_metric(Q, metricspace.pushforward(chart, K, X),
@@ -266,9 +266,9 @@ def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
 
 def random_unimodular(rng, n):
     A = random_invertible(rng, n)
-    if np.linalg.det(A) < 0:
+    if _lapack.det(A) < 0:
         A[0] = -A[0]
-    return A / np.linalg.det(A) ** (1.0 / n)
+    return A / _lapack.det(A) ** (1.0 / n)
 
 
 def _suite_product(rec, rng, n, cases, tol, fd_step, tol_cluster):
@@ -282,7 +282,7 @@ def _suite_product(rec, rng, n, cases, tol, fd_step, tol_cluster):
                   [("P", P)])
         rec.check("roundtrip-line", back.line_part, x, tol / 100 * max(1.0, abs(x)))
         Q2 = random_invertible(rng, n)
-        if np.linalg.det(Q2) < 0:
+        if _lapack.det(Q2) < 0:
             Q2[0] = -Q2[0]
         forward = metricspace.product_forward(metricspace.product_inverse(Q2))
         rec.check("roundtrip-glplus", float(np.linalg.norm(forward - Q2)), 0.0,

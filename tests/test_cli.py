@@ -381,6 +381,17 @@ class TestClassifyCommand:
         assert np.allclose(c, [[0.0, -np.pi], [np.pi, 0.0]])
 
 
+@pytest.mark.parametrize("command", ["classify", "arc"])
+def test_an_overflowing_quotient_is_ill_conditioned(command, capfd):
+    # valid endpoints whose K0^-1 K1 overflows: the library's own error, and nothing else reaches
+    # the stderr file descriptor (no LAPACK message)
+    code = main([command, "--k0", _scaled_identity_doc(1e-300), "--k1", _scaled_identity_doc(1e300)])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ill-conditioned",
+                               "message": "K0^-1 K1 overflows the float range"}
+
+
 class TestArcCommand:
     def test_arc_payload(self, capsys):
         code, out, _ = run_cli(capsys, "arc", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[1,0],[0,4]]}')

@@ -26,7 +26,7 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import curvature, metricspace, verify
+from tracegeo import _lapack, curvature, metricspace, verify
 from tracegeo.verify import random_invertible
 
 I2 = np.eye(2)
@@ -237,8 +237,8 @@ class TestRicciTraceOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("public formula called")
 
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        svd, seen = _lapack.svd, []
+        monkeypatch.setattr(_lapack, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
         monkeypatch.setattr(curvature, "riemann_13", refuse)
         monkeypatch.setattr(metricspace, "gram_matrix", refuse)
         for n in (2, 3):
@@ -270,13 +270,13 @@ class TestScalarCurvature:
             assert got == pytest.approx(loop, rel=1e-12)
 
     def test_one_factorisation_and_the_frame_built_once_per_order(self, rng, monkeypatch):
-        solve, shapes = np.linalg.solve, []
+        solve, shapes = _lapack.solve, []
 
         def spy(a, b):
             shapes.append((np.ndim(a), np.ndim(b)))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(_lapack, "solve", spy)
         for n in (2, 3, 5):
             K = random_invertible(rng, n)
             first = scalar_curvature(K)
@@ -389,8 +389,8 @@ class TestChristoffel:
         def refuse(*args, **kwargs):
             raise AssertionError("gram_matrix called")
 
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        svd, seen = _lapack.svd, []
+        monkeypatch.setattr(_lapack, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
         monkeypatch.setattr(metricspace, "gram_matrix", refuse)
         for n in (2, 3):
             P = np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n))

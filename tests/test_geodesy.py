@@ -31,7 +31,7 @@ from tracegeo import (
     spectral_profile,
     unique_arc,
 )
-from tracegeo import geodesy, matcore
+from tracegeo import _lapack, geodesy, matcore
 from tracegeo.verify import RESIDUAL_TOL, random_invertible, random_spd, random_special_orthogonal
 
 I2 = np.eye(2)
@@ -481,8 +481,8 @@ class TestClassification:
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_profile called")
 
-        eig, solves = np.linalg.eig, []
-        monkeypatch.setattr(np.linalg, "eig", lambda A: solves.append(A) or eig(A))
+        eig, solves = _lapack.eig, []
+        monkeypatch.setattr(_lapack, "eig", lambda A: solves.append(A) or eig(A))
         monkeypatch.setattr(matcore, "spectral_profile", refuse)
         monkeypatch.setattr(geodesy, "spectral_profile", refuse, raising=False)
         rot = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -557,11 +557,11 @@ class TestClassification:
 
 
 def _linalg_spy(monkeypatch, *names):
-    """Records the operand of every call of each named ``np.linalg`` function."""
+    """Records the operand of every call of each named ``tracegeo._lapack`` kernel."""
     seen = {name: [] for name in names}
     for name, calls in seen.items():
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
+        fn = getattr(_lapack, name)
+        monkeypatch.setattr(_lapack, name,
                             lambda a, *args, calls=calls, fn=fn, **kw: calls.append(a) or fn(a, *args, **kw))
     return seen
 
@@ -594,6 +594,13 @@ def test_a_singular_endpoint_is_named(singular, named):
         ends[name] = np.diag([1.0, 2.0, 1e-14])
     with pytest.raises(SingularMatrixError, match=f"^{named} is numerically singular$"):
         classify_arc(ends["K0"], ends["K1"])
+
+
+def test_an_overflowing_quotient_is_ill_conditioned():
+    # 1e-300 I and 1e300 I are valid points, but K0^-1 K1 = 1e600 I is past the float range
+    for join in (classify_arc, unique_arc):
+        with pytest.raises(IllConditionedError, match=r"^K0\^-1 K1 overflows the float range$"):
+            join(1e-300 * np.eye(2), 1e300 * np.eye(2))
 
 
 def _positive_nonsymmetric(rng, n):
@@ -850,9 +857,9 @@ def test_classify_arc_decomposes_the_quotient_once(cls, rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigvals called")
 
-    eig, seen = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda A: seen.append(A) or eig(A))
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    eig, seen = _lapack.eig, []
+    monkeypatch.setattr(_lapack, "eig", lambda A: seen.append(A) or eig(A))
+    monkeypatch.setattr(_lapack, "eigvals", refuse)
     if cls == "spd":
         K0, K1, verdict = random_spd(rng, 3), random_spd(rng, 3), ArcKind.UNIQUE
     else:
@@ -1033,8 +1040,8 @@ def test_semisimple_negative_witness_matches_the_chains_route(n, kind, monkeypat
 
 def _witness_route_spy(monkeypatch):
     """The arrays eig decomposes and the clusters whose Jordan chains are taken."""
-    eig, chains, decomposed, chained = np.linalg.eig, matcore._jordan_chains, [], []
-    monkeypatch.setattr(np.linalg, "eig", lambda A: decomposed.append(A) or eig(A))
+    eig, chains, decomposed, chained = _lapack.eig, matcore._jordan_chains, [], []
+    monkeypatch.setattr(_lapack, "eig", lambda A: decomposed.append(A) or eig(A))
     monkeypatch.setattr(matcore, "_jordan_chains",
                         lambda B, lam, mult, tol: chained.append(lam) or chains(B, lam, mult, tol))
     return decomposed, chained

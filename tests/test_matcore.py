@@ -22,7 +22,7 @@ from tracegeo import (
     so_log,
     spectral_profile,
 )
-from tracegeo import matcore, verify
+from tracegeo import _lapack, matcore, verify
 from tracegeo.matcore import EigenCluster, SpectralProfile, require_invertible
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
@@ -315,9 +315,9 @@ class TestFractionalPower:
 
     def test_one_eigensolve(self, monkeypatch):
         calls = []
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda A: calls.append(1) or eig(A))
-        monkeypatch.setattr(np.linalg, "eigvals", lambda A: pytest.fail("second eigensolve"))
+        eig = _lapack.eig
+        monkeypatch.setattr(_lapack, "eig", lambda A: calls.append(1) or eig(A))
+        monkeypatch.setattr(_lapack, "eigvals", lambda A: pytest.fail("second eigensolve"))
         assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
         assert len(calls) == 1
 
@@ -346,8 +346,8 @@ class TestFractionalPower:
 
     def test_the_fallback_decides_once(self, monkeypatch):
         # the rejected eigenbasis is not rebuilt for the logarithm: one inverse of V in all
-        calls, inv = [], np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda A: calls.append(1) or inv(A))
+        calls, inv = [], _lapack.inv
+        monkeypatch.setattr(_lapack, "inv", lambda A: calls.append(1) or inv(A))
         assert_allclose(fractional_power([[2.0, 1.0], [0.0, 2.0]], 0.5),
                         jordan_block_power(2.0, 2, 0.5), atol=1e-12)
         assert len(calls) == 1
@@ -714,8 +714,8 @@ class _Forgetful(list):
 class TestSingularCutMemo:
     @pytest.fixture
     def svds(self, monkeypatch):
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+        svd, seen = _lapack.svd, []
+        monkeypatch.setattr(_lapack, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
         return seen
 
     def test_a_second_cut_of_equal_bytes_runs_no_svd(self, rng, svds):
@@ -723,7 +723,7 @@ class TestSingularCutMemo:
         svds.clear()
         require_invertible(K, "K")
         require_invertible(K.copy(), "K")  # another array, the same bytes
-        require_invertible(K.tolist(), "K")  # an array-like, as np.linalg.svd takes one
+        require_invertible(K.tolist(), "K")  # an array-like, as the cut takes one
         assert len(svds) == 1
         require_invertible(L, "L")
         require_invertible(K, "K")  # one entry: the matrix passed in between displaced K
@@ -917,3 +917,170 @@ class TestCartanKilling:
             assert cartan_killing(a * X + Z, Y) == pytest.approx(
                 a * cartan_killing(X, Y) + cartan_killing(Z, Y), abs=1e-10
             )
+
+
+# ---------------------------------------------------------------------------
+# L0 kernels: tracegeo._lapack against numpy.linalg
+# ---------------------------------------------------------------------------
+
+
+_LAPACK_NAMES = ("svd", "solve", "inv", "eig", "eigvals", "eigh", "eigvalsh", "det", "slogdet")
+
+
+def _assert_same_result(got, want):
+    """Equal types, dtypes, shapes and bytes, part by part; numpy's named tuples compare as
+    tuples."""
+    got, want = (got, tuple(want)) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (type(g), g.dtype, g.shape) == (type(w), w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def _kernel_operands(rng):
+    """Seeded square operands, n = 1..6, one matrix and a stack of three: real of mixed spectrum,
+    real symmetric (a real spectrum), complex, Hermitian, and real scaled by 1e200, near the top of
+    the float range."""
+    for n in range(1, 7):
+        for shape in ((n, n), (3, n, n)):
+            real = rng.standard_normal(shape)
+            cplx = real + 1j * rng.standard_normal(shape)
+            yield real
+            yield real + np.swapaxes(real, -1, -2)
+            yield cplx
+            yield cplx + np.conj(np.swapaxes(cplx, -1, -2))
+            yield 1e200 * real
+
+
+class TestLapackKernels:
+    """Each kernel returns the bytes of its np.linalg namesake and raises its LinAlgError: a numpy
+    that changes its gufuncs fails here, not in a distant tolerance."""
+
+    @pytest.mark.parametrize("name", ["inv", "eig", "eigvals", "eigh", "eigvalsh", "det", "slogdet"])
+    def test_one_operand_kernels_match_numpy(self, name, rng):
+        for a in _kernel_operands(rng):
+            with np.errstate(over="ignore"):  # det and slogdet run bare: 1e200^n overflows
+                _assert_same_result(getattr(_lapack, name)(a), getattr(np.linalg, name)(a))
+
+    def test_svd_matches_numpy(self, rng):
+        for a in _kernel_operands(rng):
+            for b in (a, a[..., :-1], np.swapaxes(a, -1, -2)[..., :-1]):  # square and both oblongs
+                if b.size:
+                    _assert_same_result(_lapack.svd(b), np.linalg.svd(b))
+                    _assert_same_result(_lapack.svd(b, compute_uv=False),
+                                        np.linalg.svd(b, compute_uv=False))
+
+    def test_solve_matches_numpy(self, rng):
+        for a in _kernel_operands(rng):
+            n = a.shape[-1]
+            for b in (rng.standard_normal(a.shape), rng.standard_normal(n),  # 1-D: a vector
+                      rng.standard_normal((n, 2)), 1j * rng.standard_normal((n, n)),
+                      [rng.standard_normal(a.shape), rng.standard_normal(a.shape)]):
+                _assert_same_result(_lapack.solve(a, b), np.linalg.solve(a, b))
+
+    @staticmethod
+    def _assert_same_refusal(name, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                getattr(np.linalg, name)(*args)
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                getattr(_lapack, name)(*args)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_exactly_singular_matrix_is_refused_as_numpy_refuses_it(self, dtype):
+        for n in range(1, 7):
+            S = np.ones((n, n), dtype=dtype) if n > 1 else np.zeros((1, 1), dtype=dtype)
+            assert self._assert_same_refusal("inv", S) == "Singular matrix"
+            assert self._assert_same_refusal("solve", S, np.eye(n)) == "Singular matrix"
+            assert self._assert_same_refusal("solve", S, np.ones(n)) == "Singular matrix"
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_operand_is_refused_as_numpy_refuses_it(self, bad):
+        for n in range(1, 7):
+            for A in (np.eye(n), np.eye(n, dtype=complex), np.full((2, n, n), 1e200)):
+                A[..., -1, 0] = bad
+                for name in ("eig", "eigvals"):
+                    message = self._assert_same_refusal(name, A)
+                    assert message == "Array must not contain infs or NaNs"
+
+    def test_lapack_failures_raise_numpys_messages(self):
+        nan = np.full((3, 3), np.nan)
+        assert self._assert_same_refusal("svd", nan) == "SVD did not converge"
+        assert self._assert_same_refusal("svd", nan, False) == "SVD did not converge"
+        assert self._assert_same_refusal("eigh", nan) == "Eigenvalues did not converge"
+        assert self._assert_same_refusal("eigvalsh", nan) == "Eigenvalues did not converge"
+
+
+def _representative_calls(rng):
+    """One pass over the library: every arc class of classify_arc, broken_arc, every fields op of
+    the benchmark's pool, the matcore functions and run_suite of each verify suite."""
+    import tracegeo as tg
+
+    n = 3
+    K, X, Y, Z, W = random_invertible(rng, n), *rng.uniform(-1, 1, (4, n, n))
+    S, P = random_spd(rng, n), verify.random_unimodular(rng, n)
+    Q = K @ K  # a positive determinant
+    cores = [random_spd(rng, n), np.diag([0.5, 1.5, 3.0]), np.diag([-2.0, -2.0, 3.0]),
+             np.diag([2.0, 2.0, 3.0]), np.diag([-2.0, 3.0, 4.0]),
+             np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])]
+    for core in cores:
+        K0 = random_invertible(rng, n)
+        tg.classify_arc(K0, K0 @ core)
+    J = np.kron(np.eye(2), [[-1.0, 1.0], [0.0, -1.0]])  # J2(-1)^2, exactly: the chains route
+    tg.classify_arc(2.0 * np.eye(4), 2.0 * J)
+    tg.unique_arc(K, K @ S)
+    tg.broken_arc(S, Q)
+    for kind in tg.metricspace.ISOMETRY_KINDS:
+        iso = tg.Isometry(kind, K if kind in ("left-translate", "right-translate", "conjugate",
+                                              "congruence", "point-symmetry") else None)
+        tg.apply_isometry(iso, S)
+        tg.pushforward(iso, S, X)
+    geo = tg.geodesic_from_velocity(K, X)
+    geo.point(0.5)
+    tg.Geodesic(K, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])).point(0.5)  # Pade
+    tg.spd_geodesic(S, S, 0.5)
+    tg.nabla(K, X, Y, Z)
+    tg.curve_residual(geo.point, 0.3)
+    tg.trace_metric(K, X, Y)
+    tg.gram_matrix(K)
+    tg.signature_at(K)
+    tg.riemann_13(K, X, Y, Z)
+    tg.riemann_04(K, X, Y, Z, W)
+    tg.sectional(K, X, Y)
+    tg.ricci(K, X, Y)
+    tg.ricci_trace_oracle(K, X, Y)
+    tg.scalar_curvature(K)
+    tg.orthonormal_frame(K)
+    tg.christoffel_closed(S)
+    tg.christoffel_fd(S)
+    tg.sl_einstein_check(P, *(tg.sl_tangent_project(P, V) for V in (X, Y)))
+    tg.leaf_of(Q)
+    tg.leaf_base_point(2.0, n)
+    point = tg.product_inverse(Q)
+    tg.product_forward(point)
+    tg.ProductPoint(np.diag([1e5, 1e-5, 1.0]), 0.0)  # a large norm: the SVD test of det = 1
+    tg.product_pushforward(point, tg.sl_tangent_project(point.sl_part, X), 0.5)
+    tg.mat_exp(X)
+    tg.real_log_principal(S)
+    tg.fractional_power(S, 0.5)
+    tg.fractional_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)  # defective: the logm fallback
+    tg.spectral_profile(X)
+    tg.polar_decompose(K)
+    tg.so_log(random_special_orthogonal(rng, n))
+    tg.so_log(np.diag([-1.0, -1.0, 1.0]))  # a half turn: the Schur route
+    for suite in verify.SUITES:
+        verify.run_suite(suite, n, 7, 2)
+
+
+def test_the_library_calls_no_numpy_linalg_lapack_function(monkeypatch):
+    # every factorisation goes through tracegeo._lapack; only norm and qr stay on np.linalg
+    calls = []
+    for name in _LAPACK_NAMES:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name, fn=fn, **kw: calls.append(name) or fn(*args, **kw))
+    _representative_calls(np.random.default_rng(5))
+    assert calls == []

@@ -36,6 +36,7 @@ from tracegeo import (
     trace_metric,
     transposition,
 )
+from tracegeo import _lapack
 from tracegeo.metricspace import ISOMETRY_KINDS
 from tracegeo.verify import random_invertible, random_unimodular
 
@@ -277,7 +278,7 @@ class TestProductStructure:
 
     def test_a_unimodular_point_takes_no_svd(self, rng, monkeypatch):
         P = random_unimodular(rng, 4)
-        monkeypatch.setattr(np.linalg, "svd", None)
+        monkeypatch.setattr(_lapack, "svd", None)
         assert ProductPoint(P, 0.5).sl_part is not P  # as_squares' copy, accepted by det alone
 
     def test_forward_lands_in_positive_component(self, rng):
