@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curvature as curvature_mod
-from . import geodesy, metricspace
 from .errors import IllConditionedError, TraceGeoError
 from .matcore import _det, matrix_document
 
@@ -56,8 +54,9 @@ _count = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive_count = _number(int, lambda v: v >= 1, "a positive integer")
 
 
-# Only the verify command imports tracegeo.verify, the costliest module to compile: its two
-# options take their allowed values from it when they are parsed.
+# Each command imports the modules it runs when it runs, so a process compiles only those:
+# metricspace, geodesy or curvature, or tracegeo.verify, the costliest, whose two options take
+# their allowed values from it when they are parsed.
 def _suite(text):
     from . import verify
 
@@ -124,15 +123,21 @@ def _witness_document(geo):
 
 
 def _cmd_metric(args):
+    from . import metricspace
+
     return {"value": metricspace.trace_metric(args.at, args.x, args.y)}, 0
 
 
 def _cmd_signature(args):
+    from . import metricspace
+
     sig = metricspace.signature_at(args.at)
     return {"positive": sig.positive, "negative": sig.negative}, 0
 
 
 def _cmd_classify(args):
+    from . import geodesy
+
     outcome = geodesy.classify_arc(args.k0, args.k1, args.tol)
     payload = {
         "verdict": outcome.verdict.value,
@@ -161,6 +166,8 @@ def _cmd_geodesic(args):
                           f"exceed the {_MAX_SAMPLE_ENTRIES} one call may emit")
     if not math.isfinite(args.t_to - args.t_from):  # np.linspace needs a finite span
         raise _ParseError("--t-from and --t-to span more than the float range")
+    from . import geodesy
+
     if args.c is not None:
         geo = geodesy.Geodesic(args.k, args.c)
     else:
@@ -184,6 +191,8 @@ def _documents(ts, points, dets):
 
 
 def _cmd_broken_arc(args):
+    from . import geodesy
+
     arc = geodesy.broken_arc(args.k1, args.k2)
     payload = {
         "joint": matrix_document(arc.joint),
@@ -193,12 +202,12 @@ def _cmd_broken_arc(args):
     return payload, 0
 
 
-# --kind -> (curvature function, the tangent options it takes after --at)
+# --kind -> (tracegeo.curvature function, the tangent options it takes after --at)
 _CURVATURES = {
-    "sectional": (curvature_mod.sectional, ("x", "y")),
-    "riemann04": (curvature_mod.riemann_04, ("x", "y", "z", "w")),
-    "ricci": (curvature_mod.ricci, ("x", "y")),
-    "scalar": (curvature_mod.scalar_curvature, ()),
+    "sectional": ("sectional", ("x", "y")),
+    "riemann04": ("riemann_04", ("x", "y", "z", "w")),
+    "ricci": ("ricci", ("x", "y")),
+    "scalar": ("scalar_curvature", ()),
 }
 
 
@@ -207,7 +216,12 @@ def _cmd_curvature(args):
     tangents = [getattr(args, option) for option in options]
     if any(X is None for X in tangents):
         raise _ParseError(f"--kind {args.kind} needs " + " ".join("--" + o for o in options))
-    return {"value": function(args.at, *tangents)}, 0
+    stray = [o for o in ("x", "y", "z", "w") if o not in options and getattr(args, o) is not None]
+    if stray:
+        raise _ParseError(f"--kind {args.kind} takes no " + " ".join("--" + o for o in stray))
+    from . import curvature
+
+    return {"value": getattr(curvature, function)(args.at, *tangents)}, 0
 
 
 def _cmd_verify(args):

@@ -5,14 +5,13 @@ commuting coordinate fields, so cross-checks against texts using the
 opposite convention need a global sign flip.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _lapack
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
-from .matcore import _overflow_guard, as_point_and_tangents, as_squares, require_invertible
+from .matcore import _Record, _overflow_guard, as_point_and_tangents, as_squares, require_invertible
 from .metricspace import _gram_of_inverse, standard_basis
 
 __all__ = [
@@ -94,8 +93,7 @@ def ricci(K, X, Y):
     return float(_ricci_form(stack.shape[1], bX, bY))
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalFrame:
+class OrthonormalFrame(_Record):
     """g-orthonormal tangent frame at a base point, with causal characters.
 
     ``signs[a]`` is +1 for space-like and -1 for time-like frame vectors;
@@ -105,6 +103,10 @@ class OrthonormalFrame:
     base_point: np.ndarray
     vectors: np.ndarray  # shape (n*n, n, n)
     signs: np.ndarray  # shape (n*n,), entries +-1
+    _fields = ("base_point", "vectors", "signs")
+
+    def __init__(self, base_point, vectors, signs):
+        self.__dict__.update(base_point=base_point, vectors=vectors, signs=signs)
 
     @property
     def causal(self):

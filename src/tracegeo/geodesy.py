@@ -10,7 +10,6 @@ evenly, and uniqueness requires a positive spectrum with no repeated block.
 import enum
 import functools
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
     _RERUN_FACTORS,
+    _Record,
     _curve_parameter,
     _eigenbasis,
     _expm,
@@ -42,8 +42,7 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Geodesic:
+class Geodesic(_Record):
     """The geodesic t -> base_point @ expm(t * direction).
 
     Points come from one eigendecomposition of the direction, made on the
@@ -54,10 +53,10 @@ class Geodesic:
 
     base_point: np.ndarray
     direction: np.ndarray
+    _fields = ("base_point", "direction")
 
-    def __post_init__(self):
-        K, C = as_point_and_tangents(self.base_point, "base_point", direction=self.direction)
-        self._settle(K, C)
+    def __init__(self, base_point, direction):
+        self._settle(*as_point_and_tangents(base_point, "base_point", direction=direction))
 
     @classmethod
     def _unchecked(cls, K, C):
@@ -70,8 +69,7 @@ class Geodesic:
     def _settle(self, K, C):
         K.flags.writeable = False
         C.flags.writeable = False
-        object.__setattr__(self, "base_point", K)
-        object.__setattr__(self, "direction", C)
+        self.__dict__.update(base_point=K, direction=C)
 
     def __reduce__(self):  # a copy or unpickled geodesic gets read-only arrays and no cached basis
         return Geodesic._unchecked, (self.base_point, self.direction)
@@ -176,13 +174,16 @@ class ArcKind(str, enum.Enum):
     CONTINUUM = "continuum"
 
 
-@dataclass(frozen=True, eq=False)
-class ArcClassification:
+class ArcClassification(_Record):
     """Verdict for one pair of endpoints, plus a witness arc when one exists."""
 
     verdict: ArcKind
     witness: Geodesic | None
     profile: SpectralProfile  # of K0^{-1} K1
+    _fields = ("verdict", "witness", "profile")
+
+    def __init__(self, verdict, witness, profile):
+        self.__dict__.update(verdict=verdict, witness=witness, profile=profile)
 
 
 def _verdict(profile):
@@ -279,13 +280,16 @@ def unique_arc(K0, K1, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BrokenArc:
+class BrokenArc(_Record):
     """Two geodesic arcs sharing the joint: first.point(1) = second.point(0) = joint."""
 
     first: Geodesic
     second: Geodesic
     joint: np.ndarray
+    _fields = ("first", "second", "joint")
+
+    def __init__(self, first, second, joint):
+        self.__dict__.update(first=first, second=second, joint=joint)
 
 
 def broken_arc(K1, K2):

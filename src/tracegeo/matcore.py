@@ -22,7 +22,6 @@ wrapper costs more than LAPACK does.  ``qr`` and ``norm`` stay on numpy.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +36,41 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-8
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a tracegeo record."""
+
+
+class _Record:
+    """Base of the package's immutable results.  A subclass annotates its fields, fills them into
+    the instance ``__dict__`` in its own ``__init__``, and names in ``_fields`` those its repr
+    shows.  A record equals itself alone: copies and unpickled records are distinct objects."""
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Value(_Record):
+    """A record equal to one of its own class with equal ``_fields``, and hashed by them."""
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def as_squares(**operands):
@@ -343,14 +377,18 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenCluster:
+class EigenCluster(_Value):
     """One eigenvalue cluster with its Jordan block-size multiset.  ``members`` are the positions,
-    in the spectrum the profile was built from, of the eigenvalues the cluster merged."""
+    in the spectrum the profile was built from, of the eigenvalues the cluster merged; neither
+    equality nor the repr reads them."""
 
     eigenvalue: complex
     block_sizes: tuple[int, ...]
-    members: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    members: tuple[int, ...]
+    _fields = ("eigenvalue", "block_sizes")
+
+    def __init__(self, eigenvalue, block_sizes, members=()):
+        self.__dict__.update(eigenvalue=eigenvalue, block_sizes=block_sizes, members=members)
 
     @property
     def multiplicity(self):
@@ -362,12 +400,15 @@ class EigenCluster:
         return self.eigenvalue.imag == 0.0
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(_Value):
     """Eigenvalue clusters of a matrix, with the tolerance that produced them."""
 
     clusters: tuple[EigenCluster, ...]
     tolerance: float
+    _fields = ("clusters", "tolerance")
+
+    def __init__(self, clusters, tolerance):
+        self.__dict__.update(clusters=clusters, tolerance=tolerance)
 
     @property
     def order(self):
@@ -636,8 +677,7 @@ def _jordan_chains(B, lam, mult, tol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PolarFactors:
+class PolarFactors(_Record):
     """Factors of a polar decomposition.
 
     ``side == "left"`` means the input factors as orthogonal @ positive,
@@ -647,6 +687,10 @@ class PolarFactors:
     orthogonal: np.ndarray
     positive: np.ndarray
     side: str
+    _fields = ("orthogonal", "positive", "side")
+
+    def __init__(self, orthogonal, positive, side):
+        self.__dict__.update(orthogonal=orthogonal, positive=positive, side=side)
 
     def product(self):
         if self.side == "left":

@@ -10,7 +10,6 @@ unimodular group with a Euclidean line.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .matcore import (
-    _det, _is_singular, _overflow_guard, as_point_and_tangents, as_squares, require_invertible,
+    _Record, _Value, _det, _is_singular, _overflow_guard, as_point_and_tangents, as_squares,
+    require_invertible,
 )
 
 
@@ -59,12 +59,15 @@ def _gram_of_inverse(B):
     return G.reshape(B.shape[:-2] + (n * n, n * n))
 
 
-@dataclass(frozen=True)
-class MetricSignature:
+class MetricSignature(_Value):
     """Counts of positive and negative directions of the metric."""
 
     positive: int
     negative: int
+    _fields = ("positive", "negative")
+
+    def __init__(self, positive, negative):
+        self.__dict__.update(positive=positive, negative=negative)
 
 
 _GRAM_ZERO_RTOL = 1e-10  # a Gram eigenvalue is zero at this fraction of the largest
@@ -116,8 +119,7 @@ _ISOMETRY_TABLE = {
 ISOMETRY_KINDS = tuple(_ISOMETRY_TABLE)
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
+class Isometry(_Record):
     """One isometry of the trace metric, tagged by kind.
 
     Parametric kinds carry an invertible matrix: translations multiply by it,
@@ -127,19 +129,19 @@ class Isometry:
     """
 
     kind: str
-    parameter: np.ndarray | None = None
+    parameter: np.ndarray | None
+    _fields = ("kind", "parameter")
 
-    def __post_init__(self):
-        if self.kind not in _ISOMETRY_TABLE:
-            raise ValueError(f"unknown isometry kind {self.kind!r}")
-        parametric, _, _ = _ISOMETRY_TABLE[self.kind]
-        if parametric:
-            if self.parameter is None:
-                raise ValueError(f"{self.kind} requires a parameter matrix")
-            G = as_point_and_tangents(self.parameter, "parameter")[0]
-            object.__setattr__(self, "parameter", G)
-        elif self.parameter is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+    def __init__(self, kind, parameter=None):
+        if kind not in _ISOMETRY_TABLE:
+            raise ValueError(f"unknown isometry kind {kind!r}")
+        if _ISOMETRY_TABLE[kind][0]:
+            if parameter is None:
+                raise ValueError(f"{kind} requires a parameter matrix")
+            parameter = as_point_and_tangents(parameter, "parameter")[0]
+        elif parameter is not None:
+            raise ValueError(f"{kind} takes no parameter")
+        self.__dict__.update(kind=kind, parameter=parameter)
 
 
 def left_translate(G):
@@ -238,8 +240,7 @@ def leaf_base_point(c, n):
     return P
 
 
-@dataclass(frozen=True, eq=False)
-class ProductPoint:
+class ProductPoint(_Record):
     """Point (P, x) of the product of the unimodular group with a line.
 
     ``det P`` must be 1 within 1e-10, or within ``10 n u cond_2(P)`` (u the unit roundoff) for an
@@ -251,20 +252,20 @@ class ProductPoint:
 
     sl_part: np.ndarray
     line_part: float
+    _fields = ("sl_part", "line_part")
 
-    def __post_init__(self):
-        x = float(self.line_part)
+    def __init__(self, sl_part, line_part):
+        x = float(line_part)
         if not math.isfinite(x):
             raise ValueError("line_part must be finite")
-        P = as_squares(sl_part=self.sl_part)[0]
+        P = as_squares(sl_part=sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
             miss = abs(_lapack.det(P) - 1.0)
             if not miss <= 1e-10 or np.linalg.norm(P) ** P.shape[0] >= 1e12:
                 s = _lapack.svd(P, compute_uv=False)
                 if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
                     raise NotUnimodularError("sl_part must have determinant 1")
-        object.__setattr__(self, "sl_part", P)
-        object.__setattr__(self, "line_part", x)
+        self.__dict__.update(sl_part=P, line_part=x)
 
 
 def _chart_scale(x, n):
@@ -300,8 +301,7 @@ def product_inverse(Q):
     if not (math.isfinite(logdet) and np.isfinite(P).all()):
         raise IllConditionedError("product chart overflows the float range")
     point = object.__new__(ProductPoint)
-    object.__setattr__(point, "sl_part", P)
-    object.__setattr__(point, "line_part", float(logdet) / math.sqrt(n))
+    point.__dict__.update(sl_part=P, line_part=float(logdet) / math.sqrt(n))
     return point
 
 

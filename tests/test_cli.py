@@ -556,6 +556,26 @@ class TestCurvatureCommand:
         assert code == 1
         assert json.loads(err)["error"] == "parse"
 
+    @pytest.mark.parametrize("kind, given, stray", [
+        ("scalar", ["--x"], "--x"),
+        ("scalar", ["--w", "--y"], "--y --w"),
+        ("sectional", ["--x", "--y", "--z"], "--z"),
+        ("ricci", ["--x", "--y", "--z", "--w"], "--z --w"),
+    ])
+    def test_a_tangent_the_kind_does_not_take_is_a_parse_error(self, capsys, kind, given, stray):
+        argv = ["curvature", "--at", I2_DOC, "--kind", kind]
+        for option in given:
+            argv += [option, E12_DOC if option == "--x" else E21_DOC]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "parse", "message": f"--kind {kind} takes no {stray}"}
+
+    def test_a_missing_tangent_is_named_before_a_stray_one(self, capsys):
+        code, _, err = run_cli(capsys, "curvature", "--at", I2_DOC, "--kind", "ricci",
+                               "--x", E12_DOC, "--z", E21_DOC)
+        assert code == 1
+        assert json.loads(err) == {"error": "parse", "message": "--kind ricci needs --x --y"}
+
 
 class TestVerifyCommand:
     def test_each_suite_passes(self, capsys):
@@ -756,7 +776,48 @@ print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}
 """
 
 
+# One command in a fresh process: its exit code and the tracegeo modules (and dataclasses, which
+# numpy, argparse and json do not import) loaded once it has run.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from tracegeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.split(".")[0] in ("tracegeo", "dataclasses")]
+print(json.dumps([code, sorted(loaded)]))
+"""
+_CLI_CORE = ["tracegeo", "tracegeo._lapack", "tracegeo.cli", "tracegeo.errors", "tracegeo.matcore"]
+_METRICSPACE, _GEODESY = [*_CLI_CORE, "tracegeo.metricspace"], [*_CLI_CORE, "tracegeo.geodesy"]
+_ALL_MODULES = sorted({*_METRICSPACE, *_GEODESY, "tracegeo.curvature", "tracegeo.verify"})
+
+
 class TestColdStart:
+    @pytest.mark.parametrize("argv, code, modules", [
+        (["metric", "--at", I2_DOC, "--x", I2_DOC, "--y", E12_DOC], 0, _METRICSPACE),
+        (["signature", "--at", I2_DOC], 0, _METRICSPACE),
+        (["classify", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[-1,0],[0,2]]}'], 2, _GEODESY),
+        (["arc", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[2,1],[1,3]]}'], 0, _GEODESY),
+        (["broken-arc", "--k1", I2_DOC, "--k2", '{"n":2,"data":[[2,1],[-1,3]]}'], 0, _GEODESY),
+        (["geodesic", "--k", I2_DOC, "--c", E12_DOC, "--samples", "3"], 0, _GEODESY),
+        (["curvature", "--at", I2_DOC, "--kind", "ricci", "--x", I2_DOC, "--y", E12_DOC], 0,
+         [*_METRICSPACE, "tracegeo.curvature"]),
+        (["verify", "--suite", "metric", "--n", "2", "--cases", "1"], 0, _ALL_MODULES),
+    ], ids=["metric", "signature", "classify", "arc", "broken-arc", "geodesic", "curvature",
+            "verify"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, code, modules):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, sorted(modules)]
+
+    def test_a_bare_package_import_loads_no_submodule(self):
+        script = ("import json, sys, tracegeo\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if 'tracegeo' in m)))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["tracegeo"]
+
     def test_numpy_only_commands_never_import_scipy_linalg(self):
         proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
