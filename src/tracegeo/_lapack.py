@@ -1,12 +1,14 @@
 """L0: tracegeo's LAPACK kernels, ``numpy.linalg``'s gufuncs called without its per-call wrapper.
 
-Each kernel calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls,
-with the signature numpy picks for a float64 or complex128 operand, and returns the same bytes;
-at n <= 6 the rest of numpy's wrapper costs more than LAPACK does.  Kept from numpy: ``eig`` and
-``eigvals`` of a real matrix come back real when every imaginary part is zero, and refuse a
+Each kernel calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls, with
+the signature numpy picks for the operand, and returns the same bytes; at n <= 6 the rest of
+numpy's wrapper costs more than LAPACK does.  ``inv`` (of a complex eigenbasis) and ``svd`` (of a
+complex cluster's staircase powers) take float64 or complex128; the other kernels take float64
+alone, and refuse a complex operand with numpy's UFuncTypeError, a TypeError, instead of casting
+it.  Kept from numpy: ``eig`` comes back real when every imaginary part is zero, and refuses a
 non-finite operand; a LAPACK failure raises numpy's LinAlgError through numpy's error state, with
-no floating-point warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays (``solve``'s
-right-hand side may be any array-like, a 1-D one a vector); ``svd`` returns full matrices,
+no floating-point warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s
+right-hand side may also be a list of matrices, but not a vector.  ``svd`` returns full matrices,
 ``eigh`` reads the lower triangle, and results are plain tuples.  Callers look a kernel up on this
 module at call time, so one patch reaches every call site.
 """
@@ -30,16 +32,9 @@ _no_svd = _raising("SVD did not converge")
 _no_eig = _raising("Eigenvalues did not converge")
 
 
-def _require_finite(a):
-    if not np.isfinite(a).all():
-        raise LinAlgError("Array must not contain infs or NaNs")
-
-
 @_singular
 def solve(a, b):
-    b = np.asarray(b)
-    signature = "DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d"
-    return (_gufuncs.solve1 if b.ndim == 1 else _gufuncs.solve)(a, b, signature=signature)
+    return _gufuncs.solve(a, b, signature="dd->d")
 
 
 @_singular
@@ -58,35 +53,25 @@ def svd(a, compute_uv=True):
 
 @_no_eig
 def eig(a):
-    _require_finite(a)
-    if a.dtype.kind == "c":
-        return _gufuncs.eig(a, signature="D->DD")
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
     w, v = _gufuncs.eig(a, signature="d->DD")
     return (w, v) if np.count_nonzero(w.imag) else (w.real, v.real)
 
 
 @_no_eig
-def eigvals(a):
-    _require_finite(a)
-    if a.dtype.kind == "c":
-        return _gufuncs.eigvals(a, signature="D->D")
-    w = _gufuncs.eigvals(a, signature="d->D")
-    return w if np.count_nonzero(w.imag) else w.real
-
-
-@_no_eig
 def eigh(a):
-    return _gufuncs.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _gufuncs.eigh_lo(a, signature="d->dd")
 
 
 @_no_eig
 def eigvalsh(a):
-    return _gufuncs.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    return _gufuncs.eigvalsh_lo(a, signature="d->d")
 
 
 def det(a):
-    return _gufuncs.det(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return _gufuncs.det(a, signature="d->d")
 
 
 def slogdet(a):
-    return _gufuncs.slogdet(a, signature="D->Dd" if a.dtype.kind == "c" else "d->dd")
+    return _gufuncs.slogdet(a, signature="d->dd")

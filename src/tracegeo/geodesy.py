@@ -37,6 +37,8 @@ from .matcore import (
     _relative_gap,
     _so_log,
     _spectral,
+    _spectrum,
+    _tolerance,
     as_point_and_tangents,
     as_squares,
 )
@@ -232,6 +234,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     raises IllConditionedError.
     """
     K0, K1 = ends = as_squares(K0=K0, K1=K1)
+    tol = _tolerance(tol)
     s0, s1 = _lapack.svd(ends, compute_uv=False)
     for name, s in (("K0", s0), ("K1", s1)):
         if _is_singular(s):
@@ -239,8 +242,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     M = _lapack.solve(K0, K1)
     if not np.isfinite(M).all():  # two valid endpoints whose quotient overflows
         raise IllConditionedError("K0^-1 K1 overflows the float range")
-    eigs, vecs = _lapack.eig(M)
-    norm2 = float(_lapack.svd(M, compute_uv=False)[0])
+    eigs, vecs, norm2 = _spectrum(M)
     profile, settled = _profile_pass(M, eigs, norm2, tol)
     verdict = _verdict(profile)
     for factor in () if settled else _RERUN_FACTORS:

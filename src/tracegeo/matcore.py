@@ -13,12 +13,15 @@ and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
 import dominates the start of a short process.
 
 Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``eig``,
-``eigvals``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
+``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
 :mod:`tracegeo._lapack`, which calls numpy.linalg's own gufuncs without its
 per-call wrapper and returns numpy's results bit for bit; at n <= 6 that
-wrapper costs more than LAPACK does.  ``qr`` and ``norm`` stay on numpy.
+wrapper costs more than LAPACK does; only ``inv`` and ``svd`` take complex
+operands.  ``qr`` and ``norm`` stay on numpy.  Every profile reads its
+spectrum from :func:`_spectrum`: one ``eig`` and the spectral norm.
 """
 
+import cmath
 import functools
 import math
 import warnings
@@ -151,6 +154,16 @@ def _curve_parameter(t):
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     return t
+
+
+def _tolerance(tol):
+    """``tol`` as a float; anything but a positive finite number is a ValueError."""
+    try:
+        if 0 < tol < math.inf:
+            return float(tol)
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def _overflow_guard(what):
@@ -307,7 +320,7 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     SpectrumOnCutError
         Some eigenvalue sits on the closed negative real axis within ``tol``.
     """
-    A = as_point_and_tangents(A, "A")[0]
+    A, tol = as_point_and_tangents(A, "A")[0], _tolerance(tol)
     return _log_from_eig(A, *_lapack.eig(A), tol)
 
 
@@ -360,7 +373,7 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     Raises SpectrumNotPositiveError if any eigenvalue fails to be positive
     real within ``tol``.
     """
-    A = as_squares(A=A)[0]
+    A, tol = as_squares(A=A)[0], _tolerance(tol)
     eigs, V = _lapack.eig(A)
     if not all(lam.real > 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumNotPositiveError("spectrum is not positive real")
@@ -484,9 +497,20 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     decides; the other clusters come in exact conjugate pairs with identical
     block structure.
     """
-    A = as_squares(A=A)[0]
-    norm2 = float(_lapack.svd(A, compute_uv=False)[0])
-    return _profile_pass(A, _lapack.eigvals(A), norm2, tol)[0]
+    A, tol = as_squares(A=A)[0], _tolerance(tol)
+    eigs, _, norm2 = _spectrum(A)
+    return _profile_pass(A, eigs, norm2, tol)[0]
+
+
+def _spectrum(M):
+    """``(eigs, vecs, ||M||_2)`` of the square float matrix ``M``: the input of every profile
+    (:func:`spectral_profile`, ``classify_arc``), from one ``eig`` and one SVD.  A norm or an
+    eigenvalue past the float range raises IllConditionedError."""
+    eigs, vecs = _lapack.eig(M)
+    norm2 = float(_lapack.svd(M, compute_uv=False)[0])
+    if not (math.isfinite(norm2) and all(map(cmath.isfinite, eigs.tolist()))):  # no numpy dispatch
+        raise IllConditionedError("spectrum overflows the float range")
+    return eigs, vecs, norm2
 
 
 # classify_arc tests a verdict's stability by re-profiling at these multiples of tol
@@ -505,7 +529,7 @@ def _clusters(eigs, norm2, tol):
     """A (mean, members) pair per single-linkage cluster at the cut ``tol * max(1, norm2)``,
     and whether the clustering is settled: no pair distance within a decade of the cut
     (:func:`_decade`).  Each eigenvalue merges every cluster within the cut; ``members`` are the
-    ascending positions in ``eigs`` of its eigenvalues, and the mean sums them in that order.
+    ascending positions in ``eigs`` of its eigenvalues, and :func:`_mean` sums them in that order.
     The cut is the only real-axis decision: ``eig`` of a real matrix returns each conjugate pair
     as ``+b`` then ``-b`` and single linkage is mirror-symmetric, so a cluster is either its own
     mirror, whose mean has ``imag == 0.0`` exactly, or lies in one open half-plane and has an
@@ -523,7 +547,14 @@ def _clusters(eigs, norm2, tol):
         settled = settled and not any(low < d <= high for d in dist)
         near = [c for c in clusters if any(dist[i] <= cut for i in c)]
         clusters = [c for c in clusters if c not in near] + [sorted(sum(near, [k]))]
-    return [(complex(sum(eigs[i] for i in c) / len(c)), tuple(c)) for c in clusters], settled
+    return [(_mean([eigs[i] for i in c]), tuple(c)) for c in clusters], settled
+
+
+def _mean(lams):
+    """The mean of ``lams`` as a complex, summed in order; a sum past the float range sums
+    ``lam / k`` instead, so that finite eigenvalues have a finite mean."""
+    k, total = len(lams), sum(lams)
+    return complex(total / k if cmath.isfinite(total) else sum(lam / k for lam in lams))
 
 
 def _profile_pass(A, eigs, norm2, tol):
@@ -735,7 +766,7 @@ def so_log(O, tol=DEFAULT_TOL):
     L is exactly skew-symmetric with expm(L) ~= O.  ``tol`` only admits an O
     with ``||O^T O - I||_F <= max(tol, 1e-10) n``.
     """
-    O = as_squares(O=O)[0]
+    O, tol = as_squares(O=O)[0], _tolerance(tol)
     n = O.shape[0]
     ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
     if ortho_defect > max(tol, 1e-10) * n or _lapack.det(O) < 0:

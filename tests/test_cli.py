@@ -392,6 +392,29 @@ def test_an_overflowing_quotient_is_ill_conditioned(command, capfd):
                                "message": "K0^-1 K1 overflows the float range"}
 
 
+@pytest.mark.parametrize("c", [9e307, 1e308])
+def test_a_cluster_whose_eigenvalues_sum_past_the_float_range_is_classified(c, capfd):
+    # c J2(1): finite endpoints, quotient and eigenvalues; only the sum of the two overflows
+    code = main(["classify", "--k0", I2_DOC, "--k1", json.dumps({"n": 2, "data": [[c, c], [0, c]]})])
+    out, err = capfd.readouterr()
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "unique"
+    assert doc["profile"]["clusters"] == [{"eigenvalue": {"re": c, "im": 0.0}, "block_sizes": [2]}]
+
+
+@pytest.mark.parametrize("command", ["classify", "arc"])
+def test_a_spectrum_past_the_float_range_is_ill_conditioned(command, capfd):
+    # K0^-1 K1 is finite, but its spectral norm is 2.5e308: the library's own error, alone on stderr
+    k1 = json.dumps({"n": 2, "data": [[0.75e308, 0.5e308], [0.5e308, 0.75e308]]})
+    code = main([command, "--k0", _scaled_identity_doc(0.5), "--k1", k1])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ill-conditioned",
+                               "message": "spectrum overflows the float range"}
+
+
 class TestArcCommand:
     def test_arc_payload(self, capsys):
         code, out, _ = run_cli(capsys, "arc", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[1,0],[0,4]]}')

@@ -556,6 +556,23 @@ class TestClassification:
             classify_arc(np.eye(4), M, 1e-8)
 
 
+@pytest.mark.parametrize("c", [9e307, 1e308])
+def test_a_cluster_whose_eigenvalues_sum_past_the_float_range_is_classified(c):
+    # c J2(1) has valid endpoints, a finite quotient and finite eigenvalues, whose sum overflows:
+    # the cluster mean is c, and its staircase shifts by c, not by inf
+    outcome = classify_arc(I2, c * jordan_block(1.0, 2))
+    assert outcome.verdict is ArcKind.UNIQUE
+    (cluster,) = outcome.profile.clusters
+    assert (cluster.eigenvalue, cluster.block_sizes) == (c, (2,))
+    assert_allclose(outcome.witness.point(1.0), c * jordan_block(1.0, 2), rtol=1e-6)
+
+
+def test_a_quotient_whose_spectral_norm_overflows_is_ill_conditioned():
+    # M = K0^-1 K1 is finite, but ||M||_2 = 2.5e308 and so is an eigenvalue
+    with pytest.raises(IllConditionedError, match="^spectrum overflows the float range$"):
+        classify_arc(0.5 * I2, [[0.75e308, 0.5e308], [0.5e308, 0.75e308]])
+
+
 def _linalg_spy(monkeypatch, *names):
     """Records the operand of every call of each named ``tracegeo._lapack`` kernel."""
     seen = {name: [] for name in names}
@@ -853,13 +870,9 @@ def test_single_pass_rule_matches_always_three_passes(monkeypatch):
 
 @pytest.mark.parametrize("cls", ["spd", *SEPARATED_CORES])
 def test_classify_arc_decomposes_the_quotient_once(cls, rng, monkeypatch):
-    # the profile and the principal witness share eig(M); eigvals is never called
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvals called")
-
+    # the profile and the principal witness share eig(M)
     eig, seen = _lapack.eig, []
     monkeypatch.setattr(_lapack, "eig", lambda A: seen.append(A) or eig(A))
-    monkeypatch.setattr(_lapack, "eigvals", refuse)
     if cls == "spd":
         K0, K1, verdict = random_spd(rng, 3), random_spd(rng, 3), ArcKind.UNIQUE
     else:
@@ -955,6 +968,24 @@ def test_one_eigendecomposition_matches_the_eigvals_route(n, monkeypatch):
                 assert outcome.witness is None
             else:
                 assert_array_equal(outcome.witness.direction, C)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spectral_profile_is_the_profile_classify_arc_reads(n):
+    # one spectrum entry serves both: the profile of M is classify_arc(I, M)'s wherever it answers
+    answered = 0
+    for cls in ARCS_CLASSES:
+        for seed in range(10):
+            rng = np.random.default_rng([n, ARCS_CLASSES.index(cls), seed, 1])
+            M = np.linalg.solve(*arcs_class_pair(rng, cls, n))
+            for tol in (1e-6, 1e-8, 1e-10):
+                try:
+                    outcome = classify_arc(np.eye(n), M, tol)
+                except TraceGeoError:
+                    continue
+                assert spectral_profile(M, tol) == outcome.profile, (cls, seed, tol)
+                answered += 1
+    assert answered >= 170  # of 180
 
 
 # ---------------------------------------------------------------------------

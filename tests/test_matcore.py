@@ -15,12 +15,14 @@ from tracegeo import (
     SpectrumNotPositiveError,
     SpectrumOnCutError,
     cartan_killing,
+    classify_arc,
     fractional_power,
     mat_exp,
     polar_decompose,
     real_log_principal,
     so_log,
     spectral_profile,
+    unique_arc,
 )
 from tracegeo import _lapack, matcore, verify
 from tracegeo.matcore import EigenCluster, SpectralProfile, require_invertible
@@ -317,7 +319,6 @@ class TestFractionalPower:
         calls = []
         eig = _lapack.eig
         monkeypatch.setattr(_lapack, "eig", lambda A: calls.append(1) or eig(A))
-        monkeypatch.setattr(_lapack, "eigvals", lambda A: pytest.fail("second eigensolve"))
         assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
         assert len(calls) == 1
 
@@ -425,6 +426,32 @@ class TestSpectralProfile:
             for c in prof.clusters:
                 assert sum(c.block_sizes) == c.multiplicity
                 assert all(s >= 1 for s in c.block_sizes)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the spectrum comes from eig, as classify_arc's does: no second eigensolver
+        calls, eig = [], _lapack.eig
+        monkeypatch.setattr(_lapack, "eig", lambda A: calls.append(A) or eig(A))
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        assert spectral_profile(A) == SpectralProfile(
+            (EigenCluster(-1.0 + 0j, (1,)), EigenCluster(2.0 + 0j, (2,))), 1e-8)
+        assert len(calls) == 1
+        assert_array_equal(calls[0], A)
+        assert not hasattr(_lapack, "eigvals")
+
+    def test_a_cluster_whose_eigenvalues_sum_past_the_float_range_has_a_finite_mean(self):
+        # 1e308 + 1e308 overflows; the mean sums each eigenvalue halved instead
+        prof = spectral_profile(1e308 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert prof == SpectralProfile((EigenCluster(1e308 + 0j, (2,)),), 1e-8)
+
+    def test_a_finite_sum_keeps_the_plain_mean(self):
+        lams = [1.955, 2.366, 0.282]  # the two sums differ in the last bit here
+        assert matcore._mean(lams) == complex(sum(lams) / 3) != complex(sum(x / 3 for x in lams))
+
+    @pytest.mark.parametrize("A", [np.full((2, 2), 1e308), [[1.5e308, 1e308], [1e308, 1.5e308]]],
+                             ids=["norm-2e308", "norm-2.5e308"])
+    def test_a_spectrum_past_the_float_range_is_ill_conditioned(self, A):
+        with pytest.raises(IllConditionedError, match="^spectrum overflows the float range$"):
+            spectral_profile(A)
 
 
 def three_pass_profile(A, eigs, norm2, tol):
@@ -919,12 +946,30 @@ class TestCartanKilling:
             )
 
 
+_TOL_TAKERS = {
+    "spectral_profile": lambda tol: spectral_profile(np.diag([2.0, 3.0]), tol),
+    "classify_arc": lambda tol: classify_arc(I2, np.diag([2.0, 3.0]), tol),
+    "unique_arc": lambda tol: unique_arc(I2, np.diag([2.0, 3.0]), tol),
+    "real_log_principal": lambda tol: real_log_principal(np.diag([2.0, 3.0]), tol),
+    "fractional_power": lambda tol: fractional_power(np.diag([2.0, 3.0]), 0.5, tol),
+    "so_log": lambda tol: so_log(np.diag([1.0, 2.0]), tol),  # not orthogonal: a nan tol admitted it
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, None])
+@pytest.mark.parametrize("name", list(_TOL_TAKERS))
+def test_tol_must_be_a_positive_finite_number(name, tol):
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        _TOL_TAKERS[name](tol)
+
+
 # ---------------------------------------------------------------------------
 # L0 kernels: tracegeo._lapack against numpy.linalg
 # ---------------------------------------------------------------------------
 
 
-_LAPACK_NAMES = ("svd", "solve", "inv", "eig", "eigvals", "eigh", "eigvalsh", "det", "slogdet")
+_LAPACK_NAMES = ("svd", "solve", "inv", "eig", "eigh", "eigvalsh", "det", "slogdet")
+_COMPLEX_KERNELS = ("inv", "svd")  # a complex eigenbasis; a complex cluster's staircase powers
 
 
 def _assert_same_result(got, want):
@@ -937,33 +982,35 @@ def _assert_same_result(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def _kernel_operands(rng):
+def _kernel_operands(rng, name):
     """Seeded square operands, n = 1..6, one matrix and a stack of three: real of mixed spectrum,
-    real symmetric (a real spectrum), complex, Hermitian, and real scaled by 1e200, near the top of
-    the float range."""
+    real symmetric (a real spectrum) and real scaled by 1e200, near the top of the float range;
+    for the kernels that take complex operands, also complex and Hermitian."""
     for n in range(1, 7):
         for shape in ((n, n), (3, n, n)):
             real = rng.standard_normal(shape)
             cplx = real + 1j * rng.standard_normal(shape)
             yield real
             yield real + np.swapaxes(real, -1, -2)
-            yield cplx
-            yield cplx + np.conj(np.swapaxes(cplx, -1, -2))
             yield 1e200 * real
+            if name in _COMPLEX_KERNELS:
+                yield cplx
+                yield cplx + np.conj(np.swapaxes(cplx, -1, -2))
 
 
 class TestLapackKernels:
-    """Each kernel returns the bytes of its np.linalg namesake and raises its LinAlgError: a numpy
-    that changes its gufuncs fails here, not in a distant tolerance."""
+    """Each kernel returns the bytes of its np.linalg namesake on the operands the library gives
+    it and raises its LinAlgError: a numpy that changes its gufuncs fails here, not in a distant
+    tolerance."""
 
-    @pytest.mark.parametrize("name", ["inv", "eig", "eigvals", "eigh", "eigvalsh", "det", "slogdet"])
+    @pytest.mark.parametrize("name", ["inv", "eig", "eigh", "eigvalsh", "det", "slogdet"])
     def test_one_operand_kernels_match_numpy(self, name, rng):
-        for a in _kernel_operands(rng):
+        for a in _kernel_operands(rng, name):
             with np.errstate(over="ignore"):  # det and slogdet run bare: 1e200^n overflows
                 _assert_same_result(getattr(_lapack, name)(a), getattr(np.linalg, name)(a))
 
     def test_svd_matches_numpy(self, rng):
-        for a in _kernel_operands(rng):
+        for a in _kernel_operands(rng, "svd"):
             for b in (a, a[..., :-1], np.swapaxes(a, -1, -2)[..., :-1]):  # square and both oblongs
                 if b.size:
                     _assert_same_result(_lapack.svd(b), np.linalg.svd(b))
@@ -971,12 +1018,20 @@ class TestLapackKernels:
                                         np.linalg.svd(b, compute_uv=False))
 
     def test_solve_matches_numpy(self, rng):
-        for a in _kernel_operands(rng):
+        # right-hand sides: a matrix or stack of a's shape, an oblong matrix, a list of two
+        for a in _kernel_operands(rng, "solve"):
             n = a.shape[-1]
-            for b in (rng.standard_normal(a.shape), rng.standard_normal(n),  # 1-D: a vector
-                      rng.standard_normal((n, 2)), 1j * rng.standard_normal((n, n)),
+            for b in (rng.standard_normal(a.shape), rng.standard_normal((n, 2)),
                       [rng.standard_normal(a.shape), rng.standard_normal(a.shape)]):
                 _assert_same_result(_lapack.solve(a, b), np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("name", ["solve", "eig", "eigh", "eigvalsh", "det", "slogdet"])
+    def test_a_float_kernel_refuses_a_complex_operand(self, name):
+        # no silent cast: a complex operand is numpy's UFuncTypeError, a TypeError
+        A = np.eye(3) + 1j * np.eye(3, k=1)
+        for args in ((A, np.eye(3)), (np.eye(3), A)) if name == "solve" else ((A,),):
+            with pytest.raises(TypeError):
+                getattr(_lapack, name)(*args)
 
     @staticmethod
     def _assert_same_refusal(name, *args):
@@ -994,17 +1049,15 @@ class TestLapackKernels:
         for n in range(1, 7):
             S = np.ones((n, n), dtype=dtype) if n > 1 else np.zeros((1, 1), dtype=dtype)
             assert self._assert_same_refusal("inv", S) == "Singular matrix"
-            assert self._assert_same_refusal("solve", S, np.eye(n)) == "Singular matrix"
-            assert self._assert_same_refusal("solve", S, np.ones(n)) == "Singular matrix"
+            if dtype is float:
+                assert self._assert_same_refusal("solve", S, np.eye(n)) == "Singular matrix"
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_a_non_finite_operand_is_refused_as_numpy_refuses_it(self, bad):
         for n in range(1, 7):
-            for A in (np.eye(n), np.eye(n, dtype=complex), np.full((2, n, n), 1e200)):
+            for A in (np.eye(n), np.full((2, n, n), 1e200)):
                 A[..., -1, 0] = bad
-                for name in ("eig", "eigvals"):
-                    message = self._assert_same_refusal(name, A)
-                    assert message == "Array must not contain infs or NaNs"
+                assert self._assert_same_refusal("eig", A) == "Array must not contain infs or NaNs"
 
     def test_lapack_failures_raise_numpys_messages(self):
         nan = np.full((3, 3), np.nan)
@@ -1076,9 +1129,10 @@ def _representative_calls(rng):
 
 
 def test_the_library_calls_no_numpy_linalg_lapack_function(monkeypatch):
-    # every factorisation goes through tracegeo._lapack; only norm and qr stay on np.linalg
+    # every factorisation goes through tracegeo._lapack, and every spectrum through its eig; only
+    # norm and qr stay on np.linalg
     calls = []
-    for name in _LAPACK_NAMES:
+    for name in (*_LAPACK_NAMES, "eigvals"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, name=name, fn=fn, **kw: calls.append(name) or fn(*args, **kw))
