@@ -1,16 +1,18 @@
 """L0: tracegeo's LAPACK kernels, ``numpy.linalg``'s gufuncs called without its per-call wrapper.
 
-Each kernel calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls, with
+Each kernel (``svd``, ``solve``, ``inv``, ``qr``, ``eig``, ``eigh``, ``eigvalsh``, ``det``,
+``slogdet``) calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls, with
 the signature numpy picks for the operand, and returns the same bytes; at n <= 6 the rest of
 numpy's wrapper costs more than LAPACK does.  ``inv`` (of a complex eigenbasis) and ``svd`` (of a
 complex cluster's staircase powers) take float64 or complex128; the other kernels take float64
-alone, and refuse a complex operand with numpy's UFuncTypeError, a TypeError, instead of casting
-it.  Kept from numpy: ``eig`` comes back real when every imaginary part is zero, and refuses a
-non-finite operand; a LAPACK failure raises numpy's LinAlgError through numpy's error state, with
-no floating-point warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s
-right-hand side may also be a list of matrices, but not a vector.  ``svd`` returns full matrices,
-``eigh`` reads the lower triangle, and results are plain tuples.  Callers look a kernel up on this
-module at call time, so one patch reaches every call site.
+alone, and refuse a complex operand with a TypeError instead of casting it.  Kept from numpy:
+``eig`` comes back real when every imaginary part is zero, and refuses a non-finite operand; a
+LAPACK failure raises numpy's LinAlgError through numpy's error state, with no floating-point
+warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s right-hand side may
+also be a list of matrices, but not a vector.  ``svd`` returns full matrices, ``qr`` the reduced
+factors, ``eigh`` reads the lower triangle, and results are plain tuples.  :func:`all_finite` is
+the package's finiteness test of an operand or a result.  Callers look a kernel up on this module
+at call time, so one patch reaches every call site.
 """
 
 import numpy as np
@@ -30,6 +32,13 @@ def _raising(message):
 _singular = _raising("Singular matrix")
 _no_svd = _raising("SVD did not converge")
 _no_eig = _raising("Eigenvalues did not converge")
+
+
+def all_finite(a):
+    """``np.isfinite(a).all()`` as a bool, from a count instead of a ufunc reduction: ``a`` may be
+    an array, a number or a tuple of same-shape arrays, so the flags' size is read, not ``a``'s."""
+    flags = np.isfinite(a)
+    return np.count_nonzero(flags) == flags.size
 
 
 @_singular
@@ -53,10 +62,19 @@ def svd(a, compute_uv=True):
 
 @_no_eig
 def eig(a):
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise LinAlgError("Array must not contain infs or NaNs")
     w, v = _gufuncs.eig(a, signature="d->DD")
     return (w, v) if np.count_nonzero(w.imag) else (w.real, v.real)
+
+
+@_raising("Incorrect argument found while performing QR factorization")
+def qr(a):
+    """numpy's reduced ``(Q, R)``, factored in a copy of ``a``: one error state for both gufuncs,
+    where numpy's wrapper enters one per gufunc."""
+    a = a.astype(np.float64, casting="same_kind")  # a complex operand is a TypeError, not a cast
+    tau = _gufuncs.qr_r_raw(a, signature="d->d")  # leaves R above the diagonal of a
+    return _gufuncs.qr_reduced(a, tau, signature="dd->d"), np.triu(a[..., : min(a.shape[-2:]), :])
 
 
 @_no_eig

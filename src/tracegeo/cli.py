@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from .errors import IllConditionedError, TraceGeoError
 from .matcore import _det, matrix_document
 
@@ -98,7 +99,7 @@ def load_matrix(arg):
         raise _ParseError(f"'data' is not a numeric array: {exc}") from exc
     if M.shape != (n, n):
         raise _ParseError(f"'data' must be {n}x{n}, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not _lapack.all_finite(M):
         raise _ParseError("'data' has non-finite entries")
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for row in data for x in row):
         raise _ParseError("'data' entries must be JSON numbers")

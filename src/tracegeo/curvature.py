@@ -60,16 +60,16 @@ def sectional(K, X, Y):
     The value tr([bX, bY]^2) / 4 over the Gram determinant of the plane, for
     bV = K^{-1} V; only defined on nondegenerate sections.
     """
-    K, X, Y = stack = as_point_and_tangents(K, "K", X=X, Y=Y)
-    pair = np.column_stack([X.ravel(), Y.ravel()])
-    s = _lapack.svd(pair, compute_uv=False)
-    if s[1] <= 1e-12 * s[0]:  # relative to the pair alone: X -> aX, Y -> aY keeps the verdict
-        raise LinearlyDependentError("X and Y do not span a 2-plane")
+    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     # invariant under X -> aX, Y -> bY and K -> cK: tangents of largest entry 1, and K over the
     # power of two of its largest entry (an exact scaling), keep the Gram entries far from the
     # ends of the float range, as the singular cut bounds ||K^-1|| against ||K||
-    tangents = stack[1:] / np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
-    solved = _lapack.solve(np.ldexp(K, -np.frexp(np.abs(K).max())[1]), tangents)
+    peaks = np.abs(stack[1:]).max(axis=(1, 2), keepdims=True)
+    tangents = stack[1:] / np.maximum(peaks, np.finfo(float).smallest_subnormal)  # 0 stays 0
+    s = _lapack.svd(tangents.reshape(2, -1).T, compute_uv=False)
+    if s[1] <= 1e-12 * s[0]:  # of the scaled pair: the verdict is as scale-free as the value
+        raise LinearlyDependentError("X and Y do not span a 2-plane")
+    solved = _lapack.solve(np.ldexp(stack[0], -np.frexp(np.abs(stack[0]).max())[1]), tangents)
     (gxx, gxy), (_, gyy) = np.einsum("aij,bji->ab", solved, solved)  # tr(bA bB) for A, B in {X, Y}
     denom = gxx * gyy - gxy * gxy
     fxx, fyy = np.einsum("aij,aij->a", solved, solved)  # ||bX||^2, ||bY||^2

@@ -240,7 +240,7 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
         if _is_singular(s):
             raise SingularMatrixError(f"{name} is numerically singular")
     M = _lapack.solve(K0, K1)
-    if not np.isfinite(M).all():  # two valid endpoints whose quotient overflows
+    if not _lapack.all_finite(M):  # two valid endpoints whose quotient overflows
         raise IllConditionedError("K0^-1 K1 overflows the float range")
     eigs, vecs, norm2 = _spectrum(M)
     profile, settled = _profile_pass(M, eigs, norm2, tol)
@@ -326,7 +326,7 @@ def _positive_leg(s1, V1t, W, s2):
     """
     r1 = np.sqrt(s1)
     F = W / r1[:, None] * np.sqrt(s2)
-    if not np.isfinite(F).all():  # LAPACK leaves the SVD of an infinite matrix unspecified
+    if not _lapack.all_finite(F):  # LAPACK leaves the SVD of an infinite matrix unspecified
         raise IllConditionedError("arc logarithm overflows the float range")
     X, phi, _ = _lapack.svd(F)
     return ((V1t.T / r1 @ X) * (2.0 * np.log(phi))) @ (X.T * r1) @ V1t

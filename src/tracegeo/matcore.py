@@ -12,13 +12,15 @@ need it: ``logm`` for a defective or near-defective logarithm (:func:`_logm`),
 and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
 import dominates the start of a short process.
 
-Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``eig``,
-``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
+Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``qr``,
+``eig``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
 :mod:`tracegeo._lapack`, which calls numpy.linalg's own gufuncs without its
 per-call wrapper and returns numpy's results bit for bit; at n <= 6 that
 wrapper costs more than LAPACK does; only ``inv`` and ``svd`` take complex
-operands.  ``qr`` and ``norm`` stay on numpy.  Every profile reads its
-spectrum from :func:`_spectrum`: one ``eig`` and the spectral norm.
+operands.  ``norm`` stays on numpy.  Every finiteness test of an array operand
+or result is ``_lapack.all_finite``, a count with no ufunc reduction.  Every
+profile reads its spectrum from :func:`_spectrum`: one ``eig`` and the spectral
+norm.
 """
 
 import cmath
@@ -84,7 +86,7 @@ def as_squares(**operands):
     """
     try:
         stack = np.asarray(list(operands.values()), dtype=float)
-        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0 and np.isfinite(stack).all():
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0 and _lapack.all_finite(stack):
             return stack
     except (TypeError, ValueError):  # ragged or not numbers: the loop below names the operand
         pass
@@ -96,7 +98,7 @@ def as_squares(**operands):
             raise type(exc)(f"{name} is not a numeric matrix: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"{name} must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        if not _lapack.all_finite(m):
             raise ValueError(f"{name} has non-finite entries")
         orders.add(m.shape[0])
     raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
@@ -125,7 +127,7 @@ def require_invertible(a, name="matrix"):
     if key is not None and key == _passed[0]:
         return
     s = _lapack.svd(a, compute_uv=False)
-    if _is_singular(s) if s.ndim == 1 else _is_singular(s.T).any():  # one matrix: no 3 us reduction
+    if _is_singular(s) if s.ndim == 1 else np.count_nonzero(_is_singular(s.T)):  # no reduction
         raise SingularMatrixError(f"{name} is numerically singular")
     if key is not None:
         _passed[0] = key
@@ -176,7 +178,7 @@ def _overflow_guard(what):
         @np.errstate(over="ignore", invalid="ignore")
         def guarded(*args, **kwargs):
             out = fn(*args, **kwargs)
-            if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
+            if not (math.isfinite(out) if isinstance(out, float) else _lapack.all_finite(out)):
                 raise IllConditionedError(f"{what} overflows the float range")
             return out
 
@@ -203,7 +205,7 @@ def _relative_gap(A, B):
     Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is ``inf``)."""
     D = A - B
     gap, norm = float(np.linalg.norm(D)), float(np.linalg.norm(B))
-    if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not D.any()):
+    if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not np.count_nonzero(D)):
         return gap / norm
     b = float(np.abs(B).max())
     if b == 0.0:
@@ -445,10 +447,18 @@ def _kernel_staircase(A, lam, mult, tol):
     Rank E^k counts singular values above ``tol * s^k`` for ``s = max(1, ||E||_2)``, read as
     those of ``E (E/s)^(k-1)`` above ``tol * s`` so that no power overflows; clamped to
     [n - mult, rank E^(k-1)]; if ``mult`` powers stay above n - mult, one forced step ends there.
+    An ``A - lam I`` past the float range is taken as ``E = A/2 - (lam/2) I``: halving rounds
+    nothing above the subnormals, and there ``||E||_2 >> 1``, so each cut is the same fraction of
+    ``||E||_2`` and every rank decision is the same.
     """
     n = A.shape[0]
     shift = lam.real if lam.imag == 0.0 else lam
-    E = A - shift * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = A - shift * np.eye(n)
+        if not _lapack.all_finite(E):  # the halves of two finite floats differ by a finite float
+            E = 0.5 * A - (0.5 * shift) * np.eye(n)
+            if not _lapack.all_finite(E):  # a lam past the float range, which _spectrum refuses
+                raise IllConditionedError("kernel staircase overflows the float range")
     floor, rank = n - mult, n
     bases = [np.zeros((n, 0), dtype=E.dtype)]
     Ek = E
@@ -647,11 +657,11 @@ def _semisimple_log(basis, negative):
         lams[members] = -cluster.eigenvalue.real
         Vc = V[:, members]
         # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
-        Q = np.linalg.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
+        Q = _lapack.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
         D = ((Q.T @ Vc) @ Vinv[members]).real
         half = len(members) // 2
         J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
-    if (lams.dtype.kind == "f" and lams.min() <= 0) or not lams.all():
+    if (lams.dtype.kind == "f" and lams.min() <= 0) or np.count_nonzero(lams) < lams.size:
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     L = _real_part(_spectral(np.log, (lams, V, Vinv)))
     return L + np.pi * J if negative else L
@@ -662,7 +672,7 @@ def _pick_complement(candidates, excluded, need):
     if candidates.shape[1] < need:
         raise IllConditionedError("Jordan chain extraction ran out of directions")
     if excluded.shape[1]:
-        Q, _ = np.linalg.qr(excluded)
+        Q, _ = _lapack.qr(excluded)
         reduced = candidates - Q @ (Q.T @ candidates)
     else:
         reduced = candidates
@@ -676,8 +686,8 @@ def _jordan_chains(B, lam, mult, tol):
     """Jordan chains of B for the real eigenvalue lam, and a basis of its left generalised
     eigenspace, from one kernel staircase.
 
-    Each chain is returned bottom-up: [x_1, ..., x_k] with (B - lam) x_1 = 0
-    and (B - lam) x_j = x_{j-1}.
+    Each chain is returned bottom-up: [x_1, ..., x_k] with E x_1 = 0 and E x_j = x_{j-1}, up to
+    one scale per chain, for the staircase's E (B - lam, halved past the float range).
     """
     E, null_bases, left, _ = _kernel_staircase(B, lam, mult, tol)
     sizes = _jordan_partition(null_bases)

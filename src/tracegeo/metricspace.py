@@ -84,7 +84,7 @@ def signature_at(A):
     G = _gram_of_inverse(_lapack.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
     w = _lapack.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
     cut = _GRAM_ZERO_RTOL * float(np.abs(w).max())
-    if np.any(np.abs(w) <= cut):
+    if np.count_nonzero(np.abs(w) <= cut):
         raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue")
     pos = int(np.count_nonzero(w > 0))
     return MetricSignature(positive=pos, negative=w.size - pos)
@@ -298,7 +298,7 @@ def product_inverse(Q):
         if sign <= 0.0:
             raise NonPositiveDeterminantError("product chart needs a positive determinant")
         P = Q / math.exp(logdet / n)  # det(diag(1e300, 1e-300, 1e-300))^{1/3} = 1e-100
-    if not (math.isfinite(logdet) and np.isfinite(P).all()):
+    if not (math.isfinite(logdet) and _lapack.all_finite(P)):
         raise IllConditionedError("product chart overflows the float range")
     point = object.__new__(ProductPoint)
     point.__dict__.update(sl_part=P, line_part=float(logdet) / math.sqrt(n))

@@ -167,6 +167,23 @@ def test_sectional_cuts_are_on_the_tangents_scale(rng, a):
                 sectional(K, *pair)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sectional_is_free_of_one_tangents_scale(rng, n):
+    # Y -> bY moves neither the value nor the 2-plane test, which reads the scaled tangents;
+    # Y = cX is refused at every c
+    if n == 2:
+        K, X, Y = I2, np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        K, (X, Y) = random_invertible(rng, n), rng.uniform(-1, 1, (2, n, n))
+    base = sectional(K, X, Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (1e-300, 1e-100, 1e-13, 1.0, 1e13, 1e100, 1e300):
+            assert sectional(K, X, b * Y) == pytest.approx(base, rel=1e-12)
+            with pytest.raises(LinearlyDependentError):
+                sectional(K, X, b * X)
+
+
 @pytest.mark.parametrize("c", [1e-300, 1e-100, 1.0, 1e100, 1e300])
 def test_sectional_is_free_of_the_base_points_scale(rng, c):
     # K -> cK scales the metric by c^-2, which the Gram determinant divides out

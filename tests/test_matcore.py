@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from collections import Counter
 
@@ -446,6 +447,27 @@ class TestSpectralProfile:
     def test_a_finite_sum_keeps_the_plain_mean(self):
         lams = [1.955, 2.366, 0.282]  # the two sums differ in the last bit here
         assert matcore._mean(lams) == complex(sum(lams) / 3) != complex(sum(x / 3 for x in lams))
+
+    @pytest.mark.parametrize("rest", [[[-0.9e308, -0.1e308], [0.1e308, -0.9e308]], [[-1e308]]],
+                             ids=["complex-pair", "negative"])
+    def test_a_staircase_shift_past_the_float_range_reads_the_block(self, rest):
+        # A - 1e308 I overflows on the far eigenvalues; the staircase halves both terms instead,
+        # and reads the Jordan block that the 1e-300 scaled copy reads, with no warning
+        A = sla.block_diag(1e308 * jordan_block(1.0, 2), rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sizes = [c.block_sizes for c in spectral_profile(A).clusters]
+            assert sizes == [c.block_sizes for c in spectral_profile(1e-300 * A).clusters]
+            assert sizes[-1] == (2,)
+            if len(rest) == 1:  # an unpaired negative block: no arc
+                assert classify_arc(np.eye(3), A).verdict.value == "no-arc"
+
+    def test_a_staircase_shift_that_overflows_when_halved_is_ill_conditioned(self):
+        # only a shift past the float range does, and _spectrum refuses those before any staircase
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="^kernel staircase overflows"):
+                matcore._kernel_staircase(np.diag([1e308, -1e308]), complex(math.inf), 2, 1e-8)
 
     @pytest.mark.parametrize("A", [np.full((2, 2), 1e308), [[1.5e308, 1e308], [1e308, 1.5e308]]],
                              ids=["norm-2e308", "norm-2.5e308"])
@@ -968,7 +990,7 @@ def test_tol_must_be_a_positive_finite_number(name, tol):
 # ---------------------------------------------------------------------------
 
 
-_LAPACK_NAMES = ("svd", "solve", "inv", "eig", "eigh", "eigvalsh", "det", "slogdet")
+_LAPACK_NAMES = ("svd", "solve", "inv", "qr", "eig", "eigh", "eigvalsh", "det", "slogdet")
 _COMPLEX_KERNELS = ("inv", "svd")  # a complex eigenbasis; a complex cluster's staircase powers
 
 
@@ -1025,9 +1047,18 @@ class TestLapackKernels:
                       [rng.standard_normal(a.shape), rng.standard_normal(a.shape)]):
                 _assert_same_result(_lapack.solve(a, b), np.linalg.solve(a, b))
 
-    @pytest.mark.parametrize("name", ["solve", "eig", "eigh", "eigvalsh", "det", "slogdet"])
+    def test_qr_matches_numpy_and_leaves_its_operand(self, rng):
+        # square and tall, at unit scale and at 1e200 and 1e-200
+        for a in _kernel_operands(rng, "qr"):
+            for b in (a, a[..., :-1]) if a.shape[-1] > 1 else (a,):
+                for c in (b, 1e-200 * b):
+                    before = c.copy()
+                    _assert_same_result(_lapack.qr(c), np.linalg.qr(c))
+                    assert_array_equal(c, before)
+
+    @pytest.mark.parametrize("name", ["solve", "qr", "eig", "eigh", "eigvalsh", "det", "slogdet"])
     def test_a_float_kernel_refuses_a_complex_operand(self, name):
-        # no silent cast: a complex operand is numpy's UFuncTypeError, a TypeError
+        # no silent cast: a complex operand is a TypeError (numpy's UFuncTypeError, or astype's)
         A = np.eye(3) + 1j * np.eye(3, k=1)
         for args in ((A, np.eye(3)), (np.eye(3), A)) if name == "solve" else ((A,),):
             with pytest.raises(TypeError):
@@ -1065,6 +1096,28 @@ class TestLapackKernels:
         assert self._assert_same_refusal("svd", nan, False) == "SVD did not converge"
         assert self._assert_same_refusal("eigh", nan) == "Eigenvalues did not converge"
         assert self._assert_same_refusal("eigvalsh", nan) == "Eigenvalues did not converge"
+
+
+def _finiteness_cases():
+    """Operands with a NaN, +inf or -inf at each position, or in the imaginary part; empty
+    arrays; 0-d arrays and numpy scalars; tuples of same-shape arrays."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for shape in ((3,), (2, 3), (2, 2, 3)):
+            for k in range(math.prod(shape)):
+                a = np.ones(shape)
+                a.flat[k] = bad
+                yield a
+        yield np.array(bad)
+        yield np.float64(bad)
+        yield np.array([1.0, complex(2.0, bad), 3.0])
+        yield np.ones((2, 2)), np.full((2, 2), bad)
+    yield from (np.ones(0), np.ones((0, 3)), np.ones((2, 0, 2)), np.array(1.0), np.float64(2.0),
+                np.ones(3, dtype=complex), (np.ones((2, 2)), np.zeros((2, 2))), np.zeros((4, 4)))
+
+
+def test_all_finite_equals_the_reduction():
+    for a in _finiteness_cases():
+        assert _lapack.all_finite(a) == np.isfinite(a).all()
 
 
 def _representative_calls(rng):
@@ -1130,7 +1183,7 @@ def _representative_calls(rng):
 
 def test_the_library_calls_no_numpy_linalg_lapack_function(monkeypatch):
     # every factorisation goes through tracegeo._lapack, and every spectrum through its eig; only
-    # norm and qr stay on np.linalg
+    # norm stays on np.linalg
     calls = []
     for name in (*_LAPACK_NAMES, "eigvals"):
         fn = getattr(np.linalg, name)
@@ -1138,3 +1191,38 @@ def test_the_library_calls_no_numpy_linalg_lapack_function(monkeypatch):
                             lambda *args, name=name, fn=fn, **kw: calls.append(name) or fn(*args, **kw))
     _representative_calls(np.random.default_rng(5))
     assert calls == []
+
+
+def test_the_representative_calls_reach_every_qr_caller(monkeypatch):
+    # a semisimple negative cluster's turn, a Jordan chain's complement and verify's rotations
+    callers, qr = set(), _lapack.qr
+    monkeypatch.setattr(_lapack, "qr",
+                        lambda a: callers.add(sys._getframe(1).f_code.co_name) or qr(a))
+    _representative_calls(np.random.default_rng(5))
+    assert callers == {"_semisimple_log", "_pick_complement", "random_special_orthogonal"}
+
+
+def test_valid_pointwise_calls_run_no_numpy_reduction():
+    # ndarray.all/any/max/sum run the Python of numpy/_core/_methods.py; the finiteness tests,
+    # the singular cut and the overflow guard of a valid call count in C instead
+    import tracegeo as tg
+
+    rng = np.random.default_rng(3)
+    K, V, W, C = random_invertible(rng, 3), *rng.uniform(-1, 1, (3, 3, 3))
+    geo = tg.geodesic_from_velocity(K, C)
+    geo.point(0.1)  # builds the eigenbasis, whose 1-norms are reductions
+    calls = [lambda: matcore.as_squares(A=K, V=V, W=W), lambda: tg.trace_metric(K, V, W),
+             lambda: geo.point(0.5)]
+    for iso in (tg.left_translate(K), tg.transposition(), tg.inversion(), tg.point_symmetry(K)):
+        calls += [lambda iso=iso: tg.apply_isometry(iso, W),
+                  lambda iso=iso: tg.pushforward(iso, K, V)]
+    entered = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and entered.append(frame.f_code))
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setprofile(None)
+    files = {code.co_filename.replace("\\", "/") for code in entered}
+    assert any(f.endswith("tracegeo/matcore.py") for f in files)
+    assert [f for f in files if f.endswith("numpy/_core/_methods.py")] == []
