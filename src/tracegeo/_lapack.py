@@ -3,17 +3,20 @@
 Each kernel (``svd``, ``solve``, ``inv``, ``qr``, ``eig``, ``eigh``, ``eigvalsh``, ``det``,
 ``slogdet``) calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls, with
 the signature numpy picks for the operand, and returns the same bytes; at n <= 6 the rest of
-numpy's wrapper costs more than LAPACK does.  ``inv`` (of a complex eigenbasis) and ``svd`` (of a
-complex cluster's staircase powers) take float64 or complex128; the other kernels take float64
-alone, and refuse a complex operand with a TypeError instead of casting it.  Kept from numpy:
-``eig`` comes back real when every imaginary part is zero, and refuses a non-finite operand; a
-LAPACK failure raises numpy's LinAlgError through numpy's error state, with no floating-point
-warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s right-hand side may
-also be a list of matrices, but not a vector.  ``svd`` returns full matrices, ``qr`` the reduced
-factors, ``eigh`` reads the lower triangle, and results are plain tuples.  :func:`all_finite` is
-the package's finiteness test of an operand or a result.  Callers look a kernel up on this module
-at call time, so one patch reaches every call site.
+numpy's wrapper costs more than LAPACK does.  ``norm`` is ``np.linalg.norm``'s own Frobenius route,
+the root of one dot product, returned as a Python float of the same value.  ``inv`` (of a complex
+eigenbasis) and ``svd`` (of a complex cluster's staircase powers) take float64 or complex128; the
+other kernels take float64 alone, and refuse a complex operand with a TypeError instead of casting
+it.  Kept from numpy: ``eig`` comes back real when every imaginary part is zero, and refuses a
+non-finite operand; a LAPACK failure raises numpy's LinAlgError through numpy's error state, with
+no floating-point warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s
+right-hand side may also be a list of matrices, but not a vector.  ``svd`` returns full matrices,
+``qr`` the reduced factors, ``eigh`` reads the lower triangle, and results are plain tuples.
+:func:`all_finite` is the package's finiteness test of an operand or a result.  Callers look a
+kernel up on this module at call time, so one patch reaches every call site.
 """
+
+import math
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -39,6 +42,15 @@ def all_finite(a):
     an array, a number or a tuple of same-shape arrays, so the flags' size is read, not ``a``'s."""
     flags = np.isfinite(a)
     return np.count_nonzero(flags) == flags.size
+
+
+def norm(a):
+    """``np.linalg.norm(a)``, the Frobenius norm of any shape, from ``x.dot(x)`` for
+    ``x = a.ravel(order="K")`` as numpy takes it; float64 alone, so no complex route is needed."""
+    x = a.ravel(order="K")
+    if x.dtype.char != "d":
+        raise TypeError(f"norm takes a float64 operand, not {x.dtype}")
+    return math.sqrt(x.dot(x))
 
 
 @_singular

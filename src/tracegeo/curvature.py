@@ -49,8 +49,9 @@ def _riemann_13(K, bX, bY, bZ):
 def riemann_04(K, X, Y, Z, W):
     """(0,4) curvature: tr([bX, bY] [bZ, bW]) / 4 for bV = K^{-1} V."""
     stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
-    bX, bY, bZ, bW = _lapack.solve(stack[0], stack[1:])
-    return float(0.25 * np.trace(_commutator(bX, bY) @ _commutator(bZ, bW)))
+    S = _lapack.solve(stack[0], stack[1:])
+    C = _commutator(S[0::2], S[1::2])  # [bX, bY] and [bZ, bW] in one batched product
+    return float(0.25 * (C[0] @ C[1]).trace())
 
 
 @_overflow_guard("curvature")
@@ -76,12 +77,12 @@ def sectional(K, X, Y):
     if abs(denom) <= 1e-10 * max(fxx * fyy, np.finfo(float).tiny):
         raise DegenerateSectionError("metric is degenerate on the section")
     bracket = _commutator(*solved)
-    return float(0.25 * np.trace(bracket @ bracket) / denom)
+    return float(0.25 * (bracket @ bracket).trace() / denom)
 
 
 def _ricci_form(n, BX, BY):
     """tr(BX) tr(BY) / 2 - n tr(BX BY) / 2 for BX = K^{-1}X, BY = K^{-1}Y, or stacks of them."""
-    trX, trY, trXY = (np.trace(M, axis1=-2, axis2=-1) for M in (BX, BY, BX @ BY))
+    trX, trY, trXY = (M.trace(axis1=-2, axis2=-1) for M in (BX, BY, BX @ BY))
     return 0.5 * trX * trY - 0.5 * n * trXY
 
 
@@ -150,13 +151,12 @@ def scalar_curvature(K):
     Constant over the whole space, equal to -(n+1) n (n-1) / 2; computed, not
     hard-coded, so the formula chain stays honest.
     """
-    frame = orthonormal_frame(K)
-    K = frame.base_point
+    K = as_point_and_tangents(K, "K")[0]
     n = K.shape[0]
-    # K^{-1} X_a for the whole frame from one factorisation: the X_a side by side as n x n^3
-    BV = _lapack.solve(K, frame.vectors.transpose(1, 0, 2).reshape(n, -1))
-    BV = BV.reshape(n, -1, n).transpose(1, 0, 2)
-    return float(frame.signs @ _ricci_form(n, BV, BV))
+    at_identity, signs = _identity_frame(n)
+    # K^{-1} X_a = (K^{-1} K) E_a for the frame X_a = K E_a: one n x n solve, no frame vectors
+    BV = _lapack.solve(K, K) @ at_identity
+    return float(signs @ _ricci_form(n, BV, BV))
 
 
 @_overflow_guard("curvature")
@@ -164,7 +164,8 @@ def ricci_trace_oracle(K, X, Y):
     """Ricci via the trace of Z -> R_{XZ}Y over the standard basis.
 
     Components are extracted with the metric-dual expansion
-    V = sum g^{ab} g(V, E_b) E_a, so the oracle shares no code path with the
+    V = sum g^{ab} g(V, E_b) E_a, with g^{ab} in closed form as in
+    :func:`christoffel_closed`, so the oracle shares no code path with the
     closed Ricci formula.  One batched (1,3) call gives every R(X, E_a)Y, taken at
     K / 2^e for e the exponent of max |K|, as Ric(K) = 4^-e Ric(K / 2^e) exactly.
     """
@@ -175,7 +176,7 @@ def ricci_trace_oracle(K, X, Y):
     bX, bY, B = _lapack.solve(K, [*stack[1:], np.eye(n)])
     T = _riemann_13(K, bX, B @ standard_basis(n), bY)  # T[a] = R(X, E_a)Y
     gvecs = B @ T @ B  # gvecs[a].ravel()[b] = g_K(T[a], E_b)
-    Ginv = _lapack.inv(_gram_of_inverse(B))
+    Ginv = _gram_of_inverse(K.T)  # the inverse metric tr(K xi K eta)
     return float(np.ldexp(Ginv.ravel() @ gvecs.ravel(), -2 * e))
 
 
@@ -184,35 +185,46 @@ def christoffel_closed(P):
 
     Gamma[a, b, c] is the coefficient of E_c in nabla_{E_a} E_b, equal to
     -(1/2) sum_d g^{cd} (tr(P^{-1}E_a P^{-1}E_b P^{-1}E_d) + (a <-> b)).
+    The inverse metric g^{cd} = tr(P E_c^T P E_d^T) is read in closed form, not
+    inverted from the n^2 x n^2 Gram matrix, whose condition number is cond(P)^2.
     """
     P = as_point_and_tangents(P, "P")[0]
     n = P.shape[0]
     e = np.frexp(np.abs(P).max())[1]  # Gamma(P) = Gamma(P / 2^e) / 2^e, exactly, with no overflow
-    B = _lapack.inv(np.ldexp(P, -e))
+    P = np.ldexp(P, -e)
+    B = _lapack.inv(P)
     m = n * n
     # T[ji, lk, sr] = B[j, k] B[l, r] B[s, i], by broadcasting over the axes (j, i, l, k, s, r)
     T = (B[:, None, None, :, None, None] * B[None, None, :, None, None, :]
          * B.T[None, :, None, None, :, None]).reshape(m, m, m)
     sym = (T + T.transpose(1, 0, 2)).reshape(m * m, m)  # rows (a, b) and (b, a) are equal
-    Ginv = _lapack.inv(_gram_of_inverse(B))
-    return np.ldexp(-0.5 * (sym @ Ginv.T).reshape(m, m, m), -e)
+    Ginv = _gram_of_inverse(P.T)  # the inverse metric tr(P xi P eta), exactly symmetric
+    return np.ldexp(-0.5 * (sym @ Ginv).reshape(m, m, m), -e)
 
 
 @_overflow_guard("Christoffel symbols")
-def christoffel_fd(P, h=1e-4):
+def christoffel_fd(P, h=None):
     """Christoffel symbols from central differences of the Gram matrix, in one pass: one batched
     cut and ``inv`` of the 2n^2 + 1 points P +- h E_d and P.  Taken at P / 2^e with the step
-    h / 2^e, e the exponent of max |P|, as Gamma(P, h) = Gamma(P / 2^e, h / 2^e) / 2^e exactly."""
+    h / 2^e, e the exponent of max |P|, as Gamma(P, h) = Gamma(P / 2^e, h / 2^e) / 2^e exactly.
+
+    The default step is relative, 1e-4 (sigma_min / sigma_max) max|P|, and never below the floor
+    an explicit ``h`` must clear: the difference error grows with ||P^-1||, so a fixed step loses
+    the symbols of an ill-conditioned P."""
     P = as_squares(P=P)[0]
-    if not 0 < h < np.inf:
-        raise ValueError("step h must be positive and finite")
+    peak = float(np.abs(P).max())
+    e = np.frexp(peak)[1]
     # Below 2^20 ulp(max|P|) rounding swamps the quotient (1e-3 of max|Gamma| at h = 1e-13 near
     # I), and below half an ulp P + h rounds back to P.
-    floor = 2.0**20 * float(np.spacing(np.abs(P).max()))
+    floor = 2.0**20 * float(np.spacing(peak))
+    if h is None:  # sigma of P / 2^e, which cannot overflow; a zero P gets the floor and is cut
+        s = _lapack.svd(np.ldexp(P, -e), compute_uv=False)
+        h = max(1e-4 * float(s[-1] / s[0]) * peak, floor) if peak else floor
+    if not 0 < h < np.inf:
+        raise ValueError("step h must be positive and finite")
     if h < floor:
         raise ValueError(f"step h must move every entry of P well past rounding: "
                          f"h >= 2^20 ulp(max|P|) = {floor:.3g}")
-    e = np.frexp(np.abs(P).max())[1]
     P, h = np.ldexp(P, -e), np.ldexp(h, -e)
     m = P.shape[0] ** 2
     steps = h * standard_basis(P.shape[0])
@@ -241,6 +253,6 @@ def sl_einstein_check(K, X, Y):
     bX, bY = _lapack.solve(stack[0], stack[1:])
     for name, bV in (("X", bX), ("Y", bY)):
         unit = bV / max(float(np.abs(bV).max()), np.finfo(float).tiny)  # ||unit|| cannot underflow
-        if abs(float(np.trace(unit))) > _LEAF_TRACE_RTOL * float(np.linalg.norm(unit)):
+        if abs(float(unit.trace())) > _LEAF_TRACE_RTOL * _lapack.norm(unit):
             raise NotTangentError(f"{name} is not tangent to the determinant leaf")
-    return float(_ricci_form(n, bX, bY)), float(-0.5 * n * np.trace(bX @ bY))
+    return float(_ricci_form(n, bX, bY)), float(-0.5 * n * (bX @ bY).trace())

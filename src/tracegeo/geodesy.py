@@ -159,7 +159,7 @@ def curve_residual(curve, t, h=1e-4):
     hp, hm = (t + h) - t, t - (t - h)  # the steps taken: t +- h round on the grids of their binades
     vel = (Pp - Pm) / (hp + hm)
     acc = 2.0 * ((Pp - P0) / hp - (P0 - Pm) / hm) / (hp + hm)
-    return float(np.linalg.norm(acc - vel @ _lapack.solve(P0, vel)))
+    return _lapack.norm(acc - vel @ _lapack.solve(P0, vel))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
 import dominates the start of a short process.
 
 Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``qr``,
-``eig``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) is taken through
-:mod:`tracegeo._lapack`, which calls numpy.linalg's own gufuncs without its
-per-call wrapper and returns numpy's results bit for bit; at n <= 6 that
-wrapper costs more than LAPACK does; only ``inv`` and ``svd`` take complex
-operands.  ``norm`` stays on numpy.  Every finiteness test of an array operand
+``eig``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) and every Frobenius
+``norm`` is taken through :mod:`tracegeo._lapack`, which calls numpy.linalg's
+own gufuncs (and its norm's dot product) without its per-call wrapper and
+returns numpy's results bit for bit; at n <= 6 that wrapper costs more than
+LAPACK does; only ``inv`` and ``svd`` take complex operands.  No
+``numpy.linalg`` function is called.  Every finiteness test of an array operand
 or result is ``_lapack.all_finite``, a count with no ufunc reduction.  Every
 profile reads its spectrum from :func:`_spectrum`: one ``eig`` and the spectral
 norm.
@@ -196,7 +197,7 @@ def _det(a):
 def _relative_gap(A, B):
     """``||A - B||_F / ||B||_F``, free of overflow.
 
-    Both norms come straight from ``np.linalg.norm`` (the root of a sum of squares) when each
+    Both norms come straight from ``_lapack.norm`` (the root of a sum of squares) when each
     lies in (1e-150, 1e150), or ``A - B`` is exactly zero: no square can then overflow, and a
     square that underflows loses at most 5e-324 against a sum above 1e-300.  Outside that range
     A and B are first scaled by the power of two that brings their largest entry into [1/2, 1):
@@ -204,15 +205,15 @@ def _relative_gap(A, B):
     cancel.  ``||B||`` is taken at B's own power of two, so a B far below A keeps its norm.
     Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is ``inf``)."""
     D = A - B
-    gap, norm = float(np.linalg.norm(D)), float(np.linalg.norm(B))
+    gap, norm = _lapack.norm(D), _lapack.norm(B)
     if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not np.count_nonzero(D)):
         return gap / norm
     b = float(np.abs(B).max())
     if b == 0.0:
         return math.inf if A.any() else 0.0
     e, f = math.frexp(max(float(np.abs(A).max()), b))[1], math.frexp(b)[1]
-    gap = float(np.linalg.norm(np.ldexp(A, -e) - np.ldexp(B, -e)))
-    return float(np.ldexp(gap / float(np.linalg.norm(np.ldexp(B, -f))), e - f))
+    gap = _lapack.norm(np.ldexp(A, -e) - np.ldexp(B, -e))
+    return float(np.ldexp(gap / _lapack.norm(np.ldexp(B, -f)), e - f))
 
 
 def _on_real_axis(lam, tol):
@@ -706,7 +707,7 @@ def _jordan_chains(B, lam, mult, tol):
                 for _ in range(k - 1):
                     chain.append(E @ chain[-1])
                 chain.reverse()
-                scale = max(np.linalg.norm(v) for v in chain)
+                scale = max(_lapack.norm(v) for v in chain)
                 chains.append([v / scale for v in chain])
         level = np.hstack([carry, tops])
         carry = E @ level if level.shape[1] else level
@@ -778,7 +779,7 @@ def so_log(O, tol=DEFAULT_TOL):
     """
     O, tol = as_squares(O=O)[0], _tolerance(tol)
     n = O.shape[0]
-    ortho_defect = float(np.linalg.norm(O.T @ O - np.eye(n)))
+    ortho_defect = _lapack.norm(O.T @ O - np.eye(n))
     if ortho_defect > max(tol, 1e-10) * n or _lapack.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
     return _so_log(O)
@@ -826,4 +827,4 @@ def cartan_killing(X, Y):
     """Cartan-Killing form 2n tr(XY) - 2 tr(X) tr(Y) on n x n matrices."""
     X, Y = as_squares(X=X, Y=Y)
     n = X.shape[0]
-    return float(2.0 * n * np.trace(X @ Y) - 2.0 * np.trace(X) * np.trace(Y))
+    return float(2.0 * n * (X @ Y).trace() - 2.0 * X.trace() * Y.trace())

@@ -32,7 +32,7 @@ def trace_metric(A, V, W):
     """Metric value tr(A^{-1} V A^{-1} W) = tr(bV bW), bV = A^{-1} V; symmetric and bilinear."""
     stack = as_point_and_tangents(A, "A", V=V, W=W)
     bV, bW = _lapack.solve(stack[0], stack[1:])
-    return float(np.trace(bV @ bW))
+    return float((bV @ bW).trace())
 
 
 def standard_basis(n):
@@ -216,7 +216,7 @@ def sl_tangent_project(K, W):
     """
     K, W = stack = as_point_and_tangents(K, "K", W=W)
     (bW,) = _lapack.solve(K, stack[1:])
-    return W - (float(np.trace(bW)) / K.shape[0]) * K
+    return W - (float(bW.trace()) / K.shape[0]) * K
 
 
 def leaf_of(Q):
@@ -261,7 +261,8 @@ class ProductPoint(_Record):
         P = as_squares(sl_part=sl_part)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
             miss = abs(_lapack.det(P) - 1.0)
-            if not miss <= 1e-10 or np.linalg.norm(P) ** P.shape[0] >= 1e12:
+            # ||P||_F^n >= 1e12 as a root: a float power past the float range is an OverflowError
+            if not miss <= 1e-10 or _lapack.norm(P) >= 1e12 ** (1.0 / P.shape[0]):
                 s = _lapack.svd(P, compute_uv=False)
                 if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
                     raise NotUnimodularError("sl_part must have determinant 1")

@@ -1056,7 +1056,18 @@ class TestLapackKernels:
                     _assert_same_result(_lapack.qr(c), np.linalg.qr(c))
                     assert_array_equal(c, before)
 
-    @pytest.mark.parametrize("name", ["solve", "qr", "eig", "eigh", "eigvalsh", "det", "slogdet"])
+    def test_norm_matches_numpy(self, rng):
+        # numpy's bits as a Python float: vectors, matrices, stacks, strided and transposed views,
+        # zeros, and entries at 1e+-200, where the squares overflow (both warn) or underflow
+        for shape in ((1,), (7,), (1, 1), (3, 3), (6, 6), (2, 6), (4, 3, 3), (2, 3, 6, 6)):
+            a = rng.standard_normal(shape)
+            for b in (a, a.T, a[..., ::2], np.zeros(shape), 1e200 * a, 1e-200 * a):
+                with np.errstate(over="ignore"):
+                    got, want = _lapack.norm(b), np.linalg.norm(b)
+                assert type(got) is float and got.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("name", ["solve", "qr", "eig", "eigh", "eigvalsh", "det", "slogdet",
+                                      "norm"])
     def test_a_float_kernel_refuses_a_complex_operand(self, name):
         # no silent cast: a complex operand is a TypeError (numpy's UFuncTypeError, or astype's)
         A = np.eye(3) + 1j * np.eye(3, k=1)
@@ -1182,10 +1193,9 @@ def _representative_calls(rng):
 
 
 def test_the_library_calls_no_numpy_linalg_lapack_function(monkeypatch):
-    # every factorisation goes through tracegeo._lapack, and every spectrum through its eig; only
-    # norm stays on np.linalg
+    # every factorisation and norm goes through tracegeo._lapack, and every spectrum through its eig
     calls = []
-    for name in (*_LAPACK_NAMES, "eigvals"):
+    for name in (*_LAPACK_NAMES, "eigvals", "norm"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, name=name, fn=fn, **kw: calls.append(name) or fn(*args, **kw))

@@ -324,6 +324,15 @@ class TestProductStructure:
             with pytest.raises(NotUnimodularError):
                 ProductPoint(1e200 * I2, 0.0)  # det overflows
 
+    def test_a_frobenius_power_past_the_float_range_is_no_overflow(self):
+        # ||P||_F^n is 1e360 and 300^150: a singular P keeps its typed refusal, a unimodular one
+        # passes the singular cut
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnimodularError, match="sl_part must have determinant 1"):
+                ProductPoint(np.diag([1e60, 1e-60, 1.0, 1.0, 1.0, 1.0]), 0.0)
+            assert ProductPoint(np.eye(300), 0.0).line_part == 0.0
+
     def test_underflow_is_a_typed_error_without_warnings(self):
         # e^(-2000 / sqrt 2) is below the normal float range: the chart would land on 0
         with warnings.catch_warnings():
