@@ -164,10 +164,10 @@ def ricci_trace_oracle(K, X, Y):
     """Ricci via the trace of Z -> R_{XZ}Y over the standard basis.
 
     Components are extracted with the metric-dual expansion
-    V = sum g^{ab} g(V, E_b) E_a, with g^{ab} in closed form as in
-    :func:`christoffel_closed`, so the oracle shares no code path with the
-    closed Ricci formula.  One batched (1,3) call gives every R(X, E_a)Y, taken at
-    K / 2^e for e the exponent of max |K|, as Ric(K) = 4^-e Ric(K / 2^e) exactly.
+    V = sum g^{ab} g(V, E_b) E_a, with the inverse metric g^{ab} = tr(K E_a^T K E_b^T)
+    in closed form, so the oracle shares no code path with the closed Ricci formula.
+    One batched (1,3) call gives every R(X, E_a)Y, taken at K / 2^e for e the
+    exponent of max |K|, as Ric(K) = 4^-e Ric(K / 2^e) exactly.
     """
     stack = as_point_and_tangents(K, "K", X=X, Y=Y)
     e = np.frexp(np.abs(stack[0]).max())[1]
@@ -180,26 +180,24 @@ def ricci_trace_oracle(K, X, Y):
     return float(np.ldexp(Ginv.ravel() @ gvecs.ravel(), -2 * e))
 
 
+@_overflow_guard("Christoffel symbols")
 def christoffel_closed(P):
-    """Christoffel symbols from the closed trace formula.
+    """Christoffel symbols from the closed form of the connection.
 
-    Gamma[a, b, c] is the coefficient of E_c in nabla_{E_a} E_b, equal to
-    -(1/2) sum_d g^{cd} (tr(P^{-1}E_a P^{-1}E_b P^{-1}E_d) + (a <-> b)).
-    The inverse metric g^{cd} = tr(P E_c^T P E_d^T) is read in closed form, not
-    inverted from the n^2 x n^2 Gram matrix, whose condition number is cond(P)^2.
+    Gamma[a, b, c] is the coefficient of E_c in nabla_{E_a} E_b = -(E_a B E_b + E_b B E_a) / 2,
+    B = P^{-1}: for E_ij and E_kl, -B_jk / 2 at E_il and -B_li / 2 at E_kj, with no sum (error
+    about u cond(P) max|Gamma|; exact (a, b) symmetry).  B is taken of P / 2^e, e the exponent of
+    max |P|, as Gamma(P) = Gamma(P / 2^e) / 2^e exactly.
     """
     P = as_point_and_tangents(P, "P")[0]
     n = P.shape[0]
-    e = np.frexp(np.abs(P).max())[1]  # Gamma(P) = Gamma(P / 2^e) / 2^e, exactly, with no overflow
-    P = np.ldexp(P, -e)
-    B = _lapack.inv(P)
-    m = n * n
-    # T[ji, lk, sr] = B[j, k] B[l, r] B[s, i], by broadcasting over the axes (j, i, l, k, s, r)
-    T = (B[:, None, None, :, None, None] * B[None, None, :, None, None, :]
-         * B.T[None, :, None, None, :, None]).reshape(m, m, m)
-    sym = (T + T.transpose(1, 0, 2)).reshape(m * m, m)  # rows (a, b) and (b, a) are equal
-    Ginv = _gram_of_inverse(P.T)  # the inverse metric tr(P xi P eta), exactly symmetric
-    return np.ldexp(-0.5 * (sym @ Ginv).reshape(m, m, m), -e)
+    e = np.frexp(np.abs(P).max())[1]
+    h = -0.5 * _lapack.inv(np.ldexp(P, -e))
+    i, j, k, l = np.indices((n,) * 4)
+    gamma = np.zeros((n,) * 6)  # axes (j, i, l, k, q, p) for E_ij, E_kl and E_pq (alpha = i + n j)
+    gamma[j, i, l, k, l, i] = h[j, k]
+    gamma[j, i, l, k, j, k] += h[l, i]
+    return np.ldexp(gamma.reshape((n * n,) * 3), -e)
 
 
 @_overflow_guard("Christoffel symbols")

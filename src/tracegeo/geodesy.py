@@ -301,7 +301,8 @@ def broken_arc(K1, K2):
     the polar factors O1 = U1 V1^T, P2 = U2 S2 U2^T and O2 = U2 V2^T; the joint is Z = P2 O1.
     The first leg is :func:`_positive_leg`, with the endpoint check of :func:`_arc`.
     Z^{-1} K2 = O1^T O2 is special orthogonal iff K1 and K2 share a component; the second leg is
-    its rotation arc (:func:`matcore.so_log`).  No step clusters eigenvalues: no tolerance to set.
+    its rotation arc (:func:`matcore.so_log`), which clusters eigenvalues at a fixed cut: no
+    tolerance to set.
     """
     ends = as_squares(K1=K1, K2=K2)
     (U1, U2), (s1, s2), (V1t, V2t) = _lapack.svd(ends)

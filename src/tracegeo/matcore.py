@@ -6,20 +6,13 @@ special orthogonal matrix, and the Cartan-Killing form of n x n matrices;
 also the JSON matrix document that the CLI and the verify suites write.
 All functions are pure and operate on plain ``numpy`` arrays.
 
-The exponential is Pade scaling and squaring in numpy (:func:`_expm`).
-``scipy.linalg`` is imported on first use, inside the only two fallbacks that
-need it: ``logm`` for a defective or near-defective logarithm (:func:`_logm`),
-and ``schur`` for a rotation with a half turn (:func:`_schur_so_log`).  Its
-import dominates the start of a short process.
+The exponential is Pade scaling and squaring (:func:`_expm`), the logarithm
+inverse scaling and squaring (:func:`_logm`), and the rotation logarithm one
+``eigh`` (:func:`_so_log`): the package needs no module beyond numpy.
 
-Every LAPACK factorisation of the package (``svd``, ``solve``, ``inv``, ``qr``,
-``eig``, ``eigh``, ``eigvalsh``, ``det``, ``slogdet``) and every Frobenius
-``norm`` is taken through :mod:`tracegeo._lapack`, which calls numpy.linalg's
-own gufuncs (and its norm's dot product) without its per-call wrapper and
-returns numpy's results bit for bit; at n <= 6 that wrapper costs more than
-LAPACK does; only ``inv`` and ``svd`` take complex operands.  No
-``numpy.linalg`` function is called.  Every finiteness test of an array operand
-or result is ``_lapack.all_finite``, a count with no ufunc reduction.  Every
+Every LAPACK factorisation, Frobenius ``norm`` and finiteness test of the
+package is taken through :mod:`tracegeo._lapack` (numpy.linalg's own gufuncs,
+without its per-call wrapper); no ``numpy.linalg`` function is called.  Every
 profile reads its spectrum from :func:`_spectrum`: one ``eig`` and the spectral
 norm.
 """
@@ -27,7 +20,6 @@ norm.
 import cmath
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -314,56 +306,53 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     One eigendecomposition ``A = V diag(lam) V^{-1}`` gives both the cut test
     and, when the eigenbasis is well conditioned, ``L = V diag(log lam) V^{-1}``
     (error about ``cond(V) u``, Higham 2008, section 4.5).  Defective and
-    near-defective inputs fall back to ``scipy.linalg.logm``.
+    near-defective inputs fall back to inverse scaling and squaring (:func:`_logm`).
 
-    Raises
-    ------
-    SingularMatrixError
-        ``A`` is numerically singular.
-    SpectrumOnCutError
-        Some eigenvalue sits on the closed negative real axis within ``tol``.
+    Raises SingularMatrixError for a numerically singular ``A``, and
+    SpectrumOnCutError for an eigenvalue on the closed negative real axis within ``tol``.
     """
     A, tol = as_point_and_tangents(A, "A")[0], _tolerance(tol)
-    return _log_from_eig(A, *_lapack.eig(A), tol)
-
-
-def _log_from_eig(A, eigs, V, tol):
-    """:func:`real_log_principal` of the invertible ``A = V diag(eigs) V^{-1}``: its cut test."""
+    eigs, V = _lapack.eig(A)
     if any(lam.real < 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
     return _real_log(A, eigs, V, (), tol)
 
 
-def _real_part(L):
-    """The logarithm ``L``, real up to rounding, as a float matrix; SpectrumOnCutError when its
-    imaginary residue exceeds the fixed ``DEFAULT_TOL * max(1, max |Re L|)``, whatever ``tol``."""
-    if np.iscomplexobj(L):
-        dirt = float(np.abs(L.imag).max())
-        if dirt > DEFAULT_TOL * max(1.0, float(np.abs(L.real).max())):
-            raise SpectrumOnCutError("logarithm came back complex; spectrum too close to the cut")
-        L = L.real
-    return L
+# The 8-point Gauss-Legendre rule's positive nodes on [-1, 1] and weights.  Moved to [0, 1], on
+# log(I + Y) = int_0^1 Y (I + sY)^-1 ds it is the [8/8] Pade approximant (Higham 2008, 11.4).
+_GL = np.array([
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
+_GAUSS = 0.5 * np.array([np.hstack([1.0 - _GL[0], 1.0 + _GL[0]]), np.hstack([_GL[1], _GL[1]])])
 
 
 @_overflow_guard("matrix logarithm")
 def _logm(A):
-    """``scipy.linalg.logm(A)`` without its warnings; a failure of the call raises.
-
-    The estimate ``expm(logm A) - A`` can overflow (ValueError from its finiteness check), and its
-    "result may be inaccurate" warning fires near 1e-12 on logarithms that pass the endpoint gates.
-    Near-singular ``A`` at an extreme scale draws ``LogmNearlySingularWarning`` and then a bare
-    ``Exception`` from inside its Schur-Pade algorithm.
-    """
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return scipy.linalg.logm(A)
-        except ValueError as exc:
-            raise IllConditionedError("matrix logarithm overflows the float range") from exc
-        except Exception as exc:
-            raise IllConditionedError(f"matrix logarithm failed: {exc}") from exc
+    """Principal logarithm of a float matrix with no eigenvalue on the closed negative real axis, by
+    inverse scaling and squaring (Cheng, Higham, Kenney and Laub, SIAM J. Matrix Anal. Appl. 22,
+    2001): ``log A = 2^k log X`` for ``X = A^(1/2^k)`` with ``||X - I||_1 <= 1/4``.  Each square
+    root is the scaled product Denman-Beavers iteration (Higham 2008, (6.29)), ended by a step from
+    ``||M - I||_1 <= 2^-26``; 100 steps or a singular M raise IllConditionedError."""
+    n = A.shape[0]
+    I = np.eye(n)
+    X, k = A, 0
+    while np.abs(X - I).sum(axis=0).max() > 0.25:
+        M, k = X, k + 1
+        for _ in range(100):
+            gap = np.abs(M - I).sum(axis=0).max()  # >= 1 for a singular M
+            try:
+                P = _lapack.inv(M)
+            except np.linalg.LinAlgError:
+                break
+            g = math.exp(-_lapack.slogdet(M)[1] / (2 * n))
+            X, M = 0.5 * (X @ (g * I + P / g)), 0.5 * I + 0.25 * (g * g * M + P / (g * g))
+            if gap <= 2.0**-26:
+                break
+        if gap > 2.0**-26:
+            raise IllConditionedError("matrix square root did not converge")
+    Y = X - I
+    terms = _lapack.solve(I + _GAUSS[0, :, None, None] * Y, np.broadcast_to(Y, (8, n, n)))
+    return np.ldexp(np.tensordot(_GAUSS[1], terms, 1), k)
 
 
 @_overflow_guard("matrix power")
@@ -371,7 +360,7 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     """A^t = exp(t log A) for matrices with positive real spectrum.
 
     Taken as ``V diag(lam^t) V^{-1}`` from one eigendecomposition, or through
-    ``expm(t logm A)`` when the eigenbasis is ill conditioned.
+    ``expm(t log A)`` (:func:`_logm`) when the eigenbasis is ill conditioned.
 
     Raises SpectrumNotPositiveError if any eigenvalue fails to be positive
     real within ``tol``.
@@ -383,8 +372,8 @@ def fractional_power(A, t, tol=DEFAULT_TOL):
     require_invertible(A, "A")
     t = _curve_parameter(t)
     basis = _eigenbasis(eigs, V)
-    if basis is None:  # a positive spectrum is off the cut: the logarithm dispatch takes logm
-        return _expm(t * _real_log(A, eigs, None, (), tol))
+    if basis is None:
+        return _expm(t * _logm(A))
     return _spectral(lambda lam: lam**t, basis).real  # real up to rounding for complex pairs
 
 
@@ -593,16 +582,16 @@ def _profile_pass(A, eigs, norm2, tol):
 
 
 def _real_log(M, eigs, vecs, negative, tol):
-    """The one logarithm dispatch: a real C with exp(C) = M = vecs diag(eigs) vecs^-1 (vecs None
-    once rejected), principal where possible, following the profile's ``negative`` clusters (none
-    for a principal log) with no real-axis test: semisimple ones with an :func:`_eigenbasis` take
-    :func:`_semisimple_log`; else ``logm`` or :func:`_chains_log`, whose staircase reads ``tol``."""
+    """The one logarithm dispatch: a real C with exp(C) = M = vecs diag(eigs) vecs^-1, principal
+    where possible, following the profile's ``negative`` clusters (none for a principal log) with
+    no real-axis test: semisimple ones with an :func:`_eigenbasis` take :func:`_semisimple_log`;
+    else :func:`_logm`, or :func:`_chains_log`, whose staircase reads ``tol``."""
     semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
-    basis = _eigenbasis(eigs, vecs) if semisimple and vecs is not None else None
+    basis = _eigenbasis(eigs, vecs) if semisimple else None
     if basis is not None:
         return _semisimple_log(basis, negative)
     if not negative:
-        return _real_part(_logm(M))
+        return _logm(M)
     return _chains_log(M, negative, tol)
 
 
@@ -630,7 +619,7 @@ def _chains_log(M, negative, tol):
         raise IllConditionedError("negative Jordan chains have no dual basis") from None
     half = len(xs)
     J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
-    return _real_part(_logm(M - 2.0 * (M @ (V @ D)))) + np.pi * J
+    return _logm(M - 2.0 * (M @ (V @ D))) + np.pi * J
 
 
 def _semisimple_log(basis, negative):
@@ -648,8 +637,8 @@ def _semisimple_log(basis, negative):
     keeps ||J_c||_2 <= ||P_c||_2; raw eigenvectors with their dual rows would inflate J_c by the
     conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
     An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
-    and has no real log: SpectrumOnCutError, raised here for a real spectrum or an exact 0, and
-    by :func:`_real_part` for a complex one, whose log comes back complex.
+    and has no real log: SpectrumOnCutError for a real spectrum or an exact 0, and for a complex
+    one whose log comes back with an imaginary residue past ``DEFAULT_TOL * max(1, max |Re L|)``.
     """
     eigs, V, Vinv = basis
     lams, J = eigs.copy(), 0.0
@@ -664,7 +653,11 @@ def _semisimple_log(basis, negative):
         J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
     if (lams.dtype.kind == "f" and lams.min() <= 0) or np.count_nonzero(lams) < lams.size:
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    L = _real_part(_spectral(np.log, (lams, V, Vinv)))
+    L = _spectral(np.log, (lams, V, Vinv))
+    if np.iscomplexobj(L):
+        if np.abs(L.imag).max() > DEFAULT_TOL * max(1.0, np.abs(L.real).max()):
+            raise SpectrumOnCutError("logarithm came back complex; spectrum too close to the cut")
+        L = L.real
     return L + np.pi * J if negative else L
 
 
@@ -771,55 +764,62 @@ def so_log(O, tol=DEFAULT_TOL):
     """Canonical real skew-symmetric logarithm of a special orthogonal matrix.
 
     Rotation angles are taken in (-pi, pi] and -1 eigenvalue pairs are mapped
-    to angle pi.  With no eigenvalue at -1 within 1e-8, whatever ``tol`` is, this
-    is the skew part of :func:`real_log_principal`; otherwise a real Schur
-    similarity block-diagonalises O into planar rotations and +1/-1 entries.
-    L is exactly skew-symmetric with expm(L) ~= O.  ``tol`` only admits an O
-    with ``||O^T O - I||_F <= max(tol, 1e-10) n``.
+    to angle pi, from one ``eigh`` (:func:`_so_log`).  L is exactly
+    skew-symmetric with expm(L) ~= O.  ``tol`` only admits an O with
+    ``||O^T O - I||_F <= max(tol, 1e-10) n``, and one past ``1e-10 n`` is
+    taken to its polar factor, so that no defect splits a plane's eigenvalues.
     """
     O, tol = as_squares(O=O)[0], _tolerance(tol)
     n = O.shape[0]
     ortho_defect = _lapack.norm(O.T @ O - np.eye(n))
     if ortho_defect > max(tol, 1e-10) * n or _lapack.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
+    if ortho_defect > 1e-10 * n:
+        O = polar_decompose(O).orthogonal
     return _so_log(O)
 
 
 def _so_log(O):
-    """:func:`so_log` of a float matrix the caller knows to be special orthogonal."""
-    try:  # real_log_principal at 1e-8 whatever tol is, without its singular test: O is orthogonal
-        L = _log_from_eig(O, *_lapack.eig(O), DEFAULT_TOL)
-    except SpectrumOnCutError:
-        L = _schur_so_log(O)
+    """:func:`so_log` of a float matrix the caller knows to be special orthogonal: ``eigh`` of
+    ``(O + O^T) / 2`` has eigenvalue cos(theta) on each plane O turns by theta, and those within
+    1e-3 share a cluster (a plane apart from the +-1 spaces then has theta >= 0.045, and
+    eigenvectors good to u / (theta^2 / 2)).  On a cluster's columns Q_c, ``B = Q_c^T O Q_c``; a
+    2-dimensional B is one plane, turned by ``atan2((B10 - B01) / 2, tr B / 2)`` (-pi read as pi),
+    a larger one takes :func:`_logm` (mean >= 0) or :func:`_half_turns`; a single +1 adds nothing."""
+    n = O.shape[0]
+    w, Q = _lapack.eigh(0.5 * (O + O.T))
+    Q[:, 0] *= math.copysign(1.0, _lapack.det(Q))  # a proper basis: at n = 2, pi in it is pi in O
+    w = w.tolist()
+    B = Q.T @ O @ Q
+    L = np.zeros((n, n))
+    edges = [0, *(i for i in range(1, n) if w[i] - w[i - 1] > 1e-3), n]
+    for a, b in zip(edges, edges[1:]):
+        if b - a == 2:
+            theta = math.atan2(0.5 * (B[a + 1, a] - B[a, a + 1]), 0.5 * (B[a, a] + B[a + 1, a + 1]))
+            theta = theta if theta > -math.pi else math.pi
+            L[a + 1, a], L[a, a + 1] = theta, -theta
+        elif sum(w[a:b]) < 0:
+            L[a:b, a:b] = _half_turns(B[a:b, a:b])
+        elif b - a > 1:
+            L[a:b, a:b] = _logm(B[a:b, a:b])
+    L = Q @ L @ Q.T
     return 0.5 * (L - L.T)
 
 
-def _schur_so_log(O):
-    """Skew logarithm of the special orthogonal ``O`` from its real Schur form."""
-    import scipy.linalg
-
-    n = O.shape[0]
-    T, Z = scipy.linalg.schur(O, output="real")
-    S = np.zeros((n, n))
-    minus_ones = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-12:
-            theta = float(np.arctan2(T[i + 1, i], T[i, i]))
-            S[i, i + 1] = -theta
-            S[i + 1, i] = theta
-            i += 2
-        else:
-            d = T[i, i]
-            if abs(d - 1.0) > abs(d + 1.0):
-                minus_ones.append(i)
-            i += 1
-    if len(minus_ones) % 2:
-        raise NotSpecialOrthogonalError("odd number of -1 eigenvalues")
-    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        S[a, b] = -np.pi
-        S[b, a] = np.pi
-    return Z @ S @ Z.T
+def _half_turns(B):
+    """log B = K + pi J for an orthogonal B of even order with eigenvalues near -1, K = log(-B):
+    J is ``-U V^T`` on the planes of the SVD ``K = U S V^T`` wider than 1e-13, and pairs the rest
+    (exact half turns) in V's order, or B's when K has no such plane.  That is good to u ||K|| / s
+    on a plane of width s; Newton's ``J <- (J - J^-1) / 2`` then makes J^2 = -I, commuting with K."""
+    K = _logm(-B)
+    U, s, Vh = _lapack.svd(K)
+    r = 2 * (np.count_nonzero(s > 1e-13) // 2)  # singular values of a skew K come in pairs
+    Z = Vh[r:].T if r else np.eye(len(B))
+    W = Z[:, 1::2] @ Z[:, 0::2].T - 0.5 * U[:, :r] @ Vh[:r]
+    J = W - W.T
+    for _ in range(8):  # quadratic from the polar factor's error, below 1e-2
+        J = 0.5 * (J - _lapack.inv(J))
+    return K + np.pi * J
 
 
 @_overflow_guard("Cartan-Killing form")

@@ -325,8 +325,8 @@ class TestHostileInput:
     @example(argv=["classify", "--k0", I2_DOC, "--k1", '{"n":2,"data":[[1e200,1e200],[0,1e200]]}'])
     @example(argv=["geodesic", "--k", _scaled_identity_doc(1.35e154), "--c", _diag_doc(0, 0)])
     @example(argv=["geodesic", "--k", _diag_doc(1e-12, 1), "--velocity", _diag_doc(1e300, 0)])
-    # K0^-1 K1 at scale 1e-272 .. 1e304: scipy's logm warns that it is (nearly) singular, and once
-    # raised a bare Exception
+    # K0^-1 K1 at scale 1e-272 .. 1e304, far out in the float range: a typed answer or refusal,
+    # and no warning, from the logarithm
     @example(argv=["classify", "--k0", _diag_doc(-7.820940878317247e+284, -8.28563366221217e+271),
                    "--k1", '{"n":2,"data":[[1,1],[-2,0]]}'])
     @example(argv=["classify", "--k0", _diag_doc(-1.294434894540508e+278, -8.285633662216671e+271),
@@ -762,40 +762,50 @@ class TestErrorCodes:
         assert len(set(codes)) == len(codes)
 
 
-# Commands whose every path is pure numpy: one fresh process runs them all.  The arcs build
-# witnesses (SPD, paired negative, complex pair) and check them with the Pade exponential.
-_NUMPY_ONLY_COMMANDS = """
-import contextlib, io, json, sys
-import tracegeo, tracegeo.cli
+# Every command in one fresh process whose importer refuses scipy, so that any import of it fails
+# the run: the arcs build witnesses (SPD, paired negative, complex pair, the defective [[1, 1],
+# [0, 1]] through the logarithm's inverse scaling and squaring) and check them with the Pade
+# exponential; broken-arc -I2 is a half turn.
+_SCIPY_BLOCKED = """
+import contextlib, importlib.abc, io, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import tracegeo
 from tracegeo.cli import main
 I2 = '{"n":2,"data":[[1,0],[0,1]]}'
 runs = [
     ["metric", "--at", I2, "--x", I2, "--y", I2],
     ["signature", "--at", I2],
     ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[-1,0],[0,2]]}'],
+    ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[-1,3]]}'],
     ["broken-arc", "--k1", I2, "--k2", '{"n":2,"data":[[2,1],[-1,3]]}'],
+    ["broken-arc", "--k1", I2, "--k2", '{"n":2,"data":[[-1,0],[0,-1]]}'],
     ["curvature", "--at", I2, "--kind", "sectional",
      "--x", '{"n":2,"data":[[1,0],[0,0]]}', "--y", '{"n":2,"data":[[0,0],[0,1]]}'],
+    ["curvature", "--at", I2, "--kind", "ricci", "--x", I2, "--y", I2],
     ["curvature", "--at", I2, "--kind", "scalar"],
-    ["verify", "--suite", "metric", "--n", "3", "--cases", "5"],
-    ["verify", "--suite", "curvature", "--n", "3", "--cases", "5"],
-    ["verify", "--suite", "product", "--n", "3", "--cases", "5"],
     ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0.3,-1],[2,0.1]]}', "--samples", "4"],
-    ["verify", "--suite", "foliation", "--n", "3", "--cases", "5"],
+    ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0,1],[0,0]]}', "--samples", "4"],
     ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[1,3]]}'],
     ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[-2,0],[0,-2]]}'],
-    ["classify", "--k0", I2, "--k1", '{"n":2,"data":[[2,1],[-1,3]]}'],
-    ["verify", "--suite", "geodesic", "--n", "3", "--cases", "5"],
-    ["geodesic", "--k", I2, "--c", '{"n":2,"data":[[0,1],[0,0]]}', "--samples", "4"],
+    ["arc", "--k0", I2, "--k1", '{"n":2,"data":[[1,1],[0,1]]}'],
+    ["verify", "--suite", "all", "--n", "3", "--cases", "5"],
 ]
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 tracegeo.fractional_power([[2.0, 1.0], [1.0, 3.0]], 0.5)
+tracegeo.fractional_power([[2.0, 1.0], [0.0, 2.0]], 0.5)
 tracegeo.spd_geodesic([[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.5]], 0.7)
 tracegeo.mat_exp([[0.0, -1.0], [1.0, 0.0]])
-print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
+tracegeo.so_log([[-1.0, 0.0], [0.0, -1.0]])
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
@@ -841,13 +851,12 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["tracegeo"]
 
-    def test_numpy_only_commands_never_import_scipy_linalg(self):
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS],
+    def test_every_command_runs_with_scipy_blocked(self):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
-                                                     0, 0, 0, 0, 0],
-                                           "scipy_linalg": False}
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                                           "scipy": []}
 
     def test_only_the_verify_command_imports_the_verify_suites(self):
         # one fresh process runs the other seven commands, then verify

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from tracegeo import (
     DegenerateSectionError,
+    IllConditionedError,
     LinearlyDependentError,
     NotTangentError,
     SingularMatrixError,
@@ -353,6 +354,14 @@ class TestScalarCurvature:
 
 
 class TestChristoffel:
+    def test_symbols_past_the_float_range_are_a_typed_refusal(self):
+        # Gamma ~ P^-1 = 1e310 I overflows: the closed form refuses as the difference oracle does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for christoffel in (christoffel_closed, christoffel_fd):
+                with pytest.raises(IllConditionedError, match="Christoffel symbols overflows"):
+                    christoffel(1e-310 * I2)
+
     def test_oracle_agreement_at_identity(self):
         closed = christoffel_closed(I2)
         fd = christoffel_fd(I2, h=1e-4)
@@ -488,12 +497,12 @@ def _christoffel_exact(P):
     return gamma
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e4])
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e8])
 def test_christoffel_closed_against_an_exact_reference(cond):
-    # The trace formula cancels terms of size cond(P)^2 max|Gamma|, so its error is a multiple
-    # of u cond^2.  On these 50 draws the closed-form inverse metric reads 0.18 u cond^2 at
-    # cond 1e2 and 0.20 at 1e4; inverting the n^2 x n^2 Gram matrix (condition cond^2) instead
-    # read 0.55 and 0.52.
+    # Gamma is read straight off P^-1, two entries per (a, b), so its error is a multiple of
+    # u cond(P): on these 50 draws 0.31, 0.27 and 0.23 u cond at cond 1e2, 1e4 and 1e8.  The
+    # trace formula with the closed-form inverse metric cancelled terms of size cond^2 max|Gamma|
+    # and read 0.18 and 0.20 u cond^2 at 1e2 and 1e4.
     rng = np.random.default_rng(29)
     worst = 0.0
     for n in (2, 3):
@@ -504,7 +513,7 @@ def test_christoffel_closed_against_an_exact_reference(cond):
                  @ verify.random_special_orthogonal(rng, n).T)
             want = _christoffel_exact(P)
             worst = max(worst, np.abs(christoffel_closed(P) - want).max() / np.abs(want).max())
-    assert worst <= 0.35 * 2.0**-53 * cond**2
+    assert worst <= 0.5 * 2.0**-53 * cond
 
 
 @pytest.mark.parametrize("n", [2, 3])

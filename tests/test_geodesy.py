@@ -1007,14 +1007,14 @@ def chains_witness(M, eigs, vecs, negative, tol):
             ys.extend(y)
         lefts.append(left)
     if not xs:
-        return matcore._log_from_eig(M, eigs, vecs, tol)
+        return real_log_principal(M, tol)
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     D = np.linalg.solve(W.T @ V, W.T)
     A = M - 2.0 * (M @ (V @ D))
     half = len(xs)
     J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
-    return matcore._log_from_eig(A, *np.linalg.eig(A), tol) + np.pi * J
+    return real_log_principal(A, tol) + np.pi * J
 
 
 def semisimple_negative_pair(rng, n, kind):
@@ -1318,14 +1318,15 @@ class TestBrokenArc:
     def test_each_endpoint_takes_one_svd(self, rng, monkeypatch):
         # one batched SVD of K1 and K2 makes both singular cuts and the polar factors; the first
         # leg takes one more SVD, of S1^-1/2 U1^T U2 S2^1/2, and no eig (the one solve is the
-        # Pade exponential of its endpoint check); the second leg takes the eig of O1^T O2, and
-        # det(O1^T O2) alone decides the component
+        # Pade exponential of its endpoint check); the second leg takes one eigh, of the symmetric
+        # part of O1^T O2, and no eig; det(O1^T O2) decides the component and det of the eigh basis
+        # its orientation
         K1, K2 = random_spd(rng, 3), random_invertible(rng, 3)
         if np.linalg.det(K2) < 0:
             K2[0] = -K2[0]
-        seen = _linalg_spy(monkeypatch, "svd", "eig", "solve", "det", "slogdet")
+        seen = _linalg_spy(monkeypatch, "svd", "eig", "eigh", "solve", "det", "slogdet")
         broken_arc(K1, K2)
-        assert [len(calls) for calls in seen.values()] == [2, 1, 1, 1, 0]
+        assert [len(calls) for calls in seen.values()] == [2, 0, 1, 1, 2, 0]
         assert [sum(np.array_equal(m, K) for m in _decomposed(seen["svd"])) for K in (K1, K2)] == [1, 1]
 
     def test_endpoints_past_the_cut_are_joined_though_their_quotient_is_not(self):

@@ -221,37 +221,23 @@ class TestRealLogPrincipal:
 
         A = diagonalisable(np.random.default_rng([12, DIAGONALISABLE_KINDS.index(kind)]), kind, 4)
         want = sla.logm(A).real
-        monkeypatch.setattr(sla, "logm", forbidden)
+        monkeypatch.setattr(matcore, "_logm", forbidden)
         assert_allclose(real_log_principal(A), want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
 
     def test_logm_fallback_is_typed_and_silent(self, monkeypatch):
-        # scipy checks logm against expm(logm A) - A: a warning there is no refusal, but an
-        # estimate that overflows (ValueError), a non-finite logarithm or any other failure of
-        # the call is a typed error
-        logm, J = sla.logm, jordan_block(2.0, 2)  # defective: the logm route
-
-        def inaccurate(A):
-            warnings.warn("logm result may be inaccurate, approximate err = 5e-13", RuntimeWarning)
-            return logm(A)
-
-        def estimate_overflows(A):
-            np.full((2, 2), 1e300) @ np.full((2, 2), 1e300)
-            raise ValueError("array must not contain infs or NaNs")
-
-        def nearly_singular(A):  # scipy's own warning category, then a bare Exception
-            warnings.warn("The logm input matrix may be nearly singular.", UserWarning)
-            raise Exception("R is not upper triangular")
-
+        # the defective route warns of nothing; a square root that does not converge (a negative
+        # eigenvalue), a singular Denman-Beavers iterate (-I: M = 0 after one step) and a
+        # non-finite logarithm are typed errors
+        J = jordan_block(2.0, 2)  # defective: the logm route
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            monkeypatch.setattr(sla, "logm", inaccurate)
             assert_allclose(real_log_principal(J), jordan_block_log(2.0, 2), atol=1e-12)
-            for broken in (estimate_overflows, lambda A: np.full((2, 2), np.inf)):
-                monkeypatch.setattr(sla, "logm", broken)
-                with pytest.raises(IllConditionedError, match="matrix logarithm overflows"):
-                    real_log_principal(J)
-            monkeypatch.setattr(sla, "logm", nearly_singular)
-            with pytest.raises(IllConditionedError, match="matrix logarithm failed"):
+            for A in (np.diag([-2.0, 3.0]), -np.eye(2)):
+                with pytest.raises(IllConditionedError, match="matrix square root did not converge"):
+                    matcore._logm(A)
+            solve = _lapack.solve
+            monkeypatch.setattr(_lapack, "solve", lambda a, b: np.inf * solve(a, b))
+            with pytest.raises(IllConditionedError, match="matrix logarithm overflows"):
                 real_log_principal(J)
 
     def test_negative_eigenvalue_rejected(self):
@@ -271,6 +257,40 @@ class TestRealLogPrincipal:
                 A = mat_exp(R)
                 back = mat_exp(real_log_principal(A))
                 assert np.linalg.norm(back - A) <= 1e-8 * np.linalg.norm(A)
+
+
+def defective_inputs(rng):
+    """50 defective matrices, n = 2..6, under a similarity S of condition up to 1e2: Jordan blocks
+    J_n(lam), J2 blocks of a complex pair, J_n(lam) with 1e-7 in its lower corner, and J2 beside a
+    positive diagonal at scale 1e-6..1e6."""
+    for i in range(50):
+        n, lam = 2 + i % 5, rng.uniform(0.2, 5.0)
+        if i % 4 == 0:
+            A = jordan_block(lam, n)
+        elif i % 4 == 1:
+            n = 4 + 2 * (i % 8 == 1)
+            a, b = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
+            R = np.array([[a, -b], [b, a]])
+            A = sla.block_diag(np.block([[R, I2], [np.zeros((2, 2)), R]]), jordan_block(lam, n - 4))
+        elif i % 4 == 2:
+            A = jordan_block(lam, n)
+            A[-1, 0] = 1e-7
+        else:
+            A = sla.block_diag(jordan_block(1.0, 2), np.diag(rng.uniform(0.5, 2.0, n - 2)))
+            A = A * 10.0 ** rng.uniform(-6.0, 6.0)
+        U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        S = U @ np.diag(10.0 ** rng.uniform(0.0, 2.0, n)) @ V
+        yield S @ A @ np.linalg.inv(S)
+
+
+def test_logm_matches_a_40_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    worst = 0.0
+    for A in defective_inputs(np.random.default_rng(30)):
+        want = np.array(mpmath.logm(mpmath.matrix(A.tolist())).tolist(), dtype=complex).real
+        worst = max(worst, np.linalg.norm(matcore._logm(A) - want) / np.linalg.norm(want))
+    assert worst <= 1e-10
 
 
 def test_eigenbasis_condition_is_the_1_norm_product(rng):
@@ -336,23 +356,27 @@ class TestFractionalPower:
                     bound = 1e-12 * max(1.0, np.linalg.norm(t * L, 2)) * np.linalg.norm(want)
                     assert np.linalg.norm(fractional_power(A, t) - want) <= bound
 
-    def test_only_a_defective_input_reaches_scipy(self, rng, monkeypatch):
-        calls, logm, pade = [], sla.logm, matcore._expm
-        monkeypatch.setattr(sla, "logm", lambda A: calls.append("logm") or logm(A))
+    def test_only_a_defective_input_reaches_logm(self, rng, monkeypatch):
+        calls, logm, pade = [], matcore._logm, matcore._expm
+        monkeypatch.setattr(matcore, "_logm", lambda A: calls.append("logm") or logm(A))
         monkeypatch.setattr(matcore, "_expm", lambda A: calls.append("expm") or pade(A))
         B = rng.uniform(-1, 1, (3, 3))
         fractional_power(B @ B.T + 3 * np.eye(3), 0.5)
         assert calls == []
         fractional_power(jordan_block(2.0, 3), 0.5)
-        assert calls == ["logm", "expm"]  # scipy's logarithm, then the Pade exponential
+        assert calls == ["logm", "expm"]  # inverse scaling and squaring, then the Pade exponential
 
     def test_the_fallback_decides_once(self, monkeypatch):
-        # the rejected eigenbasis is not rebuilt for the logarithm: one inverse of V in all
-        calls, inv = [], _lapack.inv
-        monkeypatch.setattr(_lapack, "inv", lambda A: calls.append(1) or inv(A))
-        assert_allclose(fractional_power([[2.0, 1.0], [0.0, 2.0]], 0.5),
-                        jordan_block_power(2.0, 2, 0.5), atol=1e-12)
-        assert len(calls) == 1
+        # the rejected eigenbasis is not rebuilt for the logarithm: one eig, one inverse of V
+        seen = {"eig": [], "inv": []}
+        for name, calls in seen.items():
+            fn = getattr(_lapack, name)
+            monkeypatch.setattr(_lapack, name, lambda a, calls=calls, fn=fn: calls.append(a) or fn(a))
+        A = np.array([[2.0, 1.0], [0.0, 2.0]])
+        assert_allclose(fractional_power(A, 0.5), jordan_block_power(2.0, 2, 0.5), atol=1e-12)
+        V = np.linalg.eig(A)[1]
+        assert len(seen["eig"]) == 1
+        assert sum(np.array_equal(a, V) for a in seen["inv"]) == 1
 
     def test_complex_pair_near_the_axis_gives_a_real_power(self):
         A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i count as positive
@@ -861,6 +885,14 @@ def planar_rotation(Q, angles):
     return Q @ B @ Q.T
 
 
+def planar_log(Q, angles):
+    """Q diag(theta_1 J, ..., theta_k J, 0, ...) Q^T: the logarithm planar_rotation exponentiates."""
+    S = np.zeros((Q.shape[0], Q.shape[0]))
+    for k, theta in enumerate(angles):
+        S[2 * k + 1, 2 * k], S[2 * k, 2 * k + 1] = theta, -theta
+    return Q @ S @ Q.T
+
+
 class TestSoLog:
     def test_identity(self):
         assert_allclose(so_log(np.eye(3)), np.zeros((3, 3)))
@@ -892,37 +924,41 @@ class TestSoLog:
         assert np.linalg.norm(L - want) <= 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(mat_exp(L) - O) <= 1e-12 * np.linalg.norm(O)
 
-    def count_schur_calls(self, monkeypatch):
-        calls = []
-        schur = sla.schur
-        monkeypatch.setattr(sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    def assert_is_a_canonical_log(self, L, O):
+        # where the logarithm is not unique (exact half turns): exactly skew, e^L = O, every
+        # angle in (-pi, pi] up to rounding
+        assert np.array_equal(L, -L.T)
+        assert np.linalg.norm(sla.expm(L) - O) <= 1e-13 * np.linalg.norm(O)
+        assert np.abs(np.linalg.eigvals(L)).max() <= np.pi * (1 + 1e-14)
+
+    def count_logm_calls(self, monkeypatch):
+        calls, logm = [], matcore._logm
+        monkeypatch.setattr(matcore, "_logm", lambda A: calls.append(A) or logm(A))
         return calls
 
     def test_agrees_with_schur_route(self, rng, monkeypatch):
-        calls = self.count_schur_calls(monkeypatch)
+        calls = self.count_logm_calls(monkeypatch)
         for n in range(2, 7):
             for _ in range(20):
                 self.assert_matches_schur(random_special_orthogonal(rng, n))
-        assert len(calls) == 100  # the references' own calls only
+        assert calls == []  # each plane and each axis a cluster of its own: the closed form
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_near_half_turn(self, rng, n, monkeypatch):
-        calls = self.count_schur_calls(monkeypatch)
+        # 1e-6 and 1e-9 short of pi, on either side of a 1e-8 cut at -1: one plane, in closed form
+        calls = self.count_logm_calls(monkeypatch)
         others = list(rng.uniform(-3.0, 3.0, n // 2 - 1))
         Q = random_special_orthogonal(rng, n)
-        # an angle 1e-6 short of pi sits outside tol of the cut: eigendecomposition route
         self.assert_matches_schur(planar_rotation(Q, [np.pi - 1e-6, *others]))
-        assert len(calls) == 1
-        # 1e-9 short of pi is on the cut within tol: the Schur route
         self.assert_matches_schur(planar_rotation(Q, [np.pi - 1e-9, *others]))
-        assert len(calls) == 3
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_near_half_turn_route_ignores_tol(self, n, tol, monkeypatch):
-        # tol only bounds the orthogonality defect: 1e-11 and 1e-12 short of pi take the Schur
-        # route at every tol (an eigenbasis chosen by a 1e-13 cut lost 3.4e-7 of these angles)
-        calls = self.count_schur_calls(monkeypatch)
+        # tol only bounds the orthogonality defect: 1e-11 and 1e-12 short of pi give the same bytes
+        # at every tol (an eigenbasis chosen by a 1e-13 cut lost 3.4e-7 of these angles)
+        calls = self.count_logm_calls(monkeypatch)
         rng = np.random.default_rng([7, n])
         Q = random_special_orthogonal(rng, n)
         others = list(rng.uniform(-3.0, 3.0, n // 2 - 1))
@@ -930,14 +966,87 @@ class TestSoLog:
             O = planar_rotation(Q, [np.pi - short, *others])
             L, want = so_log(O, tol), schur_so_log(O)
             assert np.array_equal(L, -L.T)
+            assert np.array_equal(L, so_log(O))
             assert np.linalg.norm(L - want) <= 1e-12 * np.linalg.norm(want)
-        assert len(calls) == 4  # one per so_log, one per reference
+        assert calls == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_minus_one_pairs(self, rng, n):
+        # exact half turns, alone and beside other angles: any pairing of the -1 space is a log
         Q = random_special_orthogonal(rng, n)
-        self.assert_matches_schur(planar_rotation(Q, [np.pi] * (n // 2)))
-        self.assert_matches_schur(planar_rotation(Q, [np.pi, *rng.uniform(-3.0, 3.0, n // 2 - 1)]))
+        for angles in ([np.pi] * (n // 2), [np.pi, *rng.uniform(-3.0, 3.0, n // 2 - 1)]):
+            O = planar_rotation(Q, angles)
+            self.assert_is_a_canonical_log(so_log(O), O)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("small", [1e-5, 1e-9])
+    def test_small_angles_merge_with_the_fixed_axis(self, n, small, monkeypatch):
+        # cos(small) is within the clustering cut of +1: the plane and the axis share a cluster,
+        # whose logarithm is taken whole
+        calls = self.count_logm_calls(monkeypatch)
+        rng = np.random.default_rng([11, n])
+        Q = random_special_orthogonal(rng, n)
+        for angles in ([small], [small, 2.0]):
+            O = planar_rotation(Q, angles[: n // 2])
+            L = so_log(O)
+            assert np.array_equal(L, -L.T)
+            assert np.abs(L - planar_log(Q, angles[: n // 2])).max() <= 1e-15
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 3.0, np.pi - 1e-6])
+    def test_two_angles_1e_9_apart(self, n, theta):
+        # one 4-dimensional cluster, taken whole; past pi / 2 through log(-B) and its planes.
+        # Within 1e-6 of pi the logarithm's condition is theta / sin(theta) ~ 3e6, so e^L is
+        # checked there instead of L
+        rng = np.random.default_rng([12, n])
+        Q = random_special_orthogonal(rng, n)
+        for angles in ([theta, theta + 1e-9], [theta, -theta - 1e-9]):
+            angles = [min(a, np.pi) for a in angles]
+            O = planar_rotation(Q, angles)
+            L = so_log(O)
+            self.assert_is_a_canonical_log(L, O)
+            if theta < 3.1:
+                assert np.abs(L - planar_log(Q, angles)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_1e_12_short_of_a_half_turn(self, n):
+        rng = np.random.default_rng([13, n])
+        Q = random_special_orthogonal(rng, n)
+        angles = [np.pi - 1e-12, *rng.uniform(-3.0, 3.0, n // 2 - 1)]
+        L = so_log(planar_rotation(Q, angles))
+        assert np.abs(L - planar_log(Q, angles)).max() <= 1e-13
+        # beside an exact half turn in one cluster, beside its own mirror, and with a turn 1e-3
+        # short of pi as well: planes of log(-B) 1e-12 and 1e-3 wide, which an eigh of its square
+        # (resolution sqrt(u) of the widest) could not tell from the exact half turn
+        for more in ([np.pi - 1e-12, np.pi], [np.pi - 1e-12, -(np.pi - 1e-12)],
+                     [np.pi, np.pi - 1e-12, np.pi - 1e-3]):
+            if len(more) <= n // 2:
+                O = planar_rotation(Q, more)
+                self.assert_is_a_canonical_log(so_log(O), O)
+
+    @pytest.mark.parametrize("O", [
+        [[-1.0, 0.0], [-0.0, -1.0]], [[-1.0, 1e-17], [-1e-17, -1.0]], [[-1.0, -1e-17], [1e-17, -1.0]],
+        [[-1.0, -1.3703133191118613e-17], [3.8132959617557306e-17, -1.0 - 2e-16]],
+    ])
+    def test_a_half_turn_lands_on_plus_pi(self, O):
+        # atan2(-0.0, -1) and atan2(-1e-17, -1) are -pi: the angle is read as +pi, in a basis of
+        # eigh's turned proper (the last O's eigh basis is a reflection)
+        assert_array_equal(so_log(O), [[0.0, -np.pi], [np.pi, 0.0]])
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0, np.pi - 1e-6])
+    def test_a_defect_admitted_by_tol_splits_no_plane(self, theta):
+        # R(theta) diag(1.001, 0.999) is 2.8e-3 from orthogonal: its cos(theta) pair lies 2e-3
+        # apart, past the clustering cut, unless O is first taken to its polar factor R(theta)
+        c, s = np.cos(theta), np.sin(theta)
+        O = np.array([[c, -s], [s, c]]) @ np.diag([1.001, 0.999])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(so_log(O, tol=1e-2), [[0.0, -theta], [theta, 0.0]], rtol=1e-14)
+            L = so_log(-np.diag([1.001, 0.999, 1.001, 0.999]), tol=1e-2)  # one -1 cluster
+        self.assert_is_a_canonical_log(L, -np.eye(4))
+        with pytest.raises(NotSpecialOrthogonalError):
+            so_log(O)
 
     def test_not_special_orthogonal(self):
         with pytest.raises(NotSpecialOrthogonalError):
@@ -1187,7 +1296,7 @@ def _representative_calls(rng):
     tg.spectral_profile(X)
     tg.polar_decompose(K)
     tg.so_log(random_special_orthogonal(rng, n))
-    tg.so_log(np.diag([-1.0, -1.0, 1.0]))  # a half turn: the Schur route
+    tg.so_log(np.diag([-1.0, -1.0, 1.0]))  # a half turn
     for suite in verify.SUITES:
         verify.run_suite(suite, n, 7, 2)
 
