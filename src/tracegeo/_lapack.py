@@ -4,7 +4,8 @@ Each kernel (``svd``, ``solve``, ``inv``, ``qr``, ``eig``, ``eigh``, ``eigvalsh`
 ``slogdet``) calls the ``numpy.linalg._umath_linalg`` gufunc its ``np.linalg`` namesake calls, with
 the signature numpy picks for the operand, and returns the same bytes; at n <= 6 the rest of
 numpy's wrapper costs more than LAPACK does.  ``norm`` is ``np.linalg.norm``'s own Frobenius route,
-the root of one dot product, returned as a Python float of the same value.  ``inv`` (of a complex
+the root of one dot product, returned as a Python float of the same value; ``norms`` takes the
+same dot product of each matrix of a stack, and ``trace`` the trace of each.  ``inv`` (of a complex
 eigenbasis) and ``svd`` (of a complex cluster's staircase powers) take float64 or complex128; the
 other kernels take float64 alone, and refuse a complex operand with a TypeError instead of casting
 it.  Kept from numpy: ``eig`` comes back real when every imaginary part is zero, and refuses a
@@ -51,6 +52,20 @@ def norm(a):
     if x.dtype.char != "d":
         raise TypeError(f"norm takes a float64 operand, not {x.dtype}")
     return math.sqrt(x.dot(x))
+
+
+def norms(a):
+    """The Frobenius norm of each matrix of a stack (the last two axes), as an array: the bits of
+    :func:`norm` of each, from the dot product of each flattened matrix with itself."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def trace(a):
+    """The trace of a matrix, or of each matrix of a stack (the last two axes): the bits of
+    ``a.trace(0, -2, -1)`` from one ``add.reduce`` of the diagonals, without the method's generic
+    reduction call."""
+    return np.add.reduce(a.diagonal(0, -2, -1), -1)
 
 
 @_singular

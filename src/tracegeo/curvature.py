@@ -11,7 +11,10 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
-from .matcore import _Record, _overflow_guard, as_point_and_tangents, as_squares, require_invertible
+from .matcore import (
+    _Record, _at_member, _overflow_guard, _scalar, as_point_and_tangents, as_squares,
+    require_invertible,
+)
 from .metricspace import _gram_of_inverse, standard_basis
 
 __all__ = [
@@ -35,8 +38,8 @@ def _commutator(a, b):
 
 @_overflow_guard("curvature")
 def riemann_13(K, X, Y, Z):
-    """(1,3) curvature: -K [bZ, [bX, bY]] / 4 for bV = K^{-1} V."""
-    stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z)
+    """(1,3) curvature: -K [bZ, [bX, bY]] / 4 for bV = K^{-1} V; takes stacks ``(*s, n, n)``."""
+    stack = as_point_and_tangents(K, "K", stacks=True, X=X, Y=Y, Z=Z)
     return _riemann_13(stack[0], *_lapack.solve(stack[0], stack[1:]))
 
 
@@ -47,11 +50,11 @@ def _riemann_13(K, bX, bY, bZ):
 
 @_overflow_guard("curvature")
 def riemann_04(K, X, Y, Z, W):
-    """(0,4) curvature: tr([bX, bY] [bZ, bW]) / 4 for bV = K^{-1} V."""
-    stack = as_point_and_tangents(K, "K", X=X, Y=Y, Z=Z, W=W)
+    """(0,4) curvature: tr([bX, bY] [bZ, bW]) / 4 for bV = K^{-1} V; takes stacks ``(*s, n, n)``."""
+    stack = as_point_and_tangents(K, "K", stacks=True, X=X, Y=Y, Z=Z, W=W)
     S = _lapack.solve(stack[0], stack[1:])
     C = _commutator(S[0::2], S[1::2])  # [bX, bY] and [bZ, bW] in one batched product
-    return float(0.25 * (C[0] @ C[1]).trace())
+    return _scalar(0.25 * _lapack.trace(C[0] @ C[1]))
 
 
 @_overflow_guard("curvature")
@@ -77,21 +80,22 @@ def sectional(K, X, Y):
     if abs(denom) <= 1e-10 * max(fxx * fyy, np.finfo(float).tiny):
         raise DegenerateSectionError("metric is degenerate on the section")
     bracket = _commutator(*solved)
-    return float(0.25 * (bracket @ bracket).trace() / denom)
+    return float(0.25 * _lapack.trace(bracket @ bracket) / denom)
 
 
 def _ricci_form(n, BX, BY):
     """tr(BX) tr(BY) / 2 - n tr(BX BY) / 2 for BX = K^{-1}X, BY = K^{-1}Y, or stacks of them."""
-    trX, trY, trXY = (M.trace(axis1=-2, axis2=-1) for M in (BX, BY, BX @ BY))
+    trX, trY, trXY = (_lapack.trace(M) for M in (BX, BY, BX @ BY))
     return 0.5 * trX * trY - 0.5 * n * trXY
 
 
 @_overflow_guard("curvature")
 def ricci(K, X, Y):
-    """Ricci curvature tr(bX) tr(bY) / 2 - n tr(bX bY) / 2 for bV = K^{-1} V."""
-    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
+    """Ricci curvature tr(bX) tr(bY) / 2 - n tr(bX bY) / 2 for bV = K^{-1} V; takes stacks
+    ``(*s, n, n)``."""
+    stack = as_point_and_tangents(K, "K", stacks=True, X=X, Y=Y)
     bX, bY = _lapack.solve(stack[0], stack[1:])
-    return float(_ricci_form(stack.shape[1], bX, bY))
+    return _scalar(_ricci_form(stack.shape[-1], bX, bY))
 
 
 class OrthonormalFrame(_Record):
@@ -149,14 +153,14 @@ def scalar_curvature(K):
     """Scalar curvature at ``K``: the signed Ricci trace over an orthonormal frame.
 
     Constant over the whole space, equal to -(n+1) n (n-1) / 2; computed, not
-    hard-coded, so the formula chain stays honest.
+    hard-coded, so the formula chain stays honest.  Of a stack ``(*s, n, n)``, one value each.
     """
-    K = as_point_and_tangents(K, "K")[0]
-    n = K.shape[0]
+    K = as_point_and_tangents(K, "K", stacks=True)[0]
+    n = K.shape[-1]
     at_identity, signs = _identity_frame(n)
     # K^{-1} X_a = (K^{-1} K) E_a for the frame X_a = K E_a: one n x n solve, no frame vectors
-    BV = _lapack.solve(K, K) @ at_identity
-    return float(signs @ _ricci_form(n, BV, BV))
+    BV = _lapack.solve(K, K)[..., None, :, :] @ at_identity
+    return _scalar(np.vecdot(_ricci_form(n, BV, BV), signs))  # one dot product per K
 
 
 @_overflow_guard("curvature")
@@ -244,13 +248,17 @@ def sl_einstein_check(K, X, Y):
     """Einstein identity on a determinant leaf: (Ric(X,Y), -(n/2) g(X,Y)).
 
     Requires X and Y tangent to the leaf through K, i.e. tr(K^{-1}X) and
-    tr(K^{-1}Y) vanish; project with sl_tangent_project first if needed.
+    tr(K^{-1}Y) vanish; project with sl_tangent_project first if needed.  Of stacks
+    ``(*s, n, n)``, two arrays of shape ``s``; a member off the leaf is named by its stack index.
     """
-    stack = as_point_and_tangents(K, "K", X=X, Y=Y)
-    n = stack.shape[1]
-    bX, bY = _lapack.solve(stack[0], stack[1:])
-    for name, bV in (("X", bX), ("Y", bY)):
-        unit = bV / max(float(np.abs(bV).max()), np.finfo(float).tiny)  # ||unit|| cannot underflow
-        if abs(float(unit.trace())) > _LEAF_TRACE_RTOL * _lapack.norm(unit):
-            raise NotTangentError(f"{name} is not tangent to the determinant leaf")
-    return float(_ricci_form(n, bX, bY)), float(-0.5 * n * (bX @ bY).trace())
+    stack = as_point_and_tangents(K, "K", stacks=True, X=X, Y=Y)
+    n = stack.shape[-1]
+    quotients = _lapack.solve(stack[0], stack[1:])  # bX and bY
+    peak = np.abs(quotients).max(axis=(-2, -1), keepdims=True)
+    unit = quotients / np.maximum(peak, np.finfo(float).tiny)  # ||unit|| cannot underflow
+    off_leaf = np.abs(_lapack.trace(unit)) > _LEAF_TRACE_RTOL * _lapack.norms(unit)
+    for name, off in zip("XY", off_leaf):
+        if np.count_nonzero(off):
+            raise NotTangentError(f"{name} is not tangent to the determinant leaf{_at_member(off)}")
+    bX, bY = quotients
+    return _scalar(_ricci_form(n, bX, bY)), _scalar(-0.5 * n * _lapack.trace(bX @ bY))

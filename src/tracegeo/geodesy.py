@@ -28,6 +28,7 @@ from .matcore import (
     _RERUN_FACTORS,
     _Record,
     _curve_parameter,
+    _curve_parameters,
     _eigenbasis,
     _expm,
     _is_singular,
@@ -82,11 +83,18 @@ class Geodesic(_Record):
 
     @_overflow_guard("matrix exponential")
     def point(self, t):
-        """Point of the geodesic at parameter ``t`` (defined for every real t)."""
-        t = _curve_parameter(t)
+        """Point of the geodesic at parameter ``t`` (defined for every real t).  For a 1-D array
+        of m parameters, the ``(m, n, n)`` stack of their points, from the same eigenbasis."""
+        if isinstance(t, float) or not np.ndim(t):
+            t = _curve_parameter(t)
+            if self._basis is None:
+                return _expm(t * self.direction, left=self.base_point)
+            return _spectral(lambda lam: np.exp(t * lam), self._basis).real  # real up to rounding
+        t = _curve_parameters(t)
         if self._basis is None:
-            return _expm(t * self.direction, left=self.base_point)
-        return _spectral(lambda lam: np.exp(t * lam), self._basis).real  # real up to rounding
+            points = [_expm(x * self.direction, left=self.base_point) for x in t.tolist()]
+            return np.array(points).reshape(t.shape + self.direction.shape)
+        return _spectral(lambda lam: np.exp(t[:, None] * lam)[:, None, :], self._basis).real
 
 
 def geodesic_from_velocity(K, S):
@@ -135,9 +143,10 @@ def nabla(P, Xp, Yp, euc_deriv):
 
     That is D - (Xp bY + Yp bX) / 2 for bV = P^{-1} V, where ``euc_deriv`` is the
     caller-supplied Euclidean derivative D of the field Y along X at P (zero
-    for constant-coefficient fields).
+    for constant-coefficient fields).  Takes stacks ``(*s, n, n)`` of one shared shape.
     """
-    P, Xp, Yp, D = stack = as_point_and_tangents(P, "P", Xp=Xp, Yp=Yp, euc_deriv=euc_deriv)
+    P, Xp, Yp, D = stack = as_point_and_tangents(P, "P", stacks=True, Xp=Xp, Yp=Yp,
+                                                 euc_deriv=euc_deriv)
     bX, bY = _lapack.solve(P, stack[1:3])
     return D - 0.5 * (Xp @ bY + Yp @ bX)
 

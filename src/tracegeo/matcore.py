@@ -71,30 +71,43 @@ class _Value(_Record):
         return hash(self._key())
 
 
-def as_squares(**operands):
-    """The keyword operands as one ``(k, n, n)`` stack of finite square float matrices.
+def as_squares(*, stacks=False, **operands):
+    """The keyword operands as one ``(k, n, n)`` stack of finite square real matrices.
 
-    A defect names the first operand that has it (ValueError; TypeError for
-    non-numbers); DimensionMismatchError when the orders differ.
+    With ``stacks=True`` each operand may also be a stack of matrices, shape ``(*s, n, n)``
+    shared by every operand, and the result is ``(k, *s, n, n)``.  A defect names the first
+    operand that has it (ValueError; TypeError for non-numbers and for complex operands, which
+    are refused, not cast); DimensionMismatchError when the orders or the shapes differ.
     """
     try:
-        stack = np.asarray(list(operands.values()), dtype=float)
-        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0 and _lapack.all_finite(stack):
+        stack = np.asarray(list(operands.values()))
+        if stack.dtype.char != "d":
+            if stack.dtype.kind == "c":
+                raise TypeError  # a cast would drop the imaginary part: the loop names the operand
+            stack = stack.astype(float)
+        if ((stack.ndim == 3 or stacks and stack.ndim > 3)
+                and stack.shape[-1] == stack.shape[-2] > 0 and _lapack.all_finite(stack)):
             return stack
-    except (TypeError, ValueError):  # ragged or not numbers: the loop below names the operand
+    except (TypeError, ValueError):  # ragged, complex or not numbers: the loop names the operand
         pass
-    orders = set()
+    shapes = []
     for name, value in operands.items():
         try:
-            m = np.asarray(value, dtype=float)
+            m = np.asarray(value)
+            if m.dtype.kind != "c":
+                m = m.astype(float)
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"{name} is not a numeric matrix: {exc}") from exc
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        if m.dtype.kind == "c":
+            raise TypeError(f"{name} is not a real matrix")
+        if not (m.ndim == 2 or stacks and m.ndim > 2) or not m.shape[-1] == m.shape[-2] > 0:
             raise ValueError(f"{name} must be square, got shape {m.shape}")
         if not _lapack.all_finite(m):
             raise ValueError(f"{name} has non-finite entries")
-        orders.add(m.shape[0])
-    raise DimensionMismatchError(f"matrix orders differ: {sorted(orders)}")
+        shapes.append(m.shape)
+    orders = sorted({shape[-1] for shape in shapes})
+    raise DimensionMismatchError(f"matrix orders differ: {orders}" if len(orders) > 1
+                                 else f"operand shapes differ: {shapes}")
 
 
 _SINGULAR_RTOL = 1e-13  # the singular cut, relative to sigma_max: cA is singular exactly when A is
@@ -104,34 +117,50 @@ def _is_singular(s):  # s: singular values, largest first, along axis 0 (a stack
     return s[-1] <= _SINGULAR_RTOL * s[0]
 
 
-# (bytes, shape, dtype) of the last single matrix the cut passed.  The SVD's verdict is a function
-# of these alone, so an equal matrix passes again without one: the verify suites cut one base point
-# once per identity they check there.  One entry; a refusal or a stack is never remembered.  Every
-# entry is a pass, so callers that share it (threads, tests) can cost each other SVDs, not verdicts.
+# (bytes, shape, dtype) of the last operand, a matrix or a stack, the cut passed.  The SVD's
+# verdict is a function of these alone, so an equal operand passes again without one: the verify
+# suites cut one base point, or one stack of them, once per identity they check there.  One entry;
+# a refusal is never remembered.  Every entry is a pass, so callers that share it (threads, tests)
+# can cost each other SVDs, not verdicts.
 _passed = [None]
 
 
 def require_invertible(a, name="matrix"):
     """Raise SingularMatrixError when the smallest singular value is negligible; of a stack of
-    matrices (the last two axes), one batched SVD cuts each, and any singular one raises.  A
-    matrix equal in bytes, shape and dtype to the last one passed is passed with no SVD."""
+    matrices (the last two axes), one batched SVD cuts each, and the first singular one in C order
+    is named by its stack index.  An operand equal in bytes, shape and dtype to the last one passed
+    is passed with no SVD."""
     a = np.asarray(a)
-    key = (a.tobytes(), a.shape, a.dtype) if a.ndim == 2 else None
-    if key is not None and key == _passed[0]:
+    key = (a.tobytes(), a.shape, a.dtype)
+    if key == _passed[0]:
         return
     s = _lapack.svd(a, compute_uv=False)
     if _is_singular(s) if s.ndim == 1 else np.count_nonzero(_is_singular(s.T)):  # no reduction
-        raise SingularMatrixError(f"{name} is numerically singular")
-    if key is not None:
-        _passed[0] = key
+        at = _at_member(_is_singular(s.T).T)  # the flags in the stack's shape
+        raise SingularMatrixError(f"{name} is numerically singular{at}")
+    _passed[0] = key
 
 
-def as_point_and_tangents(base, name, **tangents):
+def _at_member(flags):
+    """`` at stack index i`` for the first true flag of a stack's flags in C order (``i`` an int
+    for one stack axis, else a tuple); nothing for the one flag of a single matrix."""
+    if not flags.ndim:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(flags), flags.shape))
+    return f" at stack index {index[0] if len(index) == 1 else index}"
+
+
+def as_point_and_tangents(base, name, *, stacks=False, **tangents):
     """:func:`as_squares` of the base (under ``name``) and the tangents, then
     :func:`require_invertible` of the base.  Returns the stack, base first."""
-    stack = as_squares(**{name: base}, **tangents)
+    stack = as_squares(stacks=stacks, **{name: base}, **tangents)
     require_invertible(stack[0], name)
     return stack
+
+
+def _scalar(x):
+    """A result of a stack-taking function: a 0-d value as a Python ``float``, a stack as itself."""
+    return x if x.ndim else float(x)
 
 
 def matrix_document(M, label=None):
@@ -147,6 +176,17 @@ def _curve_parameter(t):
     """``t`` as a float; a non-finite parameter is a ValueError, not an overflow downstream."""
     t = float(t)
     if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    return t
+
+
+def _curve_parameters(t):
+    """A 1-D array of curve parameters as floats; each must be finite (ValueError)."""
+    t = np.asarray(t)
+    if t.ndim != 1 or t.dtype.kind not in "biuf":
+        raise ValueError("t must be a real number or a 1-D array of them")
+    t = t.astype(float)
+    if not _lapack.all_finite(t):
         raise ValueError("t must be finite")
     return t
 
@@ -827,4 +867,4 @@ def cartan_killing(X, Y):
     """Cartan-Killing form 2n tr(XY) - 2 tr(X) tr(Y) on n x n matrices."""
     X, Y = as_squares(X=X, Y=Y)
     n = X.shape[0]
-    return float(2.0 * n * (X @ Y).trace() - 2.0 * X.trace() * Y.trace())
+    return float(2.0 * n * _lapack.trace(X @ Y) - 2.0 * _lapack.trace(X) * _lapack.trace(Y))

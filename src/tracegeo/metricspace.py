@@ -16,23 +16,28 @@ import numpy as np
 from . import _lapack
 from .errors import (
     DegenerateMetricError,
+    DimensionMismatchError,
     IllConditionedError,
     NonPositiveDeterminantError,
     NotUnimodularError,
     SingularMatrixError,
 )
 from .matcore import (
-    _Record, _Value, _det, _is_singular, _overflow_guard, as_point_and_tangents, as_squares,
-    require_invertible,
+    _Record, _Value, _det, _is_singular, _overflow_guard, _scalar, as_point_and_tangents,
+    as_squares, require_invertible,
 )
 
 
 @_overflow_guard("metric value")
 def trace_metric(A, V, W):
-    """Metric value tr(A^{-1} V A^{-1} W) = tr(bV bW), bV = A^{-1} V; symmetric and bilinear."""
-    stack = as_point_and_tangents(A, "A", V=V, W=W)
+    """Metric value tr(A^{-1} V A^{-1} W) = tr(bV bW), bV = A^{-1} V; symmetric and bilinear.
+
+    Operands may be stacks ``(*s, n, n)`` of one shared shape; the result is then the array of
+    shape ``s`` of the values, each the one its matrices give alone (as for every function that
+    takes stacks)."""
+    stack = as_point_and_tangents(A, "A", stacks=True, V=V, W=W)
     bV, bW = _lapack.solve(stack[0], stack[1:])
-    return float((bV @ bW).trace())
+    return _scalar(_lapack.trace(bV @ bW))
 
 
 def standard_basis(n):
@@ -106,14 +111,14 @@ _ISOMETRY_TABLE = {
     "left-translate": (True, lambda G, X: G @ X, None),
     "right-translate": (True, lambda G, X: X @ G, None),
     "conjugate": (True, lambda G, X: _lapack.solve(G, X @ G), None),
-    "congruence": (True, lambda G, X: G.T @ X @ G, None),
+    "congruence": (True, lambda G, X: G.swapaxes(-1, -2) @ X @ G, None),
     "point-symmetry": (
         True,
         lambda G, X: G @ _lapack.inv(X) @ G,
         lambda G, A, V: G @ _inversion_differential(G, A, V) @ G,
     ),
     "inversion": (False, lambda G, X: _lapack.inv(X), _inversion_differential),
-    "transposition": (False, lambda G, X: X.T, None),
+    "transposition": (False, lambda G, X: X.swapaxes(-1, -2), None),
     "negation": (False, lambda G, X: -X, None),
 }
 ISOMETRY_KINDS = tuple(_ISOMETRY_TABLE)
@@ -125,7 +130,8 @@ class Isometry(_Record):
     Parametric kinds carry an invertible matrix: translations multiply by it,
     conjugation maps X to G^{-1} X G, congruence to G^T X G, and the point
     symmetry about A maps X to A X^{-1} A.  Inversion, transposition and
-    negation need no parameter.
+    negation need no parameter.  A stack ``(*s, n, n)`` of parameters applies member by member
+    to operands of that shape; one matrix applies to operands of any shape.
     """
 
     kind: str
@@ -138,7 +144,7 @@ class Isometry(_Record):
         if _ISOMETRY_TABLE[kind][0]:
             if parameter is None:
                 raise ValueError(f"{kind} requires a parameter matrix")
-            parameter = as_point_and_tangents(parameter, "parameter")[0]
+            parameter = as_point_and_tangents(parameter, "parameter", stacks=True)[0]
         elif parameter is not None:
             raise ValueError(f"{kind} takes no parameter")
         self.__dict__.update(kind=kind, parameter=parameter)
@@ -176,14 +182,26 @@ def point_symmetry(A):
     return Isometry("point-symmetry", A)
 
 
+def _parameter_misfit(G, X):
+    """DimensionMismatchError unless the parameter ``G``, whose shape is not X's, is one matrix of
+    X's order (the shape check is inline at the call sites, which it keeps to two comparisons)."""
+    if G.shape != X.shape[-2:]:
+        raise DimensionMismatchError(f"parameter of shape {G.shape} does not fit operands of "
+                                     f"shape {X.shape}")
+
+
 @_overflow_guard("isometry")
 def apply_isometry(iso, X):
-    """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds."""
-    X = as_squares(X=X)[0]
+    """Apply ``iso`` to the matrix ``X``, which must be invertible for nonlinear kinds; or to a
+    stack ``(*s, n, n)`` of them."""
+    X = as_squares(stacks=True, X=X)[0]
+    G = iso.parameter
+    if G is not None and G.shape != X.shape:
+        _parameter_misfit(G, X)
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
     if differential is not None:
         require_invertible(X, "X")
-    return forward(iso.parameter, X)
+    return forward(G, X)
 
 
 @_overflow_guard("isometry")
@@ -191,14 +209,18 @@ def pushforward(iso, A, V):
     """Differential of ``iso`` at the point ``A`` applied to the tangent ``V``.
 
     Linear isometries are their own differential; inversion has differential
-    -A^{-1} V A^{-1}, and the point symmetry about G has -G A^{-1} V A^{-1} G.
+    -A^{-1} V A^{-1}, and the point symmetry about G has -G A^{-1} V A^{-1} G.  ``A`` and
+    ``V`` may be stacks ``(*s, n, n)`` of one shared shape.
     """
-    A, V = as_squares(A=A, V=V)
+    A, V = as_squares(stacks=True, A=A, V=V)
+    G = iso.parameter
+    if G is not None and G.shape != A.shape:
+        _parameter_misfit(G, A)
     _, forward, differential = _ISOMETRY_TABLE[iso.kind]
     if differential is None:
-        return forward(iso.parameter, V)
+        return forward(G, V)
     require_invertible(A, "A")
-    return differential(iso.parameter, A, V)
+    return differential(G, A, V)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +234,17 @@ def sl_tangent_project(K, W):
 
     Returns W - (tr(bW) / n) K for bW = K^{-1} W, the left translate of the
     trace-free part of bW; idempotent, and the output satisfies the trace
-    condition up to roundoff.
+    condition up to roundoff.  Takes stacks ``(*s, n, n)`` of one shared shape.
     """
-    K, W = stack = as_point_and_tangents(K, "K", W=W)
+    K, W = stack = as_point_and_tangents(K, "K", stacks=True, W=W)
     (bW,) = _lapack.solve(K, stack[1:])
-    return W - (float(bW.trace()) / K.shape[0]) * K
+    t = _lapack.trace(bW) / K.shape[-1]
+    return W - (t[..., None, None] if t.ndim else float(t)) * K
 
 
 def leaf_of(Q):
-    """Label of the determinant leaf through ``Q``: det(Q)."""
-    return float(_det(as_point_and_tangents(Q, "Q")[0]))
+    """Label of the determinant leaf through ``Q``: det(Q); of each member of a stack."""
+    return _scalar(_det(as_point_and_tangents(Q, "Q", stacks=True)[0]))
 
 
 def leaf_base_point(c, n):
@@ -310,6 +333,9 @@ def product_inverse(Q):
 def product_pushforward(p, M, a):
     """Differential of :func:`product_forward` at (P, x) on the tangent (M, a)."""
     P, M = as_squares(sl_part=p.sl_part, M=M)
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     n = P.shape[0]
     scale = _chart_scale(p.line_part, n)
-    return scale * M + (scale / math.sqrt(n)) * float(a) * P
+    return scale * M + (scale / math.sqrt(n)) * a * P

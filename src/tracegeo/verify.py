@@ -78,14 +78,13 @@ def _refused_or(difference_quotient, *args):
 
 
 def _metric_scale(A, V, W):
-    """Honest relative scale of tr(A^{-1}V A^{-1}W): the Cauchy-Schwarz bound."""
-    AV, AW = _lapack.solve(A, [V, W])
-    return _lapack.norm(AV) * _lapack.norm(AW)
+    """Honest relative scale of tr(A^{-1}V A^{-1}W): the Cauchy-Schwarz bound; of stacks of
+    cases, the list of theirs, case by case."""
+    AV, AW = _lapack.norms(_lapack.solve(A, [V, W]))
+    return (AV * AW).tolist()
 
 
-def _all_isometries(rng, n):
-    G = random_invertible(rng, n)
-    A0 = random_invertible(rng, n)
+def _all_isometries(G, A0):
     return [
         metricspace.left_translate(G),
         metricspace.right_translate(G),
@@ -98,31 +97,45 @@ def _all_isometries(rng, n):
     ]
 
 
+# The metric, curvature and foliation suites draw every case first, in the order one case at a
+# time would draw them, then evaluate each identity once on the stack of cases (the pointwise
+# functions take stacks, member by member), and record the checks case by case.
+
+
 def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
     want_sig = (n * (n + 1) // 2, n * (n - 1) // 2)
-    for _ in range(cases):
-        A = random_invertible(rng, n)
-        V = rng.uniform(-1.0, 1.0, (n, n))
-        W = rng.uniform(-1.0, 1.0, (n, n))
-        scale = max(1.0, _metric_scale(A, V, W))
-        g = metricspace.trace_metric(A, V, W)
-        rec.check("symmetry", metricspace.trace_metric(A, W, V), g, tol * scale,
-                  [("A", A), ("V", V), ("W", W)])
-        a = float(rng.uniform(-2.0, 2.0))
-        V2 = rng.uniform(-1.0, 1.0, (n, n))
-        lhs = metricspace.trace_metric(A, a * V + V2, W)
-        rhs = a * g + metricspace.trace_metric(A, V2, W)
-        rec.check("bilinearity", lhs, rhs, tol * scale * (1.0 + abs(a)), [("A", A)])
-        sig = metricspace.signature_at(A)
-        rec.check("signature", (sig.positive, sig.negative), want_sig, None, [("A", A)])
-        for iso in _all_isometries(rng, n):
-            fA = metricspace.apply_isometry(iso, A)
-            fV = metricspace.pushforward(iso, A, V)
-            fW = metricspace.pushforward(iso, A, W)
-            pulled = metricspace.trace_metric(fA, fV, fW)
-            pscale = max(scale, _metric_scale(fA, fV, fW), abs(g))
-            rec.check(f"isometry-{iso.kind}", pulled, g, tol / 10 * max(1.0, pscale),
-                      [("A", A), ("V", V), ("W", W)])
+    A, V, W, V2, G, A0 = np.empty((6, cases, n, n))
+    a = np.empty(cases)
+    for i in range(cases):
+        A[i] = random_invertible(rng, n)
+        V[i] = rng.uniform(-1.0, 1.0, (n, n))
+        W[i] = rng.uniform(-1.0, 1.0, (n, n))
+        a[i] = rng.uniform(-2.0, 2.0)
+        V2[i] = rng.uniform(-1.0, 1.0, (n, n))
+        G[i] = random_invertible(rng, n)
+        A0[i] = random_invertible(rng, n)
+    scales = _metric_scale(A, V, W)
+    g = metricspace.trace_metric(A, V, W).tolist()
+    swapped = metricspace.trace_metric(A, W, V).tolist()
+    lhs = metricspace.trace_metric(A, a[:, None, None] * V + V2, W).tolist()
+    g2 = metricspace.trace_metric(A, V2, W).tolist()
+    pulled = []
+    for iso in _all_isometries(G, A0):
+        fA = metricspace.apply_isometry(iso, A)
+        fV, fW = metricspace.pushforward(iso, A, V), metricspace.pushforward(iso, A, W)
+        pulled.append((iso.kind, metricspace.trace_metric(fA, fV, fW).tolist(),
+                       _metric_scale(fA, fV, fW)))
+    for i, ai in enumerate(a.tolist()):
+        scale = max(1.0, scales[i])
+        inputs = [("A", A[i]), ("V", V[i]), ("W", W[i])]
+        rec.check("symmetry", swapped[i], g[i], tol * scale, inputs)
+        rec.check("bilinearity", lhs[i], ai * g[i] + g2[i], tol * scale * (1.0 + abs(ai)),
+                  [("A", A[i])])
+        sig = metricspace.signature_at(A[i])
+        rec.check("signature", (sig.positive, sig.negative), want_sig, None, [("A", A[i])])
+        for kind, value, pscales in pulled:
+            pscale = max(scale, pscales[i], abs(g[i]))
+            rec.check(f"isometry-{kind}", value[i], g[i], tol / 10 * max(1.0, pscale), inputs)
     # splitting of the tangent space at the identity: g_I(V, W) = vec(V) @ G @ vec(W), columnwise
     G = metricspace.gram_matrix(np.eye(n))
     for i in range(n):
@@ -137,6 +150,10 @@ def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
                 a = Askew.ravel(order="F")
                 rec.check("split-skew-negative", float(a @ G @ a) < 0, True, None)
                 rec.check("split-orthogonal", float(s @ G @ a), 0.0, tol)
+
+
+_JACOBI_TIMES = np.array([-2.0, -0.6, 1.3, 2.0])
+_LEAF_TIMES = np.array([-2.0, -0.5, 0.9, 2.0])
 
 
 def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
@@ -156,10 +173,10 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
         rec.check("parameter-shift", _lapack.norm(direct - shifted), 0.0,
                   tol / 10 * max(1.0, _lapack.norm(direct)), [("K", K), ("C", C)])
         detK = _lapack.det(K)
-        for t in (-2.0, -0.6, 1.3, 2.0):
-            want = detK * np.exp(t * C.trace())
-            rec.check("jacobi-determinant", float(_lapack.det(geo.point(t))), float(want),
-                      tol * max(1.0, abs(want)), [("K", K), ("C", C)])
+        for t, got in zip(_JACOBI_TIMES.tolist(), _lapack.det(geo.point(_JACOBI_TIMES)).tolist()):
+            want = detK * np.exp(t * _lapack.trace(C))
+            rec.check("jacobi-determinant", got, float(want), tol * max(1.0, abs(want)),
+                      [("K", K), ("C", C)])
         # unique arcs between commensurate positive-definite endpoints
         K0 = random_spd(rng, n)
         K1 = random_spd(rng, n)
@@ -177,40 +194,47 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
 
 def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
     eye = np.eye(n)
-    for _ in range(cases):
-        K = random_invertible(rng, n)
-        X, Y, Z, W = (rng.uniform(-1.0, 1.0, (n, n)) for _ in range(4))
-        r = curvature.riemann_04(K, X, Y, Z, W)
-        mscale = max(1.0, abs(r),
-                     _metric_scale(K, X, Y) * _metric_scale(K, Z, W))
-        rec.check("antisym-12", curvature.riemann_04(K, Y, X, Z, W), -r, tol / 10 * mscale)
-        rec.check("antisym-34", curvature.riemann_04(K, X, Y, W, Z), -r, tol / 10 * mscale)
-        rec.check("pair-exchange", curvature.riemann_04(K, Z, W, X, Y), r, tol / 10 * mscale)
-        bianchi = (r + curvature.riemann_04(K, Y, Z, X, W)
-                   + curvature.riemann_04(K, Z, X, Y, W))
-        rec.check("first-bianchi", bianchi, 0.0, tol / 10 * mscale, [("K", K)])
-        compat = metricspace.trace_metric(K, curvature.riemann_13(K, X, Y, Z), W)
-        rec.check("compat-04-13", compat, r, tol / 100 * mscale, [("K", K)])
-        left = curvature.riemann_04(K, K @ X, K @ Y, K @ Z, K @ W)
-        base = curvature.riemann_04(eye, X, Y, Z, W)
-        rec.check("left-invariance", left, base, tol / 10 * max(1.0, abs(base)), [("K", K)])
+    K, X, Y, Z, W, X0, Y0, Z0 = np.empty((8, cases, n, n))
+    for i in range(cases):
+        K[i] = random_invertible(rng, n)
+        for M in (X, Y, Z, W, X0, Y0, Z0):
+            M[i] = rng.uniform(-1.0, 1.0, (n, n))
+    R = curvature.riemann_04
+    base = R(np.broadcast_to(eye, K.shape), X, Y, Z, W).tolist()  # first: K's cut is then kept
+    r = R(K, X, Y, Z, W)
+    antisym_12, antisym_34, pair_exchange = (
+        R(K, Y, X, Z, W).tolist(), R(K, X, Y, W, Z).tolist(), R(K, Z, W, X, Y).tolist())
+    bianchi = (r + R(K, Y, Z, X, W) + R(K, Z, X, Y, W)).tolist()
+    compat = metricspace.trace_metric(K, curvature.riemann_13(K, X, Y, Z), W).tolist()
+    left = R(K, K @ X, K @ Y, K @ Z, K @ W).tolist()
+    ric = curvature.ricci(K, X, Y).tolist() if n <= 3 else None
+    scalar = curvature.scalar_curvature(K).tolist()
+    want_scalar = -(n + 1) * n * (n - 1) / 2.0
+    # Cartan-Schouten identities for left-invariant fields
+    brk = X0 @ Y0 - Y0 @ X0
+    want, want13 = 0.5 * K @ brk, 0.25 * K @ (brk @ Z0 - Z0 @ brk)
+    nab_gap = _lapack.norms(geodesy.nabla(K, K @ X0, K @ Y0, K @ (X0 @ Y0)) - want).tolist()
+    r13_gap = _lapack.norms(curvature.riemann_13(K, K @ X0, K @ Y0, K @ Z0) - want13).tolist()
+    want_norm, want13_norm = _lapack.norms(want).tolist(), _lapack.norms(want13).tolist()
+    scales = zip(_metric_scale(K, X, Y), _metric_scale(K, Z, W))
+    for i, (ri, (sxy, szw)) in enumerate(zip(r.tolist(), scales)):
+        mscale = max(1.0, abs(ri), sxy * szw)
+        rec.check("antisym-12", antisym_12[i], -ri, tol / 10 * mscale)
+        rec.check("antisym-34", antisym_34[i], -ri, tol / 10 * mscale)
+        rec.check("pair-exchange", pair_exchange[i], ri, tol / 10 * mscale)
+        rec.check("first-bianchi", bianchi[i], 0.0, tol / 10 * mscale, [("K", K[i])])
+        rec.check("compat-04-13", compat[i], ri, tol / 100 * mscale, [("K", K[i])])
+        rec.check("left-invariance", left[i], base[i], tol / 10 * max(1.0, abs(base[i])),
+                  [("K", K[i])])
         if n <= 3:
-            rec.check("ricci-trace-oracle", curvature.ricci_trace_oracle(K, X, Y),
-                      curvature.ricci(K, X, Y), tol * mscale, [("K", K)])
-        want_scalar = -(n + 1) * n * (n - 1) / 2.0
-        rec.check("scalar-curvature", curvature.scalar_curvature(K), want_scalar,
-                  tol * max(1.0, abs(want_scalar)), [("K", K)])
-        # Cartan-Schouten identities for left-invariant fields
-        X0, Y0, Z0 = (rng.uniform(-1.0, 1.0, (n, n)) for _ in range(3))
-        nab = geodesy.nabla(K, K @ X0, K @ Y0, K @ (X0 @ Y0))
-        want = 0.5 * K @ (X0 @ Y0 - Y0 @ X0)
-        rec.check("cartan-schouten-nabla", _lapack.norm(nab - want), 0.0,
-                  tol / 100 * max(1.0, _lapack.norm(want)), [("K", K)])
-        r13 = curvature.riemann_13(K, K @ X0, K @ Y0, K @ Z0)
-        brk = X0 @ Y0 - Y0 @ X0
-        want13 = 0.25 * K @ (brk @ Z0 - Z0 @ brk)
-        rec.check("left-invariant-riemann", _lapack.norm(r13 - want13), 0.0,
-                  tol / 100 * max(1.0, _lapack.norm(want13)), [("K", K)])
+            rec.check("ricci-trace-oracle", curvature.ricci_trace_oracle(K[i], X[i], Y[i]),
+                      ric[i], tol * mscale, [("K", K[i])])
+        rec.check("scalar-curvature", scalar[i], want_scalar,
+                  tol * max(1.0, abs(want_scalar)), [("K", K[i])])
+        rec.check("cartan-schouten-nabla", nab_gap[i], 0.0, tol / 100 * max(1.0, want_norm[i]),
+                  [("K", K[i])])
+        rec.check("left-invariant-riemann", r13_gap[i], 0.0,
+                  tol / 100 * max(1.0, want13_norm[i]), [("K", K[i])])
     if n <= 3:
         for P in (eye, eye + 0.2 * rng.uniform(-1.0, 1.0, (n, n))):
             closed = curvature.christoffel_closed(P)
@@ -229,39 +253,47 @@ def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
 
 
 def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
-    for _ in range(cases):
-        K = random_invertible(rng, n)
-        W = rng.uniform(-1.0, 1.0, (n, n))
-        proj = metricspace.sl_tangent_project(K, W)
-        scale = max(1.0, _lapack.norm(_lapack.solve(K, W)))
-        rec.check("projection-tangency", float(_lapack.solve(K, proj).trace()), 0.0,
-                  tol / 100 * scale, [("K", K), ("W", W)])
-        again = metricspace.sl_tangent_project(K, proj)
-        rec.check("projection-idempotent", _lapack.norm(again - proj), 0.0,
-                  tol / 100 * max(1.0, _lapack.norm(proj)), [("K", K)])
-        X = metricspace.sl_tangent_project(K, rng.uniform(-1.0, 1.0, (n, n)))
-        Y = metricspace.sl_tangent_project(K, rng.uniform(-1.0, 1.0, (n, n)))
-        lhs, rhs = curvature.sl_einstein_check(K, X, Y)
-        rec.check("einstein-on-leaf", lhs, rhs,
-                  tol / 10 * max(1.0, abs(rhs), _metric_scale(K, X, Y)), [("K", K)])
-        C = rng.uniform(-1.0, 1.0, (n, n))
-        C -= (C.trace() / n) * np.eye(n)
-        geo = geodesy.Geodesic(K, C)
-        c = metricspace.leaf_of(K)
-        for t in (-2.0, -0.5, 0.9, 2.0):
-            rec.check("leaf-invariant-determinant", float(_lapack.det(geo.point(t))), c,
-                      tol * max(1.0, abs(c)), [("K", K), ("C", C)])
-        # the left-translation chart from the leaf to the unimodular group
-        P0 = metricspace.leaf_base_point(c, n)
-        chart = metricspace.left_translate(_lapack.inv(P0))
-        Q = metricspace.apply_isometry(chart, K)
-        rec.check("leaf-chart-unimodular", float(_lapack.det(Q)), 1.0,
-                  tol, [("K", K)])
-        g0 = metricspace.trace_metric(K, X, Y)
-        g1 = metricspace.trace_metric(Q, metricspace.pushforward(chart, K, X),
-                                      metricspace.pushforward(chart, K, Y))
-        rec.check("leaf-chart-isometry", g1, g0,
-                  tol / 10 * max(1.0, abs(g0), _metric_scale(K, X, Y)), [("K", K)])
+    K, W, U, U2, C = np.empty((5, cases, n, n))
+    for i in range(cases):
+        K[i] = random_invertible(rng, n)
+        for M in (W, U, U2, C):
+            M[i] = rng.uniform(-1.0, 1.0, (n, n))
+        C[i] -= (_lapack.trace(C[i]) / n) * np.eye(n)
+    proj = metricspace.sl_tangent_project(K, W)
+    quotients = _lapack.solve(K, [W, proj])
+    scale = _lapack.norms(quotients[0]).tolist()
+    tangency = _lapack.trace(quotients[1]).tolist()
+    again = _lapack.norms(metricspace.sl_tangent_project(K, proj) - proj).tolist()
+    proj_norm = _lapack.norms(proj).tolist()
+    X = metricspace.sl_tangent_project(K, U)
+    Y = metricspace.sl_tangent_project(K, U2)
+    lhs, rhs = (v.tolist() for v in curvature.sl_einstein_check(K, X, Y))
+    c = metricspace.leaf_of(K).tolist()
+    points = np.empty((cases, len(_LEAF_TIMES), n, n))
+    for i in range(cases):
+        points[i] = geodesy.Geodesic(K[i], C[i]).point(_LEAF_TIMES)
+    dets = _lapack.det(points).tolist()
+    # the left-translation chart from the leaf to the unimodular group
+    P0 = np.array([metricspace.leaf_base_point(ci, n) for ci in c]).reshape(K.shape)
+    chart = metricspace.left_translate(_lapack.inv(P0))
+    Q = metricspace.apply_isometry(chart, K)
+    unimodular = _lapack.det(Q).tolist()
+    g0 = metricspace.trace_metric(K, X, Y).tolist()
+    g1 = metricspace.trace_metric(Q, metricspace.pushforward(chart, K, X),
+                                  metricspace.pushforward(chart, K, Y)).tolist()
+    for i, xy_scale in enumerate(_metric_scale(K, X, Y)):
+        rec.check("projection-tangency", tangency[i], 0.0, tol / 100 * max(1.0, scale[i]),
+                  [("K", K[i]), ("W", W[i])])
+        rec.check("projection-idempotent", again[i], 0.0, tol / 100 * max(1.0, proj_norm[i]),
+                  [("K", K[i])])
+        rec.check("einstein-on-leaf", lhs[i], rhs[i],
+                  tol / 10 * max(1.0, abs(rhs[i]), xy_scale), [("K", K[i])])
+        for det in dets[i]:
+            rec.check("leaf-invariant-determinant", det, c[i], tol * max(1.0, abs(c[i])),
+                      [("K", K[i]), ("C", C[i])])
+        rec.check("leaf-chart-unimodular", unimodular[i], 1.0, tol, [("K", K[i])])
+        rec.check("leaf-chart-isometry", g1[i], g0[i],
+                  tol / 10 * max(1.0, abs(g0[i]), xy_scale), [("K", K[i])])
 
 
 def random_unimodular(rng, n):

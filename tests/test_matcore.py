@@ -830,14 +830,18 @@ class TestSingularCutMemo:
         require_invertible(K)  # still the entry: a refusal displaces nothing
         assert len(svds) == 4
 
-    def test_a_stack_is_always_cut(self, rng, svds):
+    def test_a_passed_stack_is_remembered_until_mutated(self, rng, svds):
         P = np.stack([random_invertible(rng, 2), I2])
         svds.clear()
         for _ in range(3):
             require_invertible(P, "P")
-        assert len(svds) == 3
-        require_invertible(I2)
-        require_invertible(I2)  # a stack is never remembered, but a matrix of it is cut as any other
+        assert len(svds) == 1  # a stack that passed is not cut again
+        require_invertible(P[1])
+        assert len(svds) == 2  # a member of it is another shape: cut as any other matrix
+        require_invertible(P, "P")
+        P[1] = [[1.0, 2.0], [2.0, 4.0]]  # mutated in place to a singular member
+        with pytest.raises(SingularMatrixError, match="P is numerically singular at stack index 1"):
+            require_invertible(P, "P")
         assert len(svds) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
