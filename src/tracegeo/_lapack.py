@@ -57,7 +57,7 @@ def norm(a):
 def norms(a):
     """The Frobenius norm of each matrix of a stack (the last two axes), as an array: the bits of
     :func:`norm` of each, from the dot product of each flattened matrix with itself."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
+    flat = a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])  # no -1: a stack may be empty
     return np.sqrt(np.vecdot(flat, flat))
 
 

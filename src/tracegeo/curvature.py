@@ -11,9 +11,9 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegenerateSectionError, LinearlyDependentError, NotTangentError
+from .errors import SingularMatrixError
 from .matcore import (
-    _Record, _at_member, _overflow_guard, _scalar, as_point_and_tangents, as_squares,
-    require_invertible,
+    _Record, _at_member, _is_singular, _overflow_guard, _scalar, as_point_and_tangents, as_squares,
 )
 from .metricspace import _gram_of_inverse, standard_basis
 
@@ -207,7 +207,8 @@ def christoffel_closed(P):
 @_overflow_guard("Christoffel symbols")
 def christoffel_fd(P, h=None):
     """Christoffel symbols from central differences of the Gram matrix, in one pass: one batched
-    cut and ``inv`` of the 2n^2 + 1 points P +- h E_d and P.  Taken at P / 2^e with the step
+    cut and ``inv`` of the 2n^2 + 1 points P +- h E_d and P.  A singular P is refused as itself,
+    a singular neighbour P +- h E_d by the step that reached it.  Taken at P / 2^e with the step
     h / 2^e, e the exponent of max |P|, as Gamma(P, h) = Gamma(P / 2^e, h / 2^e) / 2^e exactly.
 
     The default step is relative, 1e-4 (sigma_min / sigma_max) max|P|, and never below the floor
@@ -231,7 +232,11 @@ def christoffel_fd(P, h=None):
     m = P.shape[0] ** 2
     steps = h * standard_basis(P.shape[0])
     points = np.concatenate([P + steps, P - steps, P[None]])
-    require_invertible(points, "P")
+    singular = _is_singular(_lapack.svd(points, compute_uv=False).T)
+    if np.count_nonzero(singular):  # P's own verdict first: the caller passed P, not the stack
+        raise SingularMatrixError("P is numerically singular" if singular[-1] else
+                                  f"P + h E_d or P - h E_d is numerically singular at the step "
+                                  f"h = {np.ldexp(h, e):.3g}")
     G = _gram_of_inverse(_lapack.inv(points))
     dG = (G[:m] - G[m:-1]) / (2 * h)  # dG[d, a, b] = d g_{ab} / d p^d
     Ginv = _lapack.inv(G[-1])

@@ -46,12 +46,12 @@ from .matcore import (
 
 
 class Geodesic(_Record):
-    """The geodesic t -> base_point @ expm(t * direction).
+    """The geodesic t -> base_point @ expm(t * direction), or a stack ``(*s, n, n)`` of them.
 
-    Points come from one eigendecomposition of the direction, made on the
-    first call of :meth:`point`; a defective or ill-conditioned direction
-    takes the Pade exponential ``matcore._expm`` instead.  Both arrays are
-    read-only, so the eigenbasis cannot go stale.
+    Points come from one eigendecomposition of the direction (batched over a stack), made on the
+    first call of :meth:`point`; a defective or ill-conditioned member takes the Pade exponential
+    ``matcore._expm`` instead, and every member's points have the bits it gives alone.  Both
+    arrays are read-only, so the eigenbasis cannot go stale.
     """
 
     base_point: np.ndarray
@@ -59,7 +59,8 @@ class Geodesic(_Record):
     _fields = ("base_point", "direction")
 
     def __init__(self, base_point, direction):
-        self._settle(*as_point_and_tangents(base_point, "base_point", direction=direction))
+        self._settle(*as_point_and_tangents(base_point, "base_point", stacks=True,
+                                            direction=direction))
 
     @classmethod
     def _unchecked(cls, K, C):
@@ -79,22 +80,43 @@ class Geodesic(_Record):
 
     @functools.cached_property
     def _basis(self):
-        return _eigenbasis(*_lapack.eig(self.direction), left=self.base_point)
+        """The direction's :func:`_eigenbasis`, or None (``_expm``); of a stack of mixed routes,
+        ``(members, part)`` pairs that split it into geodesics of one: by realness first (``eig``
+        of a stack is complex when one member's is), then, past a defective member, by member."""
+        K, C = self.base_point, self.direction
+        w, V = _lapack.eig(C)
+        real = np.count_nonzero(w.imag, axis=-1) == 0
+        split = (real, ~real)
+        if np.count_nonzero(real) in (0, real.size):  # one dtype for every member
+            basis = _eigenbasis(w, V, left=K)
+            if basis is not None or real.size == 1:
+                return basis
+            split = np.eye(real.size, dtype=bool).reshape(-1, *real.shape)  # each member alone
+        return [(m, Geodesic._unchecked(K[m], C[m])) for m in split]
 
     @_overflow_guard("matrix exponential")
     def point(self, t):
-        """Point of the geodesic at parameter ``t`` (defined for every real t).  For a 1-D array
-        of m parameters, the ``(m, n, n)`` stack of their points, from the same eigenbasis."""
-        if isinstance(t, float) or not np.ndim(t):
+        """Points at ``t`` (every real t), of shape ``np.broadcast_shapes(np.shape(t), s) + (n, n)``
+        for the stack shape s: one geodesic gives a float one point and m parameters ``(m, n, n)``;
+        a stack of c gives t of shape (c,) one per member, and ``t[:, None]`` all m to each."""
+        if self.direction.ndim == 2 and (isinstance(t, float) or not np.ndim(t)):
             t = _curve_parameter(t)
             if self._basis is None:
                 return _expm(t * self.direction, left=self.base_point)
             return _spectral(lambda lam: np.exp(t * lam), self._basis).real  # real up to rounding
-        t = _curve_parameters(t)
-        if self._basis is None:
-            points = [_expm(x * self.direction, left=self.base_point) for x in t.tolist()]
-            return np.array(points).reshape(t.shape + self.direction.shape)
-        return _spectral(lambda lam: np.exp(t[:, None] * lam)[:, None, :], self._basis).real
+        t, basis = _curve_parameters(t), self._basis
+        if isinstance(basis, tuple):
+            return _spectral(lambda lam: np.exp(t[..., None] * lam)[..., None, :], basis).real
+        shape = np.broadcast_shapes(t.shape, self.direction.shape[:-2])
+        t, square = np.broadcast_to(t, shape), self.direction.shape[-2:]
+        if basis is None:  # each member at each of its t by the Pade exponential
+            K, C = (np.broadcast_to(a, shape + square) for a in (self.base_point, self.direction))
+            points = [_expm(float(t[j]) * C[j], left=K[j]) for j in np.ndindex(shape)]
+            return np.array(points).reshape(shape + square)
+        out = np.empty(shape + square)
+        for members, part in basis:
+            out[..., members, :, :] = part.point(t[..., members])
+        return out
 
 
 def geodesic_from_velocity(K, S):
@@ -155,20 +177,28 @@ def curve_residual(curve, t, h=1e-4):
     """Frobenius norm of the geodesic-equation defect of ``curve`` at ``t``.
 
     ``curve`` is a callable returning a matrix, invertible at ``t``; derivatives are central
-    differences of step ``h``.  Vanishes as O(h^2) on true geodesics.
+    differences of step ``h``.  Vanishes as O(h^2) on true geodesics.  An array t takes one call
+    of ``curve`` on each of t, t + h and t - h, which returns ``(*r, n, n)`` stacks (as a stacked
+    :class:`Geodesic`'s ``point`` does), and gives the norms of shape r, each with the bits of
+    its t alone, from one batched cut and ``solve``; one t whose step rounds away refuses all.
     """
-    t = _curve_parameter(t)
+    one = isinstance(t, float) or not np.ndim(t)
+    t = _curve_parameter(t) if one else _curve_parameters(t)
     # acc divides by h * h, and t +- h rounded to t would read every curve as a geodesic
-    if not (0 < h < np.inf and h * h >= np.finfo(float).tiny and t - h != t != t + h):
+    if not (0 < h < np.inf and h * h >= np.finfo(float).tiny
+            and (t - h != t != t + h if one
+                 else np.count_nonzero((t - h != t) & (t + h != t)) == t.size)):
         raise ValueError("step h must be positive and finite, h * h a normal float, "
                          "and t + h and t - h distinct from t")
     # the singular cut on curve(t), which the solve below inverts
-    P0, Pp, Pm = as_point_and_tangents(curve(t), "curve(t)",
+    P0, Pp, Pm = as_point_and_tangents(curve(t), "curve(t)", stacks=not one,
                                        **{"curve(t+h)": curve(t + h), "curve(t-h)": curve(t - h)})
-    hp, hm = (t + h) - t, t - (t - h)  # the steps taken: t +- h round on the grids of their binades
+    s = t if one else t[..., None, None]  # t, with the points' matrix axes
+    hp, hm = (s + h) - s, s - (s - h)  # the steps taken: t +- h round on the grids of their binades
     vel = (Pp - Pm) / (hp + hm)
     acc = 2.0 * ((Pp - P0) / hp - (P0 - Pm) / hm) / (hp + hm)
-    return _lapack.norm(acc - vel @ _lapack.solve(P0, vel))
+    defect = acc - vel @ _lapack.solve(P0, vel)
+    return _lapack.norm(defect) if one else _lapack.norms(defect)
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,10 @@ def _curve_parameter(t):
 
 
 def _curve_parameters(t):
-    """A 1-D array of curve parameters as floats; each must be finite (ValueError)."""
+    """An array of curve parameters as floats; each must be finite (ValueError)."""
     t = np.asarray(t)
-    if t.ndim != 1 or t.dtype.kind not in "biuf":
-        raise ValueError("t must be a real number or a 1-D array of them")
+    if t.dtype.kind not in "biuf":
+        raise ValueError("t must be a real number or an array of them")
     t = t.astype(float)
     if not _lapack.all_finite(t):
         raise ValueError("t must be finite")
@@ -316,16 +316,17 @@ _EIGENBASIS_COND_MAX = 1e4
 
 def _eigenbasis(eigs, V, left=None):
     """``(eigs, left @ V, V^{-1})`` for ``A = V diag(eigs) V^{-1}``, from which :func:`_spectral`
-    takes ``left @ f(A)``; None when ``cond_1(V)`` (the largest column sums of ``|V|`` and
-    ``|V^{-1}|``, multiplied) exceeds ``_EIGENBASIS_COND_MAX`` (defective or nearly so: the caller
-    falls back to ``_logm`` or ``_expm``).  The error is about ``cond(V) u`` (Higham 2008,
-    section 4.5); near-defective ``A`` is the case of Moler and Van Loan's warning (SIAM Rev.
-    2003, method 14)."""
+    takes ``left @ f(A)``, or batched for a stack of them; None when ``cond_1(V)`` (the largest
+    column sums of ``|V|`` and ``|V^{-1}|``, multiplied) exceeds ``_EIGENBASIS_COND_MAX`` for one
+    (defective or nearly so: the caller falls back to ``_logm`` or ``_expm``).  The error is about
+    ``cond(V) u`` (Higham 2008, section 4.5); near-defective ``A`` is the case of Moler and Van
+    Loan's warning (SIAM Rev. 2003, method 14)."""
     try:
         Vinv = _lapack.inv(V)
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         return None
-    if abs(V).sum(axis=0).max() * abs(Vinv).sum(axis=0).max() > _EIGENBASIS_COND_MAX:
+    cond = abs(V).sum(axis=-2).max(axis=-1) * abs(Vinv).sum(axis=-2).max(axis=-1)
+    if np.count_nonzero(cond > _EIGENBASIS_COND_MAX):
         return None
     return eigs, (V if left is None else left @ V), Vinv
 

@@ -97,9 +97,9 @@ def _all_isometries(G, A0):
     ]
 
 
-# The metric, curvature and foliation suites draw every case first, in the order one case at a
-# time would draw them, then evaluate each identity once on the stack of cases (the pointwise
-# functions take stacks, member by member), and record the checks case by case.
+# The metric, geodesic, curvature and foliation suites draw every case first, in the order one
+# case at a time would draw them, then evaluate each identity once on the stack of cases (the
+# pointwise functions take stacks, member by member), and record the checks case by case.
 
 
 def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
@@ -152,44 +152,54 @@ def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
                 rec.check("split-orthogonal", float(s @ G @ a), 0.0, tol)
 
 
+_RESIDUAL_TIMES = np.array([-1.0, 0.37, 2.0])
 _JACOBI_TIMES = np.array([-2.0, -0.6, 1.3, 2.0])
 _LEAF_TIMES = np.array([-2.0, -0.5, 0.9, 2.0])
 
 
 def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
-    for _ in range(cases):
-        K = random_invertible(rng, n)
-        C = rng.uniform(-1.0, 1.0, (n, n))
-        # unit spectral norm keeps the h^2 residual signal above the
-        # floating-point floor eps*||P||/h^2 over the sampled window
-        C /= max(1.0, float(_lapack.svd(C, compute_uv=False)[0]))
-        geo = geodesy.Geodesic(K, C)
-        for t in (-1.0, 0.37, 2.0):
-            rec.check("ode-residual", _refused_or(geodesy.curve_residual, geo.point, t, fd_step),
-                      0.0, RESIDUAL_TOL, [("K", K), ("C", C)])
-        s, t = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
-        direct = geo.point(s + t)
-        shifted = geodesy.Geodesic(geo.point(s), C).point(t)
-        rec.check("parameter-shift", _lapack.norm(direct - shifted), 0.0,
-                  tol / 10 * max(1.0, _lapack.norm(direct)), [("K", K), ("C", C)])
-        detK = _lapack.det(K)
-        for t, got in zip(_JACOBI_TIMES.tolist(), _lapack.det(geo.point(_JACOBI_TIMES)).tolist()):
-            want = detK * np.exp(t * _lapack.trace(C))
-            rec.check("jacobi-determinant", got, float(want), tol * max(1.0, abs(want)),
-                      [("K", K), ("C", C)])
+    K, C, K0, K1, G = np.empty((5, cases, n, n))
+    shift = np.empty((cases, 2))
+    for i in range(cases):
+        K[i] = random_invertible(rng, n)
+        C[i] = rng.uniform(-1.0, 1.0, (n, n))
+        shift[i] = rng.uniform(-1.5, 1.5, 2)
+        K0[i], K1[i], G[i] = random_spd(rng, n), random_spd(rng, n), random_invertible(rng, n)
+    # unit spectral norm keeps the h^2 residual signal above the
+    # floating-point floor eps*||P||/h^2 over the sampled window
+    C /= np.maximum(1.0, _lapack.svd(C, compute_uv=False)[:, :1, None])
+    geo = geodesy.Geodesic(K, C)
+    try:
+        residuals = geodesy.curve_residual(geo.point, _RESIDUAL_TIMES[:, None], fd_step).tolist()
+    except ValueError:  # one t whose step rounds away refuses them all: each t alone, then
+        residuals = [_refused_or(lambda t: geodesy.curve_residual(geo.point, t, fd_step).tolist(),
+                                 t) for t in _RESIDUAL_TIMES[:, None]]
+    s, t = shift.T
+    direct = geo.point(s + t)
+    shifted = geodesy.Geodesic(geo.point(s), C).point(t)
+    shift_gap, direct_norm = (_lapack.norms(x).tolist() for x in (direct - shifted, direct))
+    dets = _lapack.det(geo.point(_JACOBI_TIMES[:, None])).T.tolist()
+    wants = (_lapack.det(K)[:, None] * np.exp(_JACOBI_TIMES * _lapack.trace(C)[:, None])).tolist()
+    for i in range(cases):
+        inputs = [("K", K[i]), ("C", C[i])]
+        for row in residuals:
+            rec.check("ode-residual", row if isinstance(row, str) else row[i], 0.0, RESIDUAL_TOL,
+                      inputs)
+        rec.check("parameter-shift", shift_gap[i], 0.0, tol / 10 * max(1.0, direct_norm[i]),
+                  inputs)
+        for got, want in zip(dets[i], wants[i]):
+            rec.check("jacobi-determinant", got, want, tol * max(1.0, abs(want)), inputs)
         # unique arcs between commensurate positive-definite endpoints
-        K0 = random_spd(rng, n)
-        K1 = random_spd(rng, n)
-        outcome = geodesy.classify_arc(K0, K1, tol_cluster)
-        rec.check("spd-unique", outcome.verdict.value, "unique", None, [("K0", K0), ("K1", K1)])
+        outcome = geodesy.classify_arc(K0[i], K1[i], tol_cluster)
+        rec.check("spd-unique", outcome.verdict.value, "unique", None,
+                  [("K0", K0[i]), ("K1", K1[i])])
         if outcome.witness is not None:
             end = outcome.witness.point(1.0)
-            rec.check("spd-endpoint", _lapack.norm(end - K1), 0.0,
-                      tol * max(1.0, _lapack.norm(K1)), [("K0", K0), ("K1", K1)])
-        G = random_invertible(rng, n)
-        translated = geodesy.classify_arc(G @ K0, G @ K1, tol_cluster)
+            rec.check("spd-endpoint", _lapack.norm(end - K1[i]), 0.0,
+                      tol * max(1.0, _lapack.norm(K1[i])), [("K0", K0[i]), ("K1", K1[i])])
+        translated = geodesy.classify_arc(G[i] @ K0[i], G[i] @ K1[i], tol_cluster)
         rec.check("classify-left-invariance", translated.verdict.value,
-                  outcome.verdict.value, None, [("G", G)])
+                  outcome.verdict.value, None, [("G", G[i])])
 
 
 def _suite_curvature(rec, rng, n, cases, tol, fd_step, tol_cluster):
@@ -269,10 +279,7 @@ def _suite_foliation(rec, rng, n, cases, tol, fd_step, tol_cluster):
     Y = metricspace.sl_tangent_project(K, U2)
     lhs, rhs = (v.tolist() for v in curvature.sl_einstein_check(K, X, Y))
     c = metricspace.leaf_of(K).tolist()
-    points = np.empty((cases, len(_LEAF_TIMES), n, n))
-    for i in range(cases):
-        points[i] = geodesy.Geodesic(K[i], C[i]).point(_LEAF_TIMES)
-    dets = _lapack.det(points).tolist()
+    dets = _lapack.det(geodesy.Geodesic(K, C).point(_LEAF_TIMES[:, None])).T.tolist()
     # the left-translation chart from the leaf to the unimodular group
     P0 = np.array([metricspace.leaf_base_point(ci, n) for ci in c]).reshape(K.shape)
     chart = metricspace.left_translate(_lapack.inv(P0))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -438,6 +439,18 @@ class TestChristoffel:
     def test_default_step_never_refuses(self):
         # 1e-4 sigma_min / sigma_max is far below 2^20 ulp(1) here: the default takes the floor
         assert christoffel_fd(np.diag([1.0, 1e-12])).shape == (4, 4, 4)
+
+    @pytest.mark.parametrize("h", [None, 1e-4])
+    def test_a_singular_point_is_named_as_itself(self, h):
+        # the cut covers P and its 2 n^2 neighbours, but the caller passed P alone: no stack index
+        with pytest.raises(SingularMatrixError, match=r"^P is numerically singular$"):
+            christoffel_fd([[1.0, 2.0], [2.0, 4.0]], h)
+
+    def test_a_singular_neighbour_is_named_by_the_step(self):
+        # P = I is invertible, but P - h E_11 = diag(0, 1) is singular at h = 1
+        message = "P + h E_d or P - h E_d is numerically singular at the step h = 1"
+        with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
+            christoffel_fd(I2, 1.0)
 
     def test_one_batched_cut_of_every_point(self, rng, monkeypatch):
         # P +- h E_d and P, 2 n^2 + 1 points, in one SVD call; gram_matrix is never called

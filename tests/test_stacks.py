@@ -6,6 +6,9 @@ so each member's result is bit for bit the one that point gives alone; the verif
 that to evaluate each identity once on the stack of their cases.
 """
 
+import copy
+import json
+import pickle
 import re
 import warnings
 
@@ -20,6 +23,7 @@ from tracegeo import (
     SingularMatrixError,
     apply_isometry,
     classify_arc,
+    curve_residual,
     leaf_of,
     left_translate,
     nabla,
@@ -33,7 +37,7 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import curvature, metricspace, verify
+from tracegeo import curvature, geodesy, metricspace, verify
 from tracegeo.metricspace import ISOMETRY_KINDS, Isometry
 from tracegeo.verify import random_invertible
 
@@ -127,10 +131,144 @@ def test_geodesic_points_of_an_array_of_t_are_those_of_each_t(rng, n):
         assert np.array_equal(geo.point([0.5]), geo.point(0.5)[None])
 
 
-@pytest.mark.parametrize("t", [[0.0, np.nan], [np.inf], [[0.0, 1.0]], ["a"]], ids=repr)
-def test_an_array_of_t_is_finite_and_one_dimensional(t):
+@pytest.mark.parametrize("t", [[0.0, np.nan], [np.inf], [[0.0], [np.nan]], ["a"], [1j]], ids=repr)
+def test_an_array_of_t_is_real_and_finite(t):
     with pytest.raises(ValueError, match="t must be"):
         Geodesic(np.eye(2), np.eye(2)).point(t)
+    with pytest.raises(ValueError, match="t must be"):
+        curve_residual(Geodesic(np.eye(2), np.eye(2)).point, t)
+
+
+def _stacked_geodesic(rng, shape, n):
+    return Geodesic(_points(rng, shape, n), rng.uniform(-1.0, 1.0, shape + (n, n)))
+
+
+def _member_points(geo, t):
+    """The points of a stacked geodesic, each from its member's own geodesic at a float t."""
+    s, n = geo.direction.shape[:-2], geo.direction.shape[-1]
+    shape = np.broadcast_shapes(np.shape(t), s)
+    ts = np.broadcast_to(t, shape).reshape(-1, int(np.prod(s)))
+    members = [Geodesic(K, C) for K, C in zip(geo.base_point.reshape(-1, n, n),
+                                               geo.direction.reshape(-1, n, n))]
+    points = [[member.point(x) for member, x in zip(members, row)] for row in ts.tolist()]
+    return np.array(points).reshape(shape + (n, n))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_stacked_geodesic_gives_each_member_the_bits_of_its_own(rng, n, shape):
+    geo = _stacked_geodesic(rng, shape, n)
+    ts = [0.37, np.float64(-1.2), rng.uniform(-2.0, 2.0, shape),
+          rng.uniform(-2.0, 2.0, (4,) + (1,) * len(shape))]  # one t each, or 4 on every member
+    for t in ts:
+        points = geo.point(t)
+        assert points.shape == np.broadcast_shapes(np.shape(t), shape) + (n, n)
+        assert np.array_equal(points, _member_points(geo, t))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_geodesic_broadcasts_t_of_every_shape(rng, n):
+    geo = _stacked_geodesic(rng, (), n)
+    for t in (0.5, np.array(0.5), rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, (3, 1))):
+        points = geo.point(t)
+        assert points.shape == np.shape(t) + (n, n)
+        assert np.array_equal(points, _member_points(geo, t))
+    assert type(geo.point(0.5)) is np.ndarray and geo.point(0.5).shape == (n, n)
+
+
+# real spectrum, complex spectrum, and defective: J2(0), whose eigenbasis is nearly singular, and
+# J3(0) at n = 3, whose eigenbasis is exactly singular; each takes the route it takes alone
+MIXED_DIRECTIONS = {
+    2: [[[1.0, 0.5], [0.5, -1.0]], [[0.0, 1.0], [-1.0, 0.2]], [[0.0, 1.0], [0.0, 0.0]]],
+    3: [np.diag([0.5, -1.0, 2.0]), [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.3]],
+        np.diag([1.0, 1.0], 1)],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stack_of_mixed_spectra_takes_each_members_own_route(rng, n):
+    C = np.array(MIXED_DIRECTIONS[n], dtype=float)
+    geo = Geodesic(_points(rng, (3,), n), C)
+    for t in (0.7, rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, (5, 1))):
+        assert np.array_equal(geo.point(t), _member_points(geo, t))
+
+    def routes(geo, members):  # the members of each leaf of the split, by the route they take
+        if isinstance(geo._basis, list):
+            return [r for m, part in geo._basis for r in routes(part, members[m])]
+        return [(members.tolist(), None if geo._basis is None else geo._basis[0].dtype.kind)]
+
+    assert sorted(routes(geo, np.arange(3))) == [([0], "f"), ([1], "c"), ([2], None)]
+
+
+def test_t_that_does_not_broadcast_is_a_value_error(rng):
+    geo = _stacked_geodesic(rng, (3,), 2)
+    with pytest.raises(ValueError, match="broadcast"):
+        geo.point([0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_curve_residual_of_an_array_is_that_of_each_t(rng, n, shape):
+    geo = _stacked_geodesic(rng, shape, n)
+    t = np.array([-1.0, 0.37, 2.0]).reshape((3,) + (1,) * len(shape))
+    got = curve_residual(geo.point, t, 1e-4)
+    assert got.shape == np.broadcast_shapes(t.shape, shape)
+    members = [Geodesic(K, C) for K, C in zip(geo.base_point.reshape(-1, n, n),
+                                               geo.direction.reshape(-1, n, n))]
+    want = [[curve_residual(member.point, x, 1e-4) for member in members]
+            for x in t.ravel().tolist()]
+    assert np.array_equal(got.reshape(3, -1), np.array(want))
+
+
+def test_one_step_that_rounds_away_refuses_the_whole_array():
+    geo = Geodesic(np.eye(2), np.diag([0.5, -0.5]))
+    assert curve_residual(geo.point, np.array([0.37]), 1e-16).shape == (1,)
+    with pytest.raises(ValueError, match="t \\+ h and t - h distinct from t"):
+        curve_residual(geo.point, np.array([0.37, 2.0]), 1e-16)
+
+
+def test_a_stacked_geodesic_is_read_only_and_pickles(rng):
+    geo = _stacked_geodesic(rng, (2, 2), 3)
+    t = rng.uniform(-2.0, 2.0, (2, 2))
+    points = geo.point(t)
+    for array in (geo.base_point, geo.direction):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    for twin in (pickle.loads(pickle.dumps(geo)), copy.deepcopy(geo)):
+        assert "_basis" not in vars(twin)
+        assert not twin.base_point.flags.writeable and not twin.direction.flags.writeable
+        assert np.array_equal(twin.point(t), points)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("step", [1e-16, 3e-17])
+def test_a_step_that_rounds_away_is_refused_per_t_in_the_geodesic_suite(n, step):
+    # t +- h rounds back to t at t = -1 and 2, not at 0.37: each case records the refusal at
+    # those two, and at 0.37 the residual its own geodesic gives (a failure unless it is tiny)
+    for seed in range(3):
+        report = verify.run_suite("geodesic", n, seed, 6, fd_step=step)
+        cases = {}
+        for failure in report["failures"]:
+            if failure["check"] == "ode-residual":
+                key = json.dumps(failure["inputs"])
+                cases.setdefault(key, []).append(failure["got"])
+        assert len(cases) == 6
+        for key, got in cases.items():
+            K, C = (np.array(doc["data"]) for doc in json.loads(key))
+            curve = Geodesic(K, C).point
+            for t in (-1.0, 2.0):
+                with pytest.raises(ValueError) as refusal:
+                    curve_residual(curve, t, step)
+            want = curve_residual(curve, 0.37, step)
+            assert got == ([str(refusal.value)] * 2 if abs(want) <= verify.RESIDUAL_TOL
+                           else [str(refusal.value), want, str(refusal.value)])
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_a_suite_of_no_cases_reports_none(suite):
+    report = verify.run_suite(suite, 3, 0, 0)
+    assert report["failures"] == []
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
@@ -241,6 +379,24 @@ def test_a_complex_operand_is_refused_not_cast(case):
 def test_a_non_finite_line_tangent_is_a_value_error(a):
     with pytest.raises(ValueError, match="^a must be finite$"):
         product_pushforward(ProductPoint(I2, 0.0), np.zeros((2, 2)), a)
+
+
+@pytest.mark.parametrize("suite", ["geodesic", "foliation"])
+def test_a_suite_builds_one_geodesic_per_identity_not_per_case(monkeypatch, suite):
+    calls = {}
+    for owner, name in [(Geodesic, "__init__"), (geodesy, "curve_residual")]:
+        def spy(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    counts = []
+    for cases in (4, 8):
+        calls.clear()
+        assert verify.run_suite(suite, 3, 0, cases)["failures"] == []
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["__init__"] == {"geodesic": 2, "foliation": 1}[suite]
 
 
 @pytest.mark.parametrize("suite", ["metric", "curvature", "foliation"])
