@@ -42,10 +42,10 @@ for name, K1 in targets.items():
 
 print()
 print("== The unique arc interpolates like a matrix geometric mean ==")
-geo = tg.unique_arc(I2, np.diag([1.0, 4.0]))
-print("midpoint of I .. diag(1,4):\n", geo.point(0.5))
-geo = tg.unique_arc(np.diag([1.0, 1.0]), np.diag([4.0, 9.0]))
-print("midpoint of I .. diag(4,9):\n", geo.point(0.5))
+for name, K1 in (("diag(1,4)", np.diag([1.0, 4.0])), ("diag(4,9)", np.diag([4.0, 9.0]))):
+    out = tg.classify_arc(I2, K1)
+    assert out.verdict is tg.ArcKind.UNIQUE  # the witness is then the one arc
+    print(f"midpoint of I .. {name}:\n", out.witness.point(0.5))
 
 print()
 print("== Determinants ride along exponentially ==")

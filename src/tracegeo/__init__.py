@@ -23,13 +23,12 @@ _EXPORTS = {name: module for module, names in {
         ricci_trace_oracle riemann_04 riemann_13 scalar_curvature sectional sl_einstein_check""",
     "errors": """DegenerateMetricError DegenerateSectionError DifferentComponentsError
         DimensionMismatchError IllConditionedError LinearlyDependentError
-        NonPositiveDeterminantError NotSPDError NotSpecialOrthogonalError NotSymmetricError
-        NotTangentError NotUnimodularError NotUniqueError SingularMatrixError
-        SpectrumNotPositiveError SpectrumOnCutError TraceGeoError""",
+        NonPositiveDeterminantError NotSpecialOrthogonalError NotTangentError
+        NotUnimodularError SingularMatrixError SpectrumOnCutError TraceGeoError""",
     "geodesy": """ArcClassification ArcKind BrokenArc Geodesic broken_arc classify_arc
-        curve_residual geodesic_from_velocity nabla spd_geodesic unique_arc""",
-    "matcore": """EigenCluster PolarFactors SpectralProfile cartan_killing fractional_power
-        mat_exp polar_decompose real_log_principal so_log spectral_profile""",
+        curve_residual geodesic_from_velocity nabla""",
+    "matcore": """EigenCluster SpectralProfile mat_exp polar_decompose real_log_principal
+        so_log spectral_profile""",
     "metricspace": """Isometry MetricSignature ProductPoint apply_isometry congruence_by
         conjugate_by gram_matrix inversion leaf_base_point leaf_of left_translate negation
         point_symmetry product_forward product_inverse product_pushforward pushforward

@@ -24,11 +24,6 @@ class SpectrumOnCutError(TraceGeoError):
     code = "spectrum-on-cut"
 
 
-class SpectrumNotPositiveError(TraceGeoError):
-    """An eigenvalue fails to be positive real."""
-    code = "spectrum-not-positive"
-
-
 class NotSpecialOrthogonalError(TraceGeoError):
     """Input is not in SO(n) within tolerance."""
     code = "not-special-orthogonal"
@@ -47,21 +42,6 @@ class NotUnimodularError(TraceGeoError):
 class NonPositiveDeterminantError(TraceGeoError):
     """Determinant is not strictly positive."""
     code = "non-positive-determinant"
-
-
-class NotSPDError(TraceGeoError):
-    """Matrix is not symmetric positive definite."""
-    code = "not-spd"
-
-
-class NotSymmetricError(TraceGeoError):
-    """Matrix is not symmetric."""
-    code = "not-symmetric"
-
-
-class NotUniqueError(TraceGeoError):
-    """The geodesic arc between the endpoints is not unique."""
-    code = "not-unique"
 
 
 class DifferentComponentsError(TraceGeoError):

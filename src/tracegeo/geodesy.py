@@ -17,9 +17,6 @@ from . import _lapack
 from .errors import (
     DifferentComponentsError,
     IllConditionedError,
-    NotSPDError,
-    NotSymmetricError,
-    NotUniqueError,
     SingularMatrixError,
 )
 from .matcore import (
@@ -131,32 +128,6 @@ def geodesic_from_velocity(K, S):
 def _point_and_direction(K, S):
     K, S = as_point_and_tangents(K, "K", S=S)
     return K, _lapack.solve(K, S)
-
-
-@_overflow_guard("matrix exponential")
-def spd_geodesic(K, S, t):
-    """Symmetric-positive-definite geodesic K^{1/2} exp(t K^{-1/2} S K^{-1/2}) K^{1/2}.
-
-    Agrees with geodesic_from_velocity(K, S) evaluated at t; stated for a
-    symmetric positive definite base and a symmetric velocity, where the
-    whole curve stays symmetric positive definite.  ``exp(tA)`` of the
-    symmetric ``A = K^{-1/2} S K^{-1/2}`` is taken through its orthogonal
-    eigenbasis: no conditioning fallback.
-    """
-    K, S = as_squares(K=K, S=S)
-    if _relative_gap(K, K.T) > 1e-10:
-        raise NotSPDError("base point must be symmetric")
-    if _relative_gap(S, S.T) > 1e-10:
-        raise NotSymmetricError("velocity must be symmetric")
-    w, Q = _lapack.eigh(0.5 * K + 0.5 * K.T)  # halves first: no overflow
-    if w.min() <= 0:
-        raise NotSPDError("base point must be positive definite")
-    half = Q @ (np.sqrt(w)[:, None] * Q.T)
-    inv_half = Q @ (np.sqrt(w)[:, None] ** -1 * Q.T)
-    t = _curve_parameter(t)
-    A = inv_half @ S @ inv_half
-    mu, R = _lapack.eigh(0.5 * A + 0.5 * A.T)
-    return half @ ((R * np.exp(t * mu)) @ R.T) @ half
 
 
 @_overflow_guard("covariant derivative")
@@ -302,18 +273,6 @@ def _arc(K, C, end):
     if gap > 1e-6:
         raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
     return Geodesic._unchecked(K, C)
-
-
-def unique_arc(K0, K1, tol=DEFAULT_TOL):
-    """The unique geodesic arc between ``K0`` and ``K1``: K0 (K0^{-1}K1)^t.
-
-    Raises NotUniqueError when the classification verdict is anything else;
-    callers who already classified can read the witness off the verdict.
-    """
-    outcome = classify_arc(K0, K1, tol)
-    if outcome.verdict is not ArcKind.UNIQUE:
-        raise NotUniqueError(f"arc classification is {outcome.verdict.value!r}, not unique")
-    return outcome.witness
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Matrix-analysis engine.
 
-Exponential, real logarithms, fractional powers, eigenvalue/Jordan
-structure estimation, polar decomposition, the canonical skew logarithm of a
-special orthogonal matrix, and the Cartan-Killing form of n x n matrices;
-also the JSON matrix document that the CLI and the verify suites write.
+Exponential, real logarithms, eigenvalue/Jordan structure estimation, polar
+decomposition and the canonical skew logarithm of a special orthogonal matrix;
+also the JSON matrix document that the CLI and the verify suites write.  A
+real power ``A^t`` is ``geodesy.Geodesic(I, real_log_principal(A)).point(t)``.
 All functions are pure and operate on plain ``numpy`` arrays.
 
 The exponential is Pade scaling and squaring (:func:`_expm`), the logarithm
@@ -29,7 +29,6 @@ from .errors import (
     IllConditionedError,
     NotSpecialOrthogonalError,
     SingularMatrixError,
-    SpectrumNotPositiveError,
     SpectrumOnCutError,
 )
 
@@ -396,28 +395,6 @@ def _logm(A):
     return np.ldexp(np.tensordot(_GAUSS[1], terms, 1), k)
 
 
-@_overflow_guard("matrix power")
-def fractional_power(A, t, tol=DEFAULT_TOL):
-    """A^t = exp(t log A) for matrices with positive real spectrum.
-
-    Taken as ``V diag(lam^t) V^{-1}`` from one eigendecomposition, or through
-    ``expm(t log A)`` (:func:`_logm`) when the eigenbasis is ill conditioned.
-
-    Raises SpectrumNotPositiveError if any eigenvalue fails to be positive
-    real within ``tol``.
-    """
-    A, tol = as_squares(A=A)[0], _tolerance(tol)
-    eigs, V = _lapack.eig(A)
-    if not all(lam.real > 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
-        raise SpectrumNotPositiveError("spectrum is not positive real")
-    require_invertible(A, "A")
-    t = _curve_parameter(t)
-    basis = _eigenbasis(eigs, V)
-    if basis is None:
-        return _expm(t * _logm(A))
-    return _spectral(lambda lam: lam**t, basis).real  # real up to rounding for complex pairs
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue clusters and Jordan block sizes
 # ---------------------------------------------------------------------------
@@ -753,47 +730,17 @@ def _jordan_chains(B, lam, mult, tol):
 # ---------------------------------------------------------------------------
 
 
-class PolarFactors(_Record):
-    """Factors of a polar decomposition.
-
-    ``side == "left"`` means the input factors as orthogonal @ positive,
-    ``side == "right"`` as positive @ orthogonal.
-    """
-
-    orthogonal: np.ndarray
-    positive: np.ndarray
-    side: str
-    _fields = ("orthogonal", "positive", "side")
-
-    def __init__(self, orthogonal, positive, side):
-        self.__dict__.update(orthogonal=orthogonal, positive=positive, side=side)
-
-    def product(self):
-        if self.side == "left":
-            return self.orthogonal @ self.positive
-        return self.positive @ self.orthogonal
-
-
-def polar_decompose(A, side="left"):
-    """Polar decomposition of an invertible matrix via the SVD.
-
-    side="left" returns (O, P) with A = O P; side="right" returns A = P O.
-    O is orthogonal with det(O) of the same sign as det(A); P is symmetric
-    positive definite.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def polar_decompose(A):
+    """Polar decomposition ``A = O P`` of an invertible matrix, from one SVD: the tuple
+    ``(O, P)``, O orthogonal with det(O) of the sign of det(A), P symmetric positive definite.
+    A numerically singular ``A`` raises SingularMatrixError."""
     A = as_squares(A=A)[0]
     U, s, Vt = _lapack.svd(A)
     if _is_singular(s):
         raise SingularMatrixError("polar decomposition requires an invertible matrix")
-    O = U @ Vt
-    if side == "left":
-        P = Vt.T @ (s[:, None] * Vt)
-    else:
-        P = U @ (s[:, None] * U.T)
+    P = Vt.T @ (s[:, None] * Vt)
     P = np.triu(P) + np.triu(P, 1).T  # exactly symmetric, with no arithmetic to round a subnormal
-    return PolarFactors(orthogonal=O, positive=P, side=side)
+    return U @ Vt, P
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +763,7 @@ def so_log(O, tol=DEFAULT_TOL):
     if ortho_defect > max(tol, 1e-10) * n or _lapack.det(O) < 0:
         raise NotSpecialOrthogonalError("input is not special orthogonal within tolerance")
     if ortho_defect > 1e-10 * n:
-        O = polar_decompose(O).orthogonal
+        O = polar_decompose(O)[0]
     return _so_log(O)
 
 
@@ -861,11 +808,3 @@ def _half_turns(B):
     for _ in range(8):  # quadratic from the polar factor's error, below 1e-2
         J = 0.5 * (J - _lapack.inv(J))
     return K + np.pi * J
-
-
-@_overflow_guard("Cartan-Killing form")
-def cartan_killing(X, Y):
-    """Cartan-Killing form 2n tr(XY) - 2 tr(X) tr(Y) on n x n matrices."""
-    X, Y = as_squares(X=X, Y=Y)
-    n = X.shape[0]
-    return float(2.0 * n * _lapack.trace(X @ Y) - 2.0 * _lapack.trace(X) * _lapack.trace(Y))

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -221,7 +222,8 @@ _ARGUMENT_COMMANDS = [
      {"--x": _MATRICES, "--y": _MATRICES, "--z": _MATRICES, "--w": _MATRICES}),
     (["verify", "--cases", "1"], {"--suite": [*verify.SUITES, "all", "bogus"]},
      {"--n": ["2", "3", *_HOSTILE_NUMBERS], "--seed": ["0", "42", *_HOSTILE_NUMBERS],
-      "--cases": ["0", "3", *_HOSTILE_NUMBERS], "--tol-assert": ["1e-30", *_TOLS],
+      "--cases": ["0", "3", "100000000000000", *_HOSTILE_NUMBERS],
+      "--tol-assert": ["1e-30", *_TOLS],
       "--tol-cluster": _TOLS, "--fd-step": ["1e-4", "1e-20", *_HOSTILE_NUMBERS]}),
 ]
 
@@ -617,6 +619,15 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["suites"] == ["metric", "geodesic", "curvature", "foliation", "product"]
 
+    @pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
+    def test_a_case_count_past_the_cap_is_a_prompt_parse_error(self, capsys, suite):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--cases", "100000000000000")
+        assert time.perf_counter() - start < 5.0  # refused before a case is drawn
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "parse", "message": "cases must be an integer from 0 "
+                                   f"to {verify.MAX_CASES}, got 100000000000000"}
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--suite", "product", "--n", "3", "--seed", "7", "--cases", "6")
         _, out1, _ = run_cli(capsys, *args)
@@ -738,14 +749,10 @@ class TestErrorCodes:
         errors.SingularMatrixError: "singular",
         errors.DimensionMismatchError: "dimension-mismatch",
         errors.SpectrumOnCutError: "spectrum-on-cut",
-        errors.SpectrumNotPositiveError: "spectrum-not-positive",
         errors.NotSpecialOrthogonalError: "not-special-orthogonal",
         errors.DegenerateMetricError: "degenerate-metric",
         errors.NotUnimodularError: "not-unimodular",
         errors.NonPositiveDeterminantError: "non-positive-determinant",
-        errors.NotSPDError: "not-spd",
-        errors.NotSymmetricError: "not-symmetric",
-        errors.NotUniqueError: "not-unique",
         errors.DifferentComponentsError: "different-components",
         errors.IllConditionedError: "ill-conditioned",
         errors.DegenerateSectionError: "degenerate-section",
@@ -800,9 +807,9 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-tracegeo.fractional_power([[2.0, 1.0], [1.0, 3.0]], 0.5)
-tracegeo.fractional_power([[2.0, 1.0], [0.0, 2.0]], 0.5)
-tracegeo.spd_geodesic([[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.5]], 0.7)
+tracegeo.real_log_principal([[2.0, 1.0], [1.0, 3.0]])
+tracegeo.real_log_principal([[2.0, 1.0], [0.0, 2.0]])
+tracegeo.geodesic_from_velocity([[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.5]]).point(0.7)
 tracegeo.mat_exp([[0.0, -1.0], [1.0, 0.0]])
 tracegeo.so_log([[-1.0, 0.0], [0.0, -1.0]])
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))

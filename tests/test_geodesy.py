@@ -12,24 +12,17 @@ from tracegeo import (
     DifferentComponentsError,
     Geodesic,
     IllConditionedError,
-    NotSPDError,
-    NotSymmetricError,
-    NotUniqueError,
     SingularMatrixError,
-    SpectrumNotPositiveError,
     SpectrumOnCutError,
     TraceGeoError,
     broken_arc,
     christoffel_fd,
     classify_arc,
     curve_residual,
-    fractional_power,
     geodesic_from_velocity,
     nabla,
     real_log_principal,
-    spd_geodesic,
     spectral_profile,
-    unique_arc,
 )
 from tracegeo import _lapack, geodesy, matcore
 from tracegeo.verify import RESIDUAL_TOL, random_invertible, random_spd, random_special_orthogonal
@@ -39,6 +32,14 @@ I2 = np.eye(2)
 
 def jordan_block(lam, k):
     return lam * np.eye(k) + np.eye(k, k, 1)
+
+
+def spd_closed_form(K, S, t):
+    """The geodesic through an SPD ``K`` with symmetric velocity ``S``, at ``t``:
+    K^{1/2} exp(t K^{-1/2} S K^{-1/2}) K^{1/2}, from ``eigh`` and scipy's ``expm``."""
+    w, Q = np.linalg.eigh(K)
+    half, inv_half = Q @ np.diag(np.sqrt(w)) @ Q.T, Q @ np.diag(w**-0.5) @ Q.T
+    return half @ sla.expm(t * inv_half @ S @ inv_half) @ half
 
 
 class TestGeodesicEvaluation:
@@ -84,7 +85,7 @@ class TestGeodesicEvaluation:
             with pytest.raises(IllConditionedError, match="overflows"):
                 geo.point(1.0)
             with pytest.raises(IllConditionedError, match="overflows"):
-                spd_geodesic(I2, np.diag([800.0, 1.0]), 1.0)
+                geodesic_from_velocity(I2, np.diag([800.0, 1.0])).point(1.0)
         assert caught == []
 
     def test_overflow_of_the_product_with_the_base_raises_without_a_warning(self):
@@ -96,12 +97,12 @@ class TestGeodesicEvaluation:
                 geo.point(1.0)
 
     def test_spd_overflow_of_the_outer_product_raises_without_a_warning(self):
-        # the inner exponential is diag(e^700, e); the factors K^{1/2} = 1e50 I push it over
+        # the exponential is diag(e^700, e); the base K = 1e100 I pushes it over
         K = 1e100 * I2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="overflows"):
-                spd_geodesic(K, 1e100 * np.diag([700.0, 1.0]), 1.0)
+                geodesic_from_velocity(K, 1e100 * np.diag([700.0, 1.0])).point(1.0)
 
 
 _D = np.diag([1.0, 2.0])
@@ -111,11 +112,9 @@ _D = np.diag([1.0, 2.0])
 # overflow ("matrix exponential/power overflows") or as a bad matrix operand
 @pytest.mark.parametrize("call, message", [
     (lambda x: Geodesic(I2, _D).point(x), "t must be finite"),
-    (lambda x: spd_geodesic(I2, _D, x), "t must be finite"),
-    (lambda x: fractional_power(_D, x), "t must be finite"),
     (lambda x: christoffel_fd(I2, x), "step h must be positive and finite"),
     (lambda x: curve_residual(Geodesic(I2, _D).point, 0.0, x), "step h must be positive and finite"),
-], ids=["point", "spd_geodesic", "fractional_power", "christoffel_fd", "curve_residual"])
+], ids=["point", "christoffel_fd", "curve_residual"])
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
 def test_non_finite_scalar_is_a_value_error(call, message, x):
     with warnings.catch_warnings():
@@ -215,24 +214,24 @@ class TestEigenbasisRoute:
                 other.direction[0, 0] = 5.0
             assert_array_equal(other.point(1.0), before)
 
-    def test_spd_geodesic_matches_scipy_expm(self, rng):
+    def test_spd_velocity_geodesic_matches_the_closed_form(self, rng):
         for n in (2, 3, 4, 6):
             for scale in 10.0 ** np.arange(-6, 7, 3):
                 K = scale * random_spd(rng, n)
                 S = scale * rng.uniform(-1, 1, (n, n))
                 S = S + S.T
-                w, Q = np.linalg.eigh(K)
-                half, inv_half = Q @ np.diag(np.sqrt(w)) @ Q.T, Q @ np.diag(w**-0.5) @ Q.T
+                geo = geodesic_from_velocity(K, S)
+                # t A for A = K^{-1/2} S K^{-1/2}, similar to the direction K^{-1} S
+                norm_A = np.abs(np.linalg.eigvals(geo.direction)).max()
                 for t in (-2.0, -0.3, 0.5, 2.0):
-                    tA = t * inv_half @ S @ inv_half
-                    want = half @ sla.expm(tA) @ half
-                    bound = 1e-12 * max(1.0, np.linalg.norm(tA, 2)) * np.linalg.norm(want)
-                    assert np.linalg.norm(spd_geodesic(K, S, t) - want) <= bound
+                    want = spd_closed_form(K, S, t)
+                    bound = 1e-12 * max(1.0, abs(t) * norm_A) * np.linalg.norm(want)
+                    assert np.linalg.norm(geo.point(t) - want) <= bound
 
-    def test_spd_geodesic_never_reaches_expm(self, rng, monkeypatch):
+    def test_spd_velocity_geodesic_never_reaches_expm(self, rng, monkeypatch):
         calls = _expm_spy(monkeypatch)
         S = rng.uniform(-1, 1, (3, 3))
-        spd_geodesic(random_spd(rng, 3), S + S.T, 0.8)
+        geodesic_from_velocity(random_spd(rng, 3), S + S.T).point(0.8)
         assert calls == []
 
 
@@ -260,68 +259,35 @@ class TestFromVelocity:
         assert np.linalg.norm(vel - S) <= 1e-8 * max(1.0, np.linalg.norm(S))
 
 
-class TestSpdGeodesic:
+class TestSpdVelocity:
+    """geodesic_from_velocity at an SPD base with a symmetric velocity, against the closed form
+    K^{1/2} exp(t K^{-1/2} S K^{-1/2}) K^{1/2}: the curve stays symmetric positive definite."""
+
     def test_identity_base_is_plain_exponential(self, rng):
         S = rng.uniform(-1, 1, (3, 3))
         S = 0.5 * (S + S.T)
-        assert_allclose(spd_geodesic(np.eye(3), S, 0.7), sla.expm(0.7 * S), rtol=1e-12)
+        assert_allclose(geodesic_from_velocity(np.eye(3), S).point(0.7), sla.expm(0.7 * S),
+                        rtol=1e-12)
 
-    def test_worked_example(self):
-        got = spd_geodesic(np.diag([4.0, 1.0]), np.diag([4.0 * np.log(4.0), 0.0]), 1.0)
-        assert_allclose(got, np.diag([16.0, 1.0]), rtol=1e-13)
-
-    def test_zero_velocity(self, rng):
-        K = random_spd(rng, 3)
-        assert_allclose(spd_geodesic(K, np.zeros((3, 3)), 2.0), K, atol=1e-13)
-
-    def test_matches_velocity_form(self, rng):
+    def test_matches_the_closed_form_and_stays_spd(self, rng):
         for _ in range(5):
             K = random_spd(rng, 3)
             S = rng.uniform(-1, 1, (3, 3))
             S = 0.5 * (S + S.T)
             for t in (-1.0, 0.5, 1.0):
-                sym = spd_geodesic(K, S, t)
+                sym = spd_closed_form(K, S, t)
                 generic = geodesic_from_velocity(K, S).point(t)
                 assert np.linalg.norm(sym - generic) <= 1e-9 * max(1.0, np.linalg.norm(generic))
-                assert np.linalg.norm(sym - sym.T) <= 1e-9
-                assert np.linalg.eigvalsh(0.5 * (sym + sym.T)).min() > 0
+                assert np.linalg.norm(generic - generic.T) <= 1e-9
+                assert np.linalg.eigvalsh(0.5 * (generic + generic.T)).min() > 0
 
-    def test_input_validation(self, rng):
-        S = np.diag([1.0, 2.0])
-        with pytest.raises(NotSPDError):
-            spd_geodesic(np.array([[1.0, 1.0], [0.0, 1.0]]), S, 0.5)
-        with pytest.raises(NotSPDError):
-            spd_geodesic(np.diag([1.0, -2.0]), S, 0.5)
-        with pytest.raises(NotSymmetricError):
-            spd_geodesic(I2, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
-
-    def test_symmetry_tests_do_not_overflow(self):
-        # ||S|| of entries near 1e300 overflows; the tests scale by the largest entry first
-        lopsided = np.array([[1e300, 1e300], [0.0, 1e300]])
+    def test_zero_velocity_at_the_ends_of_the_float_range(self):
+        # K exp(0) is K, with no overflow on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotSymmetricError):
-                spd_geodesic(I2, lopsided, 0.0)
-            with pytest.raises(NotSPDError, match="symmetric"):
-                spd_geodesic(lopsided, I2, 0.0)
-            assert_allclose(spd_geodesic(1e300 * I2, np.zeros((2, 2)), 1.0), 1e300 * I2)
-
-    def test_base_is_halved_before_it_is_symmetrised(self):
-        # K + K.T overflows for an entry of 1.7e308; 0.5 K + 0.5 K.T does not.  K^1/2 K^1/2 is
-        # K to rounding: sqrt(1.7e308)^2 is one ulp below it
-        K = np.diag([1.7e308, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert_allclose(spd_geodesic(K, np.zeros((2, 2)), 0.5), K, rtol=1e-15)
-
-    def test_symmetry_tests_have_no_floor(self):
-        # a lopsided velocity is not symmetric at any scale
-        lopsided = np.array([[1.0, 1.0], [0.0, 1.0]])
-        for c in (1e-12, 1e-300):
-            with pytest.raises(NotSymmetricError):
-                spd_geodesic(I2, c * lopsided, 1.0)
-            with pytest.raises(NotSPDError, match="symmetric"):
-                spd_geodesic(c * lopsided, I2, 1.0)
+            for K in (1e300 * I2, 1.7e308 * I2):
+                assert_allclose(geodesic_from_velocity(K, np.zeros((2, 2))).point(0.5), K,
+                                rtol=1e-15)
 
 
 class TestNabla:
@@ -615,9 +581,8 @@ def test_a_singular_endpoint_is_named(singular, named):
 
 def test_an_overflowing_quotient_is_ill_conditioned():
     # 1e-300 I and 1e300 I are valid points, but K0^-1 K1 = 1e600 I is past the float range
-    for join in (classify_arc, unique_arc):
-        with pytest.raises(IllConditionedError, match=r"^K0\^-1 K1 overflows the float range$"):
-            join(1e-300 * np.eye(2), 1e300 * np.eye(2))
+    with pytest.raises(IllConditionedError, match=r"^K0\^-1 K1 overflows the float range$"):
+        classify_arc(1e-300 * np.eye(2), 1e300 * np.eye(2))
 
 
 def _positive_nonsymmetric(rng, n):
@@ -1134,11 +1099,9 @@ def test_an_unmerged_near_negative_pair_gets_its_witness(case):
     assert outcome.verdict is ArcKind.CONTINUUM
     assert len(outcome.profile.non_real()) == 2
     assert _endpoint_error(outcome, M) <= 1e-8
-    # the principal logarithm and the fractional power keep their own cut tests
+    # the principal logarithm keeps its own cut test
     with pytest.raises(SpectrumOnCutError):
         real_log_principal(M)
-    with pytest.raises(SpectrumNotPositiveError):
-        fractional_power(M, 0.5)
 
 
 def test_an_eigenvalue_that_underflows_to_zero_is_refused_as_on_the_cut():
@@ -1186,40 +1149,45 @@ def test_hostile_negative_spectra_get_a_typed_refusal_or_a_true_witness(core):
             assert err <= 1e-8 * np.linalg.norm(K1), f"seed {seed}"
 
 
+def _unique_arc(K0, K1):
+    """The witness of a pair that ``classify_arc`` finds joined by exactly one arc."""
+    outcome = classify_arc(K0, K1)
+    assert outcome.verdict is ArcKind.UNIQUE
+    return outcome.witness
+
+
 class TestUniqueArc:
     def test_geometric_mean_of_commuting_pair(self):
-        geo = unique_arc(I2, np.diag([1.0, 4.0]))
+        geo = _unique_arc(I2, np.diag([1.0, 4.0]))
         assert_allclose(geo.point(0.5), np.diag([1.0, 2.0]), rtol=1e-13)
-        geo = unique_arc(np.diag([1.0, 1.0]), np.diag([4.0, 9.0]))
+        geo = _unique_arc(np.diag([1.0, 1.0]), np.diag([4.0, 9.0]))
         assert_allclose(geo.point(0.5), np.diag([2.0, 3.0]), rtol=1e-13)
 
     def test_jordan_block_interpolation(self):
-        geo = unique_arc(I2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        geo = _unique_arc(I2, np.array([[1.0, 1.0], [0.0, 1.0]]))
         for t in (0.25, 0.5, 0.9):
             assert_allclose(geo.point(t), [[1.0, t], [0.0, 1.0]], atol=1e-12)
 
     def test_endpoints(self, rng):
         K0 = random_spd(rng, 3)
         K1 = random_spd(rng, 3)
-        geo = unique_arc(K0, K1)
+        geo = _unique_arc(K0, K1)
         assert np.linalg.norm(geo.point(0.0) - K0) <= 1e-10 * np.linalg.norm(K0)
         assert np.linalg.norm(geo.point(1.0) - K1) <= 1e-8 * np.linalg.norm(K1)
 
     def test_matches_fractional_power_curve(self, rng):
-        from tracegeo import fractional_power
-
         K0 = random_spd(rng, 3)
         K1 = random_spd(rng, 3)
-        geo = unique_arc(K0, K1)
+        geo = _unique_arc(K0, K1)
         M = np.linalg.solve(K0, K1)
         for t in (-0.5, 0.25, 0.8, 1.7):
-            want = K0 @ fractional_power(M, t)
+            want = K0 @ sla.fractional_matrix_power(M, t)
             assert np.linalg.norm(geo.point(t) - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
 
     def test_nested_uniqueness(self, rng):
         K0 = random_spd(rng, 3)
         K1 = random_spd(rng, 3)
-        geo = unique_arc(K0, K1)
+        geo = _unique_arc(K0, K1)
         r, s = 0.2, 0.75
         inner = classify_arc(geo.point(r), geo.point(s))
         assert inner.verdict is ArcKind.UNIQUE
@@ -1229,11 +1197,9 @@ class TestUniqueArc:
             inner_point = inner.witness.point(u)
             assert np.linalg.norm(outer_point - inner_point) <= 1e-8 * max(1.0, np.linalg.norm(outer_point))
 
-    def test_not_unique_rejected(self):
-        with pytest.raises(NotUniqueError):
-            unique_arc(I2, -I2)
-        with pytest.raises(NotUniqueError):
-            unique_arc(I2, I2)
+    def test_not_unique_verdicts(self):
+        assert classify_arc(I2, -I2).verdict is not ArcKind.UNIQUE
+        assert classify_arc(I2, I2).verdict is not ArcKind.UNIQUE
 
 
 def _relative_error(got, want):

@@ -18,7 +18,7 @@ from tracegeo import (
     IllConditionedError,
     SingularMatrixError,
     apply_isometry,
-    cartan_killing,
+    classify_arc,
     congruence_by,
     curve_residual,
     geodesic_from_velocity,
@@ -36,7 +36,6 @@ from tracegeo import (
     sectional,
     sl_einstein_check,
     sl_tangent_project,
-    spd_geodesic,
     trace_metric,
 )
 from tracegeo.matcore import _relative_gap
@@ -65,9 +64,9 @@ OPERAND_DEFECTS = {
     "ragged-base": (lambda: trace_metric(RAGGED, I2, I2), ValueError, "A is not a numeric matrix"),
     "order-mismatch": (lambda: sl_einstein_check(I2, I2, np.eye(3)),
                        DimensionMismatchError, "matrix orders differ: [2, 3]"),
-    "order-mismatch-without-base": (lambda: cartan_killing(np.eye(3), I2),
+    "order-mismatch-without-base": (lambda: classify_arc(np.eye(3), I2),
                                     DimensionMismatchError, "matrix orders differ: [2, 3]"),
-    "non-finite-before-mismatch": (lambda: spd_geodesic(I2, np.full((3, 3), np.inf), 0.0),
+    "non-finite-before-mismatch": (lambda: geodesic_from_velocity(I2, np.full((3, 3), np.inf)),
                                    ValueError, "S has non-finite entries"),
     "pushforward-non-square": (lambda: pushforward(inversion(), I2, np.ones((3, 2))),
                                ValueError, "V must be square"),
@@ -177,7 +176,6 @@ OVERFLOWS = {
     "apply-left-translate": lambda: apply_isometry(left_translate(BIG), BIG),
     "pushforward-congruence": lambda: pushforward(congruence_by(BIG), I2, I2),
     "gram_matrix": lambda: gram_matrix(1e-300 * I2),
-    "cartan_killing": lambda: cartan_killing(BIG, BIG),
 }
 
 

@@ -10,22 +10,19 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tracegeo import (
+    Geodesic,
     IllConditionedError,
     NotSpecialOrthogonalError,
     SingularMatrixError,
-    SpectrumNotPositiveError,
     SpectrumOnCutError,
-    cartan_killing,
     classify_arc,
-    fractional_power,
     mat_exp,
     polar_decompose,
     real_log_principal,
     so_log,
     spectral_profile,
-    unique_arc,
 )
-from tracegeo import _lapack, matcore, verify
+from tracegeo import _lapack, geodesy, matcore, verify
 from tracegeo.matcore import EigenCluster, SpectralProfile, require_invertible
 from tracegeo.verify import random_invertible, random_spd, random_special_orthogonal
 
@@ -307,45 +304,38 @@ def test_eigenbasis_condition_is_the_1_norm_product(rng):
     assert 20 <= sum(routes) <= 180
 
 
-class TestFractionalPower:
+def matrix_power(A, t):
+    """A^t = exp(t log A): the geodesic from I along the principal logarithm of A, at t."""
+    return Geodesic(np.eye(len(A)), real_log_principal(A)).point(t)
+
+
+class TestMatrixPower:
     def test_square_root(self):
-        assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
+        assert_allclose(matrix_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_jordan_binomial(self):
         for t in (-0.7, 0.0, 0.3, 1.0, 2.5):
-            got = fractional_power([[1.0, 1.0], [0.0, 1.0]], t)
+            got = matrix_power([[1.0, 1.0], [0.0, 1.0]], t)
             assert_allclose(got, [[1.0, t], [0.0, 1.0]], atol=1e-12)
         for lam, k, t in [(2.0, 3, 0.5), (0.7, 4, 1.8)]:
-            assert_allclose(fractional_power(jordan_block(lam, k), t), jordan_block_power(lam, k, t), atol=1e-11)
+            assert_allclose(matrix_power(jordan_block(lam, k), t), jordan_block_power(lam, k, t), atol=1e-11)
 
     def test_power_zero_and_one(self, rng):
         A = random_invertible(rng, 3) @ random_invertible(rng, 3).T + 3 * np.eye(3)
-        assert_allclose(fractional_power(A, 0.0), np.eye(3), atol=1e-12)
-        assert_allclose(fractional_power(A, 1.0), A, atol=1e-10)
+        assert_allclose(matrix_power(A, 0.0), np.eye(3), atol=1e-12)
+        assert_allclose(matrix_power(A, 1.0), A, atol=1e-10)
 
     def test_power_law(self, rng):
         for _ in range(5):
             B = rng.uniform(-1, 1, (4, 4))
             A = B @ B.T + 4 * np.eye(4)
             s, t = rng.uniform(-1.5, 1.5, 2)
-            lhs = fractional_power(A, s + t)
-            rhs = fractional_power(A, s) @ fractional_power(A, t)
+            lhs = matrix_power(A, s + t)
+            rhs = matrix_power(A, s) @ matrix_power(A, t)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(lhs))
 
-    def test_non_positive_spectrum_rejected(self):
-        with pytest.raises(SpectrumNotPositiveError):
-            fractional_power(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.5)
-
-    def test_one_eigensolve(self, monkeypatch):
-        calls = []
-        eig = _lapack.eig
-        monkeypatch.setattr(_lapack, "eig", lambda A: calls.append(1) or eig(A))
-        assert_allclose(fractional_power(np.diag([1.0, 4.0]), 0.5), np.diag([1.0, 2.0]), atol=1e-14)
-        assert len(calls) == 1
-
-
     def test_matches_the_scipy_route(self, rng):
-        # old route: expm(t log A); the error of both grows with ||t log A|| as expm's does
+        # expm(t log A); the error of both grows with ||t log A|| as expm's does
         for n in (2, 3, 4, 6):
             for scale in 10.0 ** np.arange(-6, 7, 2):
                 B = rng.uniform(-1, 1, (n, n))
@@ -354,16 +344,17 @@ class TestFractionalPower:
                 for t in (-2.0, -0.3, 0.5, 2.0):
                     want = sla.expm(t * L)
                     bound = 1e-12 * max(1.0, np.linalg.norm(t * L, 2)) * np.linalg.norm(want)
-                    assert np.linalg.norm(fractional_power(A, t) - want) <= bound
+                    assert np.linalg.norm(matrix_power(A, t) - want) <= bound
 
     def test_only_a_defective_input_reaches_logm(self, rng, monkeypatch):
-        calls, logm, pade = [], matcore._logm, matcore._expm
+        calls, logm, pade = [], matcore._logm, geodesy._expm
         monkeypatch.setattr(matcore, "_logm", lambda A: calls.append("logm") or logm(A))
-        monkeypatch.setattr(matcore, "_expm", lambda A: calls.append("expm") or pade(A))
+        monkeypatch.setattr(geodesy, "_expm",
+                            lambda A, left=None: calls.append("expm") or pade(A, left))
         B = rng.uniform(-1, 1, (3, 3))
-        fractional_power(B @ B.T + 3 * np.eye(3), 0.5)
+        matrix_power(B @ B.T + 3 * np.eye(3), 0.5)
         assert calls == []
-        fractional_power(jordan_block(2.0, 3), 0.5)
+        matrix_power(jordan_block(2.0, 3), 0.5)
         assert calls == ["logm", "expm"]  # inverse scaling and squaring, then the Pade exponential
 
     def test_the_fallback_decides_once(self, monkeypatch):
@@ -373,14 +364,15 @@ class TestFractionalPower:
             fn = getattr(_lapack, name)
             monkeypatch.setattr(_lapack, name, lambda a, calls=calls, fn=fn: calls.append(a) or fn(a))
         A = np.array([[2.0, 1.0], [0.0, 2.0]])
-        assert_allclose(fractional_power(A, 0.5), jordan_block_power(2.0, 2, 0.5), atol=1e-12)
+        L = real_log_principal(A)
         V = np.linalg.eig(A)[1]
         assert len(seen["eig"]) == 1
         assert sum(np.array_equal(a, V) for a in seen["inv"]) == 1
+        assert_allclose(Geodesic(I2, L).point(0.5), jordan_block_power(2.0, 2, 0.5), atol=1e-12)
 
     def test_complex_pair_near_the_axis_gives_a_real_power(self):
-        A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i count as positive
-        P = fractional_power(A, 0.5)
+        A = np.array([[2.0, -1e-10], [1e-10, 2.0]])  # eigenvalues 2 +- 1e-10 i
+        P = matrix_power(A, 0.5)
         assert P.dtype == np.float64
         assert_allclose(P, sla.sqrtm(A).real, rtol=1e-14)
 
@@ -388,7 +380,7 @@ class TestFractionalPower:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="overflows"):
-                fractional_power(np.diag([1e10, 1.0]), 40.0)
+                matrix_power(np.diag([1e10, 1.0]), 40.0)
 
 
 class TestSpectralProfile:
@@ -703,45 +695,42 @@ def test_single_linkage_on_the_real_line(steps, sizes):
 
 class TestPolar:
     def test_identity(self):
-        pf = polar_decompose(I2, "left")
-        assert_allclose(pf.orthogonal, I2)
-        assert_allclose(pf.positive, I2)
+        O, P = polar_decompose(I2)
+        assert_allclose(O, I2)
+        assert_allclose(P, I2)
 
     def test_worked_example(self):
         A = np.array([[0.0, -2.0], [3.0, 0.0]])
-        pf = polar_decompose(A, "left")
-        assert_allclose(pf.orthogonal, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
-        assert_allclose(pf.positive, np.diag([3.0, 2.0]), atol=1e-14)
+        O, P = polar_decompose(A)
+        assert_allclose(O, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
+        assert_allclose(P, np.diag([3.0, 2.0]), atol=1e-14)
 
     def test_already_orthogonal(self):
-        pf = polar_decompose(np.diag([-1.0, 1.0]), "left")
-        assert_allclose(pf.orthogonal, np.diag([-1.0, 1.0]), atol=1e-14)
-        assert_allclose(pf.positive, I2, atol=1e-14)
+        O, P = polar_decompose(np.diag([-1.0, 1.0]))
+        assert_allclose(O, np.diag([-1.0, 1.0]), atol=1e-14)
+        assert_allclose(P, I2, atol=1e-14)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_invariants(self, rng, side):
+    def test_invariants(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 6))
             A = random_invertible(rng, n)
-            pf = polar_decompose(A, side)
-            O, P = pf.orthogonal, pf.positive
+            O, P = polar_decompose(A)
             assert np.linalg.norm(O.T @ O - np.eye(n)) <= 1e-10
             assert np.linalg.norm(P - P.T) <= 1e-12
             assert np.linalg.eigvalsh(P).min() > 0
-            assert np.linalg.norm(pf.product() - A) <= 1e-10 * max(1.0, np.linalg.norm(A))
+            assert np.linalg.norm(O @ P - A) <= 1e-10 * max(1.0, np.linalg.norm(A))
             assert np.sign(np.linalg.det(O)) == np.sign(np.linalg.det(A))
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            polar_decompose(np.zeros((2, 2)), "left")
+            polar_decompose(np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_subnormal_input_keeps_its_positive_factor(self, side):
+    def test_subnormal_input_keeps_its_positive_factor(self):
         # the smallest subnormal passes the singular cut (ratio 1); mirroring a triangle keeps it
         tiny = 5e-324 * I2
-        pf = polar_decompose(tiny, side)
-        assert np.array_equal(pf.positive, tiny)
-        assert np.array_equal(pf.product(), tiny)
+        O, P = polar_decompose(tiny)
+        assert np.array_equal(P, tiny)
+        assert np.array_equal(O @ P, tiny)
 
     def test_require_invertible_cuts_a_stack(self):
         # one batched SVD; a stack is refused when any one member is singular
@@ -753,10 +742,9 @@ class TestPolar:
     def test_same_singular_cut_as_require_invertible(self):
         # the cut sits at sigma_min = 1e-13 sigma_max
         below, above = np.diag([1.0, 0.9e-13]), np.diag([1.0, 1.1e-13])
-        for side in ("left", "right"):
-            with pytest.raises(SingularMatrixError, match="polar decomposition"):
-                polar_decompose(below, side)
-            assert polar_decompose(above, side).positive[1, 1] == pytest.approx(1.1e-13)
+        with pytest.raises(SingularMatrixError, match="polar decomposition"):
+            polar_decompose(below)
+        assert polar_decompose(above)[1][1, 1] == pytest.approx(1.1e-13)
         with pytest.raises(SingularMatrixError, match="numerically singular"):
             require_invertible(below)
         require_invertible(above)
@@ -766,15 +754,13 @@ class TestPolar:
         # cK is invertible exactly when K is: the cut reads sigma_min / sigma_max alone
         K = random_invertible(rng, 3)
         require_invertible(c * K)
-        for side in ("left", "right"):
-            pf = polar_decompose(c * K, side)
-            assert np.linalg.norm(pf.product() / c - K) <= 1e-12 * np.linalg.norm(K)
+        O, P = polar_decompose(c * K)
+        assert np.linalg.norm(O @ P / c - K) <= 1e-12 * np.linalg.norm(K)
         below = c * np.diag([1.0, 0.9e-13])
         with pytest.raises(SingularMatrixError, match="numerically singular"):
             require_invertible(below)
-        for side in ("left", "right"):
-            with pytest.raises(SingularMatrixError, match="polar decomposition"):
-                polar_decompose(below, side)
+        with pytest.raises(SingularMatrixError, match="polar decomposition"):
+            polar_decompose(below)
 
 
 class _Forgetful(list):
@@ -1059,34 +1045,10 @@ class TestSoLog:
             so_log(np.diag([-1.0, 1.0]))  # orthogonal but det = -1
 
 
-class TestCartanKilling:
-    def test_identity_pair(self):
-        assert cartan_killing(I2, I2) == 0.0
-
-    def test_unit_pair(self):
-        E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert cartan_killing(E12, E12.T) == 4.0
-
-    def test_zero(self, rng):
-        X = rng.uniform(-1, 1, (3, 3))
-        assert cartan_killing(X, np.zeros((3, 3))) == 0.0
-
-    def test_symmetric_bilinear(self, rng):
-        for _ in range(10):
-            X, Y, Z = (rng.uniform(-1, 1, (3, 3)) for _ in range(3))
-            a = float(rng.uniform(-2, 2))
-            assert cartan_killing(X, Y) == pytest.approx(cartan_killing(Y, X), abs=1e-12)
-            assert cartan_killing(a * X + Z, Y) == pytest.approx(
-                a * cartan_killing(X, Y) + cartan_killing(Z, Y), abs=1e-10
-            )
-
-
 _TOL_TAKERS = {
     "spectral_profile": lambda tol: spectral_profile(np.diag([2.0, 3.0]), tol),
     "classify_arc": lambda tol: classify_arc(I2, np.diag([2.0, 3.0]), tol),
-    "unique_arc": lambda tol: unique_arc(I2, np.diag([2.0, 3.0]), tol),
     "real_log_principal": lambda tol: real_log_principal(np.diag([2.0, 3.0]), tol),
-    "fractional_power": lambda tol: fractional_power(np.diag([2.0, 3.0]), 0.5, tol),
     "so_log": lambda tol: so_log(np.diag([1.0, 2.0]), tol),  # not orthogonal: a nan tol admitted it
 }
 
@@ -1261,7 +1223,6 @@ def _representative_calls(rng):
         tg.classify_arc(K0, K0 @ core)
     J = np.kron(np.eye(2), [[-1.0, 1.0], [0.0, -1.0]])  # J2(-1)^2, exactly: the chains route
     tg.classify_arc(2.0 * np.eye(4), 2.0 * J)
-    tg.unique_arc(K, K @ S)
     tg.broken_arc(S, Q)
     for kind in tg.metricspace.ISOMETRY_KINDS:
         iso = tg.Isometry(kind, K if kind in ("left-translate", "right-translate", "conjugate",
@@ -1271,7 +1232,6 @@ def _representative_calls(rng):
     geo = tg.geodesic_from_velocity(K, X)
     geo.point(0.5)
     tg.Geodesic(K, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])).point(0.5)  # Pade
-    tg.spd_geodesic(S, S, 0.5)
     tg.nabla(K, X, Y, Z)
     tg.curve_residual(geo.point, 0.3)
     tg.trace_metric(K, X, Y)
@@ -1295,8 +1255,7 @@ def _representative_calls(rng):
     tg.product_pushforward(point, tg.sl_tangent_project(point.sl_part, X), 0.5)
     tg.mat_exp(X)
     tg.real_log_principal(S)
-    tg.fractional_power(S, 0.5)
-    tg.fractional_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)  # defective: the logm fallback
+    tg.real_log_principal(np.array([[1.0, 1.0], [0.0, 1.0]]))  # defective: the logm fallback
     tg.spectral_profile(X)
     tg.polar_decompose(K)
     tg.so_log(random_special_orthogonal(rng, n))

@@ -271,6 +271,15 @@ def test_a_suite_of_no_cases_reports_none(suite):
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("cases", [-1, 2.5, verify.MAX_CASES + 1])
+def test_a_case_count_outside_zero_to_the_cap_is_refused(suite, cases):
+    # stacks of every case at once: a negative count is no stack, and an unbounded one exhausts
+    # memory (or, in the product suite's loop, time)
+    with pytest.raises(ValueError, match=f"^cases must be an integer from 0 to {verify.MAX_CASES}"):
+        verify.run_suite(suite, 3, 0, cases)
+
+
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_one_point_returns_todays_type(rng, name):
     fn, count, result = FUNCTIONS[name]
