@@ -112,9 +112,11 @@ _D = np.diag([1.0, 2.0])
 # overflow ("matrix exponential/power overflows") or as a bad matrix operand
 @pytest.mark.parametrize("call, message", [
     (lambda x: Geodesic(I2, _D).point(x), "t must be finite"),
+    (lambda x: geodesic_from_velocity(I2, _D).point(x), "t must be finite"),
+    (lambda x: classify_arc(I2, _D).witness.point(x), "t must be finite"),
     (lambda x: christoffel_fd(I2, x), "step h must be positive and finite"),
     (lambda x: curve_residual(Geodesic(I2, _D).point, 0.0, x), "step h must be positive and finite"),
-], ids=["point", "christoffel_fd", "curve_residual"])
+], ids=["point", "velocity_point", "witness_point", "christoffel_fd", "curve_residual"])
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
 def test_non_finite_scalar_is_a_value_error(call, message, x):
     with warnings.catch_warnings():
@@ -268,6 +270,14 @@ class TestSpdVelocity:
         S = 0.5 * (S + S.T)
         assert_allclose(geodesic_from_velocity(np.eye(3), S).point(0.7), sla.expm(0.7 * S),
                         rtol=1e-12)
+
+    def test_worked_example(self):
+        got = geodesic_from_velocity(np.diag([4.0, 1.0]), np.diag([4.0 * np.log(4.0), 0.0])).point(1.0)
+        assert_allclose(got, np.diag([16.0, 1.0]), rtol=1e-13)
+
+    def test_zero_velocity(self, rng):
+        K = random_spd(rng, 3)
+        assert_allclose(geodesic_from_velocity(K, np.zeros((3, 3))).point(2.0), K, atol=1e-13)
 
     def test_matches_the_closed_form_and_stays_spd(self, rng):
         for _ in range(5):

@@ -176,6 +176,7 @@ OVERFLOWS = {
     "apply-left-translate": lambda: apply_isometry(left_translate(BIG), BIG),
     "pushforward-congruence": lambda: pushforward(congruence_by(BIG), I2, I2),
     "gram_matrix": lambda: gram_matrix(1e-300 * I2),
+    "classify_arc-witness": lambda: classify_arc(I2, np.diag([1e10, 1.0])).witness.point(40.0),
 }
 
 

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tracegeo import (
+    ArcKind,
     Geodesic,
     IllConditionedError,
     NotSpecialOrthogonalError,
@@ -382,6 +383,16 @@ class TestMatrixPower:
             with pytest.raises(IllConditionedError, match="overflows"):
                 matrix_power(np.diag([1e10, 1.0]), 40.0)
 
+    def test_a_complex_spectrum_has_a_power_but_no_unique_arc(self):
+        # a quarter turn: its principal square root is the eighth turn, yet the arcs from I to it
+        # are a countable family; a negative spectrum has no principal power at all
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])
+        c = np.sqrt(0.5)
+        assert_allclose(matrix_power(R, 0.5), [[c, -c], [c, c]], atol=1e-14)
+        assert classify_arc(I2, R).verdict is ArcKind.COUNTABLE
+        with pytest.raises(SpectrumOnCutError):
+            matrix_power(np.diag([-1.0, -2.0]), 0.5)
+
 
 class TestSpectralProfile:
     def test_identity(self):
@@ -720,6 +731,13 @@ class TestPolar:
             assert np.linalg.eigvalsh(P).min() > 0
             assert np.linalg.norm(O @ P - A) <= 1e-10 * max(1.0, np.linalg.norm(A))
             assert np.sign(np.linalg.det(O)) == np.sign(np.linalg.det(A))
+
+    def test_returns_the_plain_pair_with_no_side(self):
+        A = np.array([[0.0, -2.0], [3.0, 0.0]])
+        pair = polar_decompose(A)
+        assert type(pair) is tuple and len(pair) == 2
+        with pytest.raises(TypeError):
+            polar_decompose(A, "right")
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):

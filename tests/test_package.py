@@ -57,6 +57,9 @@ EXPORTS = {
                     "trace_metric", "transposition"],
 }
 PUBLIC = {name for names in EXPORTS.values() for name in names} | set(EXPORTS)
+# second spellings of an operation the package computes once, and the errors only they raised
+REMOVED = ["unique_arc", "spd_geodesic", "fractional_power", "cartan_killing", "PolarFactors",
+           "NotUniqueError", "NotSPDError", "NotSymmetricError", "SpectrumNotPositiveError"]
 
 
 class TestNamespace:
@@ -86,6 +89,16 @@ class TestNamespace:
         with pytest.raises(AttributeError, match=r"^module 'tracegeo' has no attribute 'bogus'$"):
             tracegeo.bogus  # noqa: B018
         assert not hasattr(tracegeo, "_lapack_kernel")
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_a_removed_name_resolves_nowhere_and_the_readme_maps_it(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(tracegeo, name)
+        assert not any(hasattr(importlib.import_module(f"tracegeo.{m}"), name) for m in EXPORTS)
+        readme = (ROOT / "README.md").read_text()
+        table = readme[readme.index("| removed | use instead |"):].split("\n\n")[0]
+        removed_column = [row.split("|")[1] for row in table.splitlines()[2:]]
+        assert any(f"`{name}" in cell for cell in removed_column)
 
 
 A = np.array([[2.0, 1.0], [1.0, 3.0]])
