@@ -13,13 +13,15 @@ non-finite operand; a LAPACK failure raises numpy's LinAlgError through numpy's 
 no floating-point warning; ``det`` and ``slogdet`` run bare.  Operands are ndarrays; ``solve``'s
 right-hand side may also be a list of matrices, but not a vector.  ``svd`` returns full matrices,
 ``qr`` the reduced factors, ``eigh`` reads the lower triangle, and results are plain tuples.
-:func:`all_finite` is the package's finiteness test of an operand or a result.  Callers look a
+:func:`all_finite` is the package's finiteness test of an operand or a result, and
+``count_nonzero`` numpy's count of a whole array without its Python wrapper.  Callers look a
 kernel up on this module at call time, so one patch reaches every call site.
 """
 
 import math
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg as _gufuncs
 
@@ -42,7 +44,7 @@ def all_finite(a):
     """``np.isfinite(a).all()`` as a bool, from a count instead of a ufunc reduction: ``a`` may be
     an array, a number or a tuple of same-shape arrays, so the flags' size is read, not ``a``'s."""
     flags = np.isfinite(a)
-    return np.count_nonzero(flags) == flags.size
+    return count_nonzero(flags) == flags.size
 
 
 def norm(a):
@@ -91,8 +93,13 @@ def svd(a, compute_uv=True):
 def eig(a):
     if not all_finite(a):
         raise LinAlgError("Array must not contain infs or NaNs")
-    w, v = _gufuncs.eig(a, signature="d->DD")
-    return (w, v) if np.count_nonzero(w.imag) else (w.real, v.real)
+    return real_if_real(*_gufuncs.eig(a, signature="d->DD"))
+
+
+def real_if_real(w, v):
+    """``eig``'s ``(w, v)``, real when every imaginary part of ``w`` is zero: of a slice of a
+    stack's, the pair ``eig`` gives the members of the slice alone."""
+    return (w, v) if w.dtype.kind == "f" or count_nonzero(w.imag) else (w.real, v.real)
 
 
 @_raising("Incorrect argument found while performing QR factorization")

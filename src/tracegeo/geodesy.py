@@ -9,6 +9,7 @@ evenly, and uniqueness requires a positive spectrum with no repeated block.
 
 import enum
 import functools
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -18,12 +19,15 @@ from .errors import (
     DifferentComponentsError,
     IllConditionedError,
     SingularMatrixError,
+    TraceGeoError,
 )
 from .matcore import (
     DEFAULT_TOL,
     SpectralProfile,
     _RERUN_FACTORS,
     _Record,
+    _SPECTRUM_OVERFLOW,
+    _at_index,
     _curve_parameter,
     _curve_parameters,
     _eigenbasis,
@@ -80,8 +84,12 @@ class Geodesic(_Record):
         """The direction's :func:`_eigenbasis`, or None (``_expm``); of a stack of mixed routes,
         ``(members, part)`` pairs that split it into geodesics of one: by realness first (``eig``
         of a stack is complex when one member's is), then, past a defective member, by member."""
+        return self._route(*_lapack.eig(self.direction))
+
+    def _route(self, w, V):
+        """:attr:`_basis` from the direction's eigendecomposition; each part of a split is given
+        its slice of ``(w, V)``, real where its members' spectra are, and decomposes nothing."""
         K, C = self.base_point, self.direction
-        w, V = _lapack.eig(C)
         real = np.count_nonzero(w.imag, axis=-1) == 0
         split = (real, ~real)
         if np.count_nonzero(real) in (0, real.size):  # one dtype for every member
@@ -89,7 +97,12 @@ class Geodesic(_Record):
             if basis is not None or real.size == 1:
                 return basis
             split = np.eye(real.size, dtype=bool).reshape(-1, *real.shape)  # each member alone
-        return [(m, Geodesic._unchecked(K[m], C[m])) for m in split]
+        parts = []
+        for m in split:
+            part = Geodesic._unchecked(K[m], C[m])
+            part.__dict__["_basis"] = part._route(*_lapack.real_if_real(w[m], V[m]))
+            parts.append((m, part))
+        return parts
 
     @_overflow_guard("matrix exponential")
     def point(self, t):
@@ -213,8 +226,15 @@ def _verdict(profile):
     return ArcKind.CONTINUUM
 
 
+# classify_arc's refusals before a pair's profile, in the order it raises them
+_FRONT_REFUSALS = ((SingularMatrixError, "K0 is numerically singular"),
+                   (SingularMatrixError, "K1 is numerically singular"),
+                   (IllConditionedError, "K0^-1 K1 overflows the float range"),
+                   (IllConditionedError, _SPECTRUM_OVERFLOW))
+
+
 def classify_arc(K0, K1, tol=DEFAULT_TOL):
-    """Classify the geodesic arcs joining ``K0`` to ``K1``.
+    """Classify the geodesic arcs joining ``K0`` to ``K1``, or each pair of two stacks of them.
 
     The verdict is read off the Jordan structure of M = K0^{-1} K1:
 
@@ -239,20 +259,47 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     10 tol equal the one at tol and the verdict cannot differ; only otherwise
     is the profile re-run at both.
 
-    One batched SVD of both endpoints makes their singular cuts, K0's first,
-    as :func:`broken_arc` makes its own.  A quotient M past the float range
-    raises IllConditionedError.
+    ``K0`` and ``K1`` may be stacks ``(*s, n, n)`` of one shared shape; the result is then the
+    records nested as ``ndarray.tolist()`` nests ``s`` (``[]`` for an empty stack), each the one
+    its pair gives alone, and one pair gives one record.  One batched SVD of both endpoints makes
+    their singular cuts, then one ``solve``, one ``eig`` and one spectral norm serve every pair;
+    the profile, verdict, re-runs and witness follow pair by pair in C order.  A pair is refused
+    for, in this order: K0, then K1, numerically singular (SingularMatrixError); a quotient M past
+    the float range; a spectrum past it; an ambiguous verdict, a logarithm or a witness endpoint
+    that fails (IllConditionedError, SpectrumOnCutError).  A stack raises what its first refused
+    pair raises alone, with `` at stack index i`` appended.
     """
-    K0, K1 = ends = as_squares(K0=K0, K1=K1)
+    ends = as_squares(stacks=True, K0=K0, K1=K1)
     tol = _tolerance(tol)
-    s0, s1 = _lapack.svd(ends, compute_uv=False)
-    for name, s in (("K0", s0), ("K1", s1)):
-        if _is_singular(s):
-            raise SingularMatrixError(f"{name} is numerically singular")
+    shape, n = ends.shape[1:-2], ends.shape[-1]
+    refusals = [None] * 4  # per pair, the flags of each of _FRONT_REFUSALS that any pair meets
+    singular = _is_singular(_lapack.svd(ends, compute_uv=False).T).T  # K0's flags, then K1's
+    if _lapack.count_nonzero(singular):  # a refused pair's quotient is never read: I stands in
+        refusals[:2] = singular
+        ends = np.where((singular[0] | singular[1])[..., None, None], np.eye(n), ends)
+    K0, K1 = ends
     M = _lapack.solve(K0, K1)
     if not _lapack.all_finite(M):  # two valid endpoints whose quotient overflows
-        raise IllConditionedError("K0^-1 K1 overflows the float range")
-    eigs, vecs, norm2 = _spectrum(M)
+        refusals[2] = ~np.isfinite(M).all(axis=(-2, -1))
+        M = np.where(refusals[2][..., None, None], np.eye(n), M)  # eig refuses a non-finite M
+    eigs, vecs, norm2, refusals[3] = _spectrum(M)
+    out = np.empty(shape, object)
+    for i in itertools.product(*map(range, shape)):  # C order
+        for flags, (error, message) in zip(refusals, _FRONT_REFUSALS):
+            if flags is not None and flags[i]:
+                raise error(message + _at_index(i))
+        try:
+            out[i] = _classify_pair(K0[i], K1[i], M[i], *_lapack.real_if_real(eigs[i], vecs[i]),
+                                    float(norm2[i]), tol)
+        except TraceGeoError as exc:
+            if not i:  # one pair: its own refusal, as it stands
+                raise
+            raise type(exc)(f"{exc}{_at_index(i)}") from None
+    return out.tolist()
+
+
+def _classify_pair(K0, K1, M, eigs, vecs, norm2, tol):
+    """:func:`classify_arc` of one pair, from its quotient ``M`` and M's spectrum."""
     profile, settled = _profile_pass(M, eigs, norm2, tol)
     verdict = _verdict(profile)
     for factor in () if settled else _RERUN_FACTORS:

@@ -143,10 +143,13 @@ def require_invertible(a, name="matrix"):
 def _at_member(flags):
     """`` at stack index i`` for the first true flag of a stack's flags in C order (``i`` an int
     for one stack axis, else a tuple); nothing for the one flag of a single matrix."""
-    if not flags.ndim:
-        return ""
-    index = tuple(int(i) for i in np.unravel_index(np.argmax(flags), flags.shape))
-    return f" at stack index {index[0] if len(index) == 1 else index}"
+    return _at_index(np.unravel_index(np.argmax(flags), flags.shape) if flags.ndim else ())
+
+
+def _at_index(index):
+    """`` at stack index i`` for the member at the tuple ``index``; nothing for ``()``."""
+    index = tuple(int(i) for i in index)
+    return f" at stack index {index[0] if len(index) == 1 else index}" if index else ""
 
 
 def as_point_and_tangents(base, name, *, stacks=False, **tangents):
@@ -202,21 +205,26 @@ def _tolerance(tol):
 
 def _overflow_guard(what):
     """Decorator: no floating-point warning escapes the function (an ``errstate`` decorator costs
-    half a ``with``), and a non-finite result (numbers or arrays) raises IllConditionedError.  A
-    ``float`` result is tested by ``math.isfinite``, with no numpy dispatch."""
+    half a ``with``), and a non-finite result (:func:`_finite`) raises IllConditionedError."""
 
     def decorate(fn):
         @functools.wraps(fn)
         @np.errstate(over="ignore", invalid="ignore")
         def guarded(*args, **kwargs):
             out = fn(*args, **kwargs)
-            if not (math.isfinite(out) if isinstance(out, float) else _lapack.all_finite(out)):
+            if not _finite(out):
                 raise IllConditionedError(f"{what} overflows the float range")
             return out
 
         return guarded
 
     return decorate
+
+
+def _finite(x):
+    """Whether ``x`` (numbers or arrays) is finite; a ``float`` by ``math.isfinite``, with no numpy
+    dispatch."""
+    return math.isfinite(x) if isinstance(x, float) else _lapack.all_finite(x)
 
 
 @_overflow_guard("determinant")
@@ -516,19 +524,26 @@ def spectral_profile(A, tol=DEFAULT_TOL):
     block structure.
     """
     A, tol = as_squares(A=A)[0], _tolerance(tol)
-    eigs, _, norm2 = _spectrum(A)
-    return _profile_pass(A, eigs, norm2, tol)[0]
+    eigs, _, norm2, wide = _spectrum(A)
+    if wide is not None:
+        raise IllConditionedError(_SPECTRUM_OVERFLOW)
+    return _profile_pass(A, eigs, float(norm2), tol)[0]
+
+
+_SPECTRUM_OVERFLOW = "spectrum overflows the float range"
 
 
 def _spectrum(M):
-    """``(eigs, vecs, ||M||_2)`` of the square float matrix ``M``: the input of every profile
-    (:func:`spectral_profile`, ``classify_arc``), from one ``eig`` and one SVD.  A norm or an
-    eigenvalue past the float range raises IllConditionedError."""
+    """``(eigs, vecs, ||M||_2, wide)`` of the square float matrix ``M``, or of each of a stack of
+    them: the input of every profile (:func:`spectral_profile`, ``classify_arc``), from one
+    ``eig`` and one SVD.  ``wide`` is None, or flags (in the stack's shape) each matrix whose norm
+    or an eigenvalue is past the float range, for which the caller raises
+    IllConditionedError(``_SPECTRUM_OVERFLOW``)."""
     eigs, vecs = _lapack.eig(M)
-    norm2 = float(_lapack.svd(M, compute_uv=False)[0])
-    if not (math.isfinite(norm2) and all(map(cmath.isfinite, eigs.tolist()))):  # no numpy dispatch
-        raise IllConditionedError("spectrum overflows the float range")
-    return eigs, vecs, norm2
+    norm2 = _lapack.svd(M, compute_uv=False)[..., 0][()]  # of one matrix, a numpy float
+    if _finite(norm2) and _lapack.all_finite(eigs):
+        return eigs, vecs, norm2, None
+    return eigs, vecs, norm2, ~(np.isfinite(norm2) & np.isfinite(eigs).all(axis=-1))
 
 
 # classify_arc tests a verdict's stability by re-profiling at these multiples of tol

@@ -23,8 +23,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .matcore import (
-    _Record, _Value, _det, _is_singular, _overflow_guard, _scalar, as_point_and_tangents,
-    as_squares, require_invertible,
+    _Record, _Value, _at_member, _det, _finite, _is_singular, _overflow_guard, _scalar,
+    as_point_and_tangents, as_squares, require_invertible,
 )
 
 
@@ -264,13 +264,18 @@ def leaf_base_point(c, n):
 
 
 class ProductPoint(_Record):
-    """Point (P, x) of the product of the unimodular group with a line.
+    """Point (P, x) of the product of the unimodular group with a line, or a stack of them:
+    ``sl_part`` of shape ``(*s, n, n)`` and ``line_part`` an array of shape ``s`` (one point's is a
+    float).
 
     ``det P`` must be 1 within 1e-10, or within ``10 n u cond_2(P)`` (u the unit roundoff) for an
     invertible P: the computed det of an exactly unimodular P errs by up to about 4 n u cond_2(P),
     and :func:`product_inverse` of an ill-conditioned Q gives such a P.  Only a determinant past
     1e-10, or ``||P||_F^n >= 1e12`` (``sigma_min sigma_max^(n-1) >= |det P|``, so a singular P with
-    det near 1 has ``sigma_max^n >~ 1e13``), pays for the SVD of the second test and the cut.
+    det near 1 has ``sigma_max^n >~ 1e13``), pays for the SVD of the second test and the cut; of a
+    stack, only the members that do.  Each member is checked alone; a stack names its first
+    refused member by `` at stack index i``: a non-finite x (ValueError), then a P that is not
+    unimodular (NotUnimodularError).
     """
 
     sl_part: np.ndarray
@@ -278,64 +283,106 @@ class ProductPoint(_Record):
     _fields = ("sl_part", "line_part")
 
     def __init__(self, sl_part, line_part):
-        x = float(line_part)
-        if not math.isfinite(x):
-            raise ValueError("line_part must be finite")
-        P = as_squares(sl_part=sl_part)[0]
+        P = as_squares(stacks=True, sl_part=sl_part)[0]
+        x = _line_values(line_part, "line_part", P)
+        n = P.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is not 1 either
             miss = abs(_lapack.det(P) - 1.0)
             # ||P||_F^n >= 1e12 as a root: a float power past the float range is an OverflowError
-            if not miss <= 1e-10 or _lapack.norm(P) >= 1e12 ** (1.0 / P.shape[0]):
-                s = _lapack.svd(P, compute_uv=False)
-                if _is_singular(s) or not miss <= 10 * P.shape[0] * 2.0**-53 * (s[0] / s[-1]):
-                    raise NotUnimodularError("sl_part must have determinant 1")
+            past = ~(miss <= 1e-10) | (_lapack.norms(P) >= 1e12 ** (1.0 / n))
+            if _lapack.count_nonzero(past):
+                s = _lapack.svd(P[past], compute_uv=False).T  # of the members past, in C order
+                cond = s[0] / s[-1]
+                refused = np.zeros(np.shape(past), bool)
+                refused[past] = _is_singular(s) | ~(miss[past] <= 10 * n * 2.0**-53 * cond)
+                if _lapack.count_nonzero(refused):
+                    raise NotUnimodularError("sl_part must have determinant 1"
+                                             + _at_member(refused))
         self.__dict__.update(sl_part=P, line_part=x)
 
 
+def _line_values(x, name, P):
+    """The line coordinates ``x`` of the matrices ``P``: a float for one matrix, a float array of
+    their stack shape for a stack (else DimensionMismatchError); each must be finite (ValueError,
+    naming a stack's first non-finite member by its index)."""
+    if isinstance(x, (np.ndarray, list, tuple)) and np.ndim(x):
+        x = np.array(x, dtype=float)
+        if not _lapack.all_finite(x):
+            raise ValueError(f"{name} must be finite{_at_member(~np.isfinite(x))}")
+    else:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+    if np.shape(x) != P.shape[:-2]:
+        raise DimensionMismatchError(f"{name} of shape {np.shape(x)} does not fit matrices of "
+                                     f"shape {P.shape}")
+    return x
+
+
+def _per_matrix(v):
+    """Line values with two trailing axes, so that a stack's scale its matrices one by one; one
+    value (a float or a numpy scalar) as it is."""
+    return v[..., None, None] if isinstance(v, np.ndarray) else v
+
+
+_TINY = np.finfo(float).tiny
+
+
 def _chart_scale(x, n):
-    """e^{x / sqrt(n)}, raising once it leaves the normal float range (an overflow through the
-    caller's guard)."""
+    """e^{x / sqrt(n)} per matrix (:func:`_per_matrix`), raising once it leaves the normal float
+    range: below it here, naming a stack's first such member, and above it as an overflow
+    through the caller's guard."""
     scale = np.exp(x / math.sqrt(n))
-    if scale < np.finfo(float).tiny:
-        raise IllConditionedError("product chart underflows the float range")
-    return scale
+    low = scale < _TINY
+    if _lapack.count_nonzero(low):
+        raise IllConditionedError("product chart underflows the float range" + _at_member(low))
+    return _per_matrix(scale)
 
 
 @_overflow_guard("product chart")
 def product_forward(p):
-    """Map (P, x) to e^{x / sqrt(n)} P in the positive-determinant component."""
+    """Map (P, x) to e^{x / sqrt(n)} P in the positive-determinant component; a stacked point
+    maps member by member."""
     P = p.sl_part
-    return _chart_scale(p.line_part, P.shape[0]) * P
+    return _chart_scale(p.line_part, P.shape[-1]) * P
 
 
 def product_inverse(Q):
     """Inverse of :func:`product_forward`.
 
-    Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.
+    Returns (Q / det(Q)^{1/n}, log(det Q) / sqrt(n)); requires det(Q) > 0.  Takes a stack
+    ``(*s, n, n)`` and returns the stacked point; it refuses a stack's first member with
+    ``det Q <= 0`` by its index, then any member past the float range.
     Its determinant is not re-checked: det(sl_part) computes to 1 only within about n u cond(Q),
     which :class:`ProductPoint` accepts.
     """
-    Q = as_squares(Q=Q)[0]
-    n = Q.shape[0]
+    Q = as_squares(stacks=True, Q=Q)[0]
+    n = Q.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         sign, logdet = _lapack.slogdet(Q)
-        if sign <= 0.0:
-            raise NonPositiveDeterminantError("product chart needs a positive determinant")
-        P = Q / math.exp(logdet / n)  # det(diag(1e300, 1e-300, 1e-300))^{1/3} = 1e-100
-    if not (math.isfinite(logdet) and _lapack.all_finite(P)):
+        if _lapack.count_nonzero(sign <= 0.0):
+            raise NonPositiveDeterminantError("product chart needs a positive determinant"
+                                              + _at_member(sign <= 0.0))
+        # det(Q)^{1/n} from the log: det(diag(1e300, 1e-300, 1e-300))^{1/3} = 1e-100; by
+        # math.exp member by member, as np.exp rounds otherwise
+        e = logdet / n
+        P = Q / _per_matrix(math.exp(e) if not e.ndim
+                            else np.reshape([math.exp(v) for v in e.ravel().tolist()], e.shape))
+    x = _scalar(logdet / math.sqrt(n))
+    if not (_finite(x) and _lapack.all_finite(P)):
         raise IllConditionedError("product chart overflows the float range")
     point = object.__new__(ProductPoint)
-    point.__dict__.update(sl_part=P, line_part=float(logdet) / math.sqrt(n))
+    point.__dict__.update(sl_part=P, line_part=x)
     return point
 
 
 @_overflow_guard("product chart")
 def product_pushforward(p, M, a):
-    """Differential of :func:`product_forward` at (P, x) on the tangent (M, a)."""
-    P, M = as_squares(sl_part=p.sl_part, M=M)
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    n = P.shape[0]
+    """Differential of :func:`product_forward` at (P, x) on the tangent (M, a); of a stacked
+    point, on stacks ``M`` of its shape and ``a`` of its stack shape (each finite, or a
+    ValueError naming its index)."""
+    P, M = as_squares(stacks=True, sl_part=p.sl_part, M=M)
+    a = _line_values(a, "a", P)
+    n = P.shape[-1]
     scale = _chart_scale(p.line_part, n)
-    return scale * M + (scale / math.sqrt(n)) * a * P
+    return scale * M + (scale / math.sqrt(n)) * _per_matrix(a) * P

@@ -13,7 +13,7 @@ from .matcore import matrix_document
 RESIDUAL_TOL = 1e-5  # geodesic ODE residual at the default step
 ORDERS = range(2, 7)  # the matrix orders n the suites are sized for
 # Most cases one suite run may take: the stacked suites hold every case at once, and at the cap
-# ``verify --suite all --n 6`` peaks near 315 MB resident (13 s; Python 3.11, numpy 2.4).
+# ``verify --suite all --n 6`` peaks near 350 MB resident (12 s; Python 3.11, numpy 2.4).
 MAX_CASES = 10_000
 
 
@@ -100,9 +100,9 @@ def _all_isometries(G, A0):
     ]
 
 
-# The metric, geodesic, curvature and foliation suites draw every case first, in the order one
-# case at a time would draw them, then evaluate each identity once on the stack of cases (the
-# pointwise functions take stacks, member by member), and record the checks case by case.
+# Every suite draws all its cases first, in the order one case at a time would draw them, then
+# evaluates each identity once on the stack of cases (the pointwise functions, classify_arc and the
+# product chart take stacks, member by member), and records the checks case by case.
 
 
 def _suite_metric(rec, rng, n, cases, tol, fd_step, tol_cluster):
@@ -183,6 +183,16 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
     shift_gap, direct_norm = (_lapack.norms(x).tolist() for x in (direct - shifted, direct))
     dets = _lapack.det(geo.point(_JACOBI_TIMES[:, None])).T.tolist()
     wants = (_lapack.det(K)[:, None] * np.exp(_JACOBI_TIMES * _lapack.trace(C)[:, None])).tolist()
+    # unique arcs between commensurate positive-definite endpoints, each pair beside its left
+    # translate: [pair 0, translate 0, pair 1, ...], the order one case at a time classifies them
+    outcomes = geodesy.classify_arc(np.stack([K0, G @ K0], 1), np.stack([K1, G @ K1], 1),
+                                    tol_cluster)
+    witnesses = {i: pair[0].witness for i, pair in enumerate(outcomes)
+                 if pair[0].witness is not None}
+    if witnesses:  # every endpoint from one stacked geodesic
+        arcs = geodesy.Geodesic(*(np.array([getattr(w, name) for w in witnesses.values()])
+                                  for name in ("base_point", "direction")))
+        gaps = dict(zip(witnesses, _lapack.norms(arcs.point(1.0) - K1[list(witnesses)]).tolist()))
     for i in range(cases):
         inputs = [("K", K[i]), ("C", C[i])]
         for row in residuals:
@@ -192,15 +202,12 @@ def _suite_geodesic(rec, rng, n, cases, tol, fd_step, tol_cluster):
                   inputs)
         for got, want in zip(dets[i], wants[i]):
             rec.check("jacobi-determinant", got, want, tol * max(1.0, abs(want)), inputs)
-        # unique arcs between commensurate positive-definite endpoints
-        outcome = geodesy.classify_arc(K0[i], K1[i], tol_cluster)
+        outcome, translated = outcomes[i]
         rec.check("spd-unique", outcome.verdict.value, "unique", None,
                   [("K0", K0[i]), ("K1", K1[i])])
-        if outcome.witness is not None:
-            end = outcome.witness.point(1.0)
-            rec.check("spd-endpoint", _lapack.norm(end - K1[i]), 0.0,
+        if i in witnesses:
+            rec.check("spd-endpoint", gaps[i], 0.0,
                       tol * max(1.0, _lapack.norm(K1[i])), [("K0", K0[i]), ("K1", K1[i])])
-        translated = geodesy.classify_arc(G[i] @ K0[i], G[i] @ K1[i], tol_cluster)
         rec.check("classify-left-invariance", translated.verdict.value,
                   outcome.verdict.value, None, [("G", G[i])])
 
@@ -314,30 +321,36 @@ def random_unimodular(rng, n):
 
 
 def _suite_product(rec, rng, n, cases, tol, fd_step, tol_cluster):
-    for _ in range(cases):
-        P = random_unimodular(rng, n)
-        x = float(rng.uniform(-1.5, 1.5))
-        point = metricspace.ProductPoint(P, x)
-        Q = metricspace.product_forward(point)
-        back = metricspace.product_inverse(Q)
-        rec.check("roundtrip-sl", _lapack.norm(back.sl_part - P), 0.0, tol / 100,
-                  [("P", P)])
-        rec.check("roundtrip-line", back.line_part, x, tol / 100 * max(1.0, abs(x)))
-        Q2 = random_invertible(rng, n)
-        if _lapack.det(Q2) < 0:
-            Q2[0] = -Q2[0]
-        forward = metricspace.product_forward(metricspace.product_inverse(Q2))
-        rec.check("roundtrip-glplus", _lapack.norm(forward - Q2), 0.0,
-                  tol / 100 * max(1.0, _lapack.norm(Q2)), [("Q", Q2)])
-        M = metricspace.sl_tangent_project(P, rng.uniform(-1.0, 1.0, (n, n)))
-        M2 = metricspace.sl_tangent_project(P, rng.uniform(-1.0, 1.0, (n, n)))
-        a, a2 = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
-        push = metricspace.product_pushforward(point, M, a)
-        push2 = metricspace.product_pushforward(point, M2, a2)
-        got = metricspace.trace_metric(Q, push, push2)
-        want = metricspace.trace_metric(P, M, M2) + a * a2
-        rec.check("product-isometry", got, want,
-                  tol / 10 * max(1.0, abs(want), _metric_scale(P, M, M2)), [("P", P)])
+    P, Q2, U, U2 = np.empty((4, cases, n, n))
+    x, a, a2 = np.empty((3, cases))
+    for i in range(cases):
+        P[i] = random_unimodular(rng, n)
+        x[i] = rng.uniform(-1.5, 1.5)
+        Q2[i] = random_invertible(rng, n)
+        if _lapack.det(Q2[i]) < 0:
+            Q2[i, 0] = -Q2[i, 0]
+        U[i] = rng.uniform(-1.0, 1.0, (n, n))
+        U2[i] = rng.uniform(-1.0, 1.0, (n, n))
+        a[i], a2[i] = rng.uniform(-1.0, 1.0, 2)
+    point = metricspace.ProductPoint(P, x)
+    Q = metricspace.product_forward(point)
+    back = metricspace.product_inverse(Q)
+    sl_gap, line_part = _lapack.norms(back.sl_part - P).tolist(), back.line_part.tolist()
+    forward = metricspace.product_forward(metricspace.product_inverse(Q2))
+    gl_gap, gl_norm = (_lapack.norms(m).tolist() for m in (forward - Q2, Q2))
+    M, M2 = metricspace.sl_tangent_project(P, U), metricspace.sl_tangent_project(P, U2)
+    push = metricspace.product_pushforward(point, M, a)
+    push2 = metricspace.product_pushforward(point, M2, a2)
+    got = metricspace.trace_metric(Q, push, push2).tolist()
+    want = (metricspace.trace_metric(P, M, M2) + a * a2).tolist()
+    scales = _metric_scale(P, M, M2)
+    for i, xi in enumerate(x.tolist()):
+        rec.check("roundtrip-sl", sl_gap[i], 0.0, tol / 100, [("P", P[i])])
+        rec.check("roundtrip-line", line_part[i], xi, tol / 100 * max(1.0, abs(xi)))
+        rec.check("roundtrip-glplus", gl_gap[i], 0.0, tol / 100 * max(1.0, gl_norm[i]),
+                  [("Q", Q2[i])])
+        rec.check("product-isometry", got[i], want[i],
+                  tol / 10 * max(1.0, abs(want[i]), scales[i]), [("P", P[i])])
 
 
 # each suite's generator is seeded with its index, so this order is part of the reports

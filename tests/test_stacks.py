@@ -16,17 +16,24 @@ import numpy as np
 import pytest
 
 from tracegeo import (
+    ArcClassification,
     DimensionMismatchError,
     Geodesic,
+    IllConditionedError,
+    NonPositiveDeterminantError,
     NotTangentError,
+    NotUnimodularError,
     ProductPoint,
     SingularMatrixError,
     apply_isometry,
+    broken_arc,
     classify_arc,
     curve_residual,
     leaf_of,
     left_translate,
     nabla,
+    product_forward,
+    product_inverse,
     product_pushforward,
     pushforward,
     ricci,
@@ -37,9 +44,9 @@ from tracegeo import (
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import curvature, geodesy, metricspace, verify
+from tracegeo import _lapack, curvature, geodesy, metricspace, verify
 from tracegeo.metricspace import ISOMETRY_KINDS, Isometry
-from tracegeo.verify import random_invertible
+from tracegeo.verify import random_invertible, random_unimodular
 
 SHAPES = [(1,), (3,), (2, 2)]
 PARAMETRIC = {"left-translate", "right-translate", "conjugate", "congruence", "point-symmetry"}
@@ -200,6 +207,28 @@ def test_a_stack_of_mixed_spectra_takes_each_members_own_route(rng, n):
     assert sorted(routes(geo, np.arange(3))) == [([0], "f"), ([1], "c"), ([2], None)]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_split_stack_decomposes_its_directions_once(rng, n, monkeypatch):
+    # real, complex and real again: two parts, each given its slice of the stack's eig
+    real, rotation = MIXED_DIRECTIONS[n][:2]
+    C = np.array([real, rotation, 2.0 * np.asarray(real)], dtype=float)
+    K = _points(rng, (3,), n)
+    want = [_member_points(Geodesic(K, C), t) for t in (0.7, np.array([0.1, -1.2, 2.0]))]
+    calls = []
+
+    def eig(a, _eig=_lapack.eig):
+        calls.append(a.shape)
+        return _eig(a)
+
+    monkeypatch.setattr(_lapack, "eig", eig)
+    geo = Geodesic(K, C)
+    assert [np.array_equal(geo.point(t), points)
+            for t, points in zip((0.7, np.array([0.1, -1.2, 2.0])), want)] == [True, True]
+    assert calls == [(3, n, n)]
+    assert [(m.tolist(), part._basis[0].dtype.kind) for m, part in geo._basis] == [
+        ([True, False, True], "f"), ([False, True, False], "c")]
+
+
 def test_t_that_does_not_broadcast_is_a_value_error(rng):
     geo = _stacked_geodesic(rng, (3,), 2)
     with pytest.raises(ValueError, match="broadcast"):
@@ -275,7 +304,7 @@ def test_a_suite_of_no_cases_reports_none(suite):
 @pytest.mark.parametrize("cases", [-1, 2.5, verify.MAX_CASES + 1])
 def test_a_case_count_outside_zero_to_the_cap_is_refused(suite, cases):
     # stacks of every case at once: a negative count is no stack, and an unbounded one exhausts
-    # memory (or, in the product suite's loop, time)
+    # memory
     with pytest.raises(ValueError, match=f"^cases must be an integer from 0 to {verify.MAX_CASES}"):
         verify.run_suite(suite, 3, 0, cases)
 
@@ -356,9 +385,167 @@ def test_an_isometry_parameter_of_another_shape_is_a_dimension_mismatch(rng):
             pushforward(iso, A, A)
 
 
+# M = K0^-1 K1 of each verdict, up to a similarity: positive and simple, a complex pair, a
+# semisimple negative pair, an unpaired negative eigenvalue
+ARC_SPECTRA = {
+    "unique": np.diag([1.0, 2.0, 3.0]),
+    "countable": np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+    "continuum": np.diag([-2.0, -2.0, 3.0]),
+    "no-arc": np.diag([-2.0, 3.0, 4.0]),
+}
+
+
+def _arc_pairs(rng, shape):
+    """Endpoint stacks whose members cycle through the verdicts of ARC_SPECTRA."""
+    K0, S = _points(rng, shape, 3), _points(rng, shape, 3)
+    spectra = list(ARC_SPECTRA.values())
+    D = np.array([spectra[i % 4] for i in range(int(np.prod(shape)))]).reshape(shape + (3, 3))
+    return K0, K0 @ S @ D @ np.linalg.inv(S)
+
+
+def _same_arc(got, want):
+    assert type(got) is ArcClassification
+    assert got.verdict is want.verdict and got.profile == want.profile
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        for name in ("base_point", "direction"):
+            assert np.array_equal(getattr(got.witness, name), getattr(want.witness, name))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_classify_arc_of_a_stack_gives_each_pair_its_own_record(rng, shape):
+    K0, K1 = _arc_pairs(rng, shape)
+    outcomes = classify_arc(K0, K1)
+    assert type(outcomes) is list
+    nested = np.empty(shape, object)
+    nested[...] = outcomes
+    verdicts = set()
+    for i in np.ndindex(shape):
+        _same_arc(nested[i], classify_arc(K0[i], K1[i]))
+        verdicts.add(nested[i].verdict.value)
+    assert verdicts == set(list(ARC_SPECTRA)[:int(np.prod(shape))])
+
+
+def test_classify_arc_of_an_empty_stack_is_an_empty_list_and_of_one_pair_a_record(rng):
+    assert classify_arc(np.empty((0, 3, 3)), np.empty((0, 3, 3))) == []
+    K0, K1 = _arc_pairs(rng, ())
+    assert type(classify_arc(K0, K1)) is ArcClassification
+
+
+def test_classify_arc_of_a_stack_raises_its_first_refusal(rng):
+    K0 = np.stack([np.eye(3)] * 3)
+    K1 = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 2.0 + 1e-7, 5.0]), np.eye(3)])
+    K0[2] = np.diag([1.0, 1.0, 0.0])  # singular, behind an ambiguous verdict
+    message = "verdict is ambiguous at tolerance 1e-08 (differs at 1e-07) at stack index 1"
+    with pytest.raises(IllConditionedError, match=f"^{re.escape(message)}$"):
+        classify_arc(K0, K1)
+    K0[1], K0[2] = K0[2], np.eye(3)  # now the singular one comes first
+    with pytest.raises(SingularMatrixError, match="^K0 is numerically singular at stack index 1$"):
+        classify_arc(K0, K1)
+    K0[1], K1[1] = np.eye(3), np.zeros((3, 3))
+    with pytest.raises(SingularMatrixError,
+                       match=r"^K1 is numerically singular at stack index \(0, 1\)$"):
+        classify_arc(K0.reshape(1, 3, 3, 3), K1.reshape(1, 3, 3, 3))
+    K0[1], K1[1] = 1e-300 * np.eye(3), 1e300 * np.eye(3)  # K0^-1 K1 overflows
+    with pytest.raises(IllConditionedError,
+                       match="^K0\\^-1 K1 overflows the float range at stack index 1$"):
+        classify_arc(K0, K1)
+    K0[1], K1[1] = 0.5 * np.eye(3), np.diag([1.0, 1.0, 0.5e308])  # M is finite, ||M||_2 = 2.5e308
+    K1[1, :2, :2] = [[0.75e308, 0.5e308], [0.5e308, 0.75e308]]
+    with pytest.raises(IllConditionedError,
+                       match="^spectrum overflows the float range at stack index 1$"):
+        classify_arc(K0, K1)
+
+
+def _product_stack(rng, shape, n):
+    m = int(np.prod(shape))
+    P = np.array([random_unimodular(rng, n) for _ in range(m)]).reshape(shape + (n, n))
+    Q = _points(rng, shape, n)
+    Q[np.linalg.det(Q) < 0, 0] *= -1.0
+    M = sl_tangent_project(P, rng.uniform(-1.0, 1.0, shape + (n, n)))
+    return P, rng.uniform(-1.5, 1.5, shape), Q, M, rng.uniform(-1.0, 1.0, shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_product_chart_of_a_stack_is_that_of_each_member(rng, n, shape):
+    P, x, Q, M, a = _product_stack(rng, shape, n)
+    point = ProductPoint(P, x)
+    back = product_inverse(Q)
+    forward, push = product_forward(point), product_pushforward(point, M, a)
+    assert type(point.line_part) is type(back.line_part) is np.ndarray
+    assert point.line_part.shape == back.line_part.shape == shape
+    for i in np.ndindex(shape):
+        one = ProductPoint(P[i], x[i])
+        assert np.array_equal(point.sl_part[i], one.sl_part) and point.line_part[i] == one.line_part
+        assert np.array_equal(forward[i], product_forward(one))
+        assert np.array_equal(push[i], product_pushforward(one, M[i], a[i]))
+        alone = product_inverse(Q[i])
+        assert np.array_equal(back.sl_part[i], alone.sl_part)
+        assert back.line_part[i] == alone.line_part
+
+
+def test_one_product_point_keeps_a_float_line_part():
+    for point in (ProductPoint(np.eye(2), 0.5), ProductPoint(np.eye(2), np.float64(0.5)),
+                  product_inverse(2.0 * np.eye(2))):
+        assert type(point.line_part) is float
+
+
+def test_a_stacked_product_point_svds_only_the_members_past_the_det_test(rng, monkeypatch):
+    U, V = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+    Q = U @ np.diag(np.geomspace(1.0, 1e10, 4)) @ V.T
+    Q[0] *= np.sign(np.linalg.det(Q))
+    P = np.array([random_unimodular(rng, 4), product_inverse(Q).sl_part, random_unimodular(rng, 4)])
+    assert abs(np.linalg.det(P[1]) - 1.0) > 1e-10  # accepted by the second test alone
+    shapes = []
+
+    def svd(a, compute_uv=True, _svd=_lapack.svd):
+        shapes.append(a.shape)
+        return _svd(a, compute_uv)
+
+    monkeypatch.setattr(_lapack, "svd", svd)
+    ProductPoint(P, np.zeros(3))
+    assert shapes == [(1, 4, 4)]
+
+
+def test_a_refused_product_chart_member_is_named_by_its_stack_index(rng):
+    P, x, Q, M, a = _product_stack(rng, (2, 2), 3)
+    P[1, 0] *= 2.0
+    with pytest.raises(NotUnimodularError,
+                       match=r"^sl_part must have determinant 1 at stack index \(1, 0\)$"):
+        ProductPoint(P, x)
+    Q[0, 1, 0] *= -1.0
+    with pytest.raises(NonPositiveDeterminantError, match=r"^product chart needs a positive "
+                                                          r"determinant at stack index \(0, 1\)$"):
+        product_inverse(Q)
+    x[1, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^line_part must be finite at stack index \(1, 1\)$"):
+        ProductPoint(P, x)
+    P[1, 0] /= 2.0
+    x[1, 1] = -2000.0  # e^(-2000 / sqrt 3) is below the normal float range
+    point = ProductPoint(P, x)
+    for chart in (lambda: product_forward(point), lambda: product_pushforward(point, M, a)):
+        with pytest.raises(IllConditionedError, match=r"^product chart underflows the float "
+                                                      r"range at stack index \(1, 1\)$"):
+            chart()
+    with pytest.raises(DimensionMismatchError, match="^line_part of shape \\(2,\\) does not fit"):
+        ProductPoint(P, x[0])
+    with pytest.raises(DimensionMismatchError, match="^a of shape \\(\\) does not fit"):
+        product_pushforward(ProductPoint(P, np.zeros((2, 2))), M, 0.5)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_line_tangent_of_a_stack_is_a_value_error(rng, a):
+    P, x, _, M, tangent = _product_stack(rng, (3,), 2)
+    tangent[2] = a
+    with pytest.raises(ValueError, match="^a must be finite at stack index 2$"):
+        product_pushforward(ProductPoint(P, x), M, tangent)
+
+
 def test_a_function_of_one_matrix_refuses_a_stack():
-    with pytest.raises(ValueError, match=r"K0 must be square, got shape \(2, 2, 2\)"):
-        classify_arc(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match=r"K1 must be square, got shape \(2, 2, 2\)"):
+        broken_arc(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2))
 
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -405,12 +592,22 @@ def test_a_suite_builds_one_geodesic_per_identity_not_per_case(monkeypatch, suit
         assert verify.run_suite(suite, 3, 0, cases)["failures"] == []
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["__init__"] == {"geodesic": 2, "foliation": 1}[suite]
+    # geodesic: the curves of the residuals, their shifted copies, and the witnesses' endpoints
+    assert counts[0]["__init__"] == {"geodesic": 3, "foliation": 1}[suite]
 
 
-@pytest.mark.parametrize("suite", ["metric", "curvature", "foliation"])
+# what each suite calls once per suite call (geodesic and product: every call they make of it)
+ONCE = {"geodesic": {"classify_arc": 1},
+        "product": {"__init__": 1, "product_forward": 2, "product_inverse": 2,
+                    "product_pushforward": 2, "trace_metric": 2}}
+
+
+@pytest.mark.parametrize("suite", ["metric", "geodesic", "curvature", "foliation", "product"])
 def test_a_suite_calls_each_identity_once_not_once_per_case(monkeypatch, suite):
-    spied = [(metricspace, "trace_metric"), (curvature, "riemann_04"), (metricspace, "pushforward")]
+    spied = [(metricspace, "trace_metric"), (curvature, "riemann_04"), (metricspace, "pushforward"),
+             (geodesy, "classify_arc"), (metricspace, "product_forward"),
+             (metricspace, "product_inverse"), (metricspace, "product_pushforward"),
+             (ProductPoint, "__init__")]
     calls = {}
     for module, name in spied:
         def spy(*args, _fn=getattr(module, name), _name=name):
@@ -426,3 +623,5 @@ def test_a_suite_calls_each_identity_once_not_once_per_case(monkeypatch, suite):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) > 0
+    for name, count in ONCE.get(suite, {}).items():
+        assert counts[0][name] == count
