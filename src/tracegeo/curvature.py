@@ -233,7 +233,7 @@ def christoffel_fd(P, h=None):
     steps = h * standard_basis(P.shape[0])
     points = np.concatenate([P + steps, P - steps, P[None]])
     singular = _is_singular(_lapack.svd(points, compute_uv=False).T)
-    if np.count_nonzero(singular):  # P's own verdict first: the caller passed P, not the stack
+    if _lapack.count_nonzero(singular):  # P's own verdict first: the caller passed P, not the stack
         raise SingularMatrixError("P is numerically singular" if singular[-1] else
                                   f"P + h E_d or P - h E_d is numerically singular at the step "
                                   f"h = {np.ldexp(h, e):.3g}")
@@ -263,7 +263,7 @@ def sl_einstein_check(K, X, Y):
     unit = quotients / np.maximum(peak, np.finfo(float).tiny)  # ||unit|| cannot underflow
     off_leaf = np.abs(_lapack.trace(unit)) > _LEAF_TRACE_RTOL * _lapack.norms(unit)
     for name, off in zip("XY", off_leaf):
-        if np.count_nonzero(off):
+        if _lapack.count_nonzero(off):
             raise NotTangentError(f"{name} is not tangent to the determinant leaf{_at_member(off)}")
     bX, bY = quotients
     return _scalar(_ricci_form(n, bX, bY)), _scalar(-0.5 * n * _lapack.trace(bX @ bY))

@@ -9,8 +9,6 @@ evenly, and uniqueness requires a positive spectrum with no repeated block.
 
 import enum
 import functools
-import itertools
-from collections import Counter
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .matcore import (
     _curve_parameters,
     _eigenbasis,
     _expm,
+    _indices,
     _is_singular,
     _overflow_guard,
     _profile_pass,
@@ -92,7 +91,7 @@ class Geodesic(_Record):
         K, C = self.base_point, self.direction
         real = np.count_nonzero(w.imag, axis=-1) == 0
         split = (real, ~real)
-        if np.count_nonzero(real) in (0, real.size):  # one dtype for every member
+        if _lapack.count_nonzero(real) in (0, real.size):  # one dtype for every member
             basis = _eigenbasis(w, V, left=K)
             if basis is not None or real.size == 1:
                 return basis
@@ -171,7 +170,7 @@ def curve_residual(curve, t, h=1e-4):
     # acc divides by h * h, and t +- h rounded to t would read every curve as a geodesic
     if not (0 < h < np.inf and h * h >= np.finfo(float).tiny
             and (t - h != t != t + h if one
-                 else np.count_nonzero((t - h != t) & (t + h != t)) == t.size)):
+                 else _lapack.count_nonzero((t - h != t) & (t + h != t)) == t.size)):
         raise ValueError("step h must be positive and finite, h * h a normal float, "
                          "and t + h and t - h distinct from t")
     # the singular cut on curve(t), which the solve below inverts
@@ -212,11 +211,9 @@ class ArcClassification(_Record):
 
 
 def _verdict(profile):
-    neg = profile.negative_real()
-    pos = profile.positive_real()
-    cplx = profile.non_real()
+    neg, pos, cplx = profile._kinds()
     for c in neg:
-        if any(count % 2 for count in Counter(c.block_sizes).values()):
+        if any(c.block_sizes.count(size) % 2 for size in set(c.block_sizes)):
             return ArcKind.NO_ARC
     pos_no_repeat = all(len(set(c.block_sizes)) == len(c.block_sizes) for c in pos)
     if not neg and not cplx and pos_no_repeat:
@@ -262,12 +259,17 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
     ``K0`` and ``K1`` may be stacks ``(*s, n, n)`` of one shared shape; the result is then the
     records nested as ``ndarray.tolist()`` nests ``s`` (``[]`` for an empty stack), each the one
     its pair gives alone, and one pair gives one record.  One batched SVD of both endpoints makes
-    their singular cuts, then one ``solve``, one ``eig`` and one spectral norm serve every pair;
-    the profile, verdict, re-runs and witness follow pair by pair in C order.  A pair is refused
-    for, in this order: K0, then K1, numerically singular (SingularMatrixError); a quotient M past
-    the float range; a spectrum past it; an ambiguous verdict, a logarithm or a witness endpoint
-    that fails (IllConditionedError, SpectrumOnCutError).  A stack raises what its first refused
-    pair raises alone, with `` at stack index i`` appended.
+    their singular cuts, then one ``solve``, one ``eig`` and one spectral norm serve every pair.
+    Then two phases, each in C order.  First, pair by pair, the front end's refusals, the profile,
+    the verdict and its re-runs, up to the first refused pair.  Then the witnesses of the pairs
+    before it: one :func:`matcore._real_log` of those whose spectra are real and one of the others
+    (one batched eigenbasis and logarithm each; member by member past a member that is not
+    semisimple or has no eigenbasis), and pair by pair the :func:`_arc` endpoint check.  A pair is
+    refused for, in this order: K0, then K1, numerically singular (SingularMatrixError); a
+    quotient M past the float range; a spectrum past it; an ambiguous verdict, a logarithm or a
+    witness endpoint that fails (IllConditionedError, SpectrumOnCutError).  A stack raises what
+    its first refused pair raises alone, with `` at stack index i`` appended, whichever phase
+    refuses it.
     """
     ends = as_squares(stacks=True, K0=K0, K1=K1)
     tol = _tolerance(tol)
@@ -283,34 +285,46 @@ def classify_arc(K0, K1, tol=DEFAULT_TOL):
         refusals[2] = ~np.isfinite(M).all(axis=(-2, -1))
         M = np.where(refusals[2][..., None, None], np.eye(n), M)  # eig refuses a non-finite M
     eigs, vecs, norm2, refusals[3] = _spectrum(M)
-    out = np.empty(shape, object)
-    for i in itertools.product(*map(range, shape)):  # C order
-        for flags, (error, message) in zip(refusals, _FRONT_REFUSALS):
-            if flags is not None and flags[i]:
-                raise error(message + _at_index(i))
+    out, refused, groups = np.empty(shape, object), [], {}  # groups: the arcs, by realness
+    for i in _indices(shape):
         try:
-            out[i] = _classify_pair(K0[i], K1[i], M[i], *_lapack.real_if_real(eigs[i], vecs[i]),
-                                    float(norm2[i]), tol)
+            for flags, (error, message) in zip(refusals, _FRONT_REFUSALS):
+                if flags is not None and flags[i]:
+                    raise error(message)
+            w, _ = _lapack.real_if_real(eigs[i], vecs[i])
+            profile, settled = _profile_pass(M[i], w, float(norm2[i]), tol)
+            verdict = _verdict(profile)
+            for factor in () if settled else _RERUN_FACTORS:
+                rerun = _profile_pass(M[i], w, float(norm2[i]), tol * factor)[0]
+                if _verdict(rerun) is not verdict:
+                    raise IllConditionedError(f"verdict is ambiguous at tolerance {tol:g} (differs "
+                                              f"at {tol * factor:g})")
         except TraceGeoError as exc:
-            if not i:  # one pair: its own refusal, as it stands
-                raise
-            raise type(exc)(f"{exc}{_at_index(i)}") from None
+            refused.append((i, type(exc), str(exc)))
+            break
+        if verdict is ArcKind.NO_ARC:
+            out[i] = ArcClassification(verdict, None, profile)
+        else:
+            groups.setdefault(w.dtype.kind, []).append((i, verdict, profile))
+    for group in groups.values():
+        index, verdicts, profiles = zip(*group)
+        at = tuple(map(np.array, zip(*index)))  # () for one pair: the front end's own arrays
+        w, V = _lapack.real_if_real(eigs[at], vecs[at])
+        logs = _real_log(M[at], w, V, [p.negative_real() for p in profiles], tol)
+        for i, verdict, profile, C in zip(index, verdicts, profiles, logs):
+            if isinstance(C, TraceGeoError):  # a refused logarithm, never raised
+                refused.append((i, type(C), str(C)))
+                break
+            try:
+                out[i] = ArcClassification(verdict, _arc(K0[i], C, K1[i]), profile)
+            except TraceGeoError as exc:
+                refused.append((i, type(exc), str(exc)))
+                break
+    # the first refused pair in C order, raised anew: a kept exception would hold this frame
+    if refused:
+        i, error, message = min(refused, key=lambda refusal: refusal[0])
+        raise error(message + _at_index(i))
     return out.tolist()
-
-
-def _classify_pair(K0, K1, M, eigs, vecs, norm2, tol):
-    """:func:`classify_arc` of one pair, from its quotient ``M`` and M's spectrum."""
-    profile, settled = _profile_pass(M, eigs, norm2, tol)
-    verdict = _verdict(profile)
-    for factor in () if settled else _RERUN_FACTORS:
-        if _verdict(_profile_pass(M, eigs, norm2, tol * factor)[0]) is not verdict:
-            raise IllConditionedError(
-                f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})"
-            )
-    witness = None
-    if verdict is not ArcKind.NO_ARC:
-        witness = _arc(K0, _real_log(M, eigs, vecs, profile.negative_real(), tol), K1)
-    return ArcClassification(verdict=verdict, witness=witness, profile=profile)
 
 
 def _arc(K, C, end):

@@ -19,6 +19,7 @@ norm.
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     NotSpecialOrthogonalError,
     SingularMatrixError,
     SpectrumOnCutError,
+    TraceGeoError,
 )
 
 DEFAULT_TOL = 1e-8
@@ -134,7 +136,7 @@ def require_invertible(a, name="matrix"):
     if key == _passed[0]:
         return
     s = _lapack.svd(a, compute_uv=False)
-    if _is_singular(s) if s.ndim == 1 else np.count_nonzero(_is_singular(s.T)):  # no reduction
+    if _is_singular(s) if s.ndim == 1 else _lapack.count_nonzero(_is_singular(s.T)):  # no reduction
         at = _at_member(_is_singular(s.T).T)  # the flags in the stack's shape
         raise SingularMatrixError(f"{name} is numerically singular{at}")
     _passed[0] = key
@@ -144,6 +146,11 @@ def _at_member(flags):
     """`` at stack index i`` for the first true flag of a stack's flags in C order (``i`` an int
     for one stack axis, else a tuple); nothing for the one flag of a single matrix."""
     return _at_index(np.unravel_index(np.argmax(flags), flags.shape) if flags.ndim else ())
+
+
+def _indices(shape):
+    """The index tuples of an array of ``shape`` in C order: the one ``()`` of shape ()."""
+    return itertools.product(*map(range, shape))
 
 
 def _at_index(index):
@@ -245,7 +252,7 @@ def _relative_gap(A, B):
     Scale-free, so a zero ``B`` is matched only by a zero ``A`` (any other ``A`` is ``inf``)."""
     D = A - B
     gap, norm = _lapack.norm(D), _lapack.norm(B)
-    if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not np.count_nonzero(D)):
+    if 1e-150 < norm < 1e150 and (1e-150 < gap < 1e150 or not _lapack.count_nonzero(D)):
         return gap / norm
     b = float(np.abs(B).max())
     if b == 0.0:
@@ -290,16 +297,17 @@ def _expm(A, left=None):
             break
     s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
     upper = not any(any(column[j + 1:]) for j, column in enumerate(columns))
-    diagonal = np.diagonal(A)
+    diagonal = A.diagonal()
     if s:
         A = A * 2.0**-s
     n, powers = A.shape[0], coef.shape[1]
     evens = np.zeros((powers, n, n))  # I, A^2, A^4, ..., each written in place
-    evens[0].flat[:: n + 1] = 1.0
+    flat = evens.reshape(powers, n * n)
+    flat[0, :: n + 1] = 1.0
     np.matmul(A, A, out=evens[1])
     for j in range(2, powers):
         np.matmul(evens[j - 1], evens[1], out=evens[j])
-    V, W = (coef @ evens.reshape(powers, n * n)).reshape(2, n, n)
+    V, W = (coef @ flat).reshape(2, n, n)
     U = A @ W
     E = _lapack.solve(V - U, V + U)
     for k in range(1, s + 1):
@@ -332,8 +340,9 @@ def _eigenbasis(eigs, V, left=None):
         Vinv = _lapack.inv(V)
     except np.linalg.LinAlgError:  # eigenbasis exactly singular: a defective A
         return None
-    cond = abs(V).sum(axis=-2).max(axis=-1) * abs(Vinv).sum(axis=-2).max(axis=-1)
-    if np.count_nonzero(cond > _EIGENBASIS_COND_MAX):
+    col1 = np.maximum.reduce(np.add.reduce(abs(V), -2), -1)  # ufunc reductions: no Python wrapper
+    cond = col1 * np.maximum.reduce(np.add.reduce(abs(Vinv), -2), -1)
+    if _lapack.count_nonzero(cond > _EIGENBASIS_COND_MAX):
         return None
     return eigs, (V if left is None else left @ V), Vinv
 
@@ -363,7 +372,10 @@ def real_log_principal(A, tol=DEFAULT_TOL):
     eigs, V = _lapack.eig(A)
     if any(lam.real < 0 and _on_real_axis(lam, tol) for lam in eigs.tolist()):
         raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    return _real_log(A, eigs, V, (), tol)
+    (L,) = _real_log(A, eigs, V, [()], tol)
+    if isinstance(L, TraceGeoError):
+        raise type(L)(*L.args)  # not L itself, which a local of this frame holds
+    return L
 
 
 # The 8-point Gauss-Legendre rule's positive nodes on [-1, 1] and weights.  Moved to [0, 1], on
@@ -446,13 +458,25 @@ class SpectralProfile(_Value):
         return sum(c.multiplicity for c in self.clusters)
 
     def negative_real(self):
-        return [c for c in self.clusters if c.is_real and c.eigenvalue.real < 0]
+        return self._kinds()[0]
 
     def positive_real(self):
-        return [c for c in self.clusters if c.is_real and c.eigenvalue.real > 0]
+        return self._kinds()[1]
 
     def non_real(self):
-        return [c for c in self.clusters if not c.is_real]
+        return self._kinds()[2]
+
+    def _kinds(self):
+        """The negative real, positive real and non-real clusters, from one pass."""
+        negative, positive, non_real = kinds = [], [], []
+        for c in self.clusters:
+            if not c.is_real:
+                non_real.append(c)
+            elif c.eigenvalue.real < 0:
+                negative.append(c)
+            elif c.eigenvalue.real > 0:
+                positive.append(c)
+        return kinds
 
 
 def _kernel_staircase(A, lam, mult, tol):
@@ -486,7 +510,7 @@ def _kernel_staircase(A, lam, mult, tol):
             step = E / scale
         low, high = _decade(tol, scale)
         settled = settled and not any(low < x <= high for x in s.tolist())
-        rank = min(max(int(np.count_nonzero(s > tol * scale)), floor), rank)
+        rank = min(max(int(_lapack.count_nonzero(s > tol * scale)), floor), rank)
         bases.append(Vh[rank:].conj().T)
         if rank == floor:
             return E, bases, U[:, floor:], settled
@@ -614,18 +638,24 @@ def _profile_pass(A, eigs, norm2, tol):
 # ---------------------------------------------------------------------------
 
 
-def _real_log(M, eigs, vecs, negative, tol):
-    """The one logarithm dispatch: a real C with exp(C) = M = vecs diag(eigs) vecs^-1, principal
-    where possible, following the profile's ``negative`` clusters (none for a principal log) with
-    no real-axis test: semisimple ones with an :func:`_eigenbasis` take :func:`_semisimple_log`;
-    else :func:`_logm`, or :func:`_chains_log`, whose staircase reads ``tol``."""
-    semisimple = all(len(c.block_sizes) == c.multiplicity for c in negative)
+def _real_log(M, eigs, vecs, negatives, tol):
+    """The one logarithm dispatch: for M = vecs diag(eigs) vecs^-1, or each of a stack whose spectra
+    share one dtype, the list of real C with exp(C) = M (principal where possible; no real-axis
+    test), or the TraceGeoError that refuses it, following each M's ``negatives`` clusters:
+    semisimple ones with an :func:`_eigenbasis` take one batched :func:`_semisimple_log`; else
+    each M alone, by :func:`_logm`, or :func:`_chains_log`, whose staircase reads ``tol``."""
+    semisimple = all(len(c.block_sizes) == c.multiplicity for neg in negatives for c in neg)
     basis = _eigenbasis(eigs, vecs) if semisimple else None
     if basis is not None:
-        return _semisimple_log(basis, negative)
-    if not negative:
-        return _logm(M)
-    return _chains_log(M, negative, tol)
+        return _semisimple_log(basis, negatives)
+    if M.ndim > 2:
+        return [C for j, negative in zip(_indices(M.shape[:-2]), negatives)
+                for C in _real_log(M[j], eigs[j], vecs[j], [negative], tol)]
+    (negative,) = negatives
+    try:
+        return [_chains_log(M, negative, tol) if negative else _logm(M)]
+    except TraceGeoError as exc:  # a copy: the raised one holds the frames it passed
+        return [type(exc)(*exc.args)]
 
 
 @_overflow_guard("arc logarithm")
@@ -655,9 +685,9 @@ def _chains_log(M, negative, tol):
     return _logm(M - 2.0 * (M @ (V @ D))) + np.pi * J
 
 
-def _semisimple_log(basis, negative):
-    """V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose ``negative``
-    clusters are semisimple.
+def _semisimple_log(basis, negatives):
+    """The list of V diag(log lam) V^-1 + pi J from the eigenbasis (lam, V, V^-1) of M, whose
+    ``negatives`` clusters are semisimple; of a stack's batched eigenbasis, each member's.
 
     Each negative cluster c, of mean mu, trades its eigenvalues for |mu| in the spectral sum, which
     adds log|mu| P_c for its spectral projector P_c = V_c W_c (W_c: its rows of V^-1), and adds an
@@ -671,27 +701,44 @@ def _semisimple_log(basis, negative):
     conditioning of the basis inside the cluster, which a nearly defective cluster makes large.
     An eigenvalue <= 0 left after the trade sits in a cluster of mean >= 0 that reaches across 0,
     and has no real log: SpectrumOnCutError for a real spectrum or an exact 0, and for a complex
-    one whose log comes back with an imaginary residue past ``DEFAULT_TOL * max(1, max |Re L|)``.
-    """
+    one whose log comes back with an imaginary residue past ``DEFAULT_TOL * max(1, max |Re L|)``,
+    in the member's place."""
     eigs, V, Vinv = basis
-    lams, J = eigs.copy(), 0.0
-    for cluster in negative:
-        members = list(cluster.members)
-        lams[members] = -cluster.eigenvalue.real
-        Vc = V[:, members]
-        # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
-        Q = _lapack.qr((Vc * np.where(eigs[members].imag < 0, 1j, 1.0)).real)[0]
-        D = ((Q.T @ Vc) @ Vinv[members]).real
-        half = len(members) // 2
-        J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
-    if (lams.dtype.kind == "f" and lams.min() <= 0) or np.count_nonzero(lams) < lams.size:
-        raise SpectrumOnCutError("eigenvalue on the closed negative real axis")
-    L = _spectral(np.log, (lams, V, Vinv))
-    if np.iscomplexobj(L):
-        if np.abs(L.imag).max() > DEFAULT_TOL * max(1.0, np.abs(L.real).max()):
-            raise SpectrumOnCutError("logarithm came back complex; spectrum too close to the cut")
+    n = eigs.shape[-1]
+    lams, turns, refused = eigs.copy(), {}, {}  # turns and refusals by member position
+    for k, (j, negative) in enumerate(zip(_indices(eigs.shape[:-1]), negatives)
+                                      if any(negatives) else ()):
+        J, lam, Vj, Wj = 0.0, lams[j], V[j], Vinv[j]  # one member's (views: lam writes to lams)
+        for cluster in negative:
+            members = list(cluster.members)
+            lam[members] = -cluster.eigenvalue.real
+            Vc = Vj[:, members]
+            # a conjugate pair's columns v, conj(v) become Re v and Re(i conj(v)) = Im v
+            Q = _lapack.qr((Vc * np.where(eigs[j][members].imag < 0, 1j, 1.0)).real)[0]
+            D = ((Q.T @ Vc) @ Wj[members]).real
+            half = len(members) // 2
+            J = J + Q[:, half:] @ D[:half] - Q[:, :half] @ D[half:]
+        if negative:
+            turns[k] = np.pi * J
+    cut = lams <= 0 if lams.dtype.kind == "f" else lams == 0
+    if _lapack.count_nonzero(cut):  # refused; a log of 1 stands in for theirs
+        refused = dict.fromkeys(np.flatnonzero(cut.reshape(-1, n).any(-1)).tolist(),
+                                "eigenvalue on the closed negative real axis")
+        lams[cut] = 1.0
+    L = _spectral(np.log, (lams[..., None, :], V, Vinv))
+    if L.dtype.kind == "c":
+        far = (np.maximum.reduce(abs(L.imag), (-2, -1))
+               > DEFAULT_TOL * np.maximum.reduce(abs(L.real), (-2, -1), initial=1.0))
+        if _lapack.count_nonzero(far):
+            refused = dict.fromkeys(np.flatnonzero(far).tolist(), "logarithm came back complex; "
+                                    "spectrum too close to the cut") | refused
         L = L.real
-    return L + np.pi * J if negative else L
+    logs = list(L.reshape(-1, n, n)) if L.ndim > 2 else [L]
+    for k, turn in turns.items():
+        logs[k] = logs[k] + turn
+    for k, message in refused.items():
+        logs[k] = SpectrumOnCutError(message)
+    return logs
 
 
 def _pick_complement(candidates, excluded, need):
@@ -816,7 +863,7 @@ def _half_turns(B):
     on a plane of width s; Newton's ``J <- (J - J^-1) / 2`` then makes J^2 = -I, commuting with K."""
     K = _logm(-B)
     U, s, Vh = _lapack.svd(K)
-    r = 2 * (np.count_nonzero(s > 1e-13) // 2)  # singular values of a skew K come in pairs
+    r = 2 * (_lapack.count_nonzero(s > 1e-13) // 2)  # singular values of a skew K come in pairs
     Z = Vh[r:].T if r else np.eye(len(B))
     W = Z[:, 1::2] @ Z[:, 0::2].T - 0.5 * U[:, :r] @ Vh[:r]
     J = W - W.T

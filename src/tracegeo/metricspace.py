@@ -79,20 +79,28 @@ _GRAM_ZERO_RTOL = 1e-10  # a Gram eigenvalue is zero at this fraction of the lar
 
 
 def signature_at(A):
-    """Signature of the metric at ``A`` from the eigenvalues of its Gram matrix.
+    """Signature of the metric at ``A`` from the eigenvalues of its Gram matrix; of a stack
+    ``(*s, n, n)``, each member's, nested as ``ndarray.tolist()`` nests ``s``.
 
     Raises DegenerateMetricError when a Gram eigenvalue is numerically zero,
     which signals breakdown rather than a mathematical possibility.
     """
-    A = as_point_and_tangents(A, "A")[0]
+    A = as_point_and_tangents(A, "A", stacks=True)[0]
     # the signature is scale-free; a power of two near the largest entry keeps B (x) B in range
-    G = _gram_of_inverse(_lapack.inv(np.ldexp(A, -np.frexp(np.abs(A).max())[1])))
-    w = _lapack.eigvalsh(G)  # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
-    cut = _GRAM_ZERO_RTOL * float(np.abs(w).max())
-    if np.count_nonzero(np.abs(w) <= cut):
-        raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue")
-    pos = int(np.count_nonzero(w > 0))
-    return MetricSignature(positive=pos, negative=w.size - pos)
+    e = np.frexp(np.maximum.reduce(np.abs(A), (-2, -1), keepdims=True))[1]
+    # G is exactly symmetric: G[ji, lk] and G[lk, ji] are one product
+    w = _lapack.eigvalsh(_gram_of_inverse(_lapack.inv(np.ldexp(A, -e))))
+    magnitude = np.abs(w)
+    zero = magnitude <= _GRAM_ZERO_RTOL * np.maximum.reduce(magnitude, -1, keepdims=True)
+    if _lapack.count_nonzero(zero):
+        raise DegenerateMetricError("Gram matrix has a numerically zero eigenvalue"
+                                    + _at_member(np.logical_or.reduce(zero, -1)))
+    pos, size = np.add.reduce(w > 0, -1), w.shape[-1]
+    if not pos.ndim:  # one matrix: its record
+        return MetricSignature(positive=int(pos), negative=size - int(pos))
+    out = np.empty(pos.shape, object)
+    out.flat = [MetricSignature(positive=p, negative=size - p) for p in pos.ravel().tolist()]
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -657,7 +657,8 @@ def test_witness_endpoint_check_runs_on_the_pade_exponential(rng, monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
     # ||K1|| overflows for entries of 1.34e154; a wrong witness must still be caught
     K = 1.34e154 * I2
-    monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log",
+                        lambda M, eigs, vecs, negatives, tol: [np.diag([1.0, 0.0])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
@@ -667,7 +668,8 @@ def test_witness_endpoint_check_is_not_vacuous_at_large_scale(monkeypatch):
 def test_witness_endpoint_check_is_not_vacuous_at_small_scale(monkeypatch):
     # the gap is relative to ||K1|| with no floor, so it holds for K1 of norm 1e-12 too
     K = 1e-12 * I2
-    monkeypatch.setattr(geodesy, "_real_log", lambda M, eigs, vecs, negative, tol: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(geodesy, "_real_log",
+                        lambda M, eigs, vecs, negatives, tol: [np.diag([1.0, 0.0])])
     with pytest.raises(IllConditionedError, match="witness endpoint check failed"):
         classify_arc(K, K)
 
@@ -880,7 +882,9 @@ def eigvals_route(K0, K1, tol):
                     f"verdict is ambiguous at tolerance {tol:g} (differs at {tol * factor:g})")
         if verdict is ArcKind.NO_ARC:
             return verdict, profile, None
-        C = matcore._real_log(M, *np.linalg.eig(M), profile.negative_real(), tol)
+        (C,) = matcore._real_log(M, *np.linalg.eig(M), [profile.negative_real()], tol)
+        if isinstance(C, TraceGeoError):
+            raise C
         gap = matcore._relative_gap(matcore._expm(C, left=K0), K1)
         if gap > 1e-6:
             raise IllConditionedError(f"witness endpoint check failed (relative error {gap:g})")
@@ -968,11 +972,12 @@ def test_spectral_profile_is_the_profile_classify_arc_reads(n):
 # ---------------------------------------------------------------------------
 
 
-def chains_witness(M, eigs, vecs, negative, tol):
+def chains_witness(M, eigs, vecs, negatives, tol):
     """Reference: the witness with every negative cluster taken through its Jordan chains, as
     before semisimple clusters were read off eig(M): C = log(M (I - 2P)) + pi J with P and J
     from the chains and the staircase's left kernel, or M's principal log with its cut test when
-    no cluster is negative."""
+    no cluster is negative.  Of one pair, in matcore._real_log's form: a list of one."""
+    (negative,) = negatives
     xs, ys, lefts = [], [], []
     for cluster in negative:
         chains, left = matcore._jordan_chains(M, cluster.eigenvalue.real, cluster.multiplicity, tol)
@@ -982,14 +987,14 @@ def chains_witness(M, eigs, vecs, negative, tol):
             ys.extend(y)
         lefts.append(left)
     if not xs:
-        return real_log_principal(M, tol)
+        return [real_log_principal(M, tol)]
     V = np.column_stack(xs + ys)
     W = np.hstack(lefts)
     D = np.linalg.solve(W.T @ V, W.T)
     A = M - 2.0 * (M @ (V @ D))
     half = len(xs)
     J = V[:, half:] @ D[:half] - V[:, :half] @ D[half:]
-    return real_log_principal(A, tol) + np.pi * J
+    return [real_log_principal(A, tol) + np.pi * J]
 
 
 def semisimple_negative_pair(rng, n, kind):

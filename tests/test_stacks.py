@@ -7,6 +7,7 @@ that to evaluate each identity once on the stack of their cases.
 """
 
 import copy
+import gc
 import json
 import pickle
 import re
@@ -17,14 +18,18 @@ import pytest
 
 from tracegeo import (
     ArcClassification,
+    DegenerateMetricError,
     DimensionMismatchError,
     Geodesic,
     IllConditionedError,
+    MetricSignature,
     NonPositiveDeterminantError,
     NotTangentError,
     NotUnimodularError,
     ProductPoint,
     SingularMatrixError,
+    SpectrumOnCutError,
+    TraceGeoError,
     apply_isometry,
     broken_arc,
     classify_arc,
@@ -40,11 +45,12 @@ from tracegeo import (
     riemann_04,
     riemann_13,
     scalar_curvature,
+    signature_at,
     sl_einstein_check,
     sl_tangent_project,
     trace_metric,
 )
-from tracegeo import _lapack, curvature, geodesy, metricspace, verify
+from tracegeo import _lapack, curvature, geodesy, matcore, metricspace, verify
 from tracegeo.metricspace import ISOMETRY_KINDS, Isometry
 from tracegeo.verify import random_invertible, random_unimodular
 
@@ -71,6 +77,7 @@ FUNCTIONS = {
     "nabla": (nabla, 4, None),
     "sl_tangent_project": (sl_tangent_project, 2, None),
     "sl_einstein_check": (_leaf_check, 3, (2,)),
+    "signature_at": (signature_at, 1, MetricSignature),
 }
 
 
@@ -313,7 +320,9 @@ def test_a_case_count_outside_zero_to_the_cap_is_refused(suite, cases):
 def test_one_point_returns_todays_type(rng, name):
     fn, count, result = FUNCTIONS[name]
     out = (sl_einstein_check if name == "sl_einstein_check" else fn)(*_operands(rng, (), 3, count))
-    if result == ():
+    if isinstance(result, type):
+        assert type(out) is result
+    elif result == ():
         assert type(out) is float
     elif name == "sl_einstein_check":
         assert type(out) is tuple and [type(x) for x in out] == [float, float]
@@ -322,7 +331,7 @@ def test_one_point_returns_todays_type(rng, name):
 
 
 # the name each function gives its base point in a refusal
-BASE_NAMES = {"trace_metric": "A", "nabla": "P", "leaf_of": "Q"}
+BASE_NAMES = {"trace_metric": "A", "nabla": "P", "leaf_of": "Q", "signature_at": "A"}
 
 
 @pytest.mark.parametrize("shape, index, where", [((3,), (1,), "1"), ((2, 2), (1, 0), "(1, 0)")])
@@ -334,6 +343,14 @@ def test_a_singular_member_is_named_by_its_stack_index(rng, name, shape, index, 
     message = f"{BASE_NAMES.get(name, 'K')} is numerically singular at stack index {where}"
     with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
         fn(*operands)
+
+
+def test_a_degenerate_metric_member_is_named_by_its_stack_index(rng):
+    A = _points(rng, (3,), 2)
+    A[1] = np.diag([1.0, 1e-8])  # invertible, but its Gram spread passes the zero cut
+    message = "Gram matrix has a numerically zero eigenvalue at stack index 1"
+    with pytest.raises(DegenerateMetricError, match=f"^{message}$"):
+        signature_at(A)
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMETRIC) + ["inversion"])
@@ -456,6 +473,116 @@ def test_classify_arc_of_a_stack_raises_its_first_refusal(rng):
     with pytest.raises(IllConditionedError,
                        match="^spectrum overflows the float range at stack index 1$"):
         classify_arc(K0, K1)
+
+
+# M = K0^-1 K1 of each route of a witness: a real and a complex spectrum through the batched
+# eigenbasis logarithm, a semisimple negative cluster with its turn J, a defective positive block
+# (inverse scaling and squaring) and paired negative Jordan blocks (their chains); and no arc.
+# The defective cores are exact: K0 = 2I, so M is the core to the bit.  The last two send the
+# real pairs of a stack member by member; without them each realness takes one batch.
+ROUTES = {
+    "real": (np.diag([1.0, 2.0, 3.0, 4.0]), True),
+    "complex": (np.diag([1.0, 1.0, 3.0, 4.0]) + np.diag([-2.0, 0.0, 0.0], 1)
+                + np.diag([2.0, 0.0, 0.0], -1), True),
+    "negative": (np.diag([-2.0, -2.0, 3.0, 4.0]), True),
+    "logm": (np.diag([2.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1), False),
+    "chains": (np.kron(np.eye(2), [[-1.0, 1.0], [0.0, -1.0]]), False),
+    "no-arc": (np.diag([-2.0, 3.0, 4.0, 5.0]), True),
+}
+
+# one pair of each refusal, with what it raises alone
+REFUSED = {
+    "K0-singular": (np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(4), SingularMatrixError),
+    "K1-singular": (np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), SingularMatrixError),
+    "quotient": (1e-300 * np.eye(4), 1e300 * np.eye(4), IllConditionedError),
+    # M is finite, ||M||_2 = 2.5e308
+    "spectrum": (0.5 * np.eye(4), np.array([[0.75e308, 0.5e308, 0, 0], [0.5e308, 0.75e308, 0, 0],
+                                            [0, 0, 0.5e308, 0], [0, 0, 0, 0.5e308]]),
+                 IllConditionedError),
+    "ambiguous": (np.eye(4), np.diag([2.0, 2.0 + 1e-7, 5.0, 7.0]), IllConditionedError),
+    # eigenvalues +-1e-12 merge into one cluster of mean 0: a unique verdict whose log has none
+    "on-the-cut": (np.eye(4), np.diag([-1e-12, 1e-12, 1.0, 2.0]), SpectrumOnCutError),
+}
+
+
+def _route_pairs(rng):
+    """One endpoint pair per route, in ROUTES' order, as two (6, 4, 4) stacks."""
+    K0, K1 = [], []
+    for core, similar in ROUTES.values():
+        if similar:
+            K, S = random_invertible(rng, 4), random_invertible(rng, 4)
+            K0.append(K)
+            K1.append(K @ S @ core @ np.linalg.inv(S))
+        else:
+            K0.append(2.0 * np.eye(4))
+            K1.append(2.0 * core)
+    return np.array(K0), np.array(K1)
+
+
+def test_a_stack_of_every_route_gives_each_pair_its_own_record(rng, monkeypatch):
+    K0, K1 = _route_pairs(rng)
+    calls = {"_logm": 0, "_chains_log": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(matcore, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(matcore, name, spy)
+    outcomes = classify_arc(K0, K1)
+    assert calls["_chains_log"] >= 1 and calls["_logm"] > calls["_chains_log"]  # both fallbacks
+    assert [o.verdict.value for o in outcomes] == ["unique", "countable", "continuum", "unique",
+                                                  "continuum", "no-arc"]
+    batched = [0, 1, 2, 5]
+    for k0, k1 in ((K0, K1), (K0.reshape(2, 3, 4, 4), K1.reshape(2, 3, 4, 4)),
+                   (K0[batched], K1[batched])):
+        nested = np.empty(k0.shape[:-2], object)
+        nested[...] = classify_arc(k0, k1)
+        for i in np.ndindex(nested.shape):
+            _same_arc(nested[i], classify_arc(k0[i], k1[i]))
+
+
+@pytest.mark.parametrize("kind", REFUSED)
+def test_a_refused_pair_among_every_route_raises_its_own_error_with_its_index(rng, kind):
+    K0, K1 = _route_pairs(rng)
+    bad0, bad1, error = REFUSED[kind]
+    with pytest.raises(error) as alone:
+        classify_arc(bad0, bad1)
+    message = f"{alone.value} at stack index 3"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        classify_arc(np.insert(K0, 3, bad0, 0), np.insert(K1, 3, bad1, 0))
+
+
+def test_an_endpoint_refusal_comes_before_a_later_ambiguous_verdict(monkeypatch):
+    # pair 0 fails its endpoint check in the witness phase, pair 1 its verdict in the first
+    K0 = np.stack([np.eye(3)] * 2)
+    K1 = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 2.0 + 1e-7, 5.0])])
+    with pytest.raises(IllConditionedError, match="^verdict is ambiguous .* at stack index 1$"):
+        classify_arc(K0, K1)
+    monkeypatch.setattr(geodesy, "_real_log",
+                        lambda M, eigs, vecs, negatives, tol: [np.zeros((3, 3))] * len(negatives))
+    with pytest.raises(IllConditionedError,
+                       match=r"^witness endpoint check failed \(relative error .*\) at stack "
+                             r"index 0$"):
+        classify_arc(K0, K1)
+
+
+def test_a_refusal_leaves_no_reference_cycle():
+    # refusals are kept as (index, type, message) and raised anew: no kept exception holds a frame
+    K0 = np.stack([np.eye(4)] * 2)
+    K1 = np.array([np.diag([2.0, 2.0 + 1e-7, 5.0, 7.0]), np.diag([-1e-12, 1e-12, 1.0, 2.0])])
+    gc.collect()
+    gc.disable()
+    try:
+        for k0, k1 in [(K0, K1), (K0[::-1], K1[::-1]), (K0[0], K1[0]), (K0[1], K1[1])]:
+            try:
+                classify_arc(k0, k1)
+            except TraceGeoError:
+                pass
+            else:
+                pytest.fail("the pair was not refused")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _product_stack(rng, shape, n):
@@ -596,15 +723,33 @@ def test_a_suite_builds_one_geodesic_per_identity_not_per_case(monkeypatch, suit
     assert counts[0]["__init__"] == {"geodesic": 3, "foliation": 1}[suite]
 
 
+def test_the_geodesic_suite_inverts_one_eigenbasis_stack_for_all_its_arcs(monkeypatch):
+    # classify_arc's witnesses: one batched inv of the 2 * cases eigenbases, whatever the count
+    inverted, inv, classify = [], _lapack.inv, geodesy.classify_arc
+
+    def spy(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(_lapack, "inv", lambda a: inverted.append(a.shape) or inv(a))
+            return classify(*args)
+
+    monkeypatch.setattr(geodesy, "classify_arc", spy)
+    for cases in (4, 8):
+        inverted.clear()
+        assert verify.run_suite("geodesic", 3, 0, cases)["failures"] == []
+        assert inverted == [(2 * cases, 3, 3)]
+
+
 # what each suite calls once per suite call (geodesic and product: every call they make of it)
-ONCE = {"geodesic": {"classify_arc": 1},
+ONCE = {"metric": {"signature_at": 1},
+        "geodesic": {"classify_arc": 1},
         "product": {"__init__": 1, "product_forward": 2, "product_inverse": 2,
                     "product_pushforward": 2, "trace_metric": 2}}
 
 
 @pytest.mark.parametrize("suite", ["metric", "geodesic", "curvature", "foliation", "product"])
 def test_a_suite_calls_each_identity_once_not_once_per_case(monkeypatch, suite):
-    spied = [(metricspace, "trace_metric"), (curvature, "riemann_04"), (metricspace, "pushforward"),
+    spied = [(metricspace, "trace_metric"), (metricspace, "signature_at"),
+             (curvature, "riemann_04"), (metricspace, "pushforward"),
              (geodesy, "classify_arc"), (metricspace, "product_forward"),
              (metricspace, "product_inverse"), (metricspace, "product_pushforward"),
              (ProductPoint, "__init__")]
